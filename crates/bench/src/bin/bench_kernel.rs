@@ -1,5 +1,6 @@
-//! Kernel throughput baseline: measures the fused 2-D flip kernel and the
-//! O(1)-step ring dynamics, writes `BENCH_kernel.json`, and optionally
+//! Kernel throughput baseline: measures the fused 2-D flip kernel (on
+//! random sites and on the real `step` path) and the O(1)-step ring
+//! dynamics, writes `BENCH_kernel.json`, and optionally
 //! gates against a committed baseline.
 //!
 //! ```text
@@ -97,6 +98,11 @@ fn main() {
         let rate = kernel::measure_twod_flips(w, budget);
         println!("  2-D fused flip kernel   w={w}: {rate:>12.0} flips/s");
         metrics.push((format!("twod_flips_per_s_w{w}"), rate));
+    }
+    for w in kernel::TWOD_STEP_HORIZONS {
+        let rate = kernel::measure_twod_steps(w, budget);
+        println!("  2-D step to stability   w={w}: {rate:>12.0} flips/s");
+        metrics.push((format!("twod_steps_per_s_w{w}"), rate));
     }
     let ring = kernel::measure_ring_steps(budget);
     println!(

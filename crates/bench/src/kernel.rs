@@ -2,11 +2,12 @@
 //!
 //! Shared between the `kernel` criterion bench (relative timings) and the
 //! `bench_kernel` binary (absolute flips/s written to `BENCH_kernel.json`,
-//! the tracked perf baseline). Workloads are fully deterministic: the 2-D
+//! the tracked perf baseline). Workloads are fully deterministic: one 2-D
 //! case drives [`seg_core::Simulation::force_flip_at`] with an LCG point
-//! stream (flip cost is state-independent, so this isolates the kernel),
-//! the ring cases run the real dynamics to stability from seeded initial
-//! conditions.
+//! stream (random sites, so this isolates the count walk), the other runs
+//! [`seg_core::Simulation::step`] to stability from seeded fields (the
+//! real path, where most touched cells keep their class); the ring cases
+//! run the real dynamics to stability from seeded initial conditions.
 
 use seg_core::ring::{RingKawasaki, RingSim};
 use seg_core::{ModelConfig, Simulation};
@@ -16,6 +17,8 @@ use std::time::{Duration, Instant};
 pub const TWOD_SIDE: u32 = 256;
 /// Horizons measured by the 2-D kernel workload.
 pub const TWOD_HORIZONS: [u32; 4] = [1, 2, 4, 8];
+/// Horizons measured by the 2-D real-path workload.
+pub const TWOD_STEP_HORIZONS: [u32; 2] = [1, 8];
 /// Ring length for the 1-D workloads.
 pub const RING_N: usize = 2000;
 /// Ring horizon for the 1-D workloads.
@@ -94,6 +97,24 @@ pub fn measure_twod_flips(w: u32, budget: Duration) -> f64 {
     flips as f64 / t0.elapsed().as_secs_f64()
 }
 
+/// Measures 2-D real-path throughput: `step` until stable over fresh
+/// seeded fields, returning flips per second (setup excluded from the
+/// clock).
+pub fn measure_twod_steps(w: u32, budget: Duration) -> f64 {
+    let mut flips = 0u64;
+    let mut timed = Duration::ZERO;
+    let mut seed = 0u64;
+    while timed < budget {
+        let mut sim = ModelConfig::new(TWOD_SIDE, w, TAU).seed(seed).build();
+        seed += 1;
+        let t0 = Instant::now();
+        while sim.step().is_some() {}
+        timed += t0.elapsed();
+        flips += sim.flips();
+    }
+    flips as f64 / timed.as_secs_f64()
+}
+
 /// Measures ring Glauber throughput: full runs to stability over fresh
 /// seeded realizations, returning effective steps per second (setup
 /// excluded from the clock).
@@ -154,6 +175,7 @@ mod tests {
     fn measurements_produce_positive_rates() {
         let budget = Duration::from_millis(10);
         assert!(measure_twod_flips(1, budget) > 0.0);
+        assert!(measure_twod_steps(1, budget) > 0.0);
         assert!(measure_ring_steps(budget) > 0.0);
         assert!(measure_kawasaki_attempts(budget) > 0.0);
     }

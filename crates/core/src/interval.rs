@@ -155,6 +155,24 @@ impl IntervalSim {
         self.discontent
     }
 
+    /// Full consistency audit: recomputes the counts, the flippable set
+    /// and the discontent total from scratch and compares. O(n²·N); for
+    /// tests and debugging.
+    pub fn audit(&self) -> bool {
+        if !self.counts.verify_against(&self.field) {
+            return false;
+        }
+        let mut discontent = 0;
+        for i in 0..self.field.torus().len() {
+            let s = self.counts.same_count_index(i, self.field.get_index(i));
+            if self.band.is_flippable(s) != self.flippable.contains(i) {
+                return false;
+            }
+            discontent += usize::from(!self.band.is_content(s));
+        }
+        discontent == self.discontent
+    }
+
     /// One step: flips a uniformly chosen flippable agent. `None` when no
     /// agent can improve (stable for this rule).
     pub fn step(&mut self) -> Option<Point> {
@@ -244,19 +262,7 @@ mod tests {
     fn bookkeeping_consistent_after_steps() {
         let mut sim = IntervalSim::random(48, 2, 0.4, 0.85, 5);
         sim.run(2_000);
-        // recompute flippable set and discontent total from scratch
-        let t = sim.field().torus();
-        let mut discontent = 0;
-        for i in 0..t.len() {
-            let s = sim.counts.same_count_index(i, sim.field.get_index(i));
-            assert_eq!(
-                sim.band.is_flippable(s),
-                sim.flippable.contains(i),
-                "divergence at {i}"
-            );
-            discontent += usize::from(!sim.band.is_content(s));
-        }
-        assert_eq!(discontent, sim.discontent_count(), "discontent diverged");
+        assert!(sim.audit(), "incremental bookkeeping diverged");
     }
 
     #[test]

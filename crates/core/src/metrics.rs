@@ -2,7 +2,7 @@
 
 use crate::sim::Simulation;
 use seg_grid::{AgentType, TypeField};
-use seg_percolation::union_find::UnionFind;
+use std::ops::Range;
 
 /// Snapshot statistics of a configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -30,96 +30,225 @@ pub fn config_stats(sim: &Simulation) -> ConfigStats {
     let plus = field.plus_total();
     let n = field.torus().len();
     let unhappy = sim.unhappy_count();
+    let clusters = Clusters::of_field(field);
     ConfigStats {
         plus,
         minus: n - plus,
         unhappy,
         flippable: sim.flippable_count(),
         happy_fraction: 1.0 - unhappy as f64 / n as f64,
-        interface_length: interface_length(field),
-        largest_cluster: largest_same_type_cluster(field),
+        interface_length: clusters.interface_length(),
+        largest_cluster: clusters.largest(),
     }
 }
 
 /// Number of von-Neumann-adjacent opposite-type pairs on the torus.
 pub fn interface_length(field: &TypeField) -> usize {
-    let t = field.torus();
-    let n = t.side() as i64;
-    let mut count = 0usize;
-    for p in t.points() {
-        let here = field.get(p);
-        // count right and down edges only, so each pair once (wraps included)
-        let right = t.offset(p, 1, 0);
-        let down = t.offset(p, 0, 1);
-        if n > 1 {
-            if field.get(right) != here {
-                count += 1;
-            }
-            if field.get(down) != here {
-                count += 1;
-            }
-        }
-    }
-    count
+    Clusters::of_field(field).interface_length()
 }
 
 /// Size of the largest 4-connected same-type cluster.
 pub fn largest_same_type_cluster(field: &TypeField) -> usize {
-    let t = field.torus();
-    let n = t.side() as usize;
-    let mut uf = UnionFind::new(t.len());
-    for y in 0..n {
-        for x in 0..n {
-            let i = y * n + x;
-            let here = field.get_index(i);
-            let right = y * n + (x + 1) % n;
-            let down = ((y + 1) % n) * n + x;
-            if field.get_index(right) == here {
-                uf.union(i, right);
-            }
-            if field.get_index(down) == here {
-                uf.union(i, down);
-            }
-        }
-    }
-    (0..t.len())
-        .map(|i| uf.component_size(i))
-        .max()
-        .unwrap_or(0)
+    Clusters::of_field(field).largest()
 }
 
 /// Sizes of all 4-connected same-type clusters of a given type, largest
 /// first.
 pub fn cluster_sizes_of_type(field: &TypeField, ty: AgentType) -> Vec<usize> {
-    let t = field.torus();
-    let n = t.side() as usize;
-    let mut uf = UnionFind::new(t.len());
-    for y in 0..n {
-        for x in 0..n {
-            let i = y * n + x;
-            if field.get_index(i) != ty {
-                continue;
+    Clusters::of_field(field).sizes_of(ty)
+}
+
+/// The 4-connected same-label clusters of a labelled torus, and its
+/// interface length, from one row-major scan.
+///
+/// Cells are given row-major (`cells[y * side + x]`) with any `Copy + Eq`
+/// label, so the two-type field and the `k`-type model share the scan.
+/// Each row is cut into runs of equal labels, which are the union-find
+/// elements (Hoshen–Kopelman on runs): a row's last run joins its first
+/// across the seam when their labels match, and each row's runs are
+/// unioned with the previous row's (the last row's with row 0's) by a
+/// two-pointer merge over overlapping runs. The seam and the last row
+/// are joined explicitly, so no index is wrapped with a division, and
+/// the largest cluster is read from the root runs, with no `find` per
+/// cell.
+///
+/// The interface length counts, for every cell, its right and down
+/// neighbors of another label (wrapping), so each adjacent pair once on
+/// sides ≥ 3.
+///
+/// # Example
+///
+/// ```
+/// use seg_core::metrics::Clusters;
+/// // a 3×3 torus: a column of 1s in a sea of 0s
+/// let c = Clusters::scan(3, &[1u8, 0, 0, 1, 0, 0, 1, 0, 0]);
+/// assert_eq!((c.interface_length(), c.largest()), (6, 6));
+/// assert_eq!(c.sizes_of(1), vec![3]);
+/// ```
+#[derive(Debug)]
+pub struct Clusters<T> {
+    interface_length: usize,
+    /// Label of each run.
+    labels: Vec<T>,
+    /// Union-find forest over runs (path halving, union by size).
+    parent: Vec<u32>,
+    /// Cells in the run's cluster; meaningful at roots only.
+    size: Vec<u32>,
+}
+
+impl Clusters<AgentType> {
+    /// Scans a two-type field.
+    pub fn of_field(field: &TypeField) -> Self {
+        Self::scan(field.torus().side() as usize, field.as_slice())
+    }
+}
+
+impl<T: Copy + Eq> Clusters<T> {
+    /// Scans the `side × side` torus labelled row-major by `cells`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `side` is 0, `cells.len() != side²`, or the torus has
+    /// more than `u32::MAX` cells.
+    pub fn scan(side: usize, cells: &[T]) -> Self {
+        assert!(side > 0, "torus side must be positive");
+        assert_eq!(cells.len(), side * side, "cells must fill the torus");
+        assert!(
+            cells.len() <= u32::MAX as usize,
+            "too many cells for u32 ids"
+        );
+        // room for the worst case (one run per cell) up front: growing
+        // four vectors by doubling fragments the heap
+        let mut c = Clusters {
+            interface_length: 0,
+            labels: Vec::with_capacity(cells.len()),
+            parent: Vec::with_capacity(cells.len()),
+            size: Vec::with_capacity(cells.len()),
+        };
+        // one past the last column of each run; a row's runs partition it
+        let mut run_end: Vec<u32> = Vec::with_capacity(cells.len());
+        let mut first_row = 0..0;
+        let mut prev_row = 0..0;
+        for (y, row) in cells.chunks_exact(side).enumerate() {
+            let first = c.labels.len();
+            let mut start = 0;
+            for x in 1..side {
+                if row[x] != row[x - 1] {
+                    c.push_run(row[start], x - start);
+                    run_end.push(x as u32);
+                    start = x;
+                }
             }
-            let right = y * n + (x + 1) % n;
-            let down = ((y + 1) % n) * n + x;
-            if field.get_index(right) == ty {
-                uf.union(i, right);
+            c.push_run(row[start], side - start);
+            run_end.push(side as u32);
+            let runs = first..c.labels.len();
+            // one interface edge per run boundary, plus the seam
+            c.interface_length += runs.len() - 1 + usize::from(row[side - 1] != row[0]);
+            if runs.len() > 1 && row[side - 1] == row[0] {
+                c.union(first, runs.end - 1);
             }
-            if field.get_index(down) == ty {
-                uf.union(i, down);
+            if y == 0 {
+                first_row = runs.clone();
+            } else {
+                c.join_rows(
+                    &cells[(y - 1) * side..y * side],
+                    row,
+                    prev_row,
+                    runs.clone(),
+                    &run_end,
+                );
             }
+            prev_row = runs;
+        }
+        let last = &cells[(side - 1) * side..];
+        c.join_rows(last, &cells[..side], prev_row, first_row, &run_end);
+        c
+    }
+
+    fn push_run(&mut self, label: T, len: usize) {
+        self.parent.push(self.labels.len() as u32);
+        self.labels.push(label);
+        self.size.push(len as u32);
+    }
+
+    /// Adds the vertical edges between `top` and the row `bottom` below
+    /// it, given their run index ranges.
+    fn join_rows(
+        &mut self,
+        top: &[T],
+        bottom: &[T],
+        top_runs: Range<usize>,
+        bottom_runs: Range<usize>,
+        run_end: &[u32],
+    ) {
+        self.interface_length += top
+            .iter()
+            .zip(bottom)
+            .map(|(a, b)| usize::from(a != b))
+            .sum::<usize>();
+        // the current pair of runs always overlaps; advancing the one that
+        // ends first visits every overlapping pair once
+        let (mut i, mut j) = (top_runs.start, bottom_runs.start);
+        while i < top_runs.end && j < bottom_runs.end {
+            if self.labels[i] == self.labels[j] {
+                self.union(i, j);
+            }
+            let (ei, ej) = (run_end[i], run_end[j]);
+            i += usize::from(ei <= ej);
+            j += usize::from(ej <= ei);
         }
     }
-    let mut seen = std::collections::HashMap::new();
-    for i in 0..t.len() {
-        if field.get_index(i) == ty {
-            let root = uf.find(i);
-            *seen.entry(root).or_insert(0usize) += 1;
+
+    fn find(&mut self, mut k: usize) -> usize {
+        while self.parent[k] as usize != k {
+            let grandparent = self.parent[self.parent[k] as usize];
+            self.parent[k] = grandparent;
+            k = grandparent as usize;
         }
+        k
     }
-    let mut sizes: Vec<usize> = seen.into_values().collect();
-    sizes.sort_unstable_by(|a, b| b.cmp(a));
-    sizes
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return;
+        }
+        let (big, small) = if self.size[ra] >= self.size[rb] {
+            (ra, rb)
+        } else {
+            (rb, ra)
+        };
+        self.parent[small] = big as u32;
+        self.size[big] += self.size[small];
+    }
+
+    /// Root runs with their labels and cluster sizes.
+    fn roots(&self) -> impl Iterator<Item = (T, usize)> + '_ {
+        (0..self.labels.len())
+            .filter(|&k| self.parent[k] as usize == k)
+            .map(|k| (self.labels[k], self.size[k] as usize))
+    }
+
+    /// Number of adjacent cell pairs with different labels.
+    pub fn interface_length(&self) -> usize {
+        self.interface_length
+    }
+
+    /// Size of the largest cluster.
+    pub fn largest(&self) -> usize {
+        self.roots().map(|(_, size)| size).max().unwrap_or(0)
+    }
+
+    /// Sizes of the clusters labelled `label`, largest first.
+    pub fn sizes_of(&self, label: T) -> Vec<usize> {
+        let mut sizes: Vec<usize> = self
+            .roots()
+            .filter(|&(l, _)| l == label)
+            .map(|(_, size)| size)
+            .collect();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        sizes
+    }
 }
 
 /// Whether the configuration is completely segregated: one type covers the

@@ -10,6 +10,7 @@
 //! id. With `k = 2` this coincides with the paper's model.
 
 use crate::intolerance::Intolerance;
+use crate::metrics::Clusters;
 use seg_grid::rng::Xoshiro256pp;
 use seg_grid::{IndexedSet, Point, Torus};
 
@@ -228,25 +229,7 @@ impl MultiSim {
 
     /// Size of the largest same-type 4-connected cluster.
     pub fn largest_cluster(&self) -> usize {
-        let n = self.torus.side() as usize;
-        let mut uf = seg_percolation::union_find::UnionFind::new(self.torus.len());
-        for y in 0..n {
-            for x in 0..n {
-                let i = y * n + x;
-                let right = y * n + (x + 1) % n;
-                let down = ((y + 1) % n) * n + x;
-                if self.types[right] == self.types[i] {
-                    uf.union(i, right);
-                }
-                if self.types[down] == self.types[i] {
-                    uf.union(i, down);
-                }
-            }
-        }
-        (0..self.torus.len())
-            .map(|i| uf.component_size(i))
-            .max()
-            .unwrap_or(0)
+        Clusters::scan(self.torus.side() as usize, &self.types).largest()
     }
 }
 

@@ -140,6 +140,17 @@ impl VariantSim {
         Some(at)
     }
 
+    /// Full consistency audit: recomputes the counts and the set of
+    /// agents eligible to act (the unhappy ones) from scratch and
+    /// compares. O(n²·N); for tests and debugging.
+    pub fn audit(&self) -> bool {
+        self.counts.verify_against(&self.field)
+            && (0..self.field.torus().len()).all(|i| {
+                let s = self.counts.same_count_index(i, self.field.get_index(i));
+                self.intol.is_happy(s) != self.active.contains(i)
+            })
+    }
+
     /// Runs for at most `max_steps` rings; returns the number of *flips*
     /// performed. Under `FlipWhenUnhappy` and `Noise` the process may
     /// never stabilize — the step cap is the only terminator.

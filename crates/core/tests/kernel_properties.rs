@@ -8,9 +8,12 @@
 //! set, so every seeded run samples the same agents in the same order.
 
 use proptest::prelude::*;
+use seg_core::interval::IntervalSim;
 use seg_core::ring::{RingKawasaki, RingSim};
-use seg_core::ModelConfig;
-use seg_grid::AgentType;
+use seg_core::variants::{UpdateRule, VariantSim};
+use seg_core::{Intolerance, ModelConfig};
+use seg_grid::rng::Xoshiro256pp;
+use seg_grid::{AgentType, Torus, TypeField};
 
 /// `(n, w, tau, seed, terminated, flips, plus_total)` recorded from the
 /// pre-PR implementation with `run_to_stable(2_000_000)`.
@@ -112,6 +115,30 @@ proptest! {
         prop_assert!(sim.audit(), "audit failed after {steps} mixed flips");
         let brute_unhappy = t.points().filter(|p| !sim.is_happy(*p)).count();
         prop_assert_eq!(sim.unhappy_count(), brute_unhappy);
+    }
+
+    /// (a) The variants sharing the fused kernel keep their tracked sets
+    /// exact too: `VariantSim` (tracked = unhappy) under both engine
+    /// rules, and `IntervalSim` (tracked = band-flippable).
+    #[test]
+    fn variant_and_interval_audit_after_random_steps(
+        seed in any::<u64>(),
+        w in 1u32..4,
+        tau in 0.2f64..0.7,
+        tau_hi in 0.6f64..1.0,
+        steps in 1u64..300,
+    ) {
+        let nsize = (2 * w + 1) * (2 * w + 1);
+        for rule in [UpdateRule::FlipWhenUnhappy, UpdateRule::Noise(0.1)] {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let field = TypeField::random(Torus::new(24), 0.5, &mut rng);
+            let mut sim = VariantSim::from_field(field, w, Intolerance::new(nsize, tau), rule, rng);
+            sim.run(steps);
+            prop_assert!(sim.audit(), "{rule:?} audit failed after {steps} steps");
+        }
+        let mut sim = IntervalSim::random(24, w, tau.min(tau_hi), tau_hi, seed);
+        sim.run(steps);
+        prop_assert!(sim.audit(), "interval audit failed after {steps} steps");
     }
 
     /// (b) The ring's maintained flippable set always equals the

@@ -9,7 +9,7 @@ use crate::replica::FinalState;
 use crate::spec::ReplicaTask;
 use seg_analysis::csv::write_csv_file;
 use seg_analysis::ppm::{figure1_frame, type_frame};
-use seg_core::metrics::{config_stats, interface_length, largest_same_type_cluster};
+use seg_core::metrics::Clusters;
 use seg_core::trace::TracePoint;
 use seg_grid::rng::Xoshiro256pp;
 use std::collections::BTreeMap;
@@ -170,54 +170,33 @@ impl Observer {
     ) -> io::Result<()> {
         match self {
             Observer::TerminalStats => {
-                match state {
+                let (field, unhappy) = match state {
                     FinalState::Grid(sim) => {
-                        let s = config_stats(sim);
-                        let n = sim.torus().len() as f64;
-                        metrics.insert("unhappy".into(), s.unhappy as f64);
-                        metrics.insert("happy_fraction".into(), s.happy_fraction);
-                        metrics.insert("interface".into(), s.interface_length as f64);
-                        metrics.insert("largest_cluster".into(), s.largest_cluster as f64);
-                        metrics.insert("plus_fraction".into(), s.plus as f64 / n);
+                        let unhappy = sim.unhappy_count();
+                        let n = sim.torus().len();
+                        metrics.insert("happy_fraction".into(), 1.0 - unhappy as f64 / n as f64);
+                        (sim.field(), Some(unhappy))
                     }
-                    FinalState::VariantGrid(sim) => {
-                        let field = sim.field();
-                        let n = field.torus().len() as f64;
-                        metrics.insert("unhappy".into(), sim.unhappy_count() as f64);
-                        metrics.insert("interface".into(), interface_length(field) as f64);
-                        metrics.insert(
-                            "largest_cluster".into(),
-                            largest_same_type_cluster(field) as f64,
-                        );
-                        metrics.insert("plus_fraction".into(), field.plus_total() as f64 / n);
-                    }
-                    FinalState::Kawasaki(sim) => {
-                        let field = sim.field();
-                        let n = field.torus().len() as f64;
-                        metrics.insert("interface".into(), interface_length(field) as f64);
-                        metrics.insert(
-                            "largest_cluster".into(),
-                            largest_same_type_cluster(field) as f64,
-                        );
-                        metrics.insert("plus_fraction".into(), field.plus_total() as f64 / n);
-                    }
-                    FinalState::TwoSided(sim) => {
-                        let field = sim.field();
-                        let n = field.torus().len() as f64;
-                        metrics.insert("unhappy".into(), sim.discontent_count() as f64);
-                        metrics.insert("interface".into(), interface_length(field) as f64);
-                        metrics.insert(
-                            "largest_cluster".into(),
-                            largest_same_type_cluster(field) as f64,
-                        );
-                        metrics.insert("plus_fraction".into(), field.plus_total() as f64 / n);
-                    }
+                    FinalState::VariantGrid(sim) => (sim.field(), Some(sim.unhappy_count())),
+                    FinalState::Kawasaki(sim) => (sim.field(), None),
+                    FinalState::TwoSided(sim) => (sim.field(), Some(sim.discontent_count())),
                     FinalState::Multi(sim) => {
                         metrics.insert("unhappy".into(), sim.unhappy_count() as f64);
                         metrics.insert("largest_cluster".into(), sim.largest_cluster() as f64);
+                        return Ok(());
                     }
-                    FinalState::Ring(_) | FinalState::RingKawasaki(_) | FinalState::Probe => {}
+                    FinalState::Ring(_) | FinalState::RingKawasaki(_) | FinalState::Probe => {
+                        return Ok(())
+                    }
+                };
+                if let Some(unhappy) = unhappy {
+                    metrics.insert("unhappy".into(), unhappy as f64);
                 }
+                let clusters = Clusters::of_field(field);
+                let n = field.torus().len() as f64;
+                metrics.insert("interface".into(), clusters.interface_length() as f64);
+                metrics.insert("largest_cluster".into(), clusters.largest() as f64);
+                metrics.insert("plus_fraction".into(), field.plus_total() as f64 / n);
                 Ok(())
             }
             // the trace is recorded during the run (see `run_replica`)

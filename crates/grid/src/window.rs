@@ -144,40 +144,49 @@ impl WindowCounts {
             torus.side()
         );
         let w = horizon as usize;
-        // Separable box filter with wrap-around: first horizontal, then
-        // vertical sliding sums.
+        // Separable box filter with wrap-around: horizontal sliding sums
+        // along each row, then vertical sliding sums of whole rows. The
+        // window's entering and leaving indices advance by one per step,
+        // so they wrap with a compare instead of a division.
+        let wrap = |i: usize| if i >= n { i - n } else { i };
         let mut horiz = vec![0u32; n * n];
-        for y in 0..n {
-            let row = y * n;
-            let mut s = 0u32;
-            for dx in 0..(2 * w + 1) {
-                let x = (dx + n - w) % n;
-                s += u32::from(field.get_index(row + x) == AgentType::Plus);
-            }
-            horiz[row] = s;
-            for x in 1..n {
-                let enter = (x + w) % n;
-                let leave = (x + n - w - 1) % n;
-                s += u32::from(field.get_index(row + enter) == AgentType::Plus);
-                s -= u32::from(field.get_index(row + leave) == AgentType::Plus);
-                horiz[row + x] = s;
+        for (types, out) in field
+            .as_slice()
+            .chunks_exact(n)
+            .zip(horiz.chunks_exact_mut(n))
+        {
+            let is_plus = |x: usize| u32::from(types[x] == AgentType::Plus);
+            let mut s: u32 = (0..=2 * w).map(|dx| is_plus(wrap(dx + n - w))).sum();
+            out[0] = s;
+            let (mut enter, mut leave) = (wrap(w + 1), wrap(n - w));
+            for o in &mut out[1..] {
+                s = s + is_plus(enter) - is_plus(leave);
+                *o = s;
+                enter = wrap(enter + 1);
+                leave = wrap(leave + 1);
             }
         }
+        let row = |y: usize| &horiz[y * n..(y + 1) * n];
         let mut plus = vec![0u32; n * n];
-        for x in 0..n {
-            let mut s = 0u32;
-            for dy in 0..(2 * w + 1) {
-                let y = (dy + n - w) % n;
-                s += horiz[y * n + x];
+        for dy in 0..=2 * w {
+            for (p, h) in plus[..n].iter_mut().zip(row(wrap(dy + n - w))) {
+                *p += h;
             }
-            plus[x] = s;
-            for y in 1..n {
-                let enter = (y + w) % n;
-                let leave = (y + n - w - 1) % n;
-                s += horiz[enter * n + x];
-                s -= horiz[leave * n + x];
-                plus[y * n + x] = s;
+        }
+        let (mut enter, mut leave) = (wrap(w + 1), wrap(n - w));
+        for y in 1..n {
+            let (done, rest) = plus.split_at_mut(y * n);
+            let above = &done[(y - 1) * n..];
+            for (((p, a), e), l) in rest[..n]
+                .iter_mut()
+                .zip(above)
+                .zip(row(enter))
+                .zip(row(leave))
+            {
+                *p = a + e - l;
             }
+            enter = wrap(enter + 1);
+            leave = wrap(leave + 1);
         }
         WindowCounts {
             torus,
@@ -284,10 +293,14 @@ impl WindowCounts {
     /// new_type`); the flipped agent's *old* class is evaluated with its
     /// old type, every other agent keeps its type across the flip.
     ///
-    /// This performs exactly the insert/remove sequence that calling
-    /// [`WindowCounts::apply_flip`] followed by a row-major classification
-    /// sweep over the window would, so trajectories that sample from
-    /// `tracked` are bit-identical to the unfused two-pass update.
+    /// `tracked` must hold exactly the cells whose class before the flip
+    /// has [`ClassTable::TRACKED`] set (debug builds assert it per touched
+    /// cell). The set is then only written where that bit changes: the
+    /// skipped writes were no-ops, so the effective insert/remove sequence
+    /// is exactly that of [`WindowCounts::apply_flip`] followed by a
+    /// row-major classification sweep over the window, and trajectories
+    /// that sample from `tracked` are bit-identical to the unfused
+    /// two-pass update.
     pub fn apply_flip_fused(
         &mut self,
         z: Point,
@@ -322,10 +335,19 @@ impl WindowCounts {
                 let was = classes.class(ty_before, old_pc);
                 let now = classes.class(ty, new_pc);
                 unhappy_delta += i64::from(now >> 1) - i64::from(was >> 1);
-                if now & ClassTable::TRACKED != 0 {
-                    tracked.insert(i);
-                } else {
-                    tracked.remove(i);
+                debug_assert_eq!(
+                    tracked.contains(i),
+                    was & ClassTable::TRACKED != 0,
+                    "tracked set out of sync with the class table at cell {i}"
+                );
+                // membership already equals `was`'s bit, so an unchanged
+                // bit would make the insert/remove a no-op
+                if (now ^ was) & ClassTable::TRACKED != 0 {
+                    if now & ClassTable::TRACKED != 0 {
+                        tracked.insert(i);
+                    } else {
+                        tracked.remove(i);
+                    }
                 }
                 x += 1;
                 if x == n {
@@ -368,12 +390,14 @@ mod tests {
 
     #[test]
     fn build_matches_brute_force() {
-        let t = Torus::new(17);
         let mut rng = Xoshiro256pp::seed_from_u64(21);
-        let f = TypeField::random(t, 0.5, &mut rng);
-        for w in [0u32, 1, 2, 4, 8] {
-            let wc = WindowCounts::new(&f, w);
-            assert_eq!(wc.plus, brute_counts(&f, w), "w = {w}");
+        for side in 1..=19u32 {
+            let t = Torus::new(side);
+            let f = TypeField::random(t, 0.5, &mut rng);
+            for w in (0..side).take_while(|w| 2 * w < side) {
+                let wc = WindowCounts::new(&f, w);
+                assert_eq!(wc.plus, brute_counts(&f, w), "side = {side}, w = {w}");
+            }
         }
     }
 
@@ -520,6 +544,11 @@ mod tests {
             (s < 33, s < 33)
         });
         let mut set = IndexedSet::new(t.len());
+        for i in 0..t.len() {
+            if ct.tracked(f.get_index(i), wc.plus_count_index(i)) {
+                set.insert(i);
+            }
+        }
         for corner in [t.point(0, 0), t.point(8, 8), t.point(0, 8), t.point(8, 0)] {
             let new = f.flip(corner);
             wc.apply_flip_fused(corner, new, &f, &ct, &mut set);

@@ -12,7 +12,7 @@
 
 use self_organized_segregation::seg_analysis::series::Table;
 use self_organized_segregation::seg_core::interval::IntervalSim;
-use self_organized_segregation::seg_core::metrics::{interface_length, largest_same_type_cluster};
+use self_organized_segregation::seg_core::metrics::Clusters;
 
 fn main() {
     let n = 128;
@@ -32,16 +32,14 @@ fn main() {
     for tau_hi in [1.0, 0.95, 0.90, 0.85, 0.80] {
         let mut sim = IntervalSim::random(n, w, tau_lo, tau_hi, 77);
         let stable = sim.run(5_000_000);
+        let clusters = Clusters::of_field(sim.field());
         table.push_row(vec![
             format!("{tau_hi:.2}"),
             format!("{stable}"),
             format!("{}", sim.flips()),
             format!("{}", sim.discontent_count()),
-            format!(
-                "{:.1}",
-                100.0 * largest_same_type_cluster(sim.field()) as f64 / agents
-            ),
-            format!("{}", interface_length(sim.field())),
+            format!("{:.1}", 100.0 * clusters.largest() as f64 / agents),
+            format!("{}", clusters.interface_length()),
         ]);
     }
     println!("{}", table.render());
