@@ -49,7 +49,9 @@
 //! (job ids are content hashes). [`History::record_gauge`] records a
 //! sample for a history-only series directly — same rings, same tiers,
 //! same persistence — without registering anything. The serve
-//! dashboard's per-job charts ride on this.
+//! dashboard's per-job charts ride on this. Such series live until
+//! [`History::remove_labeled`] drops them (the server does when a job is
+//! deleted or evicted).
 
 use crate::metrics::{Registry, SeriesValue};
 use std::collections::BTreeMap;
@@ -298,6 +300,20 @@ impl History {
             },
             Value::Gauge(value),
         );
+    }
+
+    /// Drops every series carrying the label pair `key="value"`, all
+    /// tiers, and returns how many went — how a pushed series for an
+    /// entity that no longer exists (a deleted job) stops holding
+    /// memory. The JSONL sink is append-only and keeps the old lines, so
+    /// a replay after restart brings the samples back.
+    pub fn remove_labeled(&self, key: &str, value: &str) -> usize {
+        let mut inner = self.inner.lock().expect("history poisoned");
+        let before = inner.series.len();
+        inner
+            .series
+            .retain(|id, _| !id.labels.iter().any(|(k, v)| k == key && v == value));
+        before - inner.series.len()
     }
 
     fn record_at(&self, id: SeriesId, unix_us: u64, value: Value, persist: bool) {
@@ -871,6 +887,36 @@ mod tests {
         assert!(json.starts_with("{\"name\":\"fleet_rps\",\"res\":\"1s\""));
         assert!(json.contains("fleet_rps{worker=\\\"w1\\\"}"));
         assert!(json.contains("\"value\":5"));
+    }
+
+    #[test]
+    fn remove_labeled_drops_exactly_the_series_carrying_the_pair() {
+        let h = History::new();
+        for _ in 0..25 {
+            h.record_gauge("job_rps", &[("job", "a")], 1.0);
+            h.record_gauge("job_eps", &[("job", "a"), ("kind", "x")], 2.0);
+        }
+        h.record_gauge("job_rps", &[("job", "b")], 3.0);
+        h.record_gauge("job_rps", &[("worker", "a")], 4.0);
+        h.record_gauge("unlabeled", &[], 5.0);
+        assert_eq!(h.remove_labeled("job", "a"), 2);
+        assert!(h.query("job_eps", None, 0).is_empty());
+        // every tier of the removed series went with it
+        for k in 0..TIERS.len() {
+            let left = h.query("job_rps", None, k);
+            assert!(left
+                .iter()
+                .all(|(id, _)| !id.labels.contains(&("job".to_string(), "a".to_string()))));
+        }
+        // same value under another key, other jobs, unlabeled: untouched
+        let rps = h.query("job_rps", None, 0);
+        assert_eq!(rps.len(), 2);
+        assert_eq!(h.query("unlabeled", None, 0).len(), 1);
+        assert_eq!(h.remove_labeled("job", "a"), 0);
+        // a later sample starts the series afresh
+        h.record_gauge("job_rps", &[("job", "a")], 6.0);
+        let again = h.query("job_rps", Some(&[("job".into(), "a".into())]), 0);
+        assert_eq!(again[0].1.len(), 1);
     }
 
     #[test]

@@ -36,22 +36,26 @@
 //! The row stream serves the bytes of the job's streaming-sink file
 //! verbatim, so a finished job's stream is byte-identical to
 //! `segsim sweep --stream --out rows.jsonl` under the same parameters.
-//! Streaming follows a *live* job: rows are chunked out as replicas
-//! finish, and the stream terminates when the job completes (or fails —
-//! check the status endpoint when a stream ends short).
+//! Streaming follows a *live* job: rows are pushed as replicas finish
+//! (the job wakes its streams each time its sink appends a row), and
+//! the stream terminates when the job completes (or fails — check the
+//! status endpoint when a stream ends short).
 
 use crate::http::{write_json, write_response, write_response_with, ChunkedBody, Request};
 use crate::jobs::{Job, JobManager, JobState, SubmitOutcome, SweepRequest};
 use crate::json::{escape_str, Json};
 use crate::lifecycle::DeleteOutcome;
+use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often a live row stream polls the sink file for new rows.
-const ROWS_POLL: Duration = Duration::from_millis(20);
+/// The longest a live row stream waits for its job to signal before
+/// re-reading the sink file anyway. A backstop, not the cadence: the job
+/// wakes its streams whenever a row lands or its state changes.
+const ROWS_WAIT_MAX: Duration = Duration::from_secs(2);
 
 /// Shared state every connection handler routes against.
 pub struct ApiContext {
@@ -548,17 +552,12 @@ fn route<W: Write>(
     }
 }
 
-/// Reads whatever the sink file holds past `offset` (absent file =
-/// nothing yet).
-fn read_new(path: &std::path::Path, offset: u64) -> io::Result<Vec<u8>> {
-    match std::fs::File::open(path) {
-        Ok(mut f) => {
-            f.seek(SeekFrom::Start(offset))?;
-            let mut buf = Vec::new();
-            f.read_to_end(&mut buf)?;
-            Ok(buf)
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+/// Opens the sink file, `None` while it does not exist yet (the job has
+/// not started).
+fn open_rows(path: &std::path::Path) -> io::Result<Option<File>> {
+    match File::open(path) {
+        Ok(f) => Ok(Some(f)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e),
     }
 }
@@ -568,6 +567,9 @@ fn read_new(path: &std::path::Path, offset: u64) -> io::Result<Vec<u8>> {
 /// mid-append is held back until its newline lands), in task order,
 /// skipping the first `from` — which is what makes an interrupted
 /// client resumable: count the rows you got, reconnect with `?from=K`.
+///
+/// Between reads the stream sleeps on the job's row generation, which
+/// moves when a row lands, when the state changes, and on drain.
 fn stream_rows<W: Write>(
     job: &Arc<Job>,
     from: usize,
@@ -584,13 +586,26 @@ fn stream_rows<W: Write>(
         &[],
     );
     let mut body = ChunkedBody::start(out, 200, "application/x-ndjson", keep_alive)?;
-    let mut offset = 0u64;
+    let mut file = None;
+    let mut bytes = Vec::new();
+    let mut offset = 0u64; // end of the last complete row read
     let mut seen = 0usize; // complete rows observed in the file
     loop {
-        // order matters: sample the state *before* reading, so a job
-        // finishing between the two is caught by the next read
+        // order matters: sample the generation and the state *before*
+        // reading, so a row landing or the job finishing after the read
+        // moves the generation and the wait below returns at once
+        let generation = job.rows_generation();
         let state = job.state();
-        let bytes = read_new(&path, offset)?;
+        if file.is_none() {
+            file = open_rows(&path)?;
+        }
+        bytes.clear();
+        if let Some(f) = file.as_mut() {
+            // re-read from the last complete row: a resumed sink may
+            // truncate a torn tail before appending again
+            f.seek(SeekFrom::Start(offset))?;
+            f.read_to_end(&mut bytes)?;
+        }
         let complete_len = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
         let mut cursor = 0usize;
         while cursor < complete_len {
@@ -612,12 +627,162 @@ fn stream_rows<W: Write>(
             break;
         }
         match state {
-            JobState::Done | JobState::Failed(_) if complete_len == 0 => break,
+            // sampled before the read: that read saw every row a
+            // finished job will ever write
+            JobState::Done | JobState::Failed(_) => break,
             // a draining server must not pin this connection open: end
             // the stream cleanly, the client resumes with ?from=K
             _ if shutdown.load(Ordering::Relaxed) => break,
-            _ => std::thread::sleep(ROWS_POLL),
+            _ => job.wait_rows(generation, ROWS_WAIT_MAX),
         }
     }
     body.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+    use std::sync::Mutex;
+    use std::thread::JoinHandle;
+
+    fn tmp(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("seg_serve_api").join(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn request(seed: u64, replicas: u32) -> SweepRequest {
+        SweepRequest::from_json(
+            &Json::parse(&format!(
+                r#"{{"side": 24, "horizon": 1, "tau": [0.4, 0.45],
+                    "replicas": {replicas}, "seed": {seed}}}"#
+            ))
+            .unwrap(),
+        )
+        .unwrap()
+    }
+
+    /// A response sink the test thread can watch while a stream writes.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Shared {
+        fn bytes(&self) -> Vec<u8> {
+            self.0.lock().unwrap().clone()
+        }
+        fn len(&self) -> usize {
+            self.0.lock().unwrap().len()
+        }
+    }
+
+    /// The body of a complete chunked response (panics when the
+    /// terminating chunk is missing).
+    fn dechunk(raw: &[u8]) -> Vec<u8> {
+        let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("head") + 4;
+        let mut rest = &raw[head_end..];
+        let mut body = Vec::new();
+        loop {
+            let line_end = rest.windows(2).position(|w| w == b"\r\n").expect("size");
+            let size = usize::from_str_radix(std::str::from_utf8(&rest[..line_end]).unwrap(), 16)
+                .expect("hex size");
+            rest = &rest[line_end + 2..];
+            if size == 0 {
+                assert_eq!(rest, b"\r\n", "bytes after the last chunk");
+                return body;
+            }
+            body.extend_from_slice(&rest[..size]);
+            assert_eq!(&rest[size..size + 2], b"\r\n");
+            rest = &rest[size + 2..];
+        }
+    }
+
+    /// Starts `stream_rows` on its own thread and returns once the
+    /// response head is out, i.e. the stream is following the job.
+    fn follow(job: &Arc<Job>, stop: Arc<AtomicBool>) -> (Shared, JoinHandle<io::Result<()>>) {
+        let out = Shared::default();
+        let (job, mut writer) = (job.clone(), out.clone());
+        let stream = std::thread::spawn(move || stream_rows(&job, 0, &mut writer, false, &stop));
+        while out.len() == 0 {
+            std::thread::yield_now();
+        }
+        (out, stream)
+    }
+
+    /// The stream's result, once it ends within `max`.
+    fn ended(stream: JoinHandle<io::Result<()>>, max: Duration, what: &str) -> io::Result<()> {
+        let deadline = Instant::now() + max;
+        while !stream.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "stream still waiting after {what}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stream.join().expect("stream thread panicked")
+    }
+
+    #[test]
+    fn a_live_stream_keeps_up_with_the_job_and_serves_the_sink_bytes() {
+        let mgr = JobManager::new(tmp("live"), 1).unwrap();
+        let (job, _) = mgr.submit(request(41, 300), None).unwrap();
+        // the stream starts while the job is queued and has no file
+        let (out, stream) = follow(&job, Arc::new(AtomicBool::new(false)));
+        std::thread::scope(|s| {
+            let runner = s.spawn(|| mgr.run_job_for_test(&job));
+            // a stream woken only by state changes would grow at most
+            // twice before the job ends: on its first read and on the
+            // wake for `Running`
+            let (mut grew, mut len) = (0, out.len());
+            while !runner.is_finished() {
+                let now = out.len();
+                if now > len && job.state() == JobState::Running {
+                    grew += 1;
+                }
+                len = now;
+                std::thread::yield_now();
+            }
+            runner.join().unwrap();
+            assert!(grew >= 3, "the stream grew {grew} times while the job ran");
+        });
+        ended(stream, ROWS_WAIT_MAX / 2, "the job finished").unwrap();
+        let rows = std::fs::read(job.rows_path()).unwrap();
+        assert_eq!(rows.iter().filter(|&&b| b == b'\n').count(), 600);
+        assert_eq!(dechunk(&out.bytes()), rows);
+    }
+
+    #[test]
+    fn a_stream_ends_when_its_job_fails() {
+        let mgr = JobManager::new(tmp("fail"), 1).unwrap();
+        let (job, _) = mgr.submit(request(43, 24), None).unwrap();
+        // a row of some other sweep makes the job's sink refuse the file
+        std::fs::write(job.rows_path(), "{\"foreign\":1}\n").unwrap();
+        let (out, stream) = follow(&job, Arc::new(AtomicBool::new(false)));
+        mgr.run_job_for_test(&job);
+        assert!(matches!(job.state(), JobState::Failed(_)));
+        ended(stream, ROWS_WAIT_MAX / 2, "the job failed").unwrap();
+        assert_eq!(dechunk(&out.bytes()), b"{\"foreign\":1}\n");
+    }
+
+    #[test]
+    fn drain_ends_a_stream_waiting_on_a_job_that_never_writes() {
+        let mgr = JobManager::new(tmp("drain"), 1).unwrap();
+        let (job, _) = mgr.submit(request(42, 24), None).unwrap();
+        let (out, stream) = follow(&job, mgr.drain_flag());
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!stream.is_finished(), "stream ended on a queued job");
+        mgr.drain();
+        ended(stream, ROWS_WAIT_MAX / 2, "drain").unwrap();
+        assert!(dechunk(&out.bytes()).is_empty());
+    }
 }

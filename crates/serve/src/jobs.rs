@@ -46,6 +46,10 @@ use std::time::{Duration, Instant};
 pub const MAX_SIDE: u32 = 4096;
 /// Maximum points × replicas of one request.
 pub const MAX_TASKS: usize = 1_000_000;
+/// The spacing of a job's pushed history samples — the "1s" tier's
+/// resolution. A job records its first progress sample, then at most one
+/// per this interval, then always its final one.
+const JOB_HISTORY_CADENCE: Duration = Duration::from_secs(1);
 /// Worker-reported trace lines each job retains for
 /// `GET /v1/jobs/:id/trace` (oldest kept — the claim/run/upload shape
 /// of a job is in its first spans).
@@ -352,12 +356,97 @@ pub struct Job {
     /// When the job was last submitted, streamed, or finished — the
     /// LRU eviction order of `--data-max-bytes`.
     pub(crate) last_used: Mutex<Instant>,
+    /// Moves whenever rows may have landed in `rows.jsonl` or the state
+    /// changed; live row streams wait on it ([`Job::wait_rows`]) instead
+    /// of polling the file.
+    rows_generation: Mutex<u64>,
+    rows_moved: Condvar,
+    /// The directory's size, recorded the first time the lifecycle sees
+    /// the job finished: a done or failed job's files never change.
+    /// Cleared when the job goes live again (a failed job's retry).
+    pub(crate) finished_bytes: Mutex<Option<u64>>,
+    /// When the job's last history sample was recorded.
+    history_at: Mutex<Option<Instant>>,
 }
 
 impl Job {
+    /// A job with no progress yet (`finished` = already done on disk).
+    fn new(
+        id: String,
+        request: SweepRequest,
+        spec: SweepSpec,
+        dir: PathBuf,
+        trace_id: String,
+        finished: bool,
+        client: Option<String>,
+    ) -> Job {
+        let total = spec.task_count();
+        Job {
+            id,
+            request,
+            spec,
+            dir,
+            trace_id,
+            state: Mutex::new(if finished {
+                JobState::Done
+            } else {
+                JobState::Queued
+            }),
+            progress: Mutex::new(SweepProgress {
+                done: if finished { total } else { 0 },
+                total,
+                resumed: 0,
+                wall_secs: 0.0,
+                replicas_per_sec: 0.0,
+                events_per_sec: 0.0,
+            }),
+            worker_spans: Mutex::new(Vec::new()),
+            client: Mutex::new(client),
+            last_used: Mutex::new(Instant::now()),
+            rows_generation: Mutex::new(0),
+            rows_moved: Condvar::new(),
+            finished_bytes: Mutex::new(None),
+            history_at: Mutex::new(None),
+        }
+    }
+
     /// The job's current state.
     pub fn state(&self) -> JobState {
         self.state.lock().expect("job state poisoned").clone()
+    }
+
+    /// Moves the job to `state` and wakes its row streams. A job that
+    /// goes live again drops its cached directory size.
+    pub(crate) fn set_state(&self, state: JobState) {
+        let live = matches!(state, JobState::Queued | JobState::Running);
+        *self.state.lock().expect("job state poisoned") = state;
+        if live {
+            *self.finished_bytes.lock().expect("job size poisoned") = None;
+        }
+        self.notify_rows();
+    }
+
+    /// The row generation. Sample it *before* reading `rows.jsonl` and
+    /// the state, then hand it to [`Job::wait_rows`]: anything that
+    /// happens after the read moves it.
+    pub(crate) fn rows_generation(&self) -> u64 {
+        *self.rows_generation.lock().expect("job rows poisoned")
+    }
+
+    /// Wakes every row stream following this job.
+    pub(crate) fn notify_rows(&self) {
+        *self.rows_generation.lock().expect("job rows poisoned") += 1;
+        self.rows_moved.notify_all();
+    }
+
+    /// Blocks until the row generation moves past `seen`, or `max`
+    /// elapses.
+    pub(crate) fn wait_rows(&self, seen: u64, max: Duration) {
+        let generation = self.rows_generation.lock().expect("job rows poisoned");
+        let _ = self
+            .rows_moved
+            .wait_timeout_while(generation, max, |g| *g == seen)
+            .expect("job rows poisoned");
     }
 
     /// The latest progress sample.
@@ -391,11 +480,31 @@ impl Job {
     /// without bound. `GET /dashboard` and
     /// `GET /v1/metrics/history?name=serve_job_replicas_per_sec`
     /// read them back.
+    ///
+    /// Samples are kept at [`JOB_HISTORY_CADENCE`]: the first, then at
+    /// most one per interval, then always the final one
+    /// (`done == total`), so a job holds a handful of samples however
+    /// many replicas it runs.
     fn push_history(&self, p: SweepProgress) {
+        // held across the recording so concurrent engine threads cannot
+        // interleave two samples inside one interval
+        let mut last = self.history_at.lock().expect("job history poisoned");
+        let due = p.done == p.total || last.is_none_or(|t| t.elapsed() >= JOB_HISTORY_CADENCE);
+        if !due {
+            return;
+        }
         let h = seg_obs::history();
         let labels = [("job", self.id.as_str())];
         h.record_gauge("serve_job_replicas_per_sec", &labels, p.replicas_per_sec);
         h.record_gauge("serve_job_events_per_sec", &labels, p.events_per_sec);
+        // stamped after recording, so recorded timestamps are at least
+        // one interval apart too
+        *last = Some(Instant::now());
+    }
+
+    /// Drops the job's history series — called when the job itself goes.
+    pub(crate) fn forget_history(&self) {
+        seg_obs::history().remove_labeled("job", &self.id);
     }
 
     /// Absorbs trace lines a fleet worker shipped on a journal upload,
@@ -746,30 +855,15 @@ impl JobManager {
                 continue;
             }
             let done = dir.join("done.json").exists();
-            let total = spec.task_count();
-            let job = Arc::new(Job {
-                id: id.clone(),
+            let job = Arc::new(Job::new(
+                id.clone(),
                 request,
                 spec,
                 dir,
-                trace_id: seg_obs::mint_trace_id(),
-                state: Mutex::new(if done {
-                    JobState::Done
-                } else {
-                    JobState::Queued
-                }),
-                progress: Mutex::new(SweepProgress {
-                    done: if done { total } else { 0 },
-                    total,
-                    resumed: 0,
-                    wall_secs: 0.0,
-                    replicas_per_sec: 0.0,
-                    events_per_sec: 0.0,
-                }),
-                worker_spans: Mutex::new(Vec::new()),
-                client: Mutex::new(None),
-                last_used: Mutex::new(Instant::now()),
-            });
+                seg_obs::mint_trace_id(),
+                done,
+                None,
+            ));
             self.jobs
                 .lock()
                 .expect("jobs poisoned")
@@ -845,7 +939,7 @@ impl JobManager {
                         }
                         *job.client.lock().expect("job client poisoned") = Some(client.into());
                     }
-                    *job.state.lock().expect("job state poisoned") = JobState::Queued;
+                    job.set_state(JobState::Queued);
                     job.touch();
                     self.enqueue(job.clone());
                     self.obs.cache_misses.inc();
@@ -874,26 +968,15 @@ impl JobManager {
             }
             return Err(e);
         }
-        let total = spec.task_count();
-        let job = Arc::new(Job {
-            id: id.clone(),
+        let job = Arc::new(Job::new(
+            id.clone(),
             request,
             spec,
             dir,
-            trace_id: accept_trace_hint(trace_hint),
-            state: Mutex::new(JobState::Queued),
-            progress: Mutex::new(SweepProgress {
-                done: 0,
-                total,
-                resumed: 0,
-                wall_secs: 0.0,
-                replicas_per_sec: 0.0,
-                events_per_sec: 0.0,
-            }),
-            worker_spans: Mutex::new(Vec::new()),
-            client: Mutex::new(client.map(String::from)),
-            last_used: Mutex::new(Instant::now()),
-        });
+            accept_trace_hint(trace_hint),
+            false,
+            client.map(String::from),
+        ));
         jobs.insert(id, job.clone());
         drop(jobs);
         self.enqueue(job.clone());
@@ -938,10 +1021,14 @@ impl JobManager {
 
     /// Initiates drain: running sweeps stop claiming replicas (finishing
     /// and journaling the ones in flight), queued jobs stay on disk for
-    /// the next start, and every waiting worker wakes up to exit.
+    /// the next start, and every waiting worker and row stream wakes up
+    /// to exit.
     pub fn drain(&self) {
         self.drain.store(true, Ordering::Relaxed);
         self.cvar.notify_all();
+        for job in self.jobs.lock().expect("jobs poisoned").values() {
+            job.notify_rows();
+        }
     }
 
     /// One job worker: pops jobs until drained. Run this on N threads
@@ -973,7 +1060,7 @@ impl JobManager {
     }
 
     fn run_job(&self, job: &Arc<Job>) {
-        *job.state.lock().expect("job state poisoned") = JobState::Running;
+        job.set_state(JobState::Running);
         eprintln!(
             "serve: job {} started ({} tasks)",
             job.id,
@@ -1013,7 +1100,7 @@ impl JobManager {
             JobState::Running => unreachable!(),
         }
         let finished = !matches!(state, JobState::Queued);
-        *job.state.lock().expect("job state poisoned") = state;
+        job.set_state(state);
         job.touch();
         // the job left the queued/running states (or the process is
         // draining): its admission slot goes back to the client
@@ -1048,7 +1135,9 @@ impl JobManager {
             .threads(self.engine_threads)
             .progress(true)
             .on_progress(move |p| {
+                // runs right after the sink appended this replica's row
                 *progress_job.progress.lock().expect("job progress poisoned") = p;
+                progress_job.notify_rows();
                 progress_job.push_history(p);
             })
             .cancel_flag(self.drain.clone());
@@ -1403,5 +1492,73 @@ mod tests {
             doc.get("progress").unwrap().get("total").unwrap().as_u64(),
             Some(2)
         );
+    }
+
+    #[test]
+    fn job_history_keeps_first_and_final_samples_at_the_tier_cadence() {
+        let mgr = JobManager::new(tmp("history_cadence"), 1).unwrap();
+        let samples = |job: &Job, name: &str| {
+            let labels = [("job".to_string(), job.id.clone())];
+            let series = seg_obs::history().query(name, Some(&labels), 0);
+            assert_eq!(series.len(), 1, "{name}");
+            series[0].1.clone()
+        };
+        let value = |s: &seg_obs::history::Sample| match s.value {
+            seg_obs::history::Value::Gauge(v) => v,
+            v => panic!("not a gauge: {v:?}"),
+        };
+
+        // progress reported every 25 ms for ~1.5 s
+        let req =
+            SweepRequest::from_json(&request_json(r#", "replicas": 30, "seed": 77"#)).unwrap();
+        let (job, _) = mgr.submit(req, None).unwrap();
+        let total = job.spec.task_count();
+        let started = Instant::now();
+        for done in 1..=total {
+            let rate = done as f64;
+            job.push_history(SweepProgress {
+                done,
+                total,
+                resumed: 0,
+                wall_secs: 0.0,
+                replicas_per_sec: rate,
+                events_per_sec: rate,
+            });
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        let secs = started.elapsed().as_secs_f64();
+        for name in ["serve_job_replicas_per_sec", "serve_job_events_per_sec"] {
+            let got = samples(&job, name);
+            assert_eq!(value(&got[0]), 1.0, "{name}: first sample missing");
+            assert_eq!(
+                value(got.last().unwrap()),
+                total as f64,
+                "{name}: final missing"
+            );
+            assert!(
+                got.len() >= 3 && got.len() as f64 <= 2.0 + secs,
+                "{name}: {} samples over {secs:.1} s",
+                got.len()
+            );
+            for w in got[..got.len() - 1].windows(2) {
+                assert!(
+                    w[1].unix_us - w[0].unix_us >= 1_000_000,
+                    "{name}: samples {} us apart",
+                    w[1].unix_us - w[0].unix_us
+                );
+            }
+        }
+
+        // a real run records its final progress sample last
+        let req =
+            SweepRequest::from_json(&request_json(r#", "replicas": 30, "seed": 78"#)).unwrap();
+        let (job, _) = mgr.submit(req, None).unwrap();
+        let started = Instant::now();
+        mgr.run_job(&job);
+        let p = job.progress();
+        assert_eq!(p.done, p.total);
+        let got = samples(&job, "serve_job_replicas_per_sec");
+        assert!(got.len() >= 2 && got.len() as f64 <= 2.0 + started.elapsed().as_secs_f64());
+        assert_eq!(value(got.last().unwrap()), p.replicas_per_sec);
     }
 }

@@ -17,6 +17,12 @@
 //! instead of a hit). [`JobManager::enforce_lifecycle`] runs after
 //! every job completion and from the server's background sweeper, and
 //! keeps `serve_data_bytes` / `serve_jobs_evicted_total` current.
+//!
+//! Sizing is per finished job: a done or failed job's directory never
+//! changes, so it is walked once, the first time the job is seen
+//! finished, and its size is remembered on the [`Job`]. Only queued and
+//! running jobs are walked on every pass. A removed job also takes its
+//! per-job history series with it.
 
 use crate::jobs::{Job, JobManager, JobState};
 use std::path::Path;
@@ -47,6 +53,24 @@ fn dir_bytes(dir: &Path) -> u64 {
         .sum()
 }
 
+/// A job directory's size: walked while the job is live, remembered the
+/// first time it is seen finished ([`Job::set_state`] forgets it when a
+/// failed job's retry goes live again).
+fn job_bytes(job: &Job) -> u64 {
+    let mut cached = job.finished_bytes.lock().expect("job size poisoned");
+    if let Some(bytes) = *cached {
+        return bytes;
+    }
+    // the state is read under the size lock, so a concurrent requeue
+    // clears whatever this stores
+    let finished = evictable(job);
+    let bytes = dir_bytes(&job.dir);
+    if finished {
+        *cached = Some(bytes);
+    }
+    bytes
+}
+
 /// Only finished jobs may leave: a queued job is still owed to its
 /// submitter and a running job's journals are live file handles.
 fn evictable(job: &Job) -> bool {
@@ -71,24 +95,22 @@ impl JobManager {
         if let Err(e) = std::fs::remove_dir_all(&job.dir) {
             eprintln!("serve: deleting job {}: {e}", job.id);
         }
-        let total: u64 = jobs.values().map(|j| dir_bytes(&j.dir)).sum();
+        job.forget_history();
+        let total: u64 = jobs.values().map(|j| job_bytes(j)).sum();
         self.obs.data_bytes.set(total as f64);
         eprintln!("serve: job {} deleted", job.id);
         DeleteOutcome::Deleted
     }
 
-    /// Applies the TTL sweep and the byte bound, and refreshes the
-    /// `serve_data_bytes` gauge. Called after every job completion and
-    /// periodically from the server's sweeper thread; cheap when no
-    /// bound is configured (one directory walk).
-    pub fn enforce_lifecycle(&self) {
+    /// Applies the TTL sweep and the byte bound, refreshes the
+    /// `serve_data_bytes` gauge, and returns the value it published.
+    /// Called after every job completion and periodically from the
+    /// server's sweeper thread; walks only the live jobs' directories.
+    pub fn enforce_lifecycle(&self) -> u64 {
         let mut jobs = self.jobs.lock().expect("jobs poisoned");
-        let mut sized: Vec<(Arc<Job>, u64)> = jobs
-            .values()
-            .map(|j| (j.clone(), dir_bytes(&j.dir)))
-            .collect();
+        let mut sized: Vec<(Arc<Job>, u64)> =
+            jobs.values().map(|j| (j.clone(), job_bytes(j))).collect();
         let mut total: u64 = sized.iter().map(|(_, b)| b).sum();
-        self.obs.data_bytes.set(total as f64);
 
         let mut evicted: Vec<Arc<Job>> = Vec::new();
         if let Some(ttl) = self.job_ttl {
@@ -124,12 +146,12 @@ impl JobManager {
             if let Err(e) = std::fs::remove_dir_all(&job.dir) {
                 eprintln!("serve: evicting job {}: {e}", job.id);
             }
+            job.forget_history();
             self.obs.jobs_evicted.inc();
             eprintln!("serve: job {} evicted ({})", job.id, job.state().label());
         }
-        if !evicted.is_empty() {
-            self.obs.data_bytes.set(total as f64);
-        }
+        self.obs.data_bytes.set(total as f64);
+        total
     }
 }
 
@@ -260,5 +282,82 @@ mod tests {
             mgr.get(&fresh_queued.id).is_some(),
             "queued job reaped by TTL"
         );
+    }
+
+    /// Bytes under `data_dir/jobs`, walked fresh from disk.
+    fn walk(data_dir: &Path) -> u64 {
+        std::fs::read_dir(data_dir.join("jobs"))
+            .unwrap()
+            .map(|e| dir_bytes(&e.unwrap().path()))
+            .sum()
+    }
+
+    #[test]
+    fn published_bytes_match_a_fresh_walk_after_every_lifecycle_step() {
+        let dir = tmp("sizes");
+        let mut mgr = JobManager::new(dir.clone(), 1).unwrap();
+        // completions, plus a queued job that is sized live
+        let (first, _) = run_one(&mgr, 200);
+        let (second, _) = run_one(&mgr, 201);
+        run_one(&mgr, 202);
+        mgr.submit(request(203), None).unwrap();
+        assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
+
+        // a running job is walked on every pass while its journal grows
+        let (live, _) = mgr.submit(request(205), None).unwrap();
+        live.set_state(JobState::Running);
+        assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
+        std::fs::write(live.dir.join("ck.jsonl"), "grown\n").unwrap();
+        assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
+        live.set_state(JobState::Done);
+        assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
+
+        assert_eq!(mgr.delete(&first), DeleteOutcome::Deleted);
+        assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
+
+        // a bound just under the current total evicts the LRU done job
+        mgr.data_max_bytes = Some(walk(&dir) - 1);
+        mgr.enforce_lifecycle();
+        assert!(mgr.get(&second).is_none(), "nothing was evicted");
+        mgr.data_max_bytes = None;
+        assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
+
+        // a job fails on a foreign rows file and is sized as finished...
+        let (job, _) = mgr.submit(request(204), None).unwrap();
+        std::fs::write(job.rows_path(), "{\"not\":\"this sweep\"}\n").unwrap();
+        mgr.run_job_for_test(&job);
+        assert!(matches!(job.state(), JobState::Failed(_)));
+        assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
+        // ...then its retry goes live and grows: no stale size survives
+        std::fs::remove_file(job.rows_path()).unwrap();
+        let (retry, outcome) = mgr.submit(request(204), None).unwrap();
+        assert_eq!(outcome, SubmitOutcome::Fresh);
+        assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
+        mgr.run_job_for_test(&retry);
+        assert_eq!(retry.state(), JobState::Done);
+        assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
+    }
+
+    #[test]
+    fn deleted_and_evicted_jobs_take_their_history_with_them() {
+        let series = |id: &str| {
+            let labels = [("job".to_string(), id.to_string())];
+            let h = seg_obs::history();
+            h.query("serve_job_replicas_per_sec", Some(&labels), 0)
+                .len()
+                + h.query("serve_job_events_per_sec", Some(&labels), 0).len()
+        };
+        let mut mgr = JobManager::new(tmp("history"), 1).unwrap();
+        let (deleted, _) = run_one(&mgr, 210);
+        let (evicted, _) = run_one(&mgr, 211);
+        assert_eq!((series(&deleted), series(&evicted)), (2, 2));
+
+        assert_eq!(mgr.delete(&deleted), DeleteOutcome::Deleted);
+        assert_eq!((series(&deleted), series(&evicted)), (0, 2));
+
+        mgr.job_ttl = Some(Duration::ZERO);
+        mgr.enforce_lifecycle();
+        assert!(mgr.get(&evicted).is_none(), "TTL did not evict");
+        assert_eq!(series(&evicted), 0);
     }
 }

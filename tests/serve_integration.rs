@@ -777,12 +777,25 @@ fn alerts_fire_and_resolve_while_history_tiers_stay_consistent() {
     }
 
     // tier-0 history of the request counter the alert polling drove:
-    // monotone timestamps, non-decreasing totals
+    // monotone timestamps, non-decreasing totals. The scraper keeps
+    // sampling the series after the job is done, so wait for ten
+    // samples rather than trusting the job to run long enough
     let path = "/v1/metrics/history?name=serve_http_requests_total&labels=endpoint=/alerts&res=1s";
-    let (status, _, body) = http(addr, "GET", path, "");
-    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-    let fine = counter_points(&String::from_utf8(body).expect("utf-8 history"));
-    assert!(fine.len() >= 10, "too few tier-0 samples: {}", fine.len());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let fine = loop {
+        let (status, _, body) = http(addr, "GET", path, "");
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        let fine = counter_points(&String::from_utf8(body).expect("utf-8 history"));
+        if fine.len() >= 10 {
+            break fine;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "too few tier-0 samples: {}",
+            fine.len()
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
     for w in fine.windows(2) {
         assert!(w[1].0 > w[0].0, "tier-0 timestamps not monotone: {w:?}");
         assert!(w[1].1 >= w[0].1, "tier-0 counter total decreased: {w:?}");
