@@ -9,7 +9,7 @@
 //! unified `--threads/--seed/--out/--replicas/--checkpoint/--shard/--stream`
 //! interface — which also means every one of them can run as one worker
 //! of a multi-process sharded sweep (`--shard I/M`, merged by rerunning
-//! without the flag; see `seg_shard`).
+//! without the flag).
 //! This library holds the logic they share: the base seed, flag parsing,
 //! checkpoint-aware sweep running, sink tagging, and banner printing.
 

@@ -27,8 +27,7 @@
 //! Sharded sweeps reuse the same journal format: each `--shard i/M`
 //! worker appends to its own [`shard_journal_path`] next to the base
 //! path, and any resume absorbs every sibling journal it finds — so
-//! "merge the shards" is simply "resume the base journal" (the
-//! `seg_shard` crate builds its coordinator and merge step on this).
+//! "merge the shards" is simply "resume the base journal".
 
 use crate::replica::ReplicaRecord;
 use crate::sink::format_f64;
@@ -523,7 +522,10 @@ pub fn parse_record_line(line: &str) -> Result<(usize, u64, BTreeMap<String, f64
 fn take_u64(s: &str) -> Result<(u64, &str), String> {
     let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
     if end == 0 {
-        return Err(format!("expected a number at {:?}", &s[..s.len().min(12)]));
+        // quote at most 12 characters, cut at a character boundary: the
+        // input is untrusted and may hold multi-byte characters anywhere
+        let snippet: String = s.chars().take(12).collect();
+        return Err(format!("expected a number at {snippet:?}"));
     }
     let v = s[..end]
         .parse()

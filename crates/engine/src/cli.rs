@@ -11,7 +11,6 @@
 //! --replicas K       replicas per point    (default: experiment-specific)
 //! --checkpoint FILE  journal completed replicas to FILE and resume from it
 //! --shard I/M        run only shard I of M (requires --checkpoint)
-//! --shard auto/M     claim a free shard index by scanning peer heartbeats
 //! --stream           append --out rows as replicas finish (CSV or .jsonl)
 //! ```
 //!
@@ -26,16 +25,9 @@
 //! (any mix of hosts sharing the checkpoint directory), then rerun the
 //! same command *without* `--shard` to merge: the resume absorbs every
 //! shard journal, runs any leftovers, and emits output byte-identical
-//! to a single-process run. The `seg_shard` crate's coordinator (and
-//! `segsim shard`) automates exactly this.
-//!
-//! With `--shard auto/M`, the worker picks its own index: it scans the
-//! heartbeat files next to the `--checkpoint` path (see
-//! [`crate::claim`]) and claims the first index that is free or whose
-//! holder stopped heartbeating — so M identical commands started on M
-//! hosts sort themselves into the M shards with no coordinator, and a
-//! dead worker's share is claimable again once its heartbeat goes
-//! stale.
+//! to a single-process run. A killed shard loses only its in-flight
+//! replicas: rerunning it (or the merge) picks up where its journal
+//! ends.
 
 use crate::checkpoint::CheckpointError;
 use crate::observe::Observer;
@@ -81,11 +73,6 @@ pub struct EngineArgs {
     /// Run only one shard of the task list (`--shard I/M`), journaling
     /// to a shard journal next to the `--checkpoint` path.
     pub shard: Option<ShardIndex>,
-    /// Claim a free index out of M shards at run time (`--shard
-    /// auto/M`) via the heartbeat files next to the `--checkpoint` path
-    /// (see [`crate::claim::ShardClaim`]). Mutually exclusive with an
-    /// explicit `--shard I/M` (the flag parses into one or the other).
-    pub shard_auto: Option<u32>,
     /// Stream `--out` rows as replicas finish instead of buffering to
     /// the end. CSV sinks write their header up front from the
     /// predicted metric columns
@@ -105,7 +92,6 @@ impl Default for EngineArgs {
             replicas: None,
             checkpoint: None,
             shard: None,
-            shard_auto: None,
             stream: false,
         }
     }
@@ -114,7 +100,7 @@ impl Default for EngineArgs {
 /// Help-text fragment describing the common flags (append to a binary's
 /// usage line).
 pub const ENGINE_USAGE: &str = "[--threads N] [--seed S] [--out FILE.csv|FILE.jsonl] \
-[--replicas K] [--checkpoint FILE.jsonl] [--shard I/M|auto/M] [--stream]";
+[--replicas K] [--checkpoint FILE.jsonl] [--shard I/M] [--stream]";
 
 impl EngineArgs {
     /// Parses the common flags out of `args`, returning the parsed flags
@@ -154,16 +140,11 @@ impl EngineArgs {
                 "--out" => out.out = Some(PathBuf::from(value("--out")?)),
                 "--checkpoint" => out.checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
                 "--shard" => {
-                    let v = value("--shard")?;
-                    if let Some(m) = v.strip_prefix("auto/") {
-                        let m: u32 = m.parse().map_err(|e| format!("--shard auto/M: {e}"))?;
-                        if m == 0 {
-                            return Err("--shard auto/M needs at least one shard".into());
-                        }
-                        out.shard_auto = Some(m);
-                    } else {
-                        out.shard = Some(v.parse().map_err(|e| format!("--shard: {e}"))?);
-                    }
+                    out.shard = Some(
+                        value("--shard")?
+                            .parse()
+                            .map_err(|e| format!("--shard I/M: {e}"))?,
+                    )
                 }
                 "--stream" => out.stream = true,
                 "--replicas" => {
@@ -178,7 +159,7 @@ impl EngineArgs {
                 other => rest.push(other.to_string()),
             }
         }
-        if (out.shard.is_some() || out.shard_auto.is_some()) && out.checkpoint.is_none() {
+        if out.shard.is_some() && out.checkpoint.is_none() {
             return Err(
                 "--shard needs --checkpoint: the shard journals next to that path are \
                  how the shards get merged"
@@ -186,7 +167,7 @@ impl EngineArgs {
             );
         }
         if out.stream {
-            if out.shard.is_some() || out.shard_auto.is_some() {
+            if out.shard.is_some() {
                 return Err(
                     "--stream cannot be combined with --shard (rows release in task order, \
                      which a single shard never completes); stream the merge run instead"
@@ -245,16 +226,10 @@ impl EngineArgs {
     /// per-sweep streamed output from the `--out` path, so each sweep
     /// resumes independently.
     ///
-    /// Under `--shard auto/M`, a free shard index is claimed against the
-    /// (tagged) checkpoint path before the run and held — heartbeat
-    /// refreshed — until it finishes; the claimed index is announced on
-    /// stderr as `sweep: claimed shard I/M (auto)`.
-    ///
     /// # Errors
     ///
     /// [`CheckpointError`] when the checkpoint or the streamed output
-    /// cannot be used, or ([`CheckpointError::Io`]) when every auto
-    /// shard index is already claimed by a live worker.
+    /// cannot be used.
     pub fn run_named(
         &self,
         name: &str,
@@ -302,22 +277,8 @@ impl EngineArgs {
             }
             _ => None,
         };
-        let claim = match (&self.shard_auto, &checkpoint) {
-            (Some(m), Some(ck)) => {
-                let claim = crate::claim::ShardClaim::acquire(ck, *m, crate::claim::DEFAULT_STALE)
-                    .map_err(CheckpointError::Io)?;
-                eprintln!("sweep: claimed shard {} (auto)", claim.shard());
-                Some(claim)
-            }
-            _ => None,
-        };
-        let engine = match &claim {
-            Some(c) => self.engine().shard(c.shard()),
-            None => self.engine(),
-        };
-        let result = engine.run_full(spec, observers, checkpoint.as_deref(), stream.as_ref());
-        drop(claim); // release the heartbeat only after the run ends
-        result
+        self.engine()
+            .run_full(spec, observers, checkpoint.as_deref(), stream.as_ref())
     }
 
     /// The master seed: the command-line value, or the given default.
@@ -377,51 +338,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_auto_parses_and_needs_checkpoint() {
-        let (a, _) = EngineArgs::parse(&args("--checkpoint ck.jsonl --shard auto/3")).unwrap();
-        assert_eq!(a.shard_auto, Some(3));
-        assert!(a.shard.is_none());
-        let (b, _) = EngineArgs::parse(&args("--checkpoint ck.jsonl --shard 1/3")).unwrap();
-        assert_eq!(b.shard, Some(ShardIndex::new(1, 3)));
-        assert!(b.shard_auto.is_none());
-        assert!(EngineArgs::parse(&args("--shard auto/3")).is_err());
-        assert!(EngineArgs::parse(&args("--checkpoint ck.jsonl --shard auto/0")).is_err());
+    fn shard_parses_and_needs_checkpoint() {
+        let (a, _) = EngineArgs::parse(&args("--checkpoint ck.jsonl --shard 1/3")).unwrap();
+        assert_eq!(a.shard, Some(ShardIndex::new(1, 3)));
+        assert!(EngineArgs::parse(&args("--shard 1/3")).is_err());
         assert!(EngineArgs::parse(&args(
-            "--checkpoint ck.jsonl --shard auto/2 --stream --out r.jsonl"
+            "--checkpoint ck.jsonl --shard 0/2 --stream --out r.jsonl"
         ))
         .is_err());
-    }
-
-    #[test]
-    fn run_named_with_shard_auto_claims_and_releases_an_index() {
-        let dir = std::env::temp_dir().join("seg_engine_cli_auto");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let ck = dir.join("ck.jsonl");
-        let (a, _) = EngineArgs::parse(&[
-            "--checkpoint".to_string(),
-            ck.to_string_lossy().into_owned(),
-            "--shard".to_string(),
-            "auto/2".to_string(),
-            "--threads".to_string(),
-            "1".to_string(),
-        ])
-        .unwrap();
-        let spec = SweepSpec::builder()
-            .side(32)
-            .horizon(1)
-            .tau(0.4)
-            .replicas(2)
-            .master_seed(5)
-            .build();
-        let first = a.run(&spec, &[]).unwrap();
-        assert!(!first.is_complete());
-        assert_eq!(first.records().len(), 1); // shard 0's share of 2 tasks
-        assert!(dir.join("ck.shard0of2.jsonl").exists());
-        // the claim was released, so the next auto run claims index 0
-        // again and absorbs the first worker's journal
-        let second = a.run(&spec, &[]).unwrap();
-        assert_eq!(second.records().len(), 1);
+        // `auto/M` is not a shard index; the error names the syntax
+        let err = EngineArgs::parse(&args("--checkpoint ck.jsonl --shard auto/2")).unwrap_err();
+        assert!(err.contains("--shard I/M"), "got: {err}");
     }
 
     #[test]

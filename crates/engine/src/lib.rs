@@ -26,8 +26,8 @@
 //!   (`--checkpoint FILE`) with bit-identical output;
 //! - [`ShardIndex`] — one sweep partitioned across OS processes/hosts
 //!   (`--shard I/M`), each journaling its share next to the checkpoint
-//!   path; merging the journals reproduces the single-process output
-//!   byte for byte (the `seg_shard` crate orchestrates this);
+//!   path; rerunning without `--shard` merges the journals and
+//!   reproduces the single-process output byte for byte;
 //! - [`StreamingSink`] — rows appended in task order as replicas
 //!   finish, so long sweeps are `tail -f`-able and resumable mid-file;
 //! - progress and throughput reporting (replicas/s, events/s) — printed
@@ -63,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod claim;
 pub mod cli;
 pub mod observe;
 pub mod replica;
@@ -75,7 +74,6 @@ pub use checkpoint::{
     find_shard_journals, header_line, parse_header_line, parse_record_line, record_line,
     shard_journal_path, spec_fingerprint, Checkpoint, CheckpointError,
 };
-pub use claim::{claim_path, ShardClaim};
 pub use cli::{tag_path, EngineArgs, ENGINE_USAGE};
 pub use observe::Observer;
 pub use replica::{variant_metric_names, FinalState, ReplicaRecord};

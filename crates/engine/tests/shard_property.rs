@@ -1,18 +1,21 @@
-//! The tentpole guarantee of sharded sweeps, property-tested: running
-//! one spec as M shard processes — including a shard killed mid-write,
-//! leaving a torn trailing journal line — then merging the journals
-//! produces CSV *and* JSONL output byte-identical to a single-process
-//! run, for random M, thread counts, kill points and seeds.
+//! The guarantee of sharded sweeps, property-tested: running one spec
+//! as M `--shard I/M` workers — including a shard killed mid-write,
+//! leaving a torn trailing journal line — then resuming the base
+//! journal without a shard (the merge) produces CSV *and* JSONL output
+//! byte-identical to a single-process run, for random M, thread counts,
+//! kill points and seeds.
 
 use proptest::prelude::*;
-use seg_engine::{shard_journal_path, Engine, Observer, ShardIndex, Sink, SweepSpec, Variant};
-use seg_shard::{merge, merge_status};
+use seg_engine::{
+    find_shard_journals, shard_journal_path, Checkpoint, Engine, Observer, ShardIndex, Sink,
+    SweepSpec, Variant,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir()
-        .join("seg_shard_property_tests")
+        .join("seg_engine_shard_property_tests")
         .join(tag);
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
@@ -84,12 +87,21 @@ proptest! {
         // ...then one worker turns out to have been killed mid-write
         kill_shard_journal(&shard_journal_path(&ck, ShardIndex::new(killed, shards)), keep, torn);
 
-        let status = merge_status(&spec, &ck).unwrap();
-        prop_assert_eq!(status.shard_journals.len(), shards as usize);
+        prop_assert_eq!(find_shard_journals(&ck).unwrap().len(), shards as usize);
+        // a read-only probe sees exactly the records that survived the
+        // kill, and creates no file
+        let killed_tasks = ShardIndex::new(killed, shards).task_count(spec.task_count());
+        let covered = Checkpoint::peek(&ck, &spec).unwrap().iter().flatten().count();
+        prop_assert_eq!(covered, spec.task_count() - killed_tasks + keep.min(killed_tasks));
+        prop_assert!(!ck.exists());
 
-        // the merge re-runs the killed worker's lost replicas and is
+        // the merge (a resume without a shard, absorbing every shard
+        // journal) re-runs the killed worker's lost replicas and is
         // byte-identical to the reference in both formats
-        let merged = merge(&spec, &observers, &ck, merge_threads).unwrap();
+        let merged = Engine::new()
+            .threads(merge_threads)
+            .run_with_checkpoint(&spec, &observers, &ck)
+            .unwrap();
         prop_assert!(merged.is_complete());
         let merged_csv = dir.join("merged.csv");
         let merged_jsonl = dir.join("merged.jsonl");
@@ -107,7 +119,10 @@ proptest! {
         );
 
         // merging again runs nothing and converges to the same bytes
-        let again = merge(&spec, &observers, &ck, 1).unwrap();
+        let again = Engine::new()
+            .threads(1)
+            .run_with_checkpoint(&spec, &observers, &ck)
+            .unwrap();
         let again_csv = dir.join("again.csv");
         Sink::Csv(again_csv.clone()).write(&again).unwrap();
         prop_assert_eq!(fs::read(&base_csv).unwrap(), fs::read(&again_csv).unwrap());
@@ -130,7 +145,10 @@ fn journals_from_different_shard_counts_merge() {
         .shard(ShardIndex::new(2, 3))
         .run_with_checkpoint(&spec, &[], &ck)
         .unwrap();
-    let merged = merge(&spec, &[], &ck, 2).unwrap();
+    let merged = Engine::new()
+        .threads(2)
+        .run_with_checkpoint(&spec, &[], &ck)
+        .unwrap();
     assert!(merged.is_complete());
     let reference = Engine::new().threads(1).run(&spec, &[]);
     for (a, b) in merged.records().iter().zip(reference.records()) {
@@ -149,7 +167,9 @@ fn mismatched_flags_fail_cleanly_at_merge() {
         .unwrap();
     // merging under a different master seed must refuse the journal,
     // naming the offending file
-    let err = merge(&spec(2), &[], &ck, 1).unwrap_err();
+    let err = Engine::new()
+        .run_with_checkpoint(&spec(2), &[], &ck)
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("different sweep"), "unexpected error: {msg}");
 }

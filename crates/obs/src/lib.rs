@@ -1,5 +1,5 @@
-//! The observability substrate shared by the engine, the shard
-//! coordinator and the serve front end.
+//! The observability substrate shared by the engine and the serve
+//! front end (fleet coordinator and workers included).
 //!
 //! Two small, std-only pieces:
 //!

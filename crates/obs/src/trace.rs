@@ -63,7 +63,7 @@ pub struct TraceEvent {
     /// clock steps mid-run.
     pub unix_us: u64,
     /// Static name, dot-namespaced by subsystem (`serve.request`,
-    /// `engine.sweep`, `shard.respawn`).
+    /// `engine.sweep`, `work.claim`).
     pub name: &'static str,
     /// Free-form detail (a path, a job id, a count).
     pub detail: String,

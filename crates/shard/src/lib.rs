@@ -1,65 +1,39 @@
-//! Multi-process sharded sweep orchestration for `seg_engine`.
+//! The dynamic half of splitting one sweep across processes, used by
+//! the `segsim serve --fleet` coordinator.
 //!
-//! One [`SweepSpec`](seg_engine::SweepSpec) can be bigger than one
-//! process — the paper's heaviest sweeps (Theorem 1/2 scaling,
-//! percolation calibration) want every core of every available host.
-//! This crate turns the engine's single-process checkpoint journal into
-//! a cluster substrate:
+//! The static half needs no crate of its own: `seg_engine`'s
+//! [`ShardIndex`](seg_engine::ShardIndex) is arithmetic on the task
+//! index, any engine-backed binary run with `--shard I/M --checkpoint
+//! dir/ck.jsonl` journals its share next to the base path, and the
+//! merge is the same command rerun without `--shard` (the resume absorbs
+//! every shard journal and runs only the leftovers). A fleet instead
+//! re-splits whatever is still missing among the live workers:
 //!
-//! - [`ShardPlan`] — the deterministic partition of a spec's task list
-//!   into M shards (round-robin by task index, balanced across points);
-//! - worker processes — any engine-backed binary run with
-//!   `--shard I/M --checkpoint dir/ck.jsonl` journals its share to a
-//!   shard journal next to the base path (no binary changes needed);
-//! - [`merge()`] — absorbs every shard journal, runs whatever is left
-//!   (a shard killed mid-write loses at most its in-flight replicas),
-//!   and returns the **complete** result, whose sink output is
-//!   byte-identical to a single-process run at any thread count;
-//! - [`Coordinator`] — spawns the M workers on the local host via
-//!   [`std::process`], monitors them, respawns a dead worker (the
-//!   respawned process resumes from the journals and re-runs only the
-//!   dead worker's unfinished tasks), and reports aggregate wall-clock
-//!   so throughput across shards is visible;
-//! - [`repartition`] / [`ingest_journal`] — the dynamic (work-stealing)
-//!   half used by the `segsim serve --fleet` coordinator: re-split a
-//!   run's *missing* task set among whatever workers are live, and
-//!   absorb the shard journals they stream back over any transport.
+//! - [`repartition`] — split a run's *missing* task set among whatever
+//!   workers are live, round-robin, so a dead worker's share is simply
+//!   part of the next missing set;
+//! - [`ingest_journal`] — absorb a shard journal a worker streams back
+//!   over any transport, validated against the spec.
 //!
-//! `segsim shard --workers M ...` is the command-line face of the
-//! coordinator; `examples/shard_quickstart.rs` is the library template.
-//!
-//! # Quickstart (in-process view of the protocol)
+//! # Quickstart
 //!
 //! ```
-//! use seg_engine::{Engine, ShardIndex, SweepSpec};
-//! use seg_shard::{merge, ShardPlan};
+//! use seg_engine::{Engine, SweepSpec};
+//! use seg_shard::repartition;
 //!
 //! let spec = SweepSpec::builder()
 //!     .side(32).horizon(1).taus([0.40, 0.45])
 //!     .replicas(2).master_seed(7).build();
-//! let plan = ShardPlan::new(&spec, 2);
-//! assert_eq!(plan.shard_task_counts(), vec![2, 2]);
-//!
-//! let dir = std::env::temp_dir().join("seg_shard_doc");
-//! let _ = std::fs::remove_dir_all(&dir);
-//! let base = dir.join("ck.jsonl");
-//! // what the two worker *processes* would do, here in one process:
-//! for shard in plan.shards() {
-//!     Engine::new().shard(shard).run_with_checkpoint(&spec, &[], &base).unwrap();
-//! }
-//! let merged = merge(&spec, &[], &base, 1).unwrap();
-//! assert!(merged.is_complete());
+//! // a worker ran tasks 0 and 2, then died; the rest is split anew
+//! let done = Engine::new().task_subset([0, 2]).run(&spec, &[]);
+//! let missing = done.missing_task_indices();
+//! assert_eq!(missing, vec![1, 3]);
+//! assert_eq!(repartition(&missing, 2), vec![vec![1], vec![3]]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coordinator;
-pub mod merge;
-pub mod plan;
 pub mod steal;
 
-pub use coordinator::{Coordinator, CoordinatorReport, ShardError};
-pub use merge::{merge, merge_status, MergeStatus};
-pub use plan::ShardPlan;
 pub use steal::{ingest_journal, repartition, IngestedJournal};

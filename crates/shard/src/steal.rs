@@ -1,7 +1,8 @@
 //! Work stealing: re-partitioning a sweep's *missing* tasks among live
 //! workers, and ingesting the shard journals they send back.
 //!
-//! The static [`ShardPlan`](crate::ShardPlan) splits the *full* task
+//! The static `--shard I/M` split
+//! ([`ShardIndex`](seg_engine::ShardIndex)) divides the *full* task
 //! list round-robin before anything runs. A fleet coordinator instead
 //! re-partitions whatever is still missing
 //! ([`SweepResult::missing_task_indices`](seg_engine::SweepResult::missing_task_indices))

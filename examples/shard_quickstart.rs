@@ -1,24 +1,26 @@
-//! Quickstart for sharded sweeps: partition one `SweepSpec` across
-//! worker processes, merge their journals, and get output byte-identical
-//! to a single-process run.
+//! Quickstart for sharded sweeps: split one `SweepSpec` across worker
+//! processes with `--shard I/M`, merge their journals by rerunning
+//! without `--shard`, and get output byte-identical to a single-process
+//! run.
 //!
 //! ```text
 //! cargo run --release --example shard_quickstart
 //! ```
 //!
 //! The example walks the whole protocol in one process (so it runs
-//! anywhere, instantly); the comments show the equivalent multi-process
-//! commands. For real cluster use, every engine-backed binary already
-//! speaks `--shard I/M --checkpoint ...` — no code needed.
+//! anywhere, instantly) with the same calls the command line makes; the
+//! comments show the equivalent multi-process commands. Every
+//! engine-backed binary already speaks `--shard I/M --checkpoint ...` —
+//! no code needed.
 
 use self_organized_segregation::prelude::*;
-use self_organized_segregation::seg_shard::{merge, merge_status};
 
 fn main() {
     // 1. One spec, exactly as a single-process sweep would declare it.
-    //    The shard partition derives from the spec alone, so every
-    //    participant — workers on other hosts included — computes the
-    //    identical assignment with no negotiation.
+    //    The shard partition derives from the spec alone — round-robin
+    //    by task index — so every participant, workers on other hosts
+    //    included, computes the identical assignment with no
+    //    negotiation.
     let spec = SweepSpec::builder()
         .side(64)
         .horizon(2)
@@ -26,19 +28,15 @@ fn main() {
         .replicas(4)
         .master_seed(0x5E67_2017)
         .build();
+    let shards: Vec<ShardIndex> = (0..2).map(|i| ShardIndex::new(i, 2)).collect();
+    for shard in &shards {
+        println!(
+            "shard {shard} owns tasks {:?}",
+            shard.task_indices(spec.task_count())
+        );
+    }
 
-    // 2. Plan the partition: round-robin by task index, so cheap and
-    //    expensive points spread evenly across shards.
-    let plan = ShardPlan::new(&spec, 2);
-    println!(
-        "{} tasks over {} shards: {:?} tasks each (fingerprint {:#x})",
-        spec.task_count(),
-        plan.shard_count(),
-        plan.shard_task_counts(),
-        plan.fingerprint(),
-    );
-
-    // 3. Each worker process runs its shard, journaling to a shard
+    // 2. Each worker process runs its shard, journaling to a shard
     //    journal next to the shared base path. On a cluster this is
     //    one command per host against shared storage:
     //
@@ -46,12 +44,12 @@ fn main() {
     //            --replicas 4 --checkpoint shared/ck.jsonl --shard 0/2
     //        segsim sweep ... --shard 1/2
     //
-    //    (or any exp_* binary — they all accept --shard). Here we run
-    //    both shards in-process with the library API:
+    //    (or any exp_* binary — they all accept --shard). Here both
+    //    shards run in-process:
     let dir = std::env::temp_dir().join("shard_quickstart");
     let _ = std::fs::remove_dir_all(&dir);
     let base = dir.join("ck.jsonl");
-    for shard in plan.shards() {
+    for &shard in &shards {
         let partial = Engine::new()
             .shard(shard)
             .run_with_checkpoint(&spec, &[Observer::TerminalStats], &base)
@@ -64,22 +62,17 @@ fn main() {
         );
     }
 
-    // 4. Merge: absorb every shard journal, run anything a killed
-    //    worker lost, and get the complete result. On the command line
-    //    this is the same sweep command *without* --shard — or
-    //    `segsim shard --workers 2 ...`, which also spawns and
-    //    supervises the workers (respawning dead ones) first.
-    let status = merge_status(&spec, &base).expect("status");
-    println!(
-        "before merge: {}/{} journaled across {} shard journals",
-        status.completed,
-        status.total,
-        status.shard_journals.len(),
-    );
-    let merged = merge(&spec, &[Observer::TerminalStats], &base, 2).expect("merge");
+    // 3. Merge: the same sweep without a shard resumes the base journal,
+    //    absorbs every shard journal, runs anything a killed worker
+    //    lost, and returns the complete result. On the command line this
+    //    is the same sweep command *without* --shard.
+    let merged = Engine::new()
+        .threads(2)
+        .run_with_checkpoint(&spec, &[Observer::TerminalStats], &base)
+        .expect("merge");
     assert!(merged.is_complete());
 
-    // 5. The merged result is byte-identical to a single-process run —
+    // 4. The merged result is byte-identical to a single-process run —
     //    same records, same seeds, same sink bytes.
     let reference = Engine::new().run(&spec, &[Observer::TerminalStats]);
     let merged_csv = dir.join("merged.csv");
@@ -94,11 +87,10 @@ fn main() {
     );
     println!("merged output byte-identical to the single-process run ✓");
 
-    // 6. Process supervision, when you want it on one host, is
-    //    `Coordinator` (what `segsim shard` uses): it spawns
-    //    `<program> <args> --shard i/M` per shard, restarts dead
-    //    workers (the journals make that safe), and reports wall time
-    //    for aggregate throughput. See `segsim shard --workers M ...`.
+    // On one host, `segsim sweep --threads N --checkpoint ...` already
+    // uses every core and resumes on a rerun; for many hosts with
+    // dynamic, fault-tolerant splitting, see `segsim serve --fleet` plus
+    // `segsim work --join` (docs/FLEET.md).
     for s in merged.summarize("largest_cluster") {
         println!(
             "tau = {:.2}: largest cluster {:.1} ± {:.1}",

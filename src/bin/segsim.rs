@@ -25,19 +25,11 @@
 //! summaries and throughput, and optionally writes per-replica rows
 //! (`--out`, CSV or `.jsonl`) and per-point aggregates (`--summary`).
 //!
-//! Sharded sweep (the [`seg_shard`] mode):
-//!
-//! ```text
-//! segsim shard --workers M <sweep flags>
-//! ```
-//!
-//! Runs the same sweep as `segsim sweep` with the same flags, but as `M`
-//! worker *processes* (spawned copies of this binary, each with
-//! `--shard i/M`), sharing per-shard checkpoint journals next to the
-//! `--checkpoint` path. Dead workers are respawned and resume from their
-//! journal. When all shards finish, the journals are merged and the
-//! table/`--out`/`--summary` output is **byte-identical** to a
-//! single-process `segsim sweep` run.
+//! With `--shard I/M --checkpoint FILE`, one invocation is worker `I`
+//! of an `M`-process sweep, journaling its share next to `FILE`; after
+//! all shards ran, the same command without `--shard` merges the
+//! journals and its table/`--out`/`--summary` output is
+//! **byte-identical** to a single-process `segsim sweep` run.
 //!
 //! Simulation as a service (the [`seg_serve`] mode):
 //!
@@ -73,11 +65,10 @@ use self_organized_segregation::seg_analysis::series::Table;
 use self_organized_segregation::seg_core::regions::region_size_distribution;
 use self_organized_segregation::seg_core::trace::trace_run;
 use self_organized_segregation::seg_engine::{
-    spec_fingerprint, write_summary_csv, EngineArgs, SweepResult, ENGINE_USAGE,
+    write_summary_csv, EngineArgs, SweepResult, ENGINE_USAGE,
 };
 use self_organized_segregation::seg_serve::{run_worker, WorkerConfig};
-use self_organized_segregation::seg_shard::{merge, Coordinator};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -153,6 +144,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|e| format!("--samples: {e}"))?
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
+            other if !other.starts_with('-') => {
+                return Err(format!("unknown mode {other}\n{USAGE}"))
+            }
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
@@ -169,7 +163,6 @@ const USAGE: &str = "usage: segsim --side N --horizon W --tau T \
 [--density P] [--seed S] [--max-flips N] [--frames DIR] [--trace FILE.csv] [--samples K]\n\
        segsim sweep --side N,.. --horizon W,.. --tau T,.. [--density P,..] \
 [--variant V,..] [--max-events N] [--snapshots DIR] [--summary FILE.csv] <engine flags>\n\
-       segsim shard --workers M <sweep flags>\n\
        segsim serve [--addr HOST:PORT] [--workers N] [--threads T] [--data DIR] \
 [--conn-threads C] [--max-body BYTES] [--trace-out FILE.jsonl] \
 [--metrics-history-out FILE.jsonl] [--alerts FILE] [--history-scrape-ms MS] \
@@ -182,12 +175,8 @@ variants: paper | flip-when-unhappy | noise:EPS | kawasaki | ring-glauber | \
 ring-kawasaki | two-sided:TAU_HI | multi:K\n\
 \n\
 `sweep` accepts the engine flags every harness binary shares; `--shard I/M` \
-turns one invocation into worker I of an M-process sweep (journal merged by \
-rerunning without --shard, or use `shard`).\n\
-`shard` runs the whole M-process sweep: it spawns M `sweep --shard i/M` \
-workers sharing the --checkpoint journals (a temp journal is derived when \
-the flag is absent), respawns dead workers, merges, and emits output \
-byte-identical to a single-process `sweep`.\n\
+turns one invocation into worker I of an M-process sweep (journals merged by \
+rerunning without --shard).\n\
 `serve` runs the sweep engine as an HTTP service (default 127.0.0.1:8080): \
 POST /v1/sweeps submits the JSON equivalent of `sweep` flags, jobs are \
 cached by spec fingerprint under --data, GET /v1/jobs/ID/rows streams rows \
@@ -390,152 +379,17 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
         t.replicas_per_sec, t.events_per_sec, t.threads, t.wall_secs
     );
     if !result.is_complete() {
-        // an auto worker's claimed index lives inside the run; name the
-        // flag it came from instead
         let shard = engine_args
             .shard
-            .map(|s| s.to_string())
-            .or_else(|| engine_args.shard_auto.map(|m| format!("auto/{m}")))
             .expect("partial results only from --shard");
         println!(
             "shard {shard}: partial result ({} of {} tasks journaled); run the other \
-             shards, then rerun without --shard (or use `segsim shard`) to merge",
+             shards, then rerun without --shard to merge",
             result.records().len(),
             spec.task_count(),
         );
         return Ok(()); // per-shard sinks would be partial files; skip them
     }
-    write_sinks(&o, &engine_args, &result)
-}
-
-fn join<T: std::fmt::Display>(xs: &[T]) -> String {
-    xs.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// The argv a shard worker runs with: the parsed sweep re-serialized
-/// (so every worker computes the identical spec and fingerprint), the
-/// shared checkpoint base, and a per-worker slice of the thread budget.
-/// Output flags are omitted — workers only fill journals; the merged
-/// output is the coordinator's job. The coordinator appends
-/// `--shard i/M`.
-fn worker_args(
-    o: &SweepOptions,
-    engine_args: &EngineArgs,
-    checkpoint: &Path,
-    workers: u32,
-) -> Vec<String> {
-    let mut a: Vec<String> = vec!["sweep".into()];
-    a.extend(["--side".into(), join(&o.sides)]);
-    a.extend(["--horizon".into(), join(&o.horizons)]);
-    a.extend(["--tau".into(), join(&o.taus)]);
-    if !o.densities.is_empty() {
-        a.extend(["--density".into(), join(&o.densities)]);
-    }
-    if !o.variants.is_empty() {
-        let variants: Vec<String> = o.variants.iter().map(Variant::flag).collect();
-        a.extend(["--variant".into(), variants.join(",")]);
-    }
-    if let Some(budget) = o.max_events {
-        a.extend(["--max-events".into(), budget.to_string()]);
-    }
-    if let Some(dir) = &o.snapshots {
-        a.extend(["--snapshots".into(), dir.display().to_string()]);
-    }
-    let per_worker = (engine_args.threads / workers as usize).max(1);
-    a.extend(["--threads".into(), per_worker.to_string()]);
-    if let Some(seed) = engine_args.seed {
-        a.extend(["--seed".into(), seed.to_string()]);
-    }
-    if let Some(k) = engine_args.replicas {
-        a.extend(["--replicas".into(), k.to_string()]);
-    }
-    a.extend(["--checkpoint".into(), checkpoint.display().to_string()]);
-    a
-}
-
-fn run_shard(args: &[String]) -> Result<(), String> {
-    // pull the coordinator's own flag out, hand the rest to the sweep
-    // parser so shard mode accepts exactly the sweep interface
-    let mut workers: Option<u32> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--workers" {
-            let v = it.next().ok_or("--workers needs a value")?;
-            let m: u32 = v.parse().map_err(|e| format!("--workers: {e}"))?;
-            if m == 0 {
-                return Err("--workers must be at least 1".into());
-            }
-            workers = Some(m);
-        } else {
-            rest.push(flag.clone());
-        }
-    }
-    let workers = workers.ok_or_else(|| format!("shard mode needs --workers M\n{USAGE}"))?;
-    let (o, engine_args) = parse_sweep_args(&rest)?;
-    if engine_args.shard.is_some() {
-        return Err("shard mode assigns --shard to its workers itself".into());
-    }
-    if engine_args.stream {
-        return Err(
-            "--stream is not supported in shard mode (the merged output is \
-                    written once, after all workers finish)"
-                .into(),
-        );
-    }
-    let spec = build_spec(&o, &engine_args);
-    let observers = sweep_observers(&o);
-    // without --checkpoint, derive a journal keyed by the spec so
-    // rerunning the same command resumes it
-    let checkpoint = engine_args.checkpoint.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "segsim-shard-{:016x}.jsonl",
-            spec_fingerprint(&spec)
-        ))
-    });
-    println!(
-        "shard: {} points × {} replicas = {} runs as {workers} workers \
-         (master seed {:#x})",
-        spec.points().len(),
-        spec.replicas(),
-        spec.task_count(),
-        spec.master_seed(),
-    );
-    println!(
-        "shard: journals at {} (+ .shardIofM siblings)",
-        checkpoint.display()
-    );
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate segsim: {e}"))?;
-    let report = Coordinator::new(
-        exe,
-        worker_args(&o, &engine_args, &checkpoint, workers),
-        workers,
-    )
-    .run()
-    .map_err(|e| e.to_string())?;
-    // merging absorbs every shard journal and re-runs anything a killed
-    // worker lost; output below is byte-identical to `segsim sweep`
-    let result =
-        merge(&spec, &observers, &checkpoint, engine_args.threads).map_err(|e| e.to_string())?;
-    print_point_table(&spec, &result);
-
-    let wall = report.wall_secs.max(1e-9);
-    let events: u64 = result.records().iter().map(|r| r.events).sum();
-    println!(
-        "throughput: {:.2} replicas/s, {:.3e} events/s across {workers} workers \
-         ({:.2}s wall{})",
-        result.records().len() as f64 / wall,
-        events as f64 / wall,
-        report.wall_secs,
-        if report.total_restarts() > 0 {
-            format!(", {} worker restart(s)", report.total_restarts())
-        } else {
-            String::new()
-        }
-    );
     write_sinks(&o, &engine_args, &result)
 }
 
@@ -694,14 +548,13 @@ fn run_work(args: &[String]) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(mode @ ("sweep" | "shard" | "serve" | "work")) = args.first().map(String::as_str) {
+    if let Some(mode @ ("sweep" | "serve" | "work")) = args.first().map(String::as_str) {
         if args[1..].iter().any(|a| a == "--help" || a == "-h") {
             println!("{USAGE}\nengine flags: {ENGINE_USAGE}");
             return ExitCode::SUCCESS;
         }
         let run = match mode {
             "sweep" => run_sweep,
-            "shard" => run_shard,
             "work" => run_work,
             _ => run_serve,
         };
@@ -717,7 +570,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2); // a usage error, like the harness binaries'
         }
     };
     println!(
@@ -887,37 +740,28 @@ mod tests {
         assert!(parse_sweep_args(&args("--side 64 --horizon 2")).is_err());
     }
 
+    /// `shard` is not a mode: with or without `--workers`, and with a
+    /// nested `--shard`, it is a usage error rather than a run.
+    #[test]
+    fn shard_mode_requires_workers_and_rejects_nested_shard() {
+        for line in [
+            "shard --side 32 --horizon 1 --tau 0.4",
+            "shard --workers 2 --side 32 --horizon 1 --tau 0.4",
+            "shard --workers 2 --side 32 --horizon 1 --tau 0.4 --shard 0/2 --checkpoint c.jsonl",
+        ] {
+            let err = parse_args(&args(line)).unwrap_err();
+            assert!(
+                err.starts_with("unknown mode shard\nusage:"),
+                "{line}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn sweep_rejects_unknown_variant() {
         assert!(
             parse_sweep_args(&args("--side 64 --horizon 2 --tau 0.4 --variant bogus")).is_err()
         );
-    }
-
-    #[test]
-    fn worker_args_reproduce_the_coordinator_spec() {
-        let (o, e) = parse_sweep_args(&args(
-            "--side 64,128 --horizon 2 --tau 0.4,0.45 --variant paper,noise:0.01 \
-             --max-events 500 --threads 4 --seed 9 --replicas 4 --out rows.csv \
-             --summary s.csv --checkpoint runs/ck.jsonl",
-        ))
-        .unwrap();
-        let spec = build_spec(&o, &e);
-        let wargs = worker_args(&o, &e, Path::new("runs/ck.jsonl"), 2);
-        assert_eq!(wargs[0], "sweep");
-        // output flags never reach workers; the journal and a divided
-        // thread budget do
-        assert!(!wargs.contains(&"--out".to_string()));
-        assert!(!wargs.contains(&"--summary".to_string()));
-        assert!(wargs.windows(2).any(|w| w == ["--threads", "2"]));
-        assert!(wargs
-            .windows(2)
-            .any(|w| w == ["--checkpoint", "runs/ck.jsonl"]));
-        // a worker parsing those args computes the identical spec (and
-        // therefore the identical journal fingerprint)
-        let (wo, we) = parse_sweep_args(&wargs[1..]).unwrap();
-        let wspec = build_spec(&wo, &we);
-        assert_eq!(spec_fingerprint(&wspec), spec_fingerprint(&spec));
     }
 
     #[test]
@@ -951,16 +795,5 @@ mod tests {
         assert!(parse_serve_args(&args("--job-ttl -1")).is_err());
         assert!(parse_serve_args(&args("--request-timeout 0")).is_err());
         assert!(parse_serve_args(&args("--fleet-timeout 2")).is_err());
-    }
-
-    #[test]
-    fn shard_mode_requires_workers_and_rejects_nested_shard() {
-        assert!(run_shard(&args("--side 32 --horizon 1 --tau 0.4")).is_err());
-        let err = run_shard(&args(
-            "--workers 2 --side 32 --horizon 1 --tau 0.4 --shard 0/2 --checkpoint c.jsonl",
-        ))
-        .unwrap_err();
-        assert!(err.contains("workers itself"), "got: {err}");
-        assert!(run_shard(&args("--workers 0 --side 32 --horizon 1 --tau 0.4")).is_err());
     }
 }

@@ -19,9 +19,10 @@
 //! - [`seg_analysis`] — statistics, fits and image/CSV output;
 //! - [`seg_engine`] — parallel sweep & replica orchestration (start at
 //!   [`seg_engine::SweepSpec`]);
-//! - [`seg_shard`] — multi-process sharded sweeps: partition one spec
-//!   across workers/hosts, merge their journals byte-identically (start
-//!   at [`seg_shard::Coordinator`]);
+//! - [`seg_shard`] — the fleet's dynamic split: re-partition a sweep's
+//!   missing tasks among live workers and ingest the shard journals they
+//!   upload (start at [`seg_shard::repartition`]); the static split is
+//!   [`seg_engine::ShardIndex`] (`--shard I/M`);
 //! - [`seg_serve`] — simulation as a service: `segsim serve` accepts
 //!   sweep requests over HTTP, schedules them on the engine with a
 //!   fingerprint-keyed result cache, and streams rows back (start at
@@ -73,7 +74,6 @@ pub mod prelude {
     pub use seg_grid::rng::Xoshiro256pp;
     pub use seg_grid::{AgentType, Neighborhood, Point, PrefixSums, Torus, TypeField};
     pub use seg_serve::{serve, ServeConfig, SweepRequest};
-    pub use seg_shard::{Coordinator, ShardPlan};
     pub use seg_theory::constants::{classify, tau1, tau2, Regime};
     pub use seg_theory::exponents::{exponent_a, exponent_b};
     pub use seg_theory::trigger::f_trigger;

@@ -464,6 +464,10 @@ fn admission_enforces_quotas_keys_and_queue_backpressure() {
     // a second fresh spec bounces with 429 + Retry-After
     let (status, _, body) = http(addr, "POST", "/v1/sweeps", &slow_body(1));
     assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    // once the single worker holds it the queue is empty again, so the
+    // quota gate, not --max-queue, is what refuses the next spec
+    let id = json_str_field(&body, "id").expect("job id");
+    poll_until_state(addr, &id, "running", Duration::from_secs(30));
     let (status, head, body) = http(addr, "POST", "/v1/sweeps", &slow_body(2));
     assert_eq!(status, 429, "{}", String::from_utf8_lossy(&body));
     assert!(

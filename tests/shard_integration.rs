@@ -1,6 +1,6 @@
-//! Multi-process sharding, tested with real `segsim` processes: the
-//! coordinator (`segsim shard`) and hand-run `--shard` workers must
-//! both converge to output byte-identical to a single-process sweep —
+//! Multi-process sharding, tested with real `segsim` processes:
+//! hand-run `--shard I/M` workers plus a rerun without `--shard` must
+//! converge to output byte-identical to a single-process sweep —
 //! including after a worker was killed mid-write.
 
 use std::fs;
@@ -57,42 +57,19 @@ fn run(mode: &str, extra: &[String]) -> std::process::Output {
     out
 }
 
-#[test]
-fn coordinator_output_is_byte_identical_to_single_process() {
-    let dir = tmp_dir("coordinator");
-    let single = dir.join("single.csv");
-    let sharded = dir.join("sharded.csv");
-    run("sweep", &sweep_flags(&single));
-    let mut flags = sweep_flags(&sharded);
-    flags.extend([
-        "--workers".to_string(),
-        "2".to_string(),
-        "--checkpoint".to_string(),
-        dir.join("ck.jsonl").display().to_string(),
-    ]);
-    let out = run("shard", &flags);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("across 2 workers"),
-        "missing aggregate throughput line:\n{stdout}"
-    );
-    assert_eq!(
-        fs::read(&single).unwrap(),
-        fs::read(&sharded).unwrap(),
-        "sharded CSV differs from single-process CSV"
-    );
-}
-
-#[test]
-fn hand_run_workers_then_unsharded_merge_match_single_process() {
-    let dir = tmp_dir("manual_workers");
-    let single = dir.join("single.jsonl");
-    let merged = dir.join("merged.jsonl");
+/// Runs `--shard 0/2` and `--shard 1/2` workers over one checkpoint,
+/// optionally tears shard 0's journal as a worker killed mid-append
+/// would leave it, then merges by rerunning without `--shard` and
+/// requires the merged output to equal a single-process sweep.
+fn shard_then_merge_matches_single_process(tag: &str, ext: &str, killed: bool) {
+    let dir = tmp_dir(tag);
+    let single = dir.join(format!("single.{ext}"));
+    let merged = dir.join(format!("merged.{ext}"));
     run("sweep", &sweep_flags(&single));
     let ck = dir.join("ck.jsonl");
     // what two hosts sharing a checkpoint directory would run
     for shard in ["0/2", "1/2"] {
-        let mut flags = sweep_flags(&dir.join(format!("ignored-{}.jsonl", &shard[..1])));
+        let mut flags = sweep_flags(&dir.join(format!("ignored-{}.{ext}", &shard[..1])));
         flags.extend([
             "--shard".to_string(),
             shard.to_string(),
@@ -109,35 +86,10 @@ fn hand_run_workers_then_unsharded_merge_match_single_process() {
             );
         }
     }
-    // the merge step is the same command without --shard
-    let mut flags = sweep_flags(&merged);
-    flags.extend(["--checkpoint".to_string(), ck.display().to_string()]);
-    run("sweep", &flags);
-    assert_eq!(
-        fs::read(&single).unwrap(),
-        fs::read(&merged).unwrap(),
-        "merged JSONL differs from single-process JSONL"
-    );
-}
-
-#[test]
-fn coordinator_converges_after_a_worker_died_mid_write() {
-    let dir = tmp_dir("dead_worker");
-    let single = dir.join("single.csv");
-    let sharded = dir.join("sharded.csv");
-    run("sweep", &sweep_flags(&single));
-    // fabricate the aftermath of a worker killed mid-append: its journal
-    // holds a valid header, one record... and a torn half-line
-    let ck = dir.join("ck.jsonl");
-    {
-        let mut flags = sweep_flags(&dir.join("ignored.csv"));
-        flags.extend([
-            "--shard".to_string(),
-            "0/2".to_string(),
-            "--checkpoint".to_string(),
-            ck.display().to_string(),
-        ]);
-        run("sweep", &flags);
+    if killed {
+        // fabricate the aftermath of a worker killed mid-append: its
+        // journal holds a valid header, one record... and a torn
+        // half-line
         let shard0 = dir.join("ck.shard0of2.jsonl");
         let text = fs::read_to_string(&shard0).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
@@ -147,207 +99,44 @@ fn coordinator_converges_after_a_worker_died_mid_write() {
         torn.push_str("{\"kind\":\"record\",\"task\":2,\"events\":9,\"met");
         fs::write(&shard0, torn).unwrap();
     }
-    // rerunning the coordinator resumes the journals, re-runs the lost
-    // replicas, and still emits identical bytes
-    let mut flags = sweep_flags(&sharded);
-    flags.extend([
-        "--workers".to_string(),
-        "2".to_string(),
-        "--checkpoint".to_string(),
-        ck.display().to_string(),
-    ]);
-    run("shard", &flags);
-    assert_eq!(
-        fs::read(&single).unwrap(),
-        fs::read(&sharded).unwrap(),
-        "post-kill sharded CSV differs from single-process CSV"
-    );
-}
-
-/// The flags for the `--shard auto` scenarios: a sweep slow enough
-/// (~hundreds of ms per worker in a debug build) that two workers
-/// spawned together are reliably both alive while claiming, so the
-/// claim race is actually exercised.
-fn auto_sweep_flags(out: &Path) -> Vec<String> {
-    [
-        "--side",
-        "32",
-        "--horizon",
-        "1",
-        "--tau",
-        "0.4,0.45",
-        "--variant",
-        "paper,noise:0.02",
-        "--replicas",
-        "8",
-        "--seed",
-        "23",
-        "--max-events",
-        "3000",
-    ]
-    .into_iter()
-    .map(String::from)
-    .chain(["--out".to_string(), out.display().to_string()])
-    .collect()
-}
-
-/// Pulls the index out of the `sweep: claimed shard I/M (auto)` stderr
-/// announcement.
-fn claimed_shard(stderr: &str) -> String {
-    stderr
-        .lines()
-        .find_map(|l| {
-            l.strip_prefix("sweep: claimed shard ")
-                .and_then(|r| r.strip_suffix(" (auto)"))
-        })
-        .unwrap_or_else(|| panic!("no claim announcement in stderr:\n{stderr}"))
-        .to_string()
-}
-
-#[test]
-fn concurrent_auto_workers_never_claim_the_same_index() {
-    // repeated fresh runs so the create_new race is exercised many
-    // times, not just once
-    for round in 0..4 {
-        let dir = tmp_dir(&format!("auto_race_{round}"));
-        let single = dir.join("single.jsonl");
-        run("sweep", &auto_sweep_flags(&single));
-        let ck = dir.join("ck.jsonl");
-
-        // two workers spawned back-to-back, both told only "auto/2" —
-        // they must sort out distinct indices between themselves
-        let children: Vec<_> = (0..2)
-            .map(|w| {
-                let mut flags = auto_sweep_flags(&dir.join(format!("w{w}.jsonl")));
-                flags.extend([
-                    "--shard".to_string(),
-                    "auto/2".to_string(),
-                    "--checkpoint".to_string(),
-                    ck.display().to_string(),
-                ]);
-                Command::new(SEGSIM)
-                    .arg("sweep")
-                    .args(&flags)
-                    .stdout(std::process::Stdio::piped())
-                    .stderr(std::process::Stdio::piped())
-                    .spawn()
-                    .expect("spawn auto worker")
-            })
-            .collect();
-        let mut claims: Vec<String> = children
-            .into_iter()
-            .map(|c| {
-                let out = c.wait_with_output().expect("wait for auto worker");
-                let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-                assert!(
-                    out.status.success(),
-                    "auto worker failed (round {round}):\n{stderr}"
-                );
-                claimed_shard(&stderr)
-            })
-            .collect();
-        claims.sort();
-        assert_eq!(
-            claims,
-            vec!["0/2".to_string(), "1/2".to_string()],
-            "round {round}: workers must claim distinct shard indices"
-        );
-
-        // between them the workers covered everything: the merge runs
-        // nothing new and is byte-identical to the single-process run
-        let merged = dir.join("merged.jsonl");
-        let mut flags = auto_sweep_flags(&merged);
-        flags.extend(["--checkpoint".to_string(), ck.display().to_string()]);
-        run("sweep", &flags);
-        assert_eq!(
-            fs::read(&single).unwrap(),
-            fs::read(&merged).unwrap(),
-            "round {round}: merged JSONL differs from single-process JSONL"
-        );
-    }
-}
-
-#[test]
-fn stale_heartbeat_of_a_dead_worker_is_claimed_fresh_one_respected() {
-    let dir = tmp_dir("auto_stale");
-    let single = dir.join("single.jsonl");
-    run("sweep", &auto_sweep_flags(&single));
-    let ck = dir.join("ck.jsonl");
-
-    // fabricate a worker killed mid-run: shard 0's journal holds a
-    // header, one record and a torn half-line, and its heartbeat file
-    // is still there — but the stamp (epoch 0) stopped advancing long
-    // past the staleness window
-    {
-        let mut flags = auto_sweep_flags(&dir.join("ignored.jsonl"));
-        flags.extend([
-            "--shard".to_string(),
-            "0/2".to_string(),
-            "--checkpoint".to_string(),
-            ck.display().to_string(),
-        ]);
-        run("sweep", &flags);
-        let shard0 = dir.join("ck.shard0of2.jsonl");
-        let text = fs::read_to_string(&shard0).unwrap();
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines.truncate(2); // header + first record
-        let mut torn = lines.join("\n");
-        torn.push('\n');
-        torn.push_str("{\"kind\":\"record\",\"task\":3,\"events\":12,\"met");
-        fs::write(&shard0, torn).unwrap();
-    }
-    let hb0 = dir.join("ck.shard0of2.hb");
-    fs::write(&hb0, "dead-42-0 0\n").unwrap();
-
-    // an auto worker scans, finds index 0 abandoned, takes it over, and
-    // absorbs the dead worker's journal (one record resumed, rest rerun)
-    let mut flags = auto_sweep_flags(&dir.join("w0.jsonl"));
-    flags.extend([
-        "--shard".to_string(),
-        "auto/2".to_string(),
-        "--checkpoint".to_string(),
-        ck.display().to_string(),
-    ]);
-    let out = run("sweep", &flags);
-    assert_eq!(
-        claimed_shard(&String::from_utf8_lossy(&out.stderr)),
-        "0/2",
-        "stale index 0 should be taken over first"
-    );
-    assert!(!hb0.exists(), "finished worker must remove its heartbeat");
-
-    // a *fresh* heartbeat is respected: with index 0 marked live again,
-    // the next auto worker moves on to index 1
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_secs();
-    fs::write(&hb0, format!("other-7-0 {now}\n")).unwrap();
-    let mut flags = auto_sweep_flags(&dir.join("w1.jsonl"));
-    flags.extend([
-        "--shard".to_string(),
-        "auto/2".to_string(),
-        "--checkpoint".to_string(),
-        ck.display().to_string(),
-    ]);
-    let out = run("sweep", &flags);
-    assert_eq!(
-        claimed_shard(&String::from_utf8_lossy(&out.stderr)),
-        "1/2",
-        "a live heartbeat on index 0 must push the claim to index 1"
-    );
-    fs::remove_file(&hb0).unwrap();
-
-    // both shards are complete, so the merge is byte-identical
-    let merged = dir.join("merged.jsonl");
-    let mut flags = auto_sweep_flags(&merged);
+    // the merge step is the same command without --shard; it reruns
+    // whatever a killed worker lost
+    let mut flags = sweep_flags(&merged);
     flags.extend(["--checkpoint".to_string(), ck.display().to_string()]);
     run("sweep", &flags);
     assert_eq!(
         fs::read(&single).unwrap(),
         fs::read(&merged).unwrap(),
-        "merged JSONL differs from single-process JSONL"
+        "{tag}: merged output differs from the single-process output"
     );
+}
+
+#[test]
+fn hand_run_workers_then_unsharded_merge_match_single_process() {
+    shard_then_merge_matches_single_process("manual_workers", "jsonl", false);
+}
+
+/// The unsharded rerun is the coordinator: after a worker died mid-write
+/// it resumes the torn journal, reruns the lost replicas and still emits
+/// identical bytes.
+#[test]
+fn coordinator_converges_after_a_worker_died_mid_write() {
+    shard_then_merge_matches_single_process("dead_worker", "csv", true);
+}
+
+#[test]
+fn removed_shard_mode_is_a_usage_error() {
+    let out = Command::new(SEGSIM)
+        .args(["shard", "--workers", "2", "--side", "24"])
+        .output()
+        .expect("spawn segsim");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("unknown mode shard\nusage:"),
+        "unexpected stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "segsim panicked:\n{stderr}");
 }
 
 #[test]
