@@ -1,19 +1,24 @@
 //! Regression and property tests for the fused flip kernel and the
 //! incrementally-maintained ring/Kawasaki agent sets.
 //!
-//! The golden table below was recorded from the pre-fusion two-pass
+//! The first golden table was recorded from the pre-fusion two-pass
 //! implementation (apply counts, then reclassify the window in a second
 //! walk). The fused kernel must reproduce those trajectories *bit for
 //! bit*: it performs the same insert/remove sequence on the flippable
 //! set, so every seeded run samples the same agents in the same order.
+//! The later tables were recorded from the fused kernel before it moved
+//! to transition tables and row runs. They cover the paper's large-N
+//! regime (w = 8), windows as wide as the torus, where every window row
+//! wraps, and `VariantSim` / `IntervalSim` at w ≥ 4; their path digests
+//! pin every acted-on site, not only the end state.
 
 use proptest::prelude::*;
-use seg_core::interval::IntervalSim;
+use seg_core::interval::{ComfortBand, IntervalSim};
 use seg_core::ring::{RingKawasaki, RingSim};
 use seg_core::variants::{UpdateRule, VariantSim};
 use seg_core::{Intolerance, ModelConfig};
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{AgentType, Torus, TypeField};
+use seg_grid::{AgentType, ClassTable, Point, Torus, Transition, TypeField};
 
 /// `(n, w, tau, seed, terminated, flips, plus_total)` recorded from the
 /// pre-PR implementation with `run_to_stable(2_000_000)`.
@@ -45,6 +50,206 @@ fn fused_kernel_reproduces_pre_fusion_goldens() {
             (terminated, flips, plus_total),
             "trajectory diverged for n={n} w={w} τ={tau} seed={seed}"
         );
+    }
+}
+
+/// FNV-1a over the sequence of sites a run acted on: two runs agree on
+/// it only if they sampled the same agents in the same order.
+fn path_digest(mut step: impl FnMut() -> Option<Point>, budget: u64) -> (u64, u64) {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut steps = 0;
+    while steps < budget {
+        let Some(p) = step() else { break };
+        for v in [p.x, p.y] {
+            h = (h ^ u64::from(v)).wrapping_mul(0x0100_0000_01b3);
+        }
+        steps += 1;
+    }
+    (steps, h)
+}
+
+/// `(n, w, tau, seed, flips, plus_total, unhappy, path)` of the paper's
+/// process run to a stable state, recorded before the kernel switched
+/// to transition tables and row runs. The first rows are the paper's
+/// large-N regime (w = 8); the rest have a window as wide as the torus
+/// (2w + 1 = n), so a window row splits at every offset but zero.
+#[allow(clippy::type_complexity)]
+const GOLDEN_WIDE: &[(u32, u32, f64, u64, u64, usize, usize, u64)] = &[
+    (128, 8, 0.42, 1, 7884, 4144, 0, 0x5a2bc9fd94fb8d1a),
+    (128, 8, 0.42, 2, 7863, 11654, 0, 0x31cfefea9ce1991c),
+    (128, 8, 0.44, 1, 8768, 5290, 0, 0x7023bf15511705ee),
+    (128, 8, 0.44, 2, 8109, 8126, 0, 0xe0ce2d01348330ab),
+    (9, 4, 0.49, 1, 38, 81, 0, 0xa15f48a87db95b15),
+    (9, 4, 0.49, 2, 38, 0, 0, 0xdf15fb1b691c36fa),
+    (13, 6, 0.50, 1, 78, 169, 0, 0x96e9de0137e9f6c7),
+    (17, 8, 0.49, 1, 141, 289, 0, 0x0e55e32dfa5ca586),
+    (17, 8, 0.49, 2, 131, 289, 0, 0x86519d4158d7d989),
+];
+
+#[test]
+fn kernel_reproduces_large_and_torus_wide_window_goldens() {
+    for &(n, w, tau, seed, flips, plus_total, unhappy, path) in GOLDEN_WIDE {
+        let mut sim = ModelConfig::new(n, w, tau).seed(seed).build();
+        let (steps, digest) = path_digest(|| sim.step().map(|e| e.at), u64::MAX);
+        assert!(
+            sim.audit(),
+            "audit failed for n={n} w={w} τ={tau} seed={seed}"
+        );
+        assert_eq!(
+            (
+                steps,
+                sim.flips(),
+                sim.field().plus_total(),
+                sim.unhappy_count(),
+                digest
+            ),
+            (flips, flips, plus_total, unhappy, path),
+            "trajectory diverged for n={n} w={w} τ={tau} seed={seed}"
+        );
+    }
+}
+
+/// `((n, w, tau, noise, seed), (steps, flips, plus_total, unhappy, path))`
+/// of `VariantSim` after at most `steps` rings: flip-when-unhappy when
+/// `noise` is `None`, else the noisy paper rule. Recorded with the
+/// goldens above; the last rows have a torus-wide window.
+#[allow(clippy::type_complexity)]
+const GOLDEN_VARIANT: &[(
+    (u32, u32, f64, Option<f64>, u64),
+    (u64, u64, usize, usize, u64),
+)] = &[
+    (
+        (64, 4, 0.55, None, 1),
+        (7089, 7089, 4096, 0, 0x5d7095c6505b7928),
+    ),
+    (
+        (64, 4, 0.55, Some(0.05), 1),
+        (20000, 3657, 2600, 115, 0xd8747b0f9d785a17),
+    ),
+    (
+        (64, 8, 0.60, None, 1),
+        (20000, 20000, 2019, 4096, 0xcaee33c484ccf6fa),
+    ),
+    (
+        (64, 8, 0.60, Some(0.05), 1),
+        (20000, 991, 2112, 4096, 0xfc98f6f8b5e07f2a),
+    ),
+    (
+        (17, 8, 0.60, None, 1),
+        (5000, 5000, 152, 289, 0x66c3464cd3d5d8ee),
+    ),
+    (
+        (17, 8, 0.60, Some(0.05), 1),
+        (5000, 230, 152, 289, 0x85adec3d9f3a310b),
+    ),
+];
+
+#[test]
+fn variant_sim_reproduces_wide_window_goldens() {
+    for &((n, w, tau, noise, seed), expected) in GOLDEN_VARIANT {
+        let rule = noise.map_or(UpdateRule::FlipWhenUnhappy, UpdateRule::Noise);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let field = TypeField::random(Torus::new(n), 0.5, &mut rng);
+        let nsize = (2 * w + 1) * (2 * w + 1);
+        let mut sim = VariantSim::from_field(field, w, Intolerance::new(nsize, tau), rule, rng);
+        let (steps, digest) = path_digest(|| sim.step(), expected.0);
+        assert!(
+            sim.audit(),
+            "{rule:?} audit failed for n={n} w={w} τ={tau} seed={seed}"
+        );
+        let got = (
+            steps,
+            sim.flips(),
+            sim.field().plus_total(),
+            sim.unhappy_count(),
+            digest,
+        );
+        assert_eq!(
+            got, expected,
+            "{rule:?} trajectory diverged for n={n} w={w} τ={tau} seed={seed}"
+        );
+    }
+}
+
+/// `((n, w, tau_lo, tau_hi, seed), (flips, plus_total, discontent, path))`
+/// of `IntervalSim` run to a stable state. Recorded with the goldens
+/// above; the last row has a torus-wide window.
+#[allow(clippy::type_complexity)]
+const GOLDEN_INTERVAL: &[((u32, u32, f64, f64, u64), (u64, usize, usize, u64))] = &[
+    (
+        (64, 4, 0.40, 0.80, 1),
+        (1510, 2659, 2817, 0xe966087dee1f0ba7),
+    ),
+    (
+        (64, 8, 0.45, 0.60, 1),
+        (1825, 3024, 4092, 0xbc3d45a0123b5ac2),
+    ),
+    (
+        (64, 8, 0.40, 0.52, 1),
+        (1767, 2050, 1075, 0x0ca715e0dd3bdba1),
+    ),
+    ((17, 8, 0.35, 0.49, 2), (10, 148, 148, 0xb234576b36c8adeb)),
+];
+
+#[test]
+fn interval_sim_reproduces_wide_window_goldens() {
+    for &((n, w, lo, hi, seed), expected) in GOLDEN_INTERVAL {
+        let mut sim = IntervalSim::random(n, w, lo, hi, seed);
+        let (steps, digest) = path_digest(|| sim.step(), u64::MAX);
+        assert!(
+            sim.audit(),
+            "audit failed for n={n} w={w} band=[{lo}, {hi}] seed={seed}"
+        );
+        assert_eq!(sim.flips(), steps);
+        let got = (
+            steps,
+            sim.field().plus_total(),
+            sim.discontent_count(),
+            digest,
+        );
+        assert_eq!(
+            got, expected,
+            "trajectory diverged for n={n} w={w} band=[{lo}, {hi}] seed={seed}"
+        );
+    }
+}
+
+/// Every per-direction transition entry of `ct` is the step between the
+/// two classes it joins: `up[ty][pc] = transition(class(ty, pc),
+/// class(ty, pc + 1))`, `down` likewise with `pc - 1`.
+fn assert_transitions_step_classes(ct: &ClassTable, what: &str) {
+    let n = ct.n_size();
+    for ty in [AgentType::Minus, AgentType::Plus] {
+        for pc in 0..n {
+            let up = Transition::between(ct.class(ty, pc), ct.class(ty, pc + 1));
+            let down = Transition::between(ct.class(ty, pc + 1), ct.class(ty, pc));
+            assert_eq!(
+                ct.transition(ty, pc, AgentType::Plus),
+                up,
+                "{what} {ty:?} pc={pc}"
+            );
+            assert_eq!(
+                ct.transition(ty, pc + 1, AgentType::Minus),
+                down,
+                "{what} {ty:?} pc={}",
+                pc + 1
+            );
+        }
+    }
+}
+
+#[test]
+fn transition_tables_step_intolerance_and_band_classes() {
+    for w in [1u32, 2, 4, 8] {
+        let nsize = (2 * w + 1) * (2 * w + 1);
+        for tau in [0.2, 0.42, 0.5, 0.55, 0.8] {
+            let ct = Intolerance::new(nsize, tau).class_table();
+            assert_transitions_step_classes(&ct, &format!("N={nsize} τ={tau}"));
+        }
+        for (lo, hi) in [(0.3, 0.7), (0.45, 0.6), (0.4, 0.52), (0.0, 1.0)] {
+            let ct = ComfortBand::new(nsize, lo, hi).class_table();
+            assert_transitions_step_classes(&ct, &format!("N={nsize} band=[{lo}, {hi}]"));
+        }
     }
 }
 

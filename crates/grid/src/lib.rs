@@ -14,7 +14,9 @@
 //! - [`WindowCounts`] — incremental per-agent neighborhood counts, updated in
 //!   O((2w+1)²) per flip — the hot path of the dynamics; its fused kernel
 //!   [`WindowCounts::apply_flip_fused`] also reclassifies every touched
-//!   agent against a [`ClassTable`] in the same pass;
+//!   agent in the same pass, walking each window row as at most two
+//!   contiguous runs and reading one precomputed [`Transition`] of the
+//!   [`ClassTable`] per cell;
 //! - [`IndexedSet`] — the O(1) insert/remove/sample index set behind every
 //!   incrementally-maintained agent set of the dynamics layers;
 //! - [`BlockGrid`] — the renormalization into `m`-blocks used by the paper's
@@ -62,4 +64,4 @@ pub use neighborhood::Neighborhood;
 pub use path::{shortest_block_path, BlockPath};
 pub use prefix::PrefixSums;
 pub use torus::{Point, Torus};
-pub use window::{ClassTable, WindowCounts};
+pub use window::{ClassTable, Transition, WindowCounts};

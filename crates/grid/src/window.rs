@@ -1,15 +1,15 @@
 //! Incremental per-agent neighborhood counts — the dynamics hot path.
 
 use crate::{AgentType, IndexedSet, Point, Torus, TypeField};
+use std::ops::Range;
 
 /// A per-type lookup table classifying an agent by the number of `+1`
 /// agents in its window: `class[type][plus_count] → {tracked?, unhappy?}`.
 ///
 /// The dynamics layers derive one table from their happiness rule
 /// (`Intolerance`, comfort bands, …) and hand it to
-/// [`WindowCounts::apply_flip_fused`], which then classifies every cell a
-/// flip touches with two array loads instead of re-running the threshold
-/// arithmetic. Two independent bits are stored per entry:
+/// [`WindowCounts::apply_flip_fused`]. Two independent bits are stored
+/// per entry:
 ///
 /// - [`ClassTable::TRACKED`] — the agent belongs in the caller's
 ///   incrementally-maintained [`IndexedSet`] (e.g. *flippable* for the
@@ -20,11 +20,22 @@ use crate::{AgentType, IndexedSet, Point, Torus, TypeField};
 /// The three paper classes *flippable* / *happy* / *stuck* correspond to
 /// `TRACKED|UNHAPPY`, `0`, and `UNHAPPY` respectively under the paper's
 /// rule.
+///
+/// A flip moves every other agent in its window by one count in the same
+/// direction, so the table also precomputes, per direction, the
+/// [`Transition`] from `class(ty, pc)` to `class(ty, pc ± 1)`: the kernel
+/// then classifies a touched agent with one array load.
 #[derive(Clone, Debug)]
 pub struct ClassTable {
     n_size: u32,
     /// `bits[(ty as usize) * (N + 1) + plus_count]`; `Minus` rows first.
     bits: Box<[u8]>,
+    /// `up[k]` is the transition from `bits[k]` to the same type's class
+    /// at `plus_count + 1` (a nearby agent flipped to `Plus`); same layout
+    /// as `bits`.
+    up: Box<[Transition]>,
+    /// `down[k]`: from `bits[k]` to the class at `plus_count − 1`.
+    down: Box<[Transition]>,
 }
 
 impl ClassTable {
@@ -39,7 +50,8 @@ impl ClassTable {
     ///
     /// Entries for impossible states (a `Plus` agent with `plus_count = 0`,
     /// a `Minus` agent with `plus_count = N` — the agent counts itself) are
-    /// built but never read by the fused kernel.
+    /// built but never read by the fused kernel. The transitions out of
+    /// the range (up from `N`, down from `0`) are built as no-ops.
     pub fn build(n_size: u32, mut classify: impl FnMut(AgentType, u32) -> (bool, bool)) -> Self {
         let stride = n_size as usize + 1;
         let mut bits = vec![0u8; 2 * stride].into_boxed_slice();
@@ -50,7 +62,21 @@ impl ClassTable {
                     u8::from(tracked) * Self::TRACKED + u8::from(unhappy) * Self::UNHAPPY;
             }
         }
-        ClassTable { n_size, bits }
+        let last = n_size as usize;
+        let mut up = Vec::with_capacity(bits.len());
+        let mut down = Vec::with_capacity(bits.len());
+        for row in bits.chunks_exact(stride) {
+            for pc in 0..stride {
+                up.push(Transition::between(row[pc], row[(pc + 1).min(last)]));
+                down.push(Transition::between(row[pc], row[pc.saturating_sub(1)]));
+            }
+        }
+        ClassTable {
+            n_size,
+            bits,
+            up: up.into(),
+            down: down.into(),
+        }
     }
 
     /// Builds a table from a *same-type-count* classifier: the type →
@@ -93,6 +119,104 @@ impl ClassTable {
     #[inline]
     pub fn unhappy(&self, ty: AgentType, plus_count: u32) -> bool {
         self.class(ty, plus_count) & Self::UNHAPPY != 0
+    }
+
+    /// The precomputed [`Transition`] of an agent of type `ty` whose window
+    /// holds `plus_count` `+1` agents when another agent in it flips to
+    /// `new_type`: from `class(ty, plus_count)` to `class(ty, plus_count ±
+    /// 1)`, `+` for a flip to `Plus`. The kernel reads it per touched cell.
+    #[inline]
+    pub fn transition(&self, ty: AgentType, plus_count: u32, new_type: AgentType) -> Transition {
+        self.transitions(new_type)[(ty as usize) * (self.n_size as usize + 1) + plus_count as usize]
+    }
+
+    /// The per-direction transition table for a flip to `new_type`.
+    #[inline]
+    fn transitions(&self, new_type: AgentType) -> &[Transition] {
+        match new_type {
+            AgentType::Plus => &self.up,
+            AgentType::Minus => &self.down,
+        }
+    }
+}
+
+/// What one step of an agent's plus count does to its [`ClassTable`]
+/// class, packed into a byte: the new tracked bit, whether it changed, and
+/// the change in unhappiness. The fused kernel reads one per touched cell.
+///
+/// # Example
+///
+/// ```
+/// use seg_grid::{AgentType, ClassTable, Transition};
+/// // unhappy and tracked below 3 same-type agents out of N = 9
+/// let ct = ClassTable::build_same_count(9, |s| (s < 3, s < 3));
+/// // a Minus agent with 6 pluses around it (S = 3) gains a plus: S = 2
+/// let step = ct.transition(AgentType::Minus, 6, AgentType::Plus);
+/// let classes = (ct.class(AgentType::Minus, 6), ct.class(AgentType::Minus, 7));
+/// assert_eq!(step, Transition::between(classes.0, classes.1));
+/// assert_eq!(classes, (0, ClassTable::TRACKED | ClassTable::UNHAPPY));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Transition(u8);
+
+impl Transition {
+    /// Bit 0: tracked after the step.
+    const TRACKED: u8 = 1;
+    /// Bit 1: the tracked bit changed.
+    const CHANGED: u8 = 2;
+    /// Bits 2–3 hold the unhappy delta plus one, in `0..=2`.
+    const UNHAPPY_SHIFT: u8 = 2;
+
+    /// The transition between two [`ClassTable::class`] values.
+    #[inline]
+    pub fn between(was: u8, now: u8) -> Self {
+        let unhappy = |class: u8| (class & ClassTable::UNHAPPY) >> 1;
+        let changed = (was ^ now) & ClassTable::TRACKED;
+        let unhappy_biased = 1 + unhappy(now) - unhappy(was);
+        Transition(
+            (now & ClassTable::TRACKED)
+                | (changed * Self::CHANGED)
+                | (unhappy_biased << Self::UNHAPPY_SHIFT),
+        )
+    }
+
+    /// Whether the agent is tracked after the step.
+    #[inline]
+    fn tracked(self) -> bool {
+        self.0 & Self::TRACKED != 0
+    }
+
+    /// Whether the tracked bit changed, i.e. the tracked set needs an
+    /// insert or a remove.
+    #[inline]
+    fn tracked_changed(self) -> bool {
+        self.0 & Self::CHANGED != 0
+    }
+
+    /// The change in the number of unhappy agents plus one, in `0..=2`,
+    /// so a kernel can sum it unsigned.
+    #[inline]
+    fn unhappy_biased(self) -> u32 {
+        u32::from(self.0 >> Self::UNHAPPY_SHIFT)
+    }
+
+    /// Applies the tracked-bit change of cell `i` to `tracked`, whose
+    /// membership must equal the bit before the step.
+    #[inline]
+    fn apply(self, i: usize, tracked: &mut IndexedSet) {
+        debug_assert_eq!(
+            tracked.contains(i),
+            self.tracked() != self.tracked_changed(),
+            "tracked set out of sync with the class table at cell {i}"
+        );
+        // an unchanged bit would make the insert/remove a no-op
+        if self.tracked_changed() {
+            if self.tracked() {
+                tracked.insert(i);
+            } else {
+                tracked.remove(i);
+            }
+        }
     }
 }
 
@@ -256,31 +380,12 @@ impl WindowCounts {
     /// `new_type` is the type of the agent *after* the flip. Exactly the
     /// `(2w+1)²` cells whose ball contains `z` are updated.
     pub fn apply_flip(&mut self, z: Point, new_type: AgentType) {
-        let delta: u32 = match new_type {
-            AgentType::Plus => 1,
-            AgentType::Minus => 0u32.wrapping_sub(1),
-        };
-        let n = self.torus.side();
-        let d = 2 * self.horizon + 1;
-        // wrap once per flip; walk the window with carry-style increments
-        let x0 = self.torus.wrap(z.x as i64 - self.horizon as i64);
-        let mut y = self.torus.wrap(z.y as i64 - self.horizon as i64);
-        for _ in 0..d {
-            let row = y as usize * n as usize;
-            let mut x = x0;
-            for _ in 0..d {
-                let cell = &mut self.plus[row + x as usize];
-                *cell = cell.wrapping_add(delta);
-                x += 1;
-                if x == n {
-                    x = 0;
-                }
+        let delta = count_delta(new_type);
+        for_each_window_run(self.torus, self.horizon, z, |run| {
+            for c in &mut self.plus[run] {
+                *c = c.wrapping_add(delta);
             }
-            y += 1;
-            if y == n {
-                y = 0;
-            }
-        }
+        });
     }
 
     /// The fused flip kernel: one pass over the `(2w+1)²` window that both
@@ -292,6 +397,13 @@ impl WindowCounts {
     /// `field` must already reflect the flip (i.e. `field.get(z) ==
     /// new_type`); the flipped agent's *old* class is evaluated with its
     /// old type, every other agent keeps its type across the flip.
+    ///
+    /// Every agent but the flipped one keeps its type and sees its count
+    /// move one step in the flip's direction, so it costs one load from
+    /// that direction's [`Transition`] table. The flipped agent changes
+    /// type too and is classified with two [`ClassTable::class`] loads.
+    /// Each window row is walked as at most two contiguous slices of the
+    /// counts and the field, split where it wraps around the torus.
     ///
     /// `tracked` must hold exactly the cells whose class before the flip
     /// has [`ClassTable::TRACKED`] set (debug builds assert it per touched
@@ -311,55 +423,32 @@ impl WindowCounts {
     ) -> i64 {
         debug_assert_eq!(field.get(z), new_type, "field must be flipped first");
         debug_assert_eq!(classes.n_size(), self.neighborhood_size());
-        let delta: u32 = match new_type {
-            AgentType::Plus => 1,
-            AgentType::Minus => 0u32.wrapping_sub(1),
-        };
-        let n = self.torus.side();
-        let d = 2 * self.horizon + 1;
+        let delta = count_delta(new_type);
         let zi = self.torus.index(z);
-        let old_type = new_type.flipped();
-        let x0 = self.torus.wrap(z.x as i64 - self.horizon as i64);
-        let mut y = self.torus.wrap(z.y as i64 - self.horizon as i64);
-        let mut unhappy_delta: i64 = 0;
-        for _ in 0..d {
-            let row = y as usize * n as usize;
-            let mut x = x0;
-            for _ in 0..d {
-                let i = row + x as usize;
-                let old_pc = self.plus[i];
-                let new_pc = old_pc.wrapping_add(delta);
-                self.plus[i] = new_pc;
-                let ty = field.get_index(i);
-                let ty_before = if i == zi { old_type } else { ty };
-                let was = classes.class(ty_before, old_pc);
-                let now = classes.class(ty, new_pc);
-                unhappy_delta += i64::from(now >> 1) - i64::from(was >> 1);
-                debug_assert_eq!(
-                    tracked.contains(i),
-                    was & ClassTable::TRACKED != 0,
-                    "tracked set out of sync with the class table at cell {i}"
-                );
-                // membership already equals `was`'s bit, so an unchanged
-                // bit would make the insert/remove a no-op
-                if (now ^ was) & ClassTable::TRACKED != 0 {
-                    if now & ClassTable::TRACKED != 0 {
-                        tracked.insert(i);
-                    } else {
-                        tracked.remove(i);
-                    }
-                }
-                x += 1;
-                if x == n {
-                    x = 0;
-                }
+        let steps = Steps {
+            table: classes.transitions(new_type),
+            stride: classes.n_size() as usize + 1,
+            delta,
+        };
+        let types = field.as_slice();
+        // Σ (unhappy delta + 1) over the window's N cells
+        let mut unhappy_biased: u32 = 0;
+        let plus = &mut self.plus;
+        for_each_window_run(self.torus, self.horizon, z, |run| {
+            if !run.contains(&zi) {
+                unhappy_biased += steps.run(plus, types, run, tracked);
+                return;
             }
-            y += 1;
-            if y == n {
-                y = 0;
-            }
-        }
-        unhappy_delta
+            unhappy_biased += steps.run(plus, types, run.start..zi, tracked);
+            let old_pc = plus[zi];
+            plus[zi] = old_pc.wrapping_add(delta);
+            let was = classes.class(new_type.flipped(), old_pc);
+            let t = Transition::between(was, classes.class(new_type, plus[zi]));
+            unhappy_biased += t.unhappy_biased();
+            t.apply(zi, tracked);
+            unhappy_biased += steps.run(plus, types, zi + 1..run.end, tracked);
+        });
+        i64::from(unhappy_biased) - i64::from(self.neighborhood_size())
     }
 
     /// Recomputes from scratch and asserts agreement — a debugging aid used
@@ -367,6 +456,77 @@ impl WindowCounts {
     pub fn verify_against(&self, field: &TypeField) -> bool {
         let fresh = WindowCounts::new(field, self.horizon);
         fresh.plus == self.plus
+    }
+}
+
+/// The count change a flip to `new_type` makes in every window holding
+/// it, as a wrapping `u32` delta.
+#[inline]
+fn count_delta(new_type: AgentType) -> u32 {
+    match new_type {
+        AgentType::Plus => 1,
+        AgentType::Minus => 0u32.wrapping_sub(1),
+    }
+}
+
+/// The per-direction transition table of one flip, for the agents whose
+/// type it leaves unchanged.
+struct Steps<'a> {
+    /// [`ClassTable::transitions`] for the flip's direction.
+    table: &'a [Transition],
+    /// `N + 1`, the length of one type's row of `table`.
+    stride: usize,
+    /// The wrapping count delta of the flip.
+    delta: u32,
+}
+
+impl Steps<'_> {
+    /// Steps the cells of one contiguous `run` of the counts `plus` and
+    /// the field `types`; returns the run's Σ (unhappy delta + 1).
+    // inlined into each of the kernel's three calls: the per-run call
+    // cost shows at w = 1, where a run is one to three cells
+    #[inline(always)]
+    fn run(
+        &self,
+        plus: &mut [u32],
+        types: &[AgentType],
+        run: Range<usize>,
+        tracked: &mut IndexedSet,
+    ) -> u32 {
+        let mut biased = 0;
+        let first = run.start;
+        for (k, (pc, &ty)) in plus[run.clone()].iter_mut().zip(&types[run]).enumerate() {
+            let t = self.table[(ty as usize) * self.stride + *pc as usize];
+            *pc = pc.wrapping_add(self.delta);
+            biased += t.unhappy_biased();
+            t.apply(first + k, tracked);
+        }
+        biased
+    }
+}
+
+/// Calls `f` with the index ranges of the `(2w+1)²` window centred at `z`
+/// in row-major window order: each window row is one contiguous range of
+/// the row-major grid, or two where it wraps past the torus edge.
+#[inline]
+fn for_each_window_run(torus: Torus, horizon: u32, z: Point, mut f: impl FnMut(Range<usize>)) {
+    let n = torus.side() as usize;
+    let d = 2 * horizon as usize + 1;
+    let x0 = torus.wrap(i64::from(z.x) - i64::from(horizon)) as usize;
+    let mut y = torus.wrap(i64::from(z.y) - i64::from(horizon)) as usize;
+    // columns x0..end of each row, then 0..wrapped past the edge
+    let end = (x0 + d).min(n);
+    let wrapped = x0 + d - end;
+    for _ in 0..d {
+        let row = y * n;
+        f(row + x0..row + end);
+        if wrapped > 0 {
+            f(row..row + wrapped);
+        }
+        y += 1;
+        if y == n {
+            y = 0;
+        }
     }
 }
 
@@ -449,10 +609,8 @@ mod tests {
         let _ = WindowCounts::new(&f, 4); // 2*4+1 = 9 > 8
     }
 
-    /// A `τ = 0.4`-style table over N = 25: tracked = flippable.
-    fn example_table() -> ClassTable {
-        let n = 25u32;
-        let thr = 10u32;
+    /// A `τ = thr/N`-style table: tracked = flippable.
+    fn threshold_table(n: u32, thr: u32) -> ClassTable {
         ClassTable::build(n, |ty, pc| {
             let s = match ty {
                 AgentType::Plus => pc,
@@ -462,6 +620,11 @@ mod tests {
             let improvable = n - s + 1 >= thr;
             (!happy && improvable, !happy)
         })
+    }
+
+    /// A `τ = 0.4`-style table over N = 25.
+    fn example_table() -> ClassTable {
+        threshold_table(25, 10)
     }
 
     #[test]
@@ -477,14 +640,63 @@ mod tests {
     }
 
     #[test]
+    fn transition_packs_tracked_and_unhappy_changes() {
+        let classes = [0, ClassTable::TRACKED, ClassTable::UNHAPPY, 3];
+        for was in classes {
+            for now in classes {
+                let t = Transition::between(was, now);
+                assert_eq!(t.tracked(), now & ClassTable::TRACKED != 0);
+                assert_eq!(t.tracked_changed(), (was ^ now) & ClassTable::TRACKED != 0);
+                let unhappy = |c: u8| u32::from(c & ClassTable::UNHAPPY != 0);
+                assert_eq!(t.unhappy_biased() + unhappy(was), 1 + unhappy(now));
+            }
+        }
+    }
+
+    #[test]
+    fn transition_tables_step_the_class_table() {
+        let banded = ClassTable::build_same_count(81, |s| (!(33..=70).contains(&s), s < 40));
+        let empty = ClassTable::build(0, |_, _| (true, false));
+        for ct in [example_table(), banded, empty] {
+            let n = ct.n_size();
+            for ty in [AgentType::Minus, AgentType::Plus] {
+                let class = |pc| ct.class(ty, pc);
+                for pc in 0..=n {
+                    // stepping out of 0..=N is impossible and built as a no-op
+                    let up = Transition::between(class(pc), class((pc + 1).min(n)));
+                    let down = Transition::between(class(pc), class(pc.saturating_sub(1)));
+                    assert_eq!(
+                        ct.transition(ty, pc, AgentType::Plus),
+                        up,
+                        "N={n} {ty:?} pc={pc}"
+                    );
+                    assert_eq!(
+                        ct.transition(ty, pc, AgentType::Minus),
+                        down,
+                        "N={n} {ty:?} pc={pc}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn fused_kernel_matches_two_pass_update() {
-        let t = Torus::new(19);
+        // the last two windows are as wide as the torus: every row run of
+        // a flip off column w wraps
+        for (side, w, thr) in [(19u32, 2u32, 10u32), (5, 2, 10), (11, 5, 50)] {
+            fused_kernel_matches_two_pass_update_on(side, w, thr);
+        }
+    }
+
+    fn fused_kernel_matches_two_pass_update_on(side: u32, w: u32, thr: u32) {
+        let t = Torus::new(side);
         let mut rng = Xoshiro256pp::seed_from_u64(11);
-        let ct = example_table();
+        let ct = threshold_table((2 * w + 1) * (2 * w + 1), thr);
         // reference: field + counts updated with apply_flip, set rebuilt
         // by a row-major window sweep after each flip
         let mut f_ref = TypeField::random(t, 0.5, &mut rng);
-        let mut wc_ref = WindowCounts::new(&f_ref, 2);
+        let mut wc_ref = WindowCounts::new(&f_ref, w);
         let mut set_ref = IndexedSet::new(t.len());
         for i in 0..t.len() {
             if ct.tracked(f_ref.get_index(i), wc_ref.plus_count_index(i)) {
@@ -502,7 +714,7 @@ mod tests {
             // reference: two passes
             let new_ref = f_ref.flip(p);
             wc_ref.apply_flip(p, new_ref);
-            let w = 2i64;
+            let w = i64::from(w);
             for dy in -w..=w {
                 for dx in -w..=w {
                     let v = t.offset(p, dx, dy);
@@ -521,7 +733,10 @@ mod tests {
             // identical membership AND identical internal order
             let a: Vec<usize> = set.iter().collect();
             let b: Vec<usize> = set_ref.iter().collect();
-            assert_eq!(a, b, "fused set diverged from two-pass set");
+            assert_eq!(
+                a, b,
+                "fused set diverged from two-pass set (side {side}, w {w})"
+            );
             let brute_unhappy = (0..t.len())
                 .filter(|&i| ct.unhappy(f.get_index(i), wc.plus_count_index(i)))
                 .count() as i64;

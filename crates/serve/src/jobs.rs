@@ -228,11 +228,16 @@ impl SweepRequest {
                 _ => {}
             }
         }
-        let points = self.sides.len()
-            * self.horizons.len()
-            * self.taus.len()
-            * self.densities.len().max(1)
-            * self.variants.len().max(1);
+        // saturating: axes of a few thousand values each would overflow
+        let points = [
+            self.sides.len(),
+            self.horizons.len(),
+            self.taus.len(),
+            self.densities.len().max(1),
+            self.variants.len().max(1),
+        ]
+        .into_iter()
+        .fold(1usize, usize::saturating_mul);
         let tasks = points.saturating_mul(self.replicas as usize);
         if tasks > MAX_TASKS {
             return Err(format!(

@@ -45,6 +45,7 @@ impl Json {
     /// A human-readable message with the byte offset of the problem.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -178,6 +179,7 @@ pub fn escape_str(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -290,7 +292,7 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number {text:?} at offset {start}"))
@@ -340,10 +342,17 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
-                            let unit = u16::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                            // exactly four hex digits: `u16::from_str_radix`
+                            // would also take a leading `+`
+                            let unit = hex
+                                .iter()
+                                .try_fold(0u16, |u, &b| {
+                                    Some(u << 4 | (b as char).to_digit(16)? as u16)
+                                })
+                                .ok_or_else(|| {
+                                    format!("bad \\u escape {:?}", String::from_utf8_lossy(hex))
+                                })?;
                             self.pos += 4;
                             match (pending_surrogate.take(), unit) {
                                 (None, 0xD800..=0xDBFF) => pending_surrogate = Some(unit),
@@ -364,19 +373,21 @@ impl Parser<'_> {
                         }
                     }
                 }
+                c if c < 0x20 => return Err(format!("raw control byte {c:#x} in string")),
                 _ => {
                     if pending_surrogate.is_some() {
                         return Err("unpaired surrogate escape".into());
                     }
-                    // copy one UTF-8 scalar through verbatim
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "string is not valid UTF-8".to_string())?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    if (ch as u32) < 0x20 {
-                        return Err(format!("raw control byte {:#x} in string", ch as u32));
-                    }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // copy the run up to the next quote, backslash or
+                    // control byte verbatim: those are all ASCII, so the
+                    // run ends on a char boundary of the (valid) text
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -435,6 +446,40 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Json::parse(r#""\u004a\u004A""#).unwrap().as_str(),
+            Some("JJ")
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u04""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // one string field filling a default-sized (1 MiB) request body,
+        // with multi-byte characters and escapes mixed in
+        let unit = "abcdé😀\\n";
+        let reps = ((1 << 20) - 16) / unit.len();
+        let body = format!(r#"{{"name": "{}"}}"#, unit.repeat(reps));
+        assert!(body.len() <= 1 << 20);
+        let started = std::time::Instant::now();
+        let v = Json::parse(&body).unwrap();
+        let elapsed = started.elapsed();
+        let name = v.get("name").unwrap().as_str().unwrap();
+        assert_eq!(name.chars().count(), 7 * reps);
+        assert!(name.starts_with("abcdé😀\n"));
+        assert!(elapsed.as_secs() < 5, "1 MiB string took {elapsed:?}");
     }
 
     #[test]
