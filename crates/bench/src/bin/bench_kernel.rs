@@ -7,17 +7,20 @@
 //! bench_kernel [--quick] [--out PATH] [--check BASELINE] [--tolerance F]
 //! ```
 //!
-//! - `--quick` — 0.2 s per metric instead of 1.5 s (CI smoke budget);
+//! Each metric is measured [`kernel::REPEATS`] times; the JSON records the
+//! median and stdout prints the min/max spread next to it.
+//!
+//! - `--quick` — 0.2 s per run instead of 1.5 s (CI smoke budget);
 //! - `--out PATH` — where to write the JSON (default `BENCH_kernel.json`);
-//! - `--check BASELINE` — after measuring, compare each metric against the
-//!   committed baseline JSON and exit non-zero if any throughput fell
+//! - `--check BASELINE` — after measuring, compare each metric's median
+//!   against the committed baseline JSON and exit non-zero if any fell
 //!   below `tolerance × baseline` (default tolerance 0.5, i.e. fail only
 //!   on a >50% regression — machine-to-machine noise passes);
 //! - `--tolerance F` — the regression factor for `--check`.
 //!
 //! See `docs/PERFORMANCE.md` for how the baseline is tracked across PRs.
 
-use seg_bench::kernel;
+use seg_bench::kernel::{self, Spread};
 use std::time::Duration;
 
 struct Args {
@@ -68,18 +71,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Extracts `"key": <number>` from a flat JSON document we wrote
-/// ourselves (no nesting of the same key, numbers unquoted).
-fn extract_metric(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let args = parse_args();
     let budget = if args.quick {
@@ -88,37 +79,50 @@ fn main() {
         Duration::from_millis(1500)
     };
     println!(
-        "bench_kernel: {} mode, {} per metric",
+        "bench_kernel: {} mode, {:.1}s per run, median of {} runs per metric",
         if args.quick { "quick" } else { "full" },
-        format_args!("{:.1}s", budget.as_secs_f64()),
+        budget.as_secs_f64(),
+        kernel::REPEATS,
     );
 
-    let mut metrics: Vec<(String, f64)> = Vec::new();
+    let mut metrics: Vec<(String, Spread)> = Vec::new();
+    let mut record = |name: String, what: &str, unit: &str, measure: &mut dyn FnMut() -> f64| {
+        let s = Spread::measure(measure);
+        println!(
+            "  {what:<26} {:>12.0} {unit} (min {:.0}, max {:.0})",
+            s.median, s.min, s.max
+        );
+        metrics.push((name, s));
+    };
     for w in kernel::TWOD_HORIZONS {
-        let rate = kernel::measure_twod_flips(w, budget);
-        println!("  2-D fused flip kernel   w={w}: {rate:>12.0} flips/s");
-        metrics.push((format!("twod_flips_per_s_w{w}"), rate));
+        record(
+            format!("twod_flips_per_s_w{w}"),
+            &format!("2-D fused flip kernel w={w}"),
+            "flips/s",
+            &mut || kernel::measure_twod_flips(w, budget),
+        );
     }
     for w in kernel::TWOD_STEP_HORIZONS {
-        let rate = kernel::measure_twod_steps(w, budget);
-        println!("  2-D step to stability   w={w}: {rate:>12.0} flips/s");
-        metrics.push((format!("twod_steps_per_s_w{w}"), rate));
+        record(
+            format!("twod_steps_per_s_w{w}"),
+            &format!("2-D step to stability w={w}"),
+            "flips/s",
+            &mut || kernel::measure_twod_steps(w, budget),
+        );
     }
-    let ring = kernel::measure_ring_steps(budget);
-    println!(
-        "  ring Glauber       n={}: {ring:>12.0} steps/s",
-        kernel::RING_N
+    let n = kernel::RING_N;
+    record(
+        format!("ring_steps_per_s_n{n}"),
+        &format!("ring Glauber n={n}"),
+        "steps/s",
+        &mut || kernel::measure_ring_steps(budget),
     );
-    metrics.push((format!("ring_steps_per_s_n{}", kernel::RING_N), ring));
-    let kaw = kernel::measure_kawasaki_attempts(budget);
-    println!(
-        "  ring Kawasaki      n={}: {kaw:>12.0} attempts/s",
-        kernel::RING_N
+    record(
+        format!("ring_kawasaki_attempts_per_s_n{n}"),
+        &format!("ring Kawasaki n={n}"),
+        "attempts/s",
+        &mut || kernel::measure_kawasaki_attempts(budget),
     );
-    metrics.push((
-        format!("ring_kawasaki_attempts_per_s_n{}", kernel::RING_N),
-        kaw,
-    ));
 
     let mut json = String::from("{\n");
     json.push_str("  \"schema\": \"bench_kernel/v1\",\n");
@@ -133,7 +137,7 @@ fn main() {
     json.push_str("  \"metrics\": {\n");
     for (i, (k, v)) in metrics.iter().enumerate() {
         let sep = if i + 1 == metrics.len() { "" } else { "," };
-        json.push_str(&format!("    \"{k}\": {v:.1}{sep}\n"));
+        json.push_str(&format!("    \"{k}\": {:.1}{sep}\n", v.median));
     }
     json.push_str("  }\n}\n");
     if let Some(dir) = std::path::Path::new(&args.out).parent() {
@@ -149,25 +153,13 @@ fn main() {
             eprintln!("cannot read baseline {baseline_path}: {e}");
             std::process::exit(2);
         });
-        let mut failed = false;
         println!(
-            "checking against {baseline_path} (tolerance {:.2}):",
+            "checking medians against {baseline_path} (tolerance {:.2}):",
             args.tolerance
         );
-        for (k, v) in &metrics {
-            match extract_metric(&baseline, k) {
-                Some(base) => {
-                    let floor = args.tolerance * base;
-                    let ok = *v >= floor;
-                    println!(
-                        "  {k}: {v:.0} vs baseline {base:.0} ({}%) {}",
-                        (100.0 * v / base).round(),
-                        if ok { "ok" } else { "REGRESSION" }
-                    );
-                    failed |= !ok;
-                }
-                None => println!("  {k}: not in baseline, skipped"),
-            }
+        let (lines, failed) = kernel::check(&metrics, &baseline, args.tolerance);
+        for line in lines {
+            println!("  {line}");
         }
         if failed {
             eprintln!(

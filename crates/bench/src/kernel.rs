@@ -156,9 +156,128 @@ pub fn measure_kawasaki_attempts(budget: Duration) -> f64 {
     attempts as f64 / timed.as_secs_f64()
 }
 
+/// How many times `bench_kernel` measures each metric. It records and
+/// gates on the median, which one slow run cannot move.
+pub const REPEATS: usize = 3;
+
+/// The median and range of repeated measurements of one metric.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// The middle sample (upper middle for an even count).
+    pub median: f64,
+    /// The slowest sample.
+    pub min: f64,
+    /// The fastest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// Runs `measure` [`REPEATS`] times.
+    pub fn measure(mut measure: impl FnMut() -> f64) -> Spread {
+        Spread::of((0..REPEATS).map(|_| measure()).collect())
+    }
+
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        Spread {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
+    }
+}
+
+/// Extracts `"key": <number>` from a flat JSON document written by
+/// `bench_kernel` (no nesting of the same key, numbers unquoted).
+pub fn extract_metric(json: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = json.find(&needle)? + needle.len();
+    let rest = json[at..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Compares each metric's median with `baseline` (a `BENCH_kernel.json`
+/// document): a metric regresses when its median is below `tolerance ×`
+/// its baseline value. Returns one report line per metric and whether
+/// any regressed; metrics missing from the baseline are skipped.
+pub fn check(metrics: &[(String, Spread)], baseline: &str, tolerance: f64) -> (Vec<String>, bool) {
+    let mut failed = false;
+    let lines = metrics
+        .iter()
+        .map(|(k, s)| match extract_metric(baseline, k) {
+            Some(base) => {
+                let ok = s.median >= tolerance * base;
+                failed |= !ok;
+                format!(
+                    "{k}: median {:.0} vs baseline {base:.0} ({}%) {}",
+                    s.median,
+                    (100.0 * s.median / base).round(),
+                    if ok { "ok" } else { "REGRESSION" }
+                )
+            }
+            None => format!("{k}: not in baseline, skipped"),
+        })
+        .collect();
+    (lines, failed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spread_is_the_median_and_range() {
+        let s = Spread::of(vec![3.0, 1.0, 2.0]);
+        assert_eq!((s.median, s.min, s.max), (2.0, 1.0, 3.0));
+        // one slow run does not move the gated value
+        assert_eq!(Spread::of(vec![100.0, 48.0, 99.0]).median, 99.0);
+    }
+
+    #[test]
+    fn check_fails_against_a_doubled_baseline() {
+        let baseline = include_str!("../../../BENCH_kernel.json");
+        let keys = [
+            "twod_flips_per_s_w1",
+            "twod_flips_per_s_w8",
+            "twod_steps_per_s_w8",
+            "ring_steps_per_s_n2000",
+        ];
+        // medians at 90% of the committed baseline, one slow sample each
+        let metrics: Vec<(String, Spread)> = keys
+            .iter()
+            .map(|k| {
+                let base = extract_metric(baseline, k).expect("committed metric");
+                (
+                    k.to_string(),
+                    Spread::of(vec![0.9 * base, 0.3 * base, base]),
+                )
+            })
+            .collect();
+        let (lines, failed) = check(&metrics, baseline, 0.5);
+        assert!(!failed, "{lines:?}");
+        // every baseline value doubled: the same medians are at 45%
+        let mut doubled = baseline.to_string();
+        for k in keys {
+            let base = extract_metric(baseline, k).unwrap();
+            doubled = doubled.replace(
+                &format!("\"{k}\": {base:.1}"),
+                &format!("\"{k}\": {:.1}", 2.0 * base),
+            );
+        }
+        let (lines, failed) = check(&metrics, &doubled, 0.5);
+        assert!(failed, "{lines:?}");
+        assert!(lines.iter().all(|l| l.ends_with("REGRESSION")), "{lines:?}");
+        let (lines, _) = check(&metrics, "{}", 0.5);
+        assert!(lines.iter().all(|l| l.ends_with("skipped")), "{lines:?}");
+    }
 
     #[test]
     fn flip_stream_is_deterministic_and_in_range() {

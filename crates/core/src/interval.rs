@@ -8,8 +8,9 @@
 //! argument fails: a flip can decrease alignment), so the runner is
 //! budget-capped and reports whether a stable state was reached.
 
+use crate::dynamics::GridDynamics;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{ClassTable, IndexedSet, Point, Torus, TypeField, WindowCounts};
+use seg_grid::{Point, Torus, TypeField};
 
 /// Integer two-sided comfort thresholds over a neighborhood of size `N`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,57 +66,39 @@ impl ComfortBand {
         !self.is_content(same_count) && self.flip_makes_content(same_count)
     }
 
-    /// The class table for the fused flip kernel: tracked = flippable
-    /// under this band, unhappy = discontent.
-    pub fn class_table(&self) -> ClassTable {
-        ClassTable::build_same_count(self.n_size, |s| (self.is_flippable(s), !self.is_content(s)))
+    /// The band as a `(tracked, unhappy)` classifier of the same-type
+    /// count: tracked = flippable under this band, unhappy = discontent.
+    #[inline]
+    pub fn classify(&self, same_count: u32) -> (bool, bool) {
+        (self.is_flippable(same_count), !self.is_content(same_count))
     }
 }
 
-/// The §V two-sided model.
+/// The §V two-sided model: the grid-dynamics core under a
+/// [`ComfortBand`], flipping a uniformly chosen band-flippable agent per
+/// step (no clock).
 #[derive(Clone, Debug)]
 pub struct IntervalSim {
-    field: TypeField,
-    counts: WindowCounts,
+    core: GridDynamics,
     band: ComfortBand,
-    classes: ClassTable,
-    flippable: IndexedSet,
-    /// Incrementally-maintained number of discontent agents.
-    discontent: usize,
-    rng: Xoshiro256pp,
-    flips: u64,
 }
 
 impl IntervalSim {
     /// Builds over an explicit field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the band is sized for a different `N` than the window, or
+    /// if the window does not fit the torus.
     pub fn from_field(
         field: TypeField,
         horizon: u32,
         band: ComfortBand,
         rng: Xoshiro256pp,
     ) -> Self {
-        let counts = WindowCounts::new(&field, horizon);
-        assert_eq!(band.n_size, counts.neighborhood_size());
-        let torus = field.torus();
-        let classes = band.class_table();
-        let mut flippable = IndexedSet::new(torus.len());
-        let mut discontent = 0;
-        for i in 0..torus.len() {
-            let c = classes.class(field.get_index(i), counts.plus_count_index(i));
-            if c & ClassTable::TRACKED != 0 {
-                flippable.insert(i);
-            }
-            discontent += usize::from(c & ClassTable::UNHAPPY != 0);
-        }
         IntervalSim {
-            field,
-            counts,
+            core: GridDynamics::new(field, horizon, band.n_size, |s| band.classify(s), rng),
             band,
-            classes,
-            flippable,
-            discontent,
-            rng,
-            flips: 0,
         }
     }
 
@@ -130,7 +113,7 @@ impl IntervalSim {
 
     /// Current configuration.
     pub fn field(&self) -> &TypeField {
-        &self.field
+        &self.core.field
     }
 
     /// The comfort band.
@@ -140,54 +123,33 @@ impl IntervalSim {
 
     /// Flips so far.
     pub fn flips(&self) -> u64 {
-        self.flips
+        self.core.flips
     }
 
     /// Number of currently flippable (discontent-and-fixable) agents.
     pub fn flippable_count(&self) -> usize {
-        self.flippable.len()
+        self.core.tracked.len()
     }
 
     /// Number of discontent agents (either side of the band). Maintained
     /// incrementally by the fused flip kernel, so this is O(1).
     #[inline]
     pub fn discontent_count(&self) -> usize {
-        self.discontent
+        self.core.unhappy
     }
 
-    /// Full consistency audit: recomputes the counts, the flippable set
-    /// and the discontent total from scratch and compares. O(n²·N); for
+    /// Full consistency audit of the counts, the flippable set and the
+    /// discontent total against [`ComfortBand::classify`]. O(n²·N); for
     /// tests and debugging.
     pub fn audit(&self) -> bool {
-        if !self.counts.verify_against(&self.field) {
-            return false;
-        }
-        let mut discontent = 0;
-        for i in 0..self.field.torus().len() {
-            let s = self.counts.same_count_index(i, self.field.get_index(i));
-            if self.band.is_flippable(s) != self.flippable.contains(i) {
-                return false;
-            }
-            discontent += usize::from(!self.band.is_content(s));
-        }
-        discontent == self.discontent
+        self.core.audit(|s| self.band.classify(s))
     }
 
     /// One step: flips a uniformly chosen flippable agent. `None` when no
     /// agent can improve (stable for this rule).
     pub fn step(&mut self) -> Option<Point> {
-        let i = self.flippable.sample(&mut self.rng)?;
-        let at = self.field.torus().from_index(i);
-        let new_type = self.field.flip(at);
-        self.flips += 1;
-        let delta = self.counts.apply_flip_fused(
-            at,
-            new_type,
-            &self.field,
-            &self.classes,
-            &mut self.flippable,
-        );
-        self.discontent = (self.discontent as i64 + delta) as usize;
+        let at = self.core.sample()?;
+        self.core.flip(at);
         Some(at)
     }
 
@@ -200,7 +162,7 @@ impl IntervalSim {
                 return true;
             }
         }
-        self.flippable.is_empty()
+        self.core.tracked.is_empty()
     }
 }
 

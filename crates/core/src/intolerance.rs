@@ -1,7 +1,5 @@
 //! Integer happiness thresholds (§II-A) and flip feasibility.
 
-use seg_grid::ClassTable;
-
 /// The intolerance parameter in its exact integer form.
 ///
 /// The paper sets `τ = ⌈τ̃N⌉ / N` where `τ̃ ∈ [0, 1]` and `N = (2w+1)²`:
@@ -105,16 +103,19 @@ impl Intolerance {
         self.is_flippable(same_count)
     }
 
-    /// The per-type lookup table `class[type][plus_count] → {flippable,
-    /// happy, stuck}` consumed by the fused flip kernel
-    /// ([`seg_grid::WindowCounts::apply_flip_fused`]): tracked = flippable
-    /// under the paper's rule, unhappy = `S < τN`.
-    pub fn class_table(&self) -> ClassTable {
-        ClassTable::build_same_count(self.n_size, |s| {
-            // s = 0 is unreachable (an agent counts itself); guard it so
-            // building the table never evaluates flip arithmetic on it
-            (s >= 1 && self.is_flippable(s), !self.is_happy(s))
-        })
+    /// The paper's rule as a `(tracked, unhappy)` classifier of the
+    /// same-type count, from which the dynamics build the class table of
+    /// the fused flip kernel
+    /// ([`seg_grid::WindowCounts::apply_flip_fused`]): tracked =
+    /// flippable, unhappy = `S < τN`.
+    #[inline]
+    pub fn classify(&self, same_count: u32) -> (bool, bool) {
+        // s = 0 is unreachable (an agent counts itself); guard it so
+        // building a class table never evaluates flip arithmetic on it
+        (
+            same_count >= 1 && self.is_flippable(same_count),
+            !self.is_happy(same_count),
+        )
     }
 }
 
@@ -133,7 +134,7 @@ impl std::fmt::Display for Intolerance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seg_grid::AgentType;
+    use seg_grid::{AgentType, ClassTable};
 
     #[test]
     fn threshold_is_ceiling() {
@@ -193,7 +194,7 @@ mod tests {
     fn class_table_matches_predicates() {
         for (n, tau) in [(25u32, 0.4), (25, 0.6), (49, 0.42), (9, 0.5)] {
             let i = Intolerance::new(n, tau);
-            let ct = i.class_table();
+            let ct = ClassTable::build_same_count(n, |s| i.classify(s));
             for s in 1..=n {
                 // a Plus agent with S pluses, a Minus agent with N−S pluses
                 for (ty, pc) in [(AgentType::Plus, s), (AgentType::Minus, n - s)] {

@@ -48,6 +48,7 @@
 
 pub mod chemical;
 pub mod config;
+mod dynamics;
 pub mod exact;
 pub mod firewall;
 pub mod interval;

@@ -261,6 +261,41 @@ mod tests {
     }
 
     #[test]
+    fn two_types_classify_as_the_papers_model() {
+        // k = 2 is the paper's model: mapped to a two-type field, every
+        // cell's happy bit and eligibility are the paper's predicates of
+        // its same-type count, before and along a trajectory
+        use seg_grid::{AgentType, TypeField, WindowCounts};
+        for (tau, seed) in [(0.40, 1), (0.45, 2), (0.55, 3), (0.60, 4)] {
+            let mut sim = MultiSim::random(32, 2, 2, tau, seed);
+            for round in 0..4 {
+                let types = sim
+                    .types
+                    .iter()
+                    .map(|&t| {
+                        if t == 1 {
+                            AgentType::Plus
+                        } else {
+                            AgentType::Minus
+                        }
+                    })
+                    .collect();
+                let field = TypeField::from_types(sim.torus, types);
+                let counts = WindowCounts::new(&field, sim.horizon);
+                for i in 0..sim.torus.len() {
+                    let s = counts.same_count_index(i, field.get_index(i));
+                    let at = format!("τ={tau} round={round} cell={i} S={s}");
+                    assert_eq!(sim.happy[i], sim.intol.is_happy(s), "{at}");
+                    assert_eq!(sim.flippable.contains(i), sim.intol.is_flippable(s), "{at}");
+                }
+                for _ in 0..100 {
+                    sim.step();
+                }
+            }
+        }
+    }
+
+    #[test]
     fn three_types_with_low_tau_stabilize() {
         // with k = 3 the typical own-type fraction is 1/3; τ = 0.3 keeps
         // most agents happy and the rest fixable

@@ -1,8 +1,9 @@
 //! The exact event-driven Glauber dynamics (§II-A).
 
+use crate::dynamics::GridDynamics;
 use crate::intolerance::Intolerance;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{AgentType, ClassTable, IndexedSet, Point, Torus, TypeField, WindowCounts};
+use seg_grid::{AgentType, Point, Torus, TypeField, WindowCounts};
 
 /// Summary of a [`Simulation::run_to_stable`] call.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -51,17 +52,10 @@ pub struct FlipEvent {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Simulation {
-    field: TypeField,
-    counts: WindowCounts,
+    /// Tracked = flippable under `intol`.
+    pub(crate) core: GridDynamics,
     intol: Intolerance,
-    /// `intol`'s classes, precomputed for the fused flip kernel.
-    classes: ClassTable,
-    flippable: IndexedSet,
-    /// Incrementally-maintained number of unhappy agents.
-    unhappy: usize,
-    rng: Xoshiro256pp,
     time: f64,
-    flips: u64,
 }
 
 impl Simulation {
@@ -69,7 +63,8 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the window does not fit the torus (see
+    /// Panics if the intolerance is sized for a different `N` than the
+    /// window, or if the window does not fit the torus (see
     /// [`WindowCounts::new`]).
     pub fn from_field(
         field: TypeField,
@@ -77,48 +72,24 @@ impl Simulation {
         intol: Intolerance,
         rng: Xoshiro256pp,
     ) -> Self {
-        let counts = WindowCounts::new(&field, horizon);
-        assert_eq!(
-            intol.neighborhood_size(),
-            counts.neighborhood_size(),
-            "intolerance sized for N = {}, window has N = {}",
-            intol.neighborhood_size(),
-            counts.neighborhood_size()
-        );
-        let torus = field.torus();
-        let classes = intol.class_table();
-        let mut flippable = IndexedSet::new(torus.len());
-        let mut unhappy = 0;
-        for i in 0..torus.len() {
-            let c = classes.class(field.get_index(i), counts.plus_count_index(i));
-            if c & ClassTable::TRACKED != 0 {
-                flippable.insert(i);
-            }
-            unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
-        }
+        let n_size = intol.neighborhood_size();
         Simulation {
-            field,
-            counts,
+            core: GridDynamics::new(field, horizon, n_size, |s| intol.classify(s), rng),
             intol,
-            classes,
-            flippable,
-            unhappy,
-            rng,
             time: 0.0,
-            flips: 0,
         }
     }
 
     /// The torus.
     #[inline]
     pub fn torus(&self) -> Torus {
-        self.field.torus()
+        self.core.field.torus()
     }
 
     /// The horizon `w`.
     #[inline]
     pub fn horizon(&self) -> u32 {
-        self.counts.horizon()
+        self.core.counts.horizon()
     }
 
     /// The intolerance.
@@ -130,13 +101,13 @@ impl Simulation {
     /// The current configuration.
     #[inline]
     pub fn field(&self) -> &TypeField {
-        &self.field
+        &self.core.field
     }
 
     /// The per-agent neighborhood counts.
     #[inline]
     pub fn counts(&self) -> &WindowCounts {
-        &self.counts
+        &self.core.counts
     }
 
     /// Continuous time elapsed since the initial configuration.
@@ -148,13 +119,13 @@ impl Simulation {
     /// Total flips since the initial configuration.
     #[inline]
     pub fn flips(&self) -> u64 {
-        self.flips
+        self.core.flips
     }
 
     /// Same-type count `S(u)` of the agent at `u`.
     #[inline]
     pub fn same_count(&self, u: Point) -> u32 {
-        self.counts.same_count(u, self.field.get(u))
+        self.core.same_count(u)
     }
 
     /// Whether the agent at `u` is happy.
@@ -167,30 +138,29 @@ impl Simulation {
     /// fused flip kernel, so this is O(1).
     #[inline]
     pub fn unhappy_count(&self) -> usize {
-        self.unhappy
+        self.core.unhappy
     }
 
     /// Number of currently flippable agents (unhappy and improvable). The
     /// process is stable iff this is zero.
     #[inline]
     pub fn flippable_count(&self) -> usize {
-        self.flippable.len()
+        self.core.tracked.len()
     }
 
     /// Whether the process has reached a stable state.
     #[inline]
     pub fn is_stable(&self) -> bool {
-        self.flippable.is_empty()
+        self.core.tracked.is_empty()
     }
 
     /// Performs one effective event: advances the exponential clock, flips
     /// a uniformly chosen flippable agent, and updates all affected
     /// bookkeeping. Returns `None` when stable.
     pub fn step(&mut self) -> Option<FlipEvent> {
-        let f = self.flippable.len();
-        let i = self.flippable.sample(&mut self.rng)?;
-        self.time += self.rng.next_exponential(f as f64);
-        let at = self.torus().from_index(i);
+        let f = self.flippable_count();
+        let at = self.core.sample()?;
+        self.time += self.core.rng.next_exponential(f as f64);
         Some(self.force_flip_at(at))
     }
 
@@ -201,23 +171,9 @@ impl Simulation {
     /// paper's own dynamics only ever flips flippable agents via
     /// [`Simulation::step`].
     pub fn force_flip_at(&mut self, at: Point) -> FlipEvent {
-        let new_type = self.field.flip(at);
-        self.flips += 1;
-        // One fused pass over the window: count delta, reclassification of
-        // every agent whose neighborhood contains `at`, and the unhappy
-        // delta — same insert/remove order as the historical two-pass
-        // update, so seeded trajectories are unchanged.
-        let unhappy_delta = self.counts.apply_flip_fused(
-            at,
-            new_type,
-            &self.field,
-            &self.classes,
-            &mut self.flippable,
-        );
-        self.unhappy = (self.unhappy as i64 + unhappy_delta) as usize;
         FlipEvent {
             at,
-            new_type,
+            new_type: self.core.flip(at),
             time: self.time,
         }
     }
@@ -225,18 +181,10 @@ impl Simulation {
     /// Runs until stable or until `max_flips` more flips have occurred.
     pub fn run_to_stable(&mut self, max_flips: u64) -> RunReport {
         let t0 = self.time;
-        let f0 = self.flips;
-        while self.flips - f0 < max_flips {
-            if self.step().is_none() {
-                return RunReport {
-                    flips: self.flips - f0,
-                    terminated: true,
-                    elapsed_time: self.time - t0,
-                };
-            }
-        }
+        let f0 = self.flips();
+        while self.flips() - f0 < max_flips && self.step().is_some() {}
         RunReport {
-            flips: self.flips - f0,
+            flips: self.flips() - f0,
             terminated: self.is_stable(),
             elapsed_time: self.time - t0,
         }
@@ -246,46 +194,20 @@ impl Simulation {
     /// stable, whichever comes first.
     pub fn run_until_time(&mut self, t_end: f64) -> RunReport {
         let t0 = self.time;
-        let f0 = self.flips;
-        loop {
-            if self.time >= t_end || self.step().is_none() {
-                return RunReport {
-                    flips: self.flips - f0,
-                    terminated: self.is_stable(),
-                    elapsed_time: self.time - t0,
-                };
-            }
+        let f0 = self.flips();
+        while self.time < t_end && self.step().is_some() {}
+        RunReport {
+            flips: self.flips() - f0,
+            terminated: self.is_stable(),
+            elapsed_time: self.time - t0,
         }
     }
 
-    /// Full consistency audit: recomputes counts, the flippable set and
-    /// the unhappy total from scratch and compares. O(n²·N); for tests and
-    /// debugging.
+    /// Full consistency audit of the counts, the flippable set and the
+    /// unhappy total against [`Intolerance::classify`]. O(n²·N); for tests
+    /// and debugging.
     pub fn audit(&self) -> bool {
-        if !self.counts.verify_against(&self.field) {
-            return false;
-        }
-        let t = self.torus();
-        let mut unhappy = 0;
-        for i in 0..t.len() {
-            let s = self.counts.same_count_index(i, self.field.get_index(i));
-            if self.intol.is_flippable(s) != self.flippable.contains(i) {
-                return false;
-            }
-            unhappy += usize::from(!self.intol.is_happy(s));
-        }
-        unhappy == self.unhappy
-    }
-
-    /// Iterates the currently flippable agents (arbitrary order).
-    pub fn flippable_agents(&self) -> impl Iterator<Item = Point> + '_ {
-        let t = self.torus();
-        self.flippable.iter().map(move |i| t.from_index(i))
-    }
-
-    /// Mutable access to the RNG (for variants layered on top).
-    pub(crate) fn rng_mut(&mut self) -> &mut Xoshiro256pp {
-        &mut self.rng
+        self.core.audit(|s| self.intol.classify(s))
     }
 
     /// Replaces the intolerance mid-run and rebuilds the flippable set —
@@ -295,26 +217,9 @@ impl Simulation {
     ///
     /// Panics if the new intolerance is sized for a different `N`.
     pub fn set_intolerance(&mut self, intol: Intolerance) {
-        assert_eq!(
-            intol.neighborhood_size(),
-            self.counts.neighborhood_size(),
-            "intolerance must match the window size"
-        );
+        self.core
+            .reclassify(intol.neighborhood_size(), |s| intol.classify(s));
         self.intol = intol;
-        self.classes = intol.class_table();
-        let t = self.torus();
-        self.unhappy = 0;
-        for i in 0..t.len() {
-            let c = self
-                .classes
-                .class(self.field.get_index(i), self.counts.plus_count_index(i));
-            if c & ClassTable::TRACKED != 0 {
-                self.flippable.insert(i);
-            } else {
-                self.flippable.remove(i);
-            }
-            self.unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
-        }
     }
 }
 

@@ -171,6 +171,40 @@ fn variant_sim_reproduces_wide_window_goldens() {
     }
 }
 
+/// Path digest of `VariantSim` under `rule` from the field of `seed`.
+fn variant_path(n: u32, w: u32, tau: f64, rule: UpdateRule, seed: u64, budget: u64) -> (u64, u64) {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let field = TypeField::random(Torus::new(n), 0.5, &mut rng);
+    let nsize = (2 * w + 1) * (2 * w + 1);
+    let mut sim = VariantSim::from_field(field, w, Intolerance::new(nsize, tau), rule, rng);
+    path_digest(|| sim.step(), budget)
+}
+
+/// For τ < ½ an unhappy agent with `S < τN` has `N − S + 1 > τN` after
+/// flipping, so every unhappy agent is flippable: flip-when-unhappy and
+/// the noisy paper rule (whose ε-coin is drawn only when a flip would not
+/// help) are one process and walk the same path from one seed. Above ½
+/// stuck agents exist and the paths part.
+#[test]
+fn variant_rules_coincide_below_half_and_part_above() {
+    for (n, w, tau, seed) in [
+        (32, 1, 0.44, 1),
+        (48, 2, 0.44, 2),
+        (48, 2, 0.49, 3),
+        (64, 4, 0.45, 4),
+    ] {
+        let unhappy = variant_path(n, w, tau, UpdateRule::FlipWhenUnhappy, seed, u64::MAX);
+        let noise = variant_path(n, w, tau, UpdateRule::Noise(0.1), seed, u64::MAX);
+        assert!(unhappy.0 > 0, "n={n} w={w} τ={tau}: no step taken");
+        assert_eq!(unhappy, noise, "n={n} w={w} τ={tau} seed={seed}");
+    }
+    for seed in 1..=3 {
+        let unhappy = variant_path(48, 2, 0.55, UpdateRule::FlipWhenUnhappy, seed, 5_000);
+        let noise = variant_path(48, 2, 0.55, UpdateRule::Noise(0.1), seed, 5_000);
+        assert_ne!(unhappy, noise, "τ = 0.55 seed={seed}");
+    }
+}
+
 /// `((n, w, tau_lo, tau_hi, seed), (flips, plus_total, discontent, path))`
 /// of `IntervalSim` run to a stable state. Recorded with the goldens
 /// above; the last row has a torus-wide window.
@@ -243,11 +277,13 @@ fn transition_tables_step_intolerance_and_band_classes() {
     for w in [1u32, 2, 4, 8] {
         let nsize = (2 * w + 1) * (2 * w + 1);
         for tau in [0.2, 0.42, 0.5, 0.55, 0.8] {
-            let ct = Intolerance::new(nsize, tau).class_table();
+            let intol = Intolerance::new(nsize, tau);
+            let ct = ClassTable::build_same_count(nsize, |s| intol.classify(s));
             assert_transitions_step_classes(&ct, &format!("N={nsize} τ={tau}"));
         }
         for (lo, hi) in [(0.3, 0.7), (0.45, 0.6), (0.4, 0.52), (0.0, 1.0)] {
-            let ct = ComfortBand::new(nsize, lo, hi).class_table();
+            let band = ComfortBand::new(nsize, lo, hi);
+            let ct = ClassTable::build_same_count(nsize, |s| band.classify(s));
             assert_transitions_step_classes(&ct, &format!("N={nsize} band=[{lo}, {hi}]"));
         }
     }

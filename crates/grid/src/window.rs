@@ -6,9 +6,9 @@ use std::ops::Range;
 /// A per-type lookup table classifying an agent by the number of `+1`
 /// agents in its window: `class[type][plus_count] → {tracked?, unhappy?}`.
 ///
-/// The dynamics layers derive one table from their happiness rule
-/// (`Intolerance`, comfort bands, …) and hand it to
-/// [`WindowCounts::apply_flip_fused`]. Two independent bits are stored
+/// The dynamics core (`seg_core::dynamics::GridDynamics`) derives one
+/// table from its process's happiness rule (`Intolerance`, comfort bands,
+/// …) and hands it to [`WindowCounts::apply_flip_fused`]. Two independent bits are stored
 /// per entry:
 ///
 /// - [`ClassTable::TRACKED`] — the agent belongs in the caller's

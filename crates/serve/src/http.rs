@@ -179,12 +179,20 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Req
         Some(c) if c.contains("keep-alive") => true,
         _ => version == "HTTP/1.1",
     };
-    let content_length: u64 = match find("content-length") {
-        None => 0,
-        Some(v) => v
-            .parse()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?,
-    };
+    // RFC 9112 §6.3: the length is 1*DIGIT, and repeated fields must
+    // agree; anything else leaves the message's end ambiguous
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let parsed = match v.parse::<u64>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(HttpError::Malformed(format!("bad content-length {v:?}"))),
+        };
+        if content_length.is_some_and(|first| first != parsed) {
+            return Err(HttpError::Malformed("conflicting content-length".into()));
+        }
+        content_length = Some(parsed);
+    }
+    let content_length = content_length.unwrap_or(0);
     if find("transfer-encoding").is_some() {
         return Err(HttpError::Malformed(
             "chunked request bodies are not supported".into(),
