@@ -3,7 +3,7 @@
 use crate::intolerance::Intolerance;
 use crate::sim::Simulation;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{Torus, TypeField};
+use seg_grid::{window_fits, Torus, TypeField};
 
 /// Parameters of the paper's model (§II-A) plus the simulation seed, with
 /// a builder-style API.
@@ -40,7 +40,7 @@ impl ModelConfig {
             (0.0..=1.0).contains(&tau_tilde),
             "intolerance must lie in [0, 1]"
         );
-        assert!(2 * horizon < n, "window diameter exceeds grid side");
+        assert!(window_fits(n, horizon), "window diameter exceeds grid side");
         ModelConfig {
             n,
             horizon,
@@ -174,6 +174,13 @@ mod tests {
     #[should_panic(expected = "window diameter")]
     fn window_must_fit() {
         let _ = ModelConfig::new(8, 4, 0.4);
+    }
+
+    #[test]
+    #[should_panic(expected = "window diameter")]
+    fn wrapping_horizon_is_refused() {
+        // 2 · 2³¹ wraps to 0 in u32
+        let _ = ModelConfig::new(16, 1 << 31, 0.45);
     }
 
     #[test]

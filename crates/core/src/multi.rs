@@ -12,7 +12,7 @@
 use crate::intolerance::Intolerance;
 use crate::metrics::Clusters;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{IndexedSet, Point, Torus};
+use seg_grid::{window_fits, IndexedSet, Point, Torus};
 
 /// A `k`-type Glauber segregation model.
 #[derive(Clone, Debug)]
@@ -45,7 +45,7 @@ impl MultiSim {
     pub fn random(n: u32, horizon: u32, k: u8, tau_tilde: f64, seed: u64) -> Self {
         assert!(k >= 2, "need at least two types");
         let torus = Torus::new(n);
-        assert!(2 * horizon < n, "window diameter exceeds grid side");
+        assert!(window_fits(n, horizon), "window diameter exceeds grid side");
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let types: Vec<u8> = (0..torus.len())
             .map(|_| rng.next_below(k as u64) as u8)
@@ -364,5 +364,11 @@ mod tests {
     #[should_panic(expected = "at least two types")]
     fn one_type_panics() {
         let _ = MultiSim::random(16, 1, 1, 0.4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "window diameter")]
+    fn wrapping_horizon_is_refused() {
+        let _ = MultiSim::random(16, 1 << 31, 3, 0.45, 0);
     }
 }

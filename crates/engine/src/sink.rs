@@ -24,6 +24,7 @@ use crate::replica::ReplicaRecord;
 use crate::run::SweepResult;
 use crate::spec::SweepSpec;
 use seg_analysis::csv::CsvWriter;
+use seg_obs::{json_number, json_string};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -493,32 +494,6 @@ impl StreamingSink {
     /// The file being streamed to.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format_f64(x)
-    } else {
-        "null".to_string() // JSON has no Inf/NaN
     }
 }
 

@@ -407,10 +407,9 @@ pub struct SweepSpecBuilder {
     densities: Vec<f64>,
     variants: Vec<Variant>,
     explicit: Vec<SweepPoint>,
-    replicas: u32,
+    replicas: Option<u32>,
     master_seed: u64,
-    max_events: u64,
-    max_events_set: bool,
+    max_events: Option<u64>,
     seed_mode: SeedMode,
 }
 
@@ -478,14 +477,10 @@ impl SweepSpecBuilder {
         self
     }
 
-    /// Sets the number of replicas per point (default 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
+    /// Sets the number of replicas per point (default 1; 0 is refused
+    /// by [`Self::try_build`]).
     pub fn replicas(mut self, k: u32) -> Self {
-        assert!(k > 0, "need at least one replica per point");
-        self.replicas = k;
+        self.replicas = Some(k);
         self
     }
 
@@ -508,25 +503,41 @@ impl SweepSpecBuilder {
     /// stability). A budget of 0 is honored literally — the replica's
     /// initial configuration is what gets measured.
     pub fn max_events(mut self, budget: u64) -> Self {
-        self.max_events = budget;
-        self.max_events_set = true;
+        self.max_events = Some(budget);
         self
     }
 
-    /// Expands the grid and finalizes the spec.
+    /// Expands the grid and finalizes the spec, or says why the sweep is
+    /// illegal. This is the one place that decides which sweeps are
+    /// legal — `segsim sweep`, the serve API and every experiment binary
+    /// build through it. A sweep is legal when:
     ///
-    /// # Panics
+    /// - it has points: explicit ones, or a grid with at least one side,
+    ///   one horizon *and* one tau (setting only some axes is an error);
+    /// - replicas per point are at least 1;
+    /// - every point's window fits its grid, `2w + 1 ≤ n`
+    ///   ([`seg_grid::window_fits`], so a huge `w` cannot wrap);
+    /// - every τ̃ and every density `p` lies in `[0, 1]`;
+    /// - every [`Variant::Noise`] ε lies in `[0, 1]`;
+    /// - every [`Variant::TwoSided`] band satisfies `τ ≤ τ_hi ≤ 1`;
+    /// - every [`Variant::MultiType`] has `k ≥ 2`.
     ///
-    /// Panics if the spec describes no points, or if any point's window
-    /// does not fit its grid (`2w + 1 > n`), τ̃ or `p` lies outside
-    /// `[0, 1]`.
-    pub fn build(self) -> SweepSpec {
+    /// NaN fails every range check.
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken, as a message naming the offending value.
+    pub fn try_build(self) -> Result<SweepSpec, String> {
+        let replicas = match self.replicas {
+            Some(0) => return Err("replicas must be at least 1".into()),
+            Some(k) => k,
+            None => 1,
+        };
         let mut points = self.explicit;
         if !(self.sides.is_empty() && self.horizons.is_empty() && self.taus.is_empty()) {
-            assert!(
-                !self.sides.is_empty() && !self.horizons.is_empty() && !self.taus.is_empty(),
-                "a grid sweep needs at least one side, one horizon and one tau"
-            );
+            if self.sides.is_empty() || self.horizons.is_empty() || self.taus.is_empty() {
+                return Err("a grid sweep needs at least one side, one horizon and one tau".into());
+            }
             let densities = if self.densities.is_empty() {
                 vec![0.5]
             } else {
@@ -556,44 +567,56 @@ impl SweepSpecBuilder {
                 }
             }
         }
-        assert!(!points.is_empty(), "sweep describes no points");
-        for p in &points {
-            assert!(
-                2 * p.horizon < p.side,
-                "window diameter 2·{}+1 exceeds side {}",
-                p.horizon,
-                p.side
-            );
-            assert!(
-                (0.0..=1.0).contains(&p.tau),
-                "intolerance must lie in [0, 1]"
-            );
-            assert!(
-                (0.0..=1.0).contains(&p.density),
-                "density must lie in [0, 1]"
-            );
-            match p.variant {
-                Variant::TwoSided { tau_hi } => assert!(
-                    (0.0..=1.0).contains(&tau_hi) && tau_hi >= p.tau,
-                    "two-sided band needs tau <= tau_hi <= 1"
-                ),
-                Variant::MultiType { k } => {
-                    assert!(k >= 2, "multi-type model needs at least two types")
-                }
-                _ => {}
-            }
+        if points.is_empty() {
+            return Err("sweep describes no points".into());
         }
-        SweepSpec {
+        points.iter().try_for_each(check_point)?;
+        Ok(SweepSpec {
             points,
-            replicas: self.replicas.max(1),
+            replicas,
             master_seed: self.master_seed,
-            max_events: if self.max_events_set {
-                self.max_events
-            } else {
-                u64::MAX
-            },
+            max_events: self.max_events.unwrap_or(u64::MAX),
             seed_mode: self.seed_mode,
+        })
+    }
+
+    /// [`Self::try_build`] for callers whose sweep is fixed in code.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`Self::try_build`]'s message if the sweep is illegal.
+    pub fn build(self) -> SweepSpec {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// The per-point rules of [`SweepSpecBuilder::try_build`].
+fn check_point(p: &SweepPoint) -> Result<(), String> {
+    let unit = 0.0..=1.0;
+    if !seg_grid::window_fits(p.side, p.horizon) {
+        return Err(format!(
+            "horizon {} too large for side {}: window diameter 2·{}+1 exceeds the side",
+            p.horizon, p.side, p.horizon
+        ));
+    }
+    if !unit.contains(&p.tau) {
+        return Err(format!("tau {} must lie in [0, 1]", p.tau));
+    }
+    if !unit.contains(&p.density) {
+        return Err(format!("density {} must lie in [0, 1]", p.density));
+    }
+    match p.variant {
+        Variant::Noise(eps) if !unit.contains(&eps) => {
+            Err(format!("noise:{eps} needs 0 <= eps <= 1"))
         }
+        Variant::TwoSided { tau_hi } if !(unit.contains(&tau_hi) && tau_hi >= p.tau) => {
+            Err(format!(
+                "two-sided:{tau_hi} needs tau <= tau_hi <= 1 (tau = {})",
+                p.tau
+            ))
+        }
+        Variant::MultiType { k } if k < 2 => Err(format!("multi:{k} needs at least two types")),
+        _ => Ok(()),
     }
 }
 
@@ -703,6 +726,52 @@ mod tests {
     #[should_panic(expected = "window diameter")]
     fn oversized_window_panics() {
         let _ = SweepSpec::builder().side(8).horizon(4).tau(0.4).build();
+    }
+
+    #[test]
+    fn try_build_refuses_every_illegal_sweep() {
+        let grid = || SweepSpec::builder().side(16).horizon(1).tau(0.45);
+        for (builder, needle) in [
+            (SweepSpec::builder(), "no points"),
+            (SweepSpec::builder().side(16).tau(0.4), "one horizon"),
+            (grid().replicas(0), "replicas"),
+            (grid().horizon(1 << 31), "window diameter"),
+            (grid().horizon(u32::MAX), "window diameter"),
+            (grid().tau(f64::NAN), "tau"),
+            (grid().tau(-0.1), "tau"),
+            (grid().density(1.5), "density"),
+            (grid().variant(Variant::Noise(2.0)), "noise"),
+            (grid().variant(Variant::Noise(f64::NAN)), "noise"),
+            (
+                grid().variant(Variant::TwoSided { tau_hi: 0.3 }),
+                "tau <= tau_hi",
+            ),
+            (
+                grid().variant(Variant::TwoSided { tau_hi: f64::NAN }),
+                "tau <= tau_hi",
+            ),
+            (
+                grid().variant(Variant::TwoSided { tau_hi: 1.5 }),
+                "tau <= tau_hi",
+            ),
+            (
+                grid().variant(Variant::MultiType { k: 0 }),
+                "at least two types",
+            ),
+            (
+                SweepSpec::builder().point(SweepPoint::new(16, 1, 0.4).with_density(-1.0)),
+                "density",
+            ),
+        ] {
+            let err = builder.clone().try_build().unwrap_err();
+            assert!(err.contains(needle), "{builder:?}: {err}");
+        }
+        let edge = grid()
+            .variants([Variant::Noise(1.0), Variant::TwoSided { tau_hi: 0.45 }])
+            .replicas(2)
+            .try_build()
+            .unwrap();
+        assert_eq!(edge.task_count(), 4);
     }
 
     #[test]

@@ -64,4 +64,4 @@ pub use neighborhood::Neighborhood;
 pub use path::{shortest_block_path, BlockPath};
 pub use prefix::PrefixSums;
 pub use torus::{Point, Torus};
-pub use window::{ClassTable, Transition, WindowCounts};
+pub use window::{window_fits, ClassTable, Transition, WindowCounts};

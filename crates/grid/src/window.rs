@@ -3,6 +3,14 @@
 use crate::{AgentType, IndexedSet, Point, Torus, TypeField};
 use std::ops::Range;
 
+/// Whether a window of horizon `w` (diameter `2w + 1`) fits a torus of
+/// side `n`, i.e. `2w + 1 ≤ n` — compared in `u64`, so a huge `w` cannot
+/// wrap `2w` back under the side. Every constructor and request
+/// validator of a windowed process checks this one predicate.
+pub fn window_fits(side: u32, horizon: u32) -> bool {
+    2 * u64::from(horizon) < u64::from(side)
+}
+
 /// A per-type lookup table classifying an agent by the number of `+1`
 /// agents in its window: `class[type][plus_count] → {tracked?, unhappy?}`.
 ///
@@ -262,9 +270,9 @@ impl WindowCounts {
         let torus = field.torus();
         let n = torus.side() as usize;
         assert!(
-            2 * horizon < torus.side(),
+            window_fits(torus.side(), horizon),
             "window diameter {} exceeds torus side {}",
-            2 * horizon + 1,
+            2 * u64::from(horizon) + 1,
             torus.side()
         );
         let w = horizon as usize;
@@ -559,6 +567,23 @@ mod tests {
                 assert_eq!(wc.plus, brute_counts(&f, w), "side = {side}, w = {w}");
             }
         }
+    }
+
+    #[test]
+    fn window_fit_never_wraps() {
+        assert!(window_fits(16, 7));
+        assert!(!window_fits(16, 8));
+        assert!(!window_fits(16, 1 << 31)); // 2w wraps to 0 in u32
+        assert!(!window_fits(16, u32::MAX));
+        assert!(window_fits(u32::MAX, u32::MAX / 2));
+        assert!(!window_fits(0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "window diameter")]
+    fn wrapping_horizon_is_refused() {
+        let f = TypeField::uniform(Torus::new(16), AgentType::Plus);
+        let _ = WindowCounts::new(&f, 1 << 31);
     }
 
     #[test]

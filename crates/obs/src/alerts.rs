@@ -208,17 +208,17 @@ fn parse_duration_us(text: &str) -> Option<u64> {
     Some((n * scale as f64) as u64)
 }
 
-/// Parses a threshold: a bare number, or `ms`/`s`-suffixed seconds.
+/// Parses a threshold: a finite bare number, or `ms`/`s`-suffixed
+/// seconds. `NaN`, `inf` and overflowing literals such as `1e400` are
+/// refused: a rule comparing against them could never fire (or always
+/// would).
 fn parse_threshold(text: &str) -> Option<f64> {
-    if let Some(d) = text.strip_suffix("ms") {
-        return d.parse::<f64>().ok().map(|v| v / 1000.0);
-    }
-    if let Some(d) = text.strip_suffix('s') {
-        if d.parse::<f64>().is_ok() {
-            return d.parse().ok();
-        }
-    }
-    text.parse().ok()
+    let v = if let Some(d) = text.strip_suffix("ms") {
+        d.parse::<f64>().ok()? / 1000.0
+    } else {
+        text.strip_suffix('s').unwrap_or(text).parse().ok()?
+    };
+    v.is_finite().then_some(v)
 }
 
 fn parse_rule(line: &str) -> Result<RuleKind, String> {
@@ -457,8 +457,8 @@ impl AlertEngine {
                     _ => String::new(),
                 };
                 format!(
-                    "{{\"rule\":\"{}\",\"state\":\"{}\"{since}{value}}}",
-                    crate::trace::escape(&r.id),
+                    "{{\"rule\":{},\"state\":\"{}\"{since}{value}}}",
+                    crate::json_string(&r.id),
                     r.state.name()
                 )
             })

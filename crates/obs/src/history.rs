@@ -532,15 +532,15 @@ impl History {
             .map(|(id, samples)| {
                 let points: Vec<String> = samples.iter().map(point_json).collect();
                 format!(
-                    "{{\"series\":\"{}\",\"points\":[{}]}}",
-                    crate::trace::escape(&id.render()),
+                    "{{\"series\":{},\"points\":[{}]}}",
+                    crate::json_string(&id.render()),
                     points.join(",")
                 )
             })
             .collect();
         format!(
-            "{{\"name\":\"{}\",\"res\":\"{}\",\"series\":[{}]}}",
-            crate::trace::escape(name),
+            "{{\"name\":{},\"res\":\"{}\",\"series\":[{}]}}",
+            crate::json_string(name),
             TIER_NAMES[tier],
             rendered.join(",")
         )
@@ -579,9 +579,9 @@ fn point_json(s: &Sample) -> String {
 /// exact input [`parse_sample_line`] replays.
 fn sample_json_line(id: &SeriesId, s: &Sample) -> String {
     let head = format!(
-        "{{\"unix_us\":{},\"series\":\"{}\"",
+        "{{\"unix_us\":{},\"series\":{}",
         s.unix_us,
-        crate::trace::escape(&id.render())
+        crate::json_string(&id.render())
     );
     match s.value {
         Value::Counter { total, rate } => {

@@ -21,6 +21,8 @@
 //!   cadence), with optional append-only JSONL persistence that
 //!   replays on restart (`segsim serve --metrics-history-out FILE`,
 //!   `GET /v1/metrics/history`);
+//! - [`mod@json`] — the JSON string escaper and number formatter every
+//!   hand-written JSON writer of the workspace shares;
 //! - [`alerts`] — threshold and SLO rules (`segsim serve --alerts
 //!   FILE`, `GET /alerts`) evaluated against history after each
 //!   scrape, with `for`-duration hysteresis, firing/resolved trace
@@ -58,11 +60,13 @@
 
 pub mod alerts;
 pub mod history;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
 pub use alerts::AlertEngine;
 pub use history::{history, History};
+pub use json::{json_number, json_string};
 pub use metrics::{
     metrics, register_process_metrics, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     SeriesSnapshot, SeriesValue,

@@ -32,6 +32,7 @@
 //! The ring holds the most recent [`Tracer::CAPACITY`] records
 //! regardless of export.
 
+use crate::json::json_string;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
@@ -88,45 +89,27 @@ impl TraceEvent {
             "event"
         };
         let mut s = format!(
-            "{{\"t_us\":{},\"unix_us\":{},\"kind\":\"{kind}\",\"name\":\"{}\",\"detail\":\"{}\"",
+            "{{\"t_us\":{},\"unix_us\":{},\"kind\":\"{kind}\",\"name\":\"{}\",\"detail\":{}",
             self.t_us,
             self.unix_us,
             self.name,
-            escape(&self.detail)
+            json_string(&self.detail)
         );
         if let Some(d) = self.dur_us {
             s.push_str(&format!(",\"dur_us\":{d}"));
         }
         if let Some(t) = &self.trace_id {
-            s.push_str(&format!(",\"trace_id\":\"{}\"", escape(t)));
+            s.push_str(&format!(",\"trace_id\":{}", json_string(t)));
         }
         if let Some(id) = &self.span_id {
-            s.push_str(&format!(",\"span_id\":\"{}\"", escape(id)));
+            s.push_str(&format!(",\"span_id\":{}", json_string(id)));
         }
         if let Some(p) = &self.parent_span_id {
-            s.push_str(&format!(",\"parent_span_id\":\"{}\"", escape(p)));
+            s.push_str(&format!(",\"parent_span_id\":{}", json_string(p)));
         }
         s.push('}');
         s
     }
-}
-
-/// JSON string escaping shared by the tracer and the history/alerts
-/// JSONL writers.
-pub(crate) fn escape(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The distributed-trace identity a thread records under.

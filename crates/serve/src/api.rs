@@ -43,8 +43,9 @@
 
 use crate::http::{write_json, write_response, write_response_with, ChunkedBody, Request};
 use crate::jobs::{Job, JobManager, JobState, SubmitOutcome, SweepRequest};
-use crate::json::{escape_str, Json};
+use crate::json::Json;
 use crate::lifecycle::DeleteOutcome;
+use seg_obs::json_string;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -74,7 +75,7 @@ pub struct ApiContext {
 }
 
 fn error_body(msg: &str) -> String {
-    format!("{{\"error\":{}}}", escape_str(msg))
+    format!("{{\"error\":{}}}", json_string(msg))
 }
 
 /// The throughput figures a worker reports in its heartbeat/claim body
@@ -212,7 +213,7 @@ fn route<W: Write>(
             let counts = ctx.manager.counts();
             let jobs: Vec<String> = counts
                 .iter()
-                .map(|(k, v)| format!("{}:{v}", escape_str(k)))
+                .map(|(k, v)| format!("{}:{v}", json_string(k)))
                 .collect();
             let body = format!(
                 "{{\"status\":{},\"uptime_secs\":{:.1},\"jobs\":{{{}}}}}",
@@ -396,7 +397,7 @@ fn route<W: Write>(
                 write_json(
                     out,
                     200,
-                    &format!("{{\"worker_id\":{}}}", escape_str(&id)),
+                    &format!("{{\"worker_id\":{}}}", json_string(&id)),
                     keep,
                 )?;
                 Ok(keep)
@@ -441,13 +442,13 @@ fn route<W: Write>(
                     let parent = a
                         .parent_span_id
                         .as_deref()
-                        .map(|p| format!(",\"parent_span\":{}", escape_str(p)))
+                        .map(|p| format!(",\"parent_span\":{}", json_string(p)))
                         .unwrap_or_default();
                     let body = format!(
                         "{{\"job\":{},\"epoch\":{},\"trace\":{}{parent},\"request\":{},\"tasks\":[{}]}}",
-                        escape_str(&a.job_id),
+                        json_string(&a.job_id),
                         a.epoch,
-                        escape_str(&a.trace_id),
+                        json_string(&a.trace_id),
                         a.request_json,
                         tasks.join(",")
                     );

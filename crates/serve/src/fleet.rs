@@ -22,6 +22,7 @@
 //! loop, so a slow worker's work is never wasted, only its monopoly.
 
 use seg_engine::ReplicaRecord;
+use seg_obs::{json_number, json_string};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -450,15 +451,15 @@ impl FleetRegistry {
             .map(|(id, w)| {
                 let mut s = format!(
                     "{{\"id\":{},\"age_secs\":{:.3},\"busy\":{},\"replicas_per_sec\":{}",
-                    crate::json::escape_str(id),
+                    json_string(id),
                     now.duration_since(w.last_seen).as_secs_f64(),
                     w.assignment.is_some(),
-                    crate::json::format_f64(w.replicas_per_sec),
+                    json_number(w.replicas_per_sec),
                 );
                 if let Some(a) = &w.assignment {
                     s.push_str(&format!(
                         ",\"job\":{},\"epoch\":{}",
-                        crate::json::escape_str(&a.job_id),
+                        json_string(&a.job_id),
                         a.epoch
                     ));
                 }

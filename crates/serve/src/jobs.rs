@@ -28,11 +28,11 @@
 
 use crate::admission::{AdmissionControl, Rejection};
 use crate::fleet::{EpochHealth, FleetRegistry, FLEET_POLL};
-use crate::json::{escape_str, format_f64, Json};
+use crate::json::Json;
 use seg_engine::{
     spec_fingerprint, Checkpoint, Engine, Observer, Sink, SweepProgress, SweepSpec, Variant,
 };
-use seg_obs::TraceContext;
+use seg_obs::{json_number, json_string, TraceContext};
 use seg_shard::repartition;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -55,9 +55,17 @@ const JOB_HISTORY_CADENCE: Duration = Duration::from_secs(1);
 /// of a job is in its first spans).
 pub const WORKER_SPANS_CAP: usize = 2048;
 
-/// A validated, normalized sweep request — the JSON-body counterpart of
-/// `segsim sweep`'s flags, mapping onto the identical [`SweepSpec`] (so
-/// results are byte-compatible between the CLI and the service).
+/// A normalized sweep request: the parameters of `segsim sweep`'s axis
+/// flags, or of a `POST /v1/sweeps` JSON body.
+///
+/// Both front ends build their spec through
+/// [`SweepRequest::try_build_spec`], so equal parameters give the same
+/// [`SweepSpec`] — and fingerprint, and output bytes — by construction.
+/// Which sweeps are legal is decided by
+/// [`SweepSpecBuilder::try_build`](seg_engine::SweepSpecBuilder::try_build)
+/// alone; [`SweepRequest::from_json`] adds only the service's policy on
+/// top: its JSON schema and the per-request caps [`MAX_SIDE`] and
+/// [`MAX_TASKS`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepRequest {
     /// Grid sides (`side`, scalar or array).
@@ -110,12 +118,14 @@ fn axis_f64(body: &Json, key: &str) -> Result<Vec<f64>, String> {
 }
 
 impl SweepRequest {
-    /// Parses and validates a request body.
+    /// Parses a request body and checks it: the JSON schema (known
+    /// fields and their types), then the caps, then
+    /// [`SweepRequest::try_build_spec`].
     ///
     /// # Errors
     ///
-    /// A human-readable message naming the offending field — the body of
-    /// the 400 response.
+    /// A human-readable message naming the offending field or value —
+    /// the body of the 400 response.
     pub fn from_json(body: &Json) -> Result<SweepRequest, String> {
         if !matches!(body, Json::Obj(_)) {
             return Err("request body must be a JSON object".into());
@@ -172,63 +182,21 @@ impl SweepRequest {
             seed: scalar_u64("seed", 0)?,
             max_events: body
                 .get("max_events")
-                .map(|v| {
-                    v.as_u64().ok_or_else(|| {
-                        format!("max_events: expected a non-negative integer, got {v}")
-                    })
-                })
+                .map(|_| scalar_u64("max_events", 0))
                 .transpose()?,
         };
-        req.validate()?;
+        req.check_caps()?;
+        req.try_build_spec()?;
         Ok(req)
     }
 
-    /// The same sanity checks `segsim sweep` applies to its flags, so a
-    /// bad request is a 400 instead of a panic inside
-    /// [`SweepSpec::builder`].
-    fn validate(&self) -> Result<(), String> {
-        if self.sides.is_empty() || self.horizons.is_empty() || self.taus.is_empty() {
-            return Err("a sweep needs side, horizon and tau".into());
-        }
-        if self.replicas == 0 {
-            return Err("replicas must be at least 1".into());
-        }
-        let min_side = *self.sides.iter().min().expect("non-empty");
-        let max_horizon = *self.horizons.iter().max().expect("non-empty");
-        if min_side == 0 {
-            return Err("side must be at least 1".into());
-        }
-        if 2 * max_horizon as u64 >= min_side as u64 {
-            return Err(format!(
-                "horizon {max_horizon} too large for side {min_side} (need 2w+1 <= n)"
-            ));
-        }
+    /// The service's per-request caps, checked on the axis lengths alone
+    /// (with saturating arithmetic) before anything expands the grid, so
+    /// hostile axis lengths cost nothing.
+    fn check_caps(&self) -> Result<(), String> {
         if self.sides.iter().any(|&n| n > MAX_SIDE) {
             return Err(format!("side values are capped at {MAX_SIDE}"));
         }
-        if self.taus.iter().any(|t| !(0.0..=1.0).contains(t)) {
-            return Err("tau values must lie in [0, 1]".into());
-        }
-        if self.densities.iter().any(|p| !(0.0..=1.0).contains(p)) {
-            return Err("density values must lie in [0, 1]".into());
-        }
-        let max_tau = self.taus.iter().cloned().fold(0.0f64, f64::max);
-        for v in &self.variants {
-            match v {
-                Variant::TwoSided { tau_hi }
-                    if !(0.0..=1.0).contains(tau_hi) || *tau_hi < max_tau =>
-                {
-                    return Err(format!(
-                        "two-sided:{tau_hi} needs tau <= tau_hi <= 1 for every tau"
-                    ));
-                }
-                Variant::Noise(eps) if !(0.0..=1.0).contains(eps) => {
-                    return Err(format!("noise:{eps} needs 0 <= eps <= 1"));
-                }
-                _ => {}
-            }
-        }
-        // saturating: axes of a few thousand values each would overflow
         let points = [
             self.sides.len(),
             self.horizons.len(),
@@ -248,26 +216,41 @@ impl SweepRequest {
         Ok(())
     }
 
-    /// Builds the spec exactly the way `segsim sweep` builds it from the
-    /// equivalent flags — same defaults, same point order — so the
-    /// fingerprint (and therefore every output byte) matches the CLI.
-    pub fn build_spec(&self) -> SweepSpec {
+    /// Builds the spec: the one mapping from sweep parameters to a
+    /// [`SweepSpec`], shared by `segsim sweep` and the service. Applies
+    /// no caps.
+    ///
+    /// # Errors
+    ///
+    /// A missing `side`, `horizon` or `tau` axis, or why
+    /// [`SweepSpecBuilder::try_build`](seg_engine::SweepSpecBuilder::try_build)
+    /// refused the sweep.
+    pub fn try_build_spec(&self) -> Result<SweepSpec, String> {
+        if self.sides.is_empty() || self.horizons.is_empty() || self.taus.is_empty() {
+            return Err("a sweep needs side, horizon and tau".into());
+        }
         let mut builder = SweepSpec::builder()
             .sides(self.sides.iter().copied())
             .horizons(self.horizons.iter().copied())
             .taus(self.taus.iter().copied())
+            .densities(self.densities.iter().copied())
+            .variants(self.variants.iter().copied())
             .replicas(self.replicas)
             .master_seed(self.seed);
         if let Some(budget) = self.max_events {
             builder = builder.max_events(budget);
         }
-        if !self.densities.is_empty() {
-            builder = builder.densities(self.densities.iter().copied());
-        }
-        if !self.variants.is_empty() {
-            builder = builder.variants(self.variants.iter().copied());
-        }
-        builder.build()
+        builder.try_build()
+    }
+
+    /// [`SweepRequest::try_build_spec`] for a request that passed
+    /// [`SweepRequest::from_json`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request describes an illegal sweep.
+    pub fn build_spec(&self) -> SweepSpec {
+        self.try_build_spec().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The normalized request as JSON — what `request.json` holds, and
@@ -549,8 +532,8 @@ impl Job {
         let spans: Vec<String> = entries.into_iter().map(|(_, line)| line).collect();
         format!(
             "{{\"job\":{},\"trace_id\":{},\"spans\":[{}]}}",
-            escape_str(&self.id),
-            escape_str(&self.trace_id),
+            json_string(&self.id),
+            json_string(&self.trace_id),
             spans.join(",")
         )
     }
@@ -563,9 +546,9 @@ impl Job {
         let p = self.progress();
         let mut s = format!(
             "{{\"id\":{},\"trace_id\":{},\"state\":{},\"points\":{},\"replicas\":{},\"tasks\":{}",
-            escape_str(&self.id),
-            escape_str(&self.trace_id),
-            escape_str(state.label()),
+            json_string(&self.id),
+            json_string(&self.trace_id),
+            json_string(state.label()),
             self.spec.points().len(),
             self.spec.replicas(),
             self.spec.task_count(),
@@ -574,16 +557,16 @@ impl Job {
             s.push_str(&format!(",\"cached\":{cached}"));
         }
         if let JobState::Failed(e) = &state {
-            s.push_str(&format!(",\"error\":{}", escape_str(e)));
+            s.push_str(&format!(",\"error\":{}", json_string(e)));
         }
         s.push_str(&format!(
             ",\"progress\":{{\"done\":{},\"total\":{},\"resumed\":{},\"replicas_per_sec\":{},\"events_per_sec\":{},\"wall_secs\":{}}}}}",
             p.done,
             p.total,
             p.resumed,
-            format_f64(p.replicas_per_sec),
-            format_f64(p.events_per_sec),
-            format_f64(p.wall_secs),
+            json_number(p.replicas_per_sec),
+            json_number(p.events_per_sec),
+            json_number(p.wall_secs),
         ));
         s
     }
@@ -614,7 +597,7 @@ impl Job {
 /// that is not an object passes through unchanged.
 fn tag_proc(line: &str, proc_tag: &str) -> String {
     match line.strip_prefix('{') {
-        Some(rest) => format!("{{\"proc\":{},{rest}", escape_str(proc_tag)),
+        Some(rest) => format!("{{\"proc\":{},{rest}", json_string(proc_tag)),
         None => line.to_string(),
     }
 }
@@ -1163,8 +1146,8 @@ impl JobManager {
             format!(
                 "{{\"tasks\":{},\"wall_secs\":{},\"replicas_per_sec\":{}}}",
                 result.records().len(),
-                format_f64(t.wall_secs),
-                format_f64(t.replicas_per_sec),
+                json_number(t.wall_secs),
+                json_number(t.replicas_per_sec),
             ),
         )
         .map_err(|e| e.to_string())?;
@@ -1364,6 +1347,20 @@ mod tests {
         assert!(SweepRequest::from_json(&Json::parse("[1]").unwrap())
             .unwrap_err()
             .contains("object"));
+    }
+
+    /// Illegal sweeps the builder refuses are a message (the 400 body),
+    /// never a panic: NaN bands and horizons whose `2w` wraps in `u32`.
+    #[test]
+    fn requests_the_builder_refuses_are_errors_not_panics() {
+        for (extra, needle) in [
+            (r#", "variant": "two-sided:NaN""#, "two-sided"),
+            (r#", "horizon": 2147483648"#, "window diameter"),
+            (r#", "side": 16, "horizon": 4294967295"#, "window diameter"),
+        ] {
+            let err = SweepRequest::from_json(&request_json(extra)).unwrap_err();
+            assert!(err.contains(needle), "{extra}: got {err:?}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! Object keys keep their order of appearance; duplicate keys keep the
 //! last value, like every mainstream parser.
 
+use seg_obs::{json_number, json_string};
 use std::fmt;
 
 /// How deep nested arrays/objects may go before the parser refuses.
@@ -118,8 +119,8 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(x) => f.write_str(&format_f64(*x)),
-            Json::Str(s) => f.write_str(&escape_str(s)),
+            Json::Num(x) => f.write_str(&json_number(*x)),
+            Json::Str(s) => f.write_str(&json_string(s)),
             Json::Arr(xs) => {
                 f.write_str("[")?;
                 for (i, x) in xs.iter().enumerate() {
@@ -136,46 +137,12 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{}:{v}", escape_str(k))?;
+                    write!(f, "{}:{v}", json_string(k))?;
                 }
                 f.write_str("}")
             }
         }
     }
-}
-
-/// Shortest round-trip decimal for a float (`3` renders as `3.0`, like
-/// the engine's sinks); non-finite values render as `null` since JSON
-/// has no Inf/NaN.
-pub fn format_f64(x: f64) -> String {
-    if !x.is_finite() {
-        return "null".into();
-    }
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-/// Quotes and escapes a string for JSON output.
-pub fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 struct Parser<'a> {

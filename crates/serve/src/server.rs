@@ -22,8 +22,8 @@ use crate::api::{self, ApiContext};
 use crate::fleet::FleetRegistry;
 use crate::http::{read_request, write_json, DeadlineStream, HttpError};
 use crate::jobs::JobManager;
-use crate::json::escape_str;
 use seg_analysis::parallel::default_threads;
+use seg_obs::json_string;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -408,7 +408,7 @@ fn handle_connection(
                 let _ = write_json(
                     &mut writer,
                     400,
-                    &format!("{{\"error\":{}}}", escape_str(&m)),
+                    &format!("{{\"error\":{}}}", json_string(&m)),
                     false,
                 );
                 return Ok(());

@@ -38,9 +38,9 @@
 
 use crate::http::{read_request, write_json as http_write_json, write_response};
 use crate::jobs::SweepRequest;
-use crate::json::{format_f64, Json};
+use crate::json::Json;
 use seg_engine::{header_line, record_line, spec_fingerprint, Engine, Observer};
-use seg_obs::TraceContext;
+use seg_obs::{json_number, json_string, TraceContext};
 use std::cell::Cell;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -309,8 +309,8 @@ fn stats_body() -> String {
     );
     format!(
         "{{\"replicas_per_sec\":{},\"events_per_sec\":{}}}",
-        format_f64(replicas.get()),
-        format_f64(events.get())
+        json_number(replicas.get()),
+        json_number(events.get())
     )
 }
 
@@ -340,7 +340,7 @@ fn serve_metrics_conn(stream: TcpStream) -> io::Result<()> {
                 Err(e) => http_write_json(
                     &mut writer,
                     400,
-                    &format!("{{\"error\":{}}}", crate::json::escape_str(&e)),
+                    &format!("{{\"error\":{}}}", json_string(&e)),
                     keep,
                 )?,
             },

@@ -67,6 +67,7 @@ use self_organized_segregation::seg_core::trace::trace_run;
 use self_organized_segregation::seg_engine::{
     write_summary_csv, EngineArgs, SweepResult, ENGINE_USAGE,
 };
+use self_organized_segregation::seg_grid::window_fits;
 use self_organized_segregation::seg_serve::{run_worker, WorkerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -150,10 +151,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
-    if o.tau < 0.0 || o.tau > 1.0 {
+    if !(0.0..=1.0).contains(&o.tau) {
         return Err("--tau must lie in [0, 1]".into());
     }
-    if 2 * o.horizon >= o.side {
+    if !(0.0..=1.0).contains(&o.density) {
+        return Err("--density must lie in [0, 1]".into());
+    }
+    if !window_fits(o.side, o.horizon) {
         return Err("--horizon too large for --side (need 2w+1 ≤ n)".into());
     }
     Ok(o)
@@ -176,9 +180,11 @@ ring-kawasaki | two-sided:TAU_HI | multi:K\n\
 \n\
 `sweep` accepts the engine flags every harness binary shares; `--shard I/M` \
 turns one invocation into worker I of an M-process sweep (journals merged by \
-rerunning without --shard).\n\
+rerunning without --shard). An illegal sweep (2W+1 > N, T, P or EPS outside [0, 1], \
+T > TAU_HI, K < 2) is refused before any replica runs.\n\
 `serve` runs the sweep engine as an HTTP service (default 127.0.0.1:8080): \
-POST /v1/sweeps submits the JSON equivalent of `sweep` flags, jobs are \
+POST /v1/sweeps submits the JSON equivalent of `sweep` flags (the same \
+sweeps are legal, capped at side 4096 and 1M tasks), jobs are \
 cached by spec fingerprint under --data, GET /v1/jobs/ID/rows streams rows \
 byte-identical to `sweep --stream --out`, POST /v1/shutdown drains. \
 --api-keys/--max-queue gate admission (429 + Retry-After when over quota \
@@ -193,14 +199,13 @@ coordinator, runs claimed task shares, and uploads shard journals. The \
 merged rows stay byte-identical to a single-process sweep. See docs/FLEET.md.";
 
 /// Options of the `sweep` subcommand not covered by [`EngineArgs`].
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 struct SweepOptions {
-    sides: Vec<u32>,
-    horizons: Vec<u32>,
-    taus: Vec<f64>,
-    densities: Vec<f64>,
-    variants: Vec<Variant>,
-    max_events: Option<u64>,
+    /// The axis flags plus `--replicas`/`--seed`: the same request the
+    /// serve API parses from a JSON body, built the same way.
+    request: SweepRequest,
+    /// The spec `request` builds.
+    spec: SweepSpec,
     snapshots: Option<PathBuf>,
     summary: Option<PathBuf>,
 }
@@ -214,80 +219,53 @@ where
         .collect()
 }
 
+/// Parses the `sweep` flags and builds their spec, so an illegal sweep
+/// is refused here, before any replica runs.
 fn parse_sweep_args(args: &[String]) -> Result<(SweepOptions, EngineArgs), String> {
     let (engine_args, rest) = EngineArgs::parse(args)?;
-    let mut o = SweepOptions::default();
+    let mut request = SweepRequest {
+        sides: Vec::new(),
+        horizons: Vec::new(),
+        taus: Vec::new(),
+        densities: Vec::new(),
+        variants: Vec::new(),
+        replicas: engine_args.replica_count(1),
+        seed: engine_args.master_seed(0),
+        max_events: None,
+    };
+    let (mut snapshots, mut summary) = (None, None);
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<&String, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match flag.as_str() {
-            "--side" => o.sides = parse_list("--side", value("--side")?)?,
-            "--horizon" => o.horizons = parse_list("--horizon", value("--horizon")?)?,
-            "--tau" => o.taus = parse_list("--tau", value("--tau")?)?,
-            "--density" => o.densities = parse_list("--density", value("--density")?)?,
-            "--variant" => {
-                o.variants = value("--variant")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<Variant>()
-                            .map_err(|e| format!("--variant: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
+            "--side" => request.sides = parse_list("--side", value("--side")?)?,
+            "--horizon" => request.horizons = parse_list("--horizon", value("--horizon")?)?,
+            "--tau" => request.taus = parse_list("--tau", value("--tau")?)?,
+            "--density" => request.densities = parse_list("--density", value("--density")?)?,
+            "--variant" => request.variants = parse_list("--variant", value("--variant")?)?,
             "--max-events" => {
-                o.max_events = Some(
+                request.max_events = Some(
                     value("--max-events")?
                         .parse()
                         .map_err(|e| format!("--max-events: {e}"))?,
                 )
             }
-            "--snapshots" => o.snapshots = Some(PathBuf::from(value("--snapshots")?)),
-            "--summary" => o.summary = Some(PathBuf::from(value("--summary")?)),
+            "--snapshots" => snapshots = Some(PathBuf::from(value("--snapshots")?)),
+            "--summary" => summary = Some(PathBuf::from(value("--summary")?)),
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}\n{ENGINE_USAGE}")),
         }
     }
-    if o.sides.is_empty() || o.horizons.is_empty() || o.taus.is_empty() {
-        return Err(format!(
-            "sweep needs --side, --horizon and --tau\n{USAGE}\n{ENGINE_USAGE}"
-        ));
-    }
-    let min_side = *o.sides.iter().min().expect("non-empty");
-    let max_horizon = *o.horizons.iter().max().expect("non-empty");
-    if 2 * max_horizon >= min_side {
-        return Err(format!(
-            "--horizon {max_horizon} too large for --side {min_side} (need 2w+1 ≤ n)"
-        ));
-    }
-    if o.taus.iter().any(|t| !(0.0..=1.0).contains(t)) {
-        return Err("--tau values must lie in [0, 1]".into());
-    }
-    if o.densities.iter().any(|p| !(0.0..=1.0).contains(p)) {
-        return Err("--density values must lie in [0, 1]".into());
-    }
+    let spec = request.try_build_spec()?;
+    let o = SweepOptions {
+        request,
+        spec,
+        snapshots,
+        summary,
+    };
     Ok((o, engine_args))
-}
-
-fn build_spec(o: &SweepOptions, engine_args: &EngineArgs) -> SweepSpec {
-    let mut builder = SweepSpec::builder()
-        .sides(o.sides.iter().copied())
-        .horizons(o.horizons.iter().copied())
-        .taus(o.taus.iter().copied())
-        .replicas(engine_args.replica_count(1))
-        .master_seed(engine_args.master_seed(0));
-    if let Some(budget) = o.max_events {
-        builder = builder.max_events(budget);
-    }
-    if !o.densities.is_empty() {
-        builder = builder.densities(o.densities.iter().copied());
-    }
-    if !o.variants.is_empty() {
-        builder = builder.variants(o.variants.iter().copied());
-    }
-    builder.build()
 }
 
 fn sweep_observers(o: &SweepOptions) -> Vec<Observer> {
@@ -358,7 +336,7 @@ fn write_sinks(
 
 fn run_sweep(args: &[String]) -> Result<(), String> {
     let (o, engine_args) = parse_sweep_args(args)?;
-    let spec = build_spec(&o, &engine_args);
+    let spec = &o.spec;
     let observers = sweep_observers(&o);
     println!(
         "sweep: {} points × {} replicas = {} runs on {} threads (master seed {:#x})",
@@ -369,9 +347,9 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
         spec.master_seed(),
     );
     let result = engine_args
-        .run(&spec, &observers)
+        .run(spec, &observers)
         .map_err(|e| e.to_string())?;
-    print_point_table(&spec, &result);
+    print_point_table(spec, &result);
 
     let t = result.throughput();
     println!(
@@ -577,7 +555,7 @@ fn main() -> ExitCode {
         "segsim: {0}×{0} torus, w = {1} (N = {2}), τ̃ = {3}, p = {4}, seed = {5}",
         opts.side,
         opts.horizon,
-        (2 * opts.horizon + 1) * (2 * opts.horizon + 1),
+        (2 * u64::from(opts.horizon) + 1).pow(2),
         opts.tau,
         opts.density,
         opts.seed
@@ -726,10 +704,13 @@ mod tests {
              --max-events 500 --threads 3 --seed 9 --replicas 4",
         ))
         .unwrap();
-        assert_eq!(o.sides, vec![64, 128]);
-        assert_eq!(o.taus, vec![0.4, 0.45]);
-        assert_eq!(o.variants, vec![Variant::Paper, Variant::Noise(0.01)]);
-        assert_eq!(o.max_events, Some(500));
+        assert_eq!(o.request.sides, vec![64, 128]);
+        assert_eq!(o.request.taus, vec![0.4, 0.45]);
+        assert_eq!(
+            o.request.variants,
+            vec![Variant::Paper, Variant::Noise(0.01)]
+        );
+        assert_eq!(o.request.max_events, Some(500));
         assert_eq!(e.threads, 3);
         assert_eq!(e.seed, Some(9));
         assert_eq!(e.replicas, Some(4));
@@ -738,6 +719,125 @@ mod tests {
     #[test]
     fn sweep_requires_the_three_axes() {
         assert!(parse_sweep_args(&args("--side 64 --horizon 2")).is_err());
+    }
+
+    #[test]
+    fn rejects_wrapping_horizon() {
+        // 2 · 2³¹ wraps to 0 in u32
+        assert!(parse_args(&args("--side 16 --horizon 2147483648 --tau 0.45")).is_err());
+        assert!(parse_args(&args("--tau NaN")).is_err());
+        assert!(parse_args(&args("--density 1.5")).is_err());
+    }
+
+    /// Illegal sweeps are refused by the parse, before any replica runs,
+    /// with a message naming the broken rule.
+    #[test]
+    fn sweep_refuses_illegal_points_before_running() {
+        for (line, needle) in [
+            (
+                "--side 32 --horizon 1 --tau 0.45 --variant two-sided:0.3",
+                "two-sided",
+            ),
+            (
+                "--side 32 --horizon 1 --tau 0.45 --variant two-sided:NaN",
+                "two-sided",
+            ),
+            (
+                "--side 32 --horizon 1 --tau 0.45 --variant noise:2",
+                "noise",
+            ),
+            (
+                "--side 16 --horizon 2147483648 --tau 0.45",
+                "window diameter",
+            ),
+            ("--side 32 --horizon 1 --tau 0.45 --density NaN", "density"),
+        ] {
+            let err = parse_sweep_args(&args(line)).unwrap_err();
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
+
+    /// The CLI and the serve API map equal parameters to one spec
+    /// fingerprint, and refuse the same illegal sweeps. Sides stay
+    /// within the service's caps, which the CLI does not apply.
+    #[test]
+    fn sweep_flags_and_request_json_build_the_same_spec() {
+        use self_organized_segregation::seg_engine::spec_fingerprint;
+        use self_organized_segregation::seg_serve::Json;
+        let mut built = 0;
+        for (flags, body) in [
+            (
+                "--side 32 --horizon 1 --tau 0.4",
+                r#"{"side": 32, "horizon": 1, "tau": 0.4}"#,
+            ),
+            (
+                "--side 32,48 --horizon 1,2 --tau 0.42,0.45 --density 0.4,0.5 \
+                 --variant paper,noise:0.01,two-sided:0.9,multi:3,kawasaki \
+                 --replicas 3 --seed 9 --max-events 500",
+                r#"{"side": [32, 48], "horizon": [1, 2], "tau": [0.42, 0.45],
+                    "density": [0.4, 0.5],
+                    "variant": ["paper", "noise:0.01", "two-sided:0.9", "multi:3", "kawasaki"],
+                    "replicas": 3, "seed": 9, "max_events": 500}"#,
+            ),
+            (
+                "--side 64 --horizon 3 --tau 0.3 --variant ring-glauber,ring-kawasaki --seed 0",
+                r#"{"side": 64, "horizon": 3, "tau": 0.3,
+                    "variant": ["ring-glauber", "ring-kawasaki"], "seed": 0}"#,
+            ),
+            (
+                "--side 16 --horizon 7 --tau 0,1 --density 0,1 --variant noise:1,noise:0",
+                r#"{"side": 16, "horizon": 7, "tau": [0, 1], "density": [0, 1],
+                    "variant": ["noise:1", "noise:0"]}"#,
+            ),
+            // refused by both
+            (
+                "--side 32 --horizon 1 --tau 0.45 --variant two-sided:0.3",
+                r#"{"side": 32, "horizon": 1, "tau": 0.45, "variant": "two-sided:0.3"}"#,
+            ),
+            (
+                "--side 32 --horizon 1 --tau 0.45 --variant noise:2",
+                r#"{"side": 32, "horizon": 1, "tau": 0.45, "variant": "noise:2"}"#,
+            ),
+            (
+                "--side 16 --horizon 2147483648 --tau 0.45",
+                r#"{"side": 16, "horizon": 2147483648, "tau": 0.45}"#,
+            ),
+            (
+                "--side 16 --horizon 8 --tau 0.45",
+                r#"{"side": 16, "horizon": 8, "tau": 0.45}"#,
+            ),
+            (
+                "--side 0 --horizon 0 --tau 0.45",
+                r#"{"side": 0, "horizon": 0, "tau": 0.45}"#,
+            ),
+            (
+                "--side 32 --horizon 1 --tau 1.5",
+                r#"{"side": 32, "horizon": 1, "tau": 1.5}"#,
+            ),
+            (
+                "--side 32 --horizon 1 --tau 0.4 --density -0.1",
+                r#"{"side": 32, "horizon": 1, "tau": 0.4, "density": -0.1}"#,
+            ),
+            (
+                "--side 32 --horizon 1 --tau 0.4 --variant multi:1",
+                r#"{"side": 32, "horizon": 1, "tau": 0.4, "variant": "multi:1"}"#,
+            ),
+            ("--side 32 --horizon 1", r#"{"side": 32, "horizon": 1}"#),
+            ("", "{}"),
+        ] {
+            let cli = parse_sweep_args(&args(flags)).map(|(o, _)| spec_fingerprint(&o.spec));
+            let api = SweepRequest::from_json(&Json::parse(body).unwrap())
+                .map(|r| spec_fingerprint(&r.build_spec()));
+            match (&cli, &api) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a, b, "{flags}");
+                    built += 1;
+                }
+                (Err(_), Err(_)) => {}
+                _ => panic!("{flags}: CLI {cli:?} but API {api:?}"),
+            }
+        }
+        assert_eq!(built, 4, "the four legal sweeps must build");
     }
 
     /// `shard` is not a mode: with or without `--workers`, and with a
