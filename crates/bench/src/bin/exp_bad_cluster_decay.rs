@@ -14,7 +14,7 @@
 
 use seg_analysis::regression::exponential_fit;
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SweepSpec, Variant};
 use seg_percolation::cluster::{empirical_radius_tail, origin_radius_tail};
 
@@ -24,6 +24,11 @@ const BOX_RADIUS: u32 = 30;
 const TRIALS_PER_REPLICA: u32 = 100;
 /// Largest tail threshold reported.
 const K_MAX: u32 = 14;
+
+/// The row column holding `P(radius >= k)`.
+fn tail_column(k: u32) -> String {
+    format!("radius_ge_{k:02}")
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,14 +55,16 @@ fn main() {
         .build();
     // each replica contributes its batch's empirical tail; per-point
     // means across replicas recover the overall tail
-    let tail_observer = Observer::custom(|task, _state, rng| {
-        let samples = origin_radius_tail(BOX_RADIUS, task.point.density, TRIALS_PER_REPLICA, rng);
-        empirical_radius_tail(&samples, K_MAX)
-            .iter()
-            .enumerate()
-            .map(|(k, pr)| (format!("radius_ge_{k:02}"), *pr))
-            .collect()
-    });
+    let tail_observer =
+        Observer::custom_named((0..=K_MAX).map(tail_column), |task, _state, rng| {
+            let samples =
+                origin_radius_tail(BOX_RADIUS, task.point.density, TRIALS_PER_REPLICA, rng);
+            empirical_radius_tail(&samples, K_MAX)
+                .iter()
+                .enumerate()
+                .map(|(k, pr)| (tail_column(k as u32), *pr))
+                .collect()
+        });
     let result = run_sweep(&engine_args, "", &spec, &[tail_observer]);
 
     for (point, &p) in ps.iter().enumerate() {
@@ -65,9 +72,7 @@ fn main() {
         let mut ks = Vec::new();
         let mut ps_pos = Vec::new();
         for k in 0..=K_MAX {
-            let pr = result
-                .point_mean(point, &format!("radius_ge_{k:02}"))
-                .unwrap_or(0.0);
+            let pr = result.point_mean(point, &tail_column(k)).unwrap_or(0.0);
             table.push_row(vec![format!("{k}"), format!("{pr:.4}")]);
             if pr > 0.0 && k >= 1 {
                 ks.push(k as f64);
@@ -92,5 +97,4 @@ fn main() {
          shrinks as p → pc — exactly the bad-block control Lemma 14 needs inside\n\
          an exponentially large neighborhood."
     );
-    write_rows(&engine_args, "", &result);
 }

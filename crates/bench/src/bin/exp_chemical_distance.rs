@@ -13,7 +13,7 @@
 
 use seg_analysis::series::Table;
 use seg_analysis::stats::quantile;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SweepSpec, Variant};
 use seg_percolation::chemical::stretch_samples;
 
@@ -40,7 +40,7 @@ fn main() {
         .build();
     // one stretch trial per replica; disconnected trials record only
     // `connected = 0`, so the stretch statistics skip them naturally
-    let stretch_observer = Observer::custom(|task, _state, rng| {
+    let stretch_observer = Observer::custom_named(["connected", "stretch"], |task, _state, rng| {
         let sample = stretch_samples(task.point.side, task.point.density, 1, rng)[0];
         let mut out = vec![(
             "connected".to_string(),
@@ -101,5 +101,4 @@ fn main() {
          exponential decay the chemical-firewall length argument needs), and the\n\
          constant approaches 1 as p → 1."
     );
-    write_rows(&engine_args, "", &result);
 }

@@ -19,7 +19,7 @@
 
 use seg_analysis::regression::linear_fit;
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SeedMode, SweepPoint, SweepSpec};
 
 const SIDE: u32 = 192;
@@ -102,5 +102,4 @@ fn main() {
          exp_theorem1_scaling — domains stop growing when all agents are happy,\n\
          earlier for smaller τ."
     );
-    write_rows(&engine_args, "", &result);
 }

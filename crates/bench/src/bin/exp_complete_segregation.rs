@@ -12,7 +12,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_core::metrics::is_completely_segregated;
 use seg_engine::{Observer, SweepSpec};
 
@@ -26,21 +26,22 @@ fn main() {
         &format!("p sweep at τ = 1/2 on a 96² grid, w = 2, {replicas} seeds per point"),
     );
 
-    let segregation_observer = Observer::custom(|_task, state, _rng| {
-        let field = state.field().expect("2-D variant");
-        let plus = field.plus_total();
-        let n = field.torus().len();
-        vec![
-            (
-                "complete".to_string(),
-                f64::from(is_completely_segregated(field)),
-            ),
-            (
-                "minority_frac".to_string(),
-                plus.min(n - plus) as f64 / n as f64,
-            ),
-        ]
-    });
+    let segregation_observer =
+        Observer::custom_named(["complete", "minority_frac"], |_task, state, _rng| {
+            let field = state.field().expect("2-D variant");
+            let plus = field.plus_total();
+            let n = field.torus().len();
+            vec![
+                (
+                    "complete".to_string(),
+                    f64::from(is_completely_segregated(field)),
+                ),
+                (
+                    "minority_frac".to_string(),
+                    plus.min(n - plus) as f64 / n as f64,
+                ),
+            ]
+        });
     let observers = [segregation_observer];
     let densities = [0.50, 0.60, 0.70, 0.80, 0.85, 0.90, 0.95, 0.99];
     let master = engine_args.master_seed(BASE_SEED);
@@ -112,6 +113,4 @@ fn main() {
          τ = 1/2 (Fontes et al.'s p* < 1), and none at p = 1/2 in the paper's\n\
          intolerance range."
     );
-    write_rows(&engine_args, "density", &density_sweep);
-    write_rows(&engine_args, "regime", &regime);
 }

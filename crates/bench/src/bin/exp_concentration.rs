@@ -15,7 +15,7 @@
 
 use seg_analysis::series::Table;
 use seg_analysis::stats::Summary;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SweepSpec};
 use seg_grid::{Neighborhood, PrefixSums, Torus};
 
@@ -45,25 +45,26 @@ fn main() {
         .replicas(replicas)
         .master_seed(engine_args.master_seed(BASE_SEED))
         .build();
-    let concentration_observer = Observer::custom(move |_task, state, _rng| {
-        let field = state.field().expect("grid variant");
-        let torus = Torus::new(SIDE);
-        let center = torus.point(SIDE as i64 / 2, SIDE as i64 / 2);
-        let big = Neighborhood::new(torus, center, HORIZON);
-        let small = Neighborhood::new(torus, center, SUB_RADIUS);
-        let gamma = small.len() as f64 / big.len() as f64;
-        let ps = PrefixSums::new(field);
-        let minus_big = big.len() as u64 - ps.plus_in(&big);
-        let mut out = vec![("dev".to_string(), minus_big as f64 - nsize / 2.0)];
-        if (minus_big as f64) < threshold {
-            let minus_small = small.len() as u64 - ps.plus_in(&small);
-            out.push((
-                "cond_err".to_string(),
-                minus_small as f64 - gamma * threshold,
-            ));
-        }
-        out
-    });
+    let concentration_observer =
+        Observer::custom_named(["dev", "cond_err"], move |_task, state, _rng| {
+            let field = state.field().expect("grid variant");
+            let torus = Torus::new(SIDE);
+            let center = torus.point(SIDE as i64 / 2, SIDE as i64 / 2);
+            let big = Neighborhood::new(torus, center, HORIZON);
+            let small = Neighborhood::new(torus, center, SUB_RADIUS);
+            let gamma = small.len() as f64 / big.len() as f64;
+            let ps = PrefixSums::new(field);
+            let minus_big = big.len() as u64 - ps.plus_in(&big);
+            let mut out = vec![("dev".to_string(), minus_big as f64 - nsize / 2.0)];
+            if (minus_big as f64) < threshold {
+                let minus_small = small.len() as u64 - ps.plus_in(&small);
+                out.push((
+                    "cond_err".to_string(),
+                    minus_small as f64 - gamma * threshold,
+                ));
+            }
+            out
+        });
     let result = run_sweep(&engine_args, "", &spec, &[concentration_observer]);
 
     let dev = Summary::from_slice(&result.metric_values(0, "dev"));
@@ -110,5 +111,4 @@ fn main() {
          the conditioned sub-neighborhood count centers near γτN (mean error\n\
          within one Azuma unit) — the self-similarity Proposition 1 formalizes."
     );
-    write_rows(&engine_args, "", &result);
 }

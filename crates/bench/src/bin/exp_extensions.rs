@@ -14,12 +14,22 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_core::metrics::largest_same_type_cluster;
 use seg_core::{Intolerance, ModelConfig};
 use seg_engine::{Observer, SweepSpec, Variant};
 
 const ANNEAL_TAUS: [f64; 5] = [0.30, 0.36, 0.40, 0.44, 0.48];
+
+/// The row column holding the flips made up to annealing stage `stage`.
+fn flips_column(stage: usize) -> String {
+    format!("stage{stage}_flips")
+}
+
+/// The row column holding the largest cluster after annealing stage `stage`.
+fn largest_column(stage: usize) -> String {
+    format!("stage{stage}_largest")
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -123,24 +133,27 @@ fn main() {
             .replicas(replicas)
             .master_seed(master)
             .build(),
-        &[Observer::custom(|task, _state, _rng| {
-            let p = task.point;
-            let mut sim = ModelConfig::new(p.side, p.horizon, ANNEAL_TAUS[0])
-                .seed(task.seed)
-                .build();
-            let nsize = (2 * p.horizon + 1) * (2 * p.horizon + 1);
-            let mut out = Vec::new();
-            for (stage, &tau) in ANNEAL_TAUS.iter().enumerate() {
-                sim.set_intolerance(Intolerance::new(nsize, tau));
-                sim.run_to_stable(20_000_000);
-                out.push((format!("stage{stage}_flips"), sim.flips() as f64));
-                out.push((
-                    format!("stage{stage}_largest"),
-                    largest_same_type_cluster(sim.field()) as f64,
-                ));
-            }
-            out
-        })],
+        &[Observer::custom_named(
+            (0..ANNEAL_TAUS.len()).flat_map(|stage| [flips_column(stage), largest_column(stage)]),
+            |task, _state, _rng| {
+                let p = task.point;
+                let mut sim = ModelConfig::new(p.side, p.horizon, ANNEAL_TAUS[0])
+                    .seed(task.seed)
+                    .build();
+                let nsize = (2 * p.horizon + 1) * (2 * p.horizon + 1);
+                let mut out = Vec::new();
+                for (stage, &tau) in ANNEAL_TAUS.iter().enumerate() {
+                    sim.set_intolerance(Intolerance::new(nsize, tau));
+                    sim.run_to_stable(20_000_000);
+                    out.push((flips_column(stage), sim.flips() as f64));
+                    out.push((
+                        largest_column(stage),
+                        largest_same_type_cluster(sim.field()) as f64,
+                    ));
+                }
+                out
+            },
+        )],
     );
     let mut t3 = Table::new(vec![
         "stage tau".into(),
@@ -152,17 +165,11 @@ fn main() {
             format!("{tau:.2}"),
             format!(
                 "{:.0}",
-                anneal
-                    .point_mean(0, &format!("stage{stage}_flips"))
-                    .unwrap_or(0.0)
+                anneal.point_mean(0, &flips_column(stage)).unwrap_or(0.0)
             ),
             format!(
                 "{:.1}",
-                100.0
-                    * anneal
-                        .point_mean(0, &format!("stage{stage}_largest"))
-                        .unwrap_or(0.0)
-                    / agents
+                100.0 * anneal.point_mean(0, &largest_column(stage)).unwrap_or(0.0) / agents
             ),
         ]);
     }
@@ -173,7 +180,4 @@ fn main() {
          equal τ; (3) slowly annealed intolerance reaches coarser stable states\n\
          than a cold start at the final τ (fewer, farther-apart nuclei per stage)."
     );
-    write_rows(&engine_args, "two-sided", &band);
-    write_rows(&engine_args, "multi", &multi);
-    write_rows(&engine_args, "anneal", &anneal);
 }

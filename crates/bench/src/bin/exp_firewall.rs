@@ -13,7 +13,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_core::firewall::{check_firewall_static, firewall_survives_dynamics, paint_firewall};
 use seg_core::{Intolerance, ModelConfig};
 use seg_engine::{Observer, SweepPoint, SweepSpec, Variant};
@@ -45,7 +45,7 @@ fn main() {
         builder = builder.point(SweepPoint::new(SIDE, w, tau).with_variant(Variant::Probe));
     }
     // radius is linked to the point, not a grid axis: look it up by index
-    let survives_observer = Observer::custom(|task, _state, _rng| {
+    let survives_observer = Observer::custom_named(["survives"], |task, _state, _rng| {
         let p = task.point;
         let (_, _, radius) = CONFIGS[task.point_index];
         let t = Torus::new(p.side);
@@ -97,5 +97,4 @@ fn main() {
          unchanged. The geometric check is adversarial (interior hostile too), so\n\
          'static = false' rows can still survive in benign runs."
     );
-    write_rows(&engine_args, "", &result);
 }

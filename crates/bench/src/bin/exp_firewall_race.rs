@@ -12,7 +12,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_core::race::{run_race, RaceConfig};
 use seg_engine::{Observer, SweepPoint, SweepSpec, Variant};
 
@@ -36,29 +36,32 @@ fn main() {
         builder = builder
             .point(SweepPoint::new(base.side, base.horizon, base.tau).with_variant(Variant::Probe));
     }
-    let race_observer = Observer::custom(move |task, _state, _rng| {
-        let cfg = RaceConfig {
-            nucleus_radius: NUCLEI[task.point_index],
-            ..base
-        };
-        let o = run_race(cfg, task.seed);
-        let won = match (o.growth_time, o.intrusion_time) {
-            (Some(f), Some(i)) => f < i,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let mut out = vec![
-            ("trapped".to_string(), f64::from(o.trapped)),
-            ("fw_won".to_string(), f64::from(won)),
-        ];
-        if let Some(t) = o.growth_time {
-            out.push(("growth_time".to_string(), t));
-        }
-        if let Some(t) = o.intrusion_time {
-            out.push(("intrusion_time".to_string(), t));
-        }
-        out
-    });
+    let race_observer = Observer::custom_named(
+        ["trapped", "fw_won", "growth_time", "intrusion_time"],
+        move |task, _state, _rng| {
+            let cfg = RaceConfig {
+                nucleus_radius: NUCLEI[task.point_index],
+                ..base
+            };
+            let o = run_race(cfg, task.seed);
+            let won = match (o.growth_time, o.intrusion_time) {
+                (Some(f), Some(i)) => f < i,
+                (Some(_), None) => true,
+                _ => false,
+            };
+            let mut out = vec![
+                ("trapped".to_string(), f64::from(o.trapped)),
+                ("fw_won".to_string(), f64::from(won)),
+            ];
+            if let Some(t) = o.growth_time {
+                out.push(("growth_time".to_string(), t));
+            }
+            if let Some(t) = o.intrusion_time {
+                out.push(("intrusion_time".to_string(), t));
+            }
+            out
+        },
+    );
     let result = run_sweep(&engine_args, "", &builder.build(), &[race_observer]);
 
     let mut table = Table::new(vec![
@@ -98,5 +101,4 @@ fn main() {
          the conditioning of Lemma 10 is sufficient, not necessary, at\n\
          simulation scales."
     );
-    write_rows(&engine_args, "", &result);
 }

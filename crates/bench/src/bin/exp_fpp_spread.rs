@@ -13,7 +13,7 @@
 use seg_analysis::regression::linear_fit;
 use seg_analysis::series::Table;
 use seg_analysis::stats::Summary;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SweepSpec, Variant};
 use seg_percolation::fpp::{sample_tk, PassageTimeDistribution};
 
@@ -37,7 +37,7 @@ fn main() {
         .replicas(trials)
         .master_seed(engine_args.master_seed(BASE_SEED))
         .build();
-    let tk_observer = Observer::custom(|task, _state, rng| {
+    let tk_observer = Observer::custom_named(["tk"], |task, _state, rng| {
         let dist = PassageTimeDistribution::Exponential { rate: 1.0 };
         vec![(
             "tk".to_string(),
@@ -78,5 +78,4 @@ fn main() {
          normalized fluctuation std/√k stays bounded (no diffusive blow-up) —\n\
          the concentration Lemma 7 uses to bound T(ρ/2) from below."
     );
-    write_rows(&engine_args, "", &result);
 }

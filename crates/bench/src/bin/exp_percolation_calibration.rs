@@ -13,7 +13,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SweepSpec, Variant};
 use seg_percolation::bond::BondLattice;
 use seg_percolation::finite_size::{estimate_pc_crossing, SpanningCurve};
@@ -40,11 +40,14 @@ fn main() {
         &engine_args,
         "crossing",
         &probe(SweepSpec::builder().side(16).horizon(0).tau(0.0)).build(),
-        &[Observer::custom(|_task, _state, rng| {
-            estimate_pc_crossing(16, 48, 12, rng)
-                .map(|pc| vec![("pc_cross".to_string(), pc)])
-                .unwrap_or_default()
-        })],
+        &[Observer::custom_named(
+            ["pc_cross"],
+            |_task, _state, rng| {
+                estimate_pc_crossing(16, 48, 12, rng)
+                    .map(|pc| vec![("pc_cross".to_string(), pc)])
+                    .unwrap_or_default()
+            },
+        )],
     );
     println!(
         "site pc estimate: {:.4}   (known: 0.5927)",
@@ -56,10 +59,13 @@ fn main() {
         &engine_args,
         "sharpening",
         &probe(SweepSpec::builder().sides([12, 48]).horizon(0).tau(0.0)).build(),
-        &[Observer::custom(|task, _state, rng| {
-            let curve = SpanningCurve::sample(task.point.side, 0.45, 0.75, 7, 12, rng);
-            vec![("max_slope".to_string(), curve.max_slope())]
-        })],
+        &[Observer::custom_named(
+            ["max_slope"],
+            |task, _state, rng| {
+                let curve = SpanningCurve::sample(task.point.side, 0.45, 0.75, 7, 12, rng);
+                vec![("max_slope".to_string(), curve.max_slope())]
+            },
+        )],
     );
     println!(
         "finite-size sharpening: max slope {:.2} (n=12) → {:.2} (n=48)\n",
@@ -80,7 +86,7 @@ fn main() {
                 .densities(bond_ps),
         )
         .build(),
-        &[Observer::custom(|task, _state, rng| {
+        &[Observer::custom_named(["spanning"], |task, _state, rng| {
             vec![(
                 "spanning".to_string(),
                 BondLattice::spanning_probability(task.point.side, task.point.density, 16, rng),
@@ -113,13 +119,16 @@ fn main() {
                 .densities(theta_ps),
         )
         .build(),
-        &[Observer::custom(|task, _state, rng| {
-            let p = task.point.density;
-            vec![
-                ("theta".to_string(), theta_estimate(24, p, 60, rng)),
-                ("pair".to_string(), pair_connectivity(20, p, 60, rng)),
-            ]
-        })],
+        &[Observer::custom_named(
+            ["theta", "pair"],
+            |task, _state, rng| {
+                let p = task.point.density;
+                vec![
+                    ("theta".to_string(), theta_estimate(24, p, 60, rng)),
+                    ("pair".to_string(), pair_connectivity(20, p, 60, rng)),
+                ]
+            },
+        )],
     );
     let mut t2 = Table::new(vec![
         "p".into(),
@@ -151,8 +160,4 @@ fn main() {
          holds at every supercritical p, and the clean inequality is separately\n\
          unit-tested at matched volumes in seg-percolation::theta."
     );
-    write_rows(&engine_args, "crossing", &crossing);
-    write_rows(&engine_args, "sharpening", &sharpening);
-    write_rows(&engine_args, "bond", &bond);
-    write_rows(&engine_args, "theta", &theta);
 }

@@ -15,13 +15,18 @@
 
 use seg_analysis::series::Table;
 use seg_analysis::stats::quantile;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_core::regions::region_size_distribution;
 use seg_engine::{Observer, SweepSpec};
 use seg_grid::PrefixSums;
 
 const SAMPLED_AGENTS: u32 = 400;
 const QUANTILES: [f64; 6] = [0.05, 0.25, 0.50, 0.75, 0.95, 1.00];
+
+/// The row column holding the `q` quantile of the sampled region sizes.
+fn quantile_column(q: f64) -> String {
+    format!("m_q{:03}", (q * 100.0) as u32)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,21 +45,27 @@ fn main() {
         .replicas(engine_args.replica_count(1))
         .master_seed(engine_args.master_seed(BASE_SEED))
         .build();
-    let region_observer = Observer::custom(|_task, state, rng| {
-        let sim = state.simulation().expect("paper variant");
-        let ps = PrefixSums::new(sim.field());
-        let sizes = region_size_distribution(sim.field(), &ps, SAMPLED_AGENTS, rng);
-        let as_f: Vec<f64> = sizes.iter().map(|s| *s as f64).collect();
-        let mean = as_f.iter().sum::<f64>() / as_f.len() as f64;
-        let in_large = as_f.iter().filter(|s| **s >= mean / 2.0).count();
-        let mut out: Vec<(String, f64)> = QUANTILES
+    let region_observer = Observer::custom_named(
+        QUANTILES
             .iter()
-            .map(|q| (format!("m_q{:03}", (q * 100.0) as u32), quantile(&as_f, *q)))
-            .collect();
-        out.push(("m_mean".to_string(), mean));
-        out.push(("m_ge_half_mean".to_string(), in_large as f64));
-        out
-    });
+            .map(|&q| quantile_column(q))
+            .chain(["m_mean".into(), "m_ge_half_mean".into()]),
+        |_task, state, rng| {
+            let sim = state.simulation().expect("paper variant");
+            let ps = PrefixSums::new(sim.field());
+            let sizes = region_size_distribution(sim.field(), &ps, SAMPLED_AGENTS, rng);
+            let as_f: Vec<f64> = sizes.iter().map(|s| *s as f64).collect();
+            let mean = as_f.iter().sum::<f64>() / as_f.len() as f64;
+            let in_large = as_f.iter().filter(|s| **s >= mean / 2.0).count();
+            let mut out: Vec<(String, f64)> = QUANTILES
+                .iter()
+                .map(|&q| (quantile_column(q), quantile(&as_f, q)))
+                .collect();
+            out.push(("m_mean".to_string(), mean));
+            out.push(("m_ge_half_mean".to_string(), in_large as f64));
+            out
+        },
+    );
     let result = run_sweep(&engine_args, "", &spec, &[region_observer]);
 
     for (i, tau) in taus.iter().enumerate() {
@@ -64,9 +75,7 @@ fn main() {
                 format!("{q:.2}"),
                 format!(
                     "{:.0}",
-                    result
-                        .point_mean(i, &format!("m_q{:03}", (q * 100.0) as u32))
-                        .unwrap_or(0.0)
+                    result.point_mean(i, &quantile_column(q)).unwrap_or(0.0)
                 ),
             ]);
         }
@@ -83,5 +92,4 @@ fn main() {
          agents DO sit in large regions) — consistent with the simulation evidence\n\
          §V cites against the 'exponentially rare giants' alternative."
     );
-    write_rows(&engine_args, "", &result);
 }

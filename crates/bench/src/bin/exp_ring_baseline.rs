@@ -8,7 +8,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{SweepSpec, Variant};
 
 fn main() {
@@ -117,7 +117,4 @@ fn main() {
     );
 
     // --out FILE writes all three sweeps as suffixed siblings
-    write_rows(&engine_args, "w-scaling", &scaling);
-    write_rows(&engine_args, "tau-glauber", &glauber);
-    write_rows(&engine_args, "tau-kawasaki", &kawasaki);
 }

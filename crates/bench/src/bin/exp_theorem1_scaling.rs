@@ -9,7 +9,7 @@
 
 use seg_analysis::regression::linear_fit;
 use seg_analysis::series::Table;
-use seg_bench::{banner, fmt_g, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, fmt_g, run_sweep, usage_or_die, BASE_SEED};
 use seg_core::regions::expected_monochromatic_size;
 use seg_engine::{Observer, SeedMode, SweepPoint, SweepSpec};
 use seg_grid::PrefixSums;
@@ -17,7 +17,7 @@ use seg_theory::exponents::{exponent_a, exponent_b};
 
 /// Observer measuring `E[M]` over 60 sampled agents of the stable state.
 fn monochromatic_observer() -> Observer {
-    Observer::custom(|_task, state, rng| {
+    Observer::custom_named(["em"], |_task, state, rng| {
         let sim = state.simulation().expect("paper variant");
         let ps = PrefixSums::new(sim.field());
         vec![(
@@ -121,7 +121,6 @@ fn main() {
         em[0].summary.mean / em[1].summary.mean
     );
 
-    write_rows(&engine_args, "", &result);
     let t = result.throughput();
     eprintln!(
         "throughput: {:.2} replicas/s, {:.2e} events/s on {} threads",

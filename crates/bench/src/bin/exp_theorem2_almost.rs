@@ -12,7 +12,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, fmt_g, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, fmt_g, run_sweep, usage_or_die, BASE_SEED};
 use seg_core::regions::{almost_monochromatic_region, monochromatic_region, paper_ratio_bound};
 use seg_engine::{Observer, SweepSpec};
 use seg_grid::PrefixSums;
@@ -44,24 +44,25 @@ fn main() {
         .replicas(replicas)
         .master_seed(engine_args.master_seed(BASE_SEED))
         .build();
-    let region_observer = Observer::custom(move |_task, state, rng| {
-        let sim = state.simulation().expect("paper variant");
-        let ps = PrefixSums::new(sim.field());
-        let mut strict = 0.0;
-        let mut almost = 0.0;
-        for _ in 0..SAMPLES {
-            let u = sim
-                .torus()
-                .from_index(rng.next_below(sim.torus().len() as u64) as usize);
-            strict += monochromatic_region(sim.field(), &ps, u).size as f64;
-            almost +=
-                almost_monochromatic_region(sim.field(), &ps, u, bound, (SIDE - 1) / 2).size as f64;
-        }
-        vec![
-            ("m_strict".to_string(), strict / SAMPLES as f64),
-            ("m_almost".to_string(), almost / SAMPLES as f64),
-        ]
-    });
+    let region_observer =
+        Observer::custom_named(["m_strict", "m_almost"], move |_task, state, rng| {
+            let sim = state.simulation().expect("paper variant");
+            let ps = PrefixSums::new(sim.field());
+            let mut strict = 0.0;
+            let mut almost = 0.0;
+            for _ in 0..SAMPLES {
+                let u = sim
+                    .torus()
+                    .from_index(rng.next_below(sim.torus().len() as u64) as usize);
+                strict += monochromatic_region(sim.field(), &ps, u).size as f64;
+                almost += almost_monochromatic_region(sim.field(), &ps, u, bound, (SIDE - 1) / 2)
+                    .size as f64;
+            }
+            vec![
+                ("m_strict".to_string(), strict / SAMPLES as f64),
+                ("m_almost".to_string(), almost / SAMPLES as f64),
+            ]
+        });
     let result = run_sweep(&engine_args, "", &spec, &[region_observer]);
 
     let mut table = Table::new(vec![
@@ -88,5 +89,4 @@ fn main() {
          consistently (much) larger than the strict M — the minority clusters that\n\
          survive inside chemical firewalls are tolerated by M' but clip M."
     );
-    write_rows(&engine_args, "", &result);
 }

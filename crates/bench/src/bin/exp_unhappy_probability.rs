@@ -11,7 +11,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_core::radical::{find_radical_regions_with_threshold, RadicalParams};
 use seg_core::{Intolerance, ModelConfig};
 use seg_engine::{Observer, SweepPoint, SweepSpec};
@@ -108,6 +108,4 @@ fn main() {
         "\npaper shape check (Lemma 20): the three estimates agree to the o(N)\n\
          slack the lemma allows."
     );
-
-    write_rows(&engine_args, "", &result);
 }

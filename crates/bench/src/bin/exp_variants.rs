@@ -7,7 +7,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SeedMode, SweepSpec, Variant};
 
 /// Intolerances of the flip-rule sweep. Below ½ every unhappy agent's
@@ -138,9 +138,6 @@ fn main() {
     for line in reading(&rows, &swap, 2.0 * agents * 0.5) {
         println!("- {line}");
     }
-
-    write_rows(&engine_args, "flip-rules", &result);
-    write_rows(&engine_args, "kawasaki", &kawasaki);
 }
 
 /// The reading of the table, one sentence per claim, each checked

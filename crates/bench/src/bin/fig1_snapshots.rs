@@ -16,7 +16,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die_with_rest, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die_with_rest, BASE_SEED};
 use seg_engine::{Observer, SeedMode, SweepPoint, SweepSpec};
 
 fn main() {
@@ -108,5 +108,4 @@ fn main() {
         terminated,
         result.point_mean(3, "unhappy").unwrap_or(f64::NAN)
     );
-    write_rows(&engine_args, "", &result);
 }

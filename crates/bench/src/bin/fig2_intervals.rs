@@ -10,7 +10,7 @@
 //! ```
 
 use seg_analysis::series::Table;
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SweepSpec};
 use seg_theory::constants::{
     classify, monochromatic_interval_width, tau1, tau2, total_interval_width,
@@ -97,5 +97,4 @@ fn main() {
         "paper shape check: flip activity and cluster coarsening are confined to\n\
          (τ2, 1−τ2); outside it (Static rows) the configuration barely moves."
     );
-    write_rows(&engine_args, "", &result);
 }

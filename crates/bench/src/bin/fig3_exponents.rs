@@ -13,7 +13,7 @@
 
 use seg_analysis::series::Table;
 use seg_analysis::svg::{LineChart, Series};
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SweepSpec, Variant};
 use seg_theory::constants::{tau1, tau2};
 use seg_theory::exponents::{exponent_a, exponent_b, figure3_series};
@@ -37,7 +37,7 @@ fn main() {
         .replicas(engine_args.replica_count(1))
         .master_seed(engine_args.master_seed(BASE_SEED))
         .build();
-    let exponent_observer = Observer::custom(|task, _state, _rng| {
+    let exponent_observer = Observer::custom_named(["eps", "a", "b"], |task, _state, _rng| {
         let tau = task.point.tau;
         vec![
             ("eps".to_string(), f_trigger(tau)),
@@ -98,5 +98,4 @@ fn main() {
          sandwich). By symmetry the curves mirror on (1/2, 1 − τ2).",
         tau2()
     );
-    write_rows(&engine_args, "", &result);
 }

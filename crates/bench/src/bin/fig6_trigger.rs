@@ -11,7 +11,7 @@
 
 use seg_analysis::series::Table;
 use seg_analysis::svg::{LineChart, Series};
-use seg_bench::{banner, run_sweep, usage_or_die, write_rows, BASE_SEED};
+use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
 use seg_engine::{Observer, SweepSpec, Variant};
 use seg_theory::constants::tau2;
 use seg_theory::trigger::{f_trigger, lemma5_margin};
@@ -38,15 +38,18 @@ fn main() {
         .replicas(engine_args.replica_count(1))
         .master_seed(engine_args.master_seed(BASE_SEED))
         .build();
-    let trigger_observer = Observer::custom(|task, _state, _rng| {
-        let tau = task.point.tau;
-        let f = f_trigger(tau);
-        vec![
-            ("f".to_string(), f),
-            ("margin_at_f".to_string(), lemma5_margin(tau, f)),
-            ("margin_above".to_string(), lemma5_margin(tau, f + 0.01)),
-        ]
-    });
+    let trigger_observer = Observer::custom_named(
+        ["f", "margin_at_f", "margin_above"],
+        |task, _state, _rng| {
+            let tau = task.point.tau;
+            let f = f_trigger(tau);
+            vec![
+                ("f".to_string(), f),
+                ("margin_at_f".to_string(), lemma5_margin(tau, f)),
+                ("margin_above".to_string(), lemma5_margin(tau, f + 0.01)),
+            ]
+        },
+    );
     let result = run_sweep(&engine_args, "", &spec, &[trigger_observer]);
 
     let mut table = Table::new(vec![
@@ -94,5 +97,4 @@ fn main() {
          with a square-root cusp; the Lemma 5 margin is ≈ 0 at ε' = f(τ) and\n\
          strictly negative (cascade closes) just above it."
     );
-    write_rows(&engine_args, "", &result);
 }

@@ -1,10 +1,10 @@
 //! Deterministic workloads and timers for the flip-kernel benchmarks.
 //!
-//! Shared between the `kernel` criterion bench (relative timings) and the
-//! `bench_kernel` binary (absolute flips/s written to `BENCH_kernel.json`,
-//! the tracked perf baseline). Workloads are fully deterministic: one 2-D
-//! case drives [`seg_core::Simulation::force_flip_at`] with an LCG point
-//! stream (random sites, so this isolates the count walk), the other runs
+//! Driven by the `bench_kernel` binary (absolute flips/s written to
+//! `BENCH_kernel.json`, the tracked perf baseline). Workloads are fully
+//! deterministic: one 2-D case drives
+//! [`seg_core::Simulation::force_flip_at`] with an LCG point stream
+//! (random sites, so this isolates the count walk), the other runs
 //! [`seg_core::Simulation::step`] to stability from seeded fields (the
 //! real path, where most touched cells keep their class); the ring cases
 //! run the real dynamics to stability from seeded initial conditions.
@@ -35,14 +35,14 @@ pub const KAWASAKI_MAX_ATTEMPTS: u64 = 100_000;
 
 /// A splitmix-style stream of cell indices below `universe`.
 #[derive(Clone, Debug)]
-pub struct FlipStream {
+struct FlipStream {
     state: u64,
     universe: u64,
 }
 
 impl FlipStream {
     /// A deterministic stream over `0..universe`.
-    pub fn new(seed: u64, universe: u64) -> Self {
+    fn new(seed: u64, universe: u64) -> Self {
         FlipStream {
             state: seed ^ 0x9E37_79B9_7F4A_7C15,
             universe,
@@ -51,7 +51,7 @@ impl FlipStream {
 
     /// The next pseudo-random index.
     #[inline]
-    pub fn next_index(&mut self) -> usize {
+    fn next_index(&mut self) -> usize {
         self.state = self
             .state
             .wrapping_mul(6364136223846793005)
@@ -61,12 +61,12 @@ impl FlipStream {
 }
 
 /// The 2-D simulation the kernel workload flips in.
-pub fn twod_sim(w: u32) -> Simulation {
+fn twod_sim(w: u32) -> Simulation {
     ModelConfig::new(TWOD_SIDE, w, TAU).seed(1).build()
 }
 
 /// A fresh ring realization for the 1-D Glauber workload.
-pub fn ring_sim(seed: u64) -> RingSim {
+fn ring_sim(seed: u64) -> RingSim {
     RingSim::random(RING_N, RING_W, TAU, 0.5, seed)
 }
 

@@ -1,5 +1,5 @@
-//! Shared helpers for the experiment harness binaries and Criterion
-//! benchmarks of the segregation reproduction.
+//! Shared helpers for the experiment harness binaries of the segregation
+//! reproduction, and the kernel benchmark workloads ([`kernel`]).
 //!
 //! Each binary in `src/bin/` regenerates one figure or result of the
 //! paper — `docs/EXPERIMENTS.md` at the repository root maps every
@@ -11,7 +11,7 @@
 //! of a multi-process sharded sweep (`--shard I/M`, merged by rerunning
 //! without the flag).
 //! This library holds the logic they share: the base seed, flag parsing,
-//! checkpoint-aware sweep running, sink tagging, and banner printing.
+//! checkpoint-aware sweep running, and banner printing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,10 +77,10 @@ pub fn usage_or_die_with_rest(
 }
 
 /// Runs one sweep of a harness binary through the engine, honoring the
-/// unified flags (including `--checkpoint` journaling/resume). `name`
-/// labels the sweep for binaries that run more than one — each gets its
-/// own derived journal; single-sweep binaries pass `""` to use the
-/// `--checkpoint` path as-is. A checkpoint that cannot be used (corrupt
+/// unified flags (including `--checkpoint` journaling/resume and the
+/// `--out` rows). `name` labels the sweep for binaries that run more than
+/// one — each gets its own derived journal and rows file; single-sweep
+/// binaries pass `""` to use the `--checkpoint` and `--out` paths as-is. A checkpoint that cannot be used (corrupt
 /// file, changed flags) is a clean exit, not a panic.
 ///
 /// Under `--shard I/M` the returned result would be *partial*, and the
@@ -120,46 +120,6 @@ pub fn run_sweep(
             std::process::exit(2);
         }
     }
-}
-
-/// Writes the per-replica rows of `result` to the `--out` sink when one
-/// was requested, tagging the path with `name` the same way
-/// [`run_sweep`] tags checkpoints (empty `name` = path as-is).
-///
-/// A partial result (a `--shard` worker's share of the sweep) is *not*
-/// written: the canonical rows come from the merge run, and a partial
-/// file at the same path would only masquerade as them.
-pub fn write_rows(
-    engine_args: &seg_engine::EngineArgs,
-    name: &str,
-    result: &seg_engine::SweepResult,
-) {
-    let Some(sink) = engine_args.sink() else {
-        return;
-    };
-    if !result.is_complete() {
-        println!(
-            "shard run: skipping per-replica rows ({} of {} tasks here); rerun \
-             without --shard after all shards finish to write them",
-            result.records().len(),
-            result.records().len() + result.missing_tasks(),
-        );
-        return;
-    }
-    if engine_args.stream {
-        // `--stream` already wrote every row as its replica finished;
-        // rewriting identical bytes would blank the file under a tail -f
-        let tagged = seg_engine::tag_path(sink.path(), name, "rows", "csv");
-        println!("per-replica rows streamed to {}", tagged.display());
-        return;
-    }
-    let tagged = seg_engine::tag_path(sink.path(), name, "rows", "csv");
-    let sink = match sink {
-        seg_engine::Sink::Jsonl(_) => seg_engine::Sink::Jsonl(tagged),
-        seg_engine::Sink::Csv(_) => seg_engine::Sink::Csv(tagged),
-    };
-    sink.write(result).expect("write sweep rows");
-    println!("per-replica rows written to {}", sink.path().display());
 }
 
 /// Formats a float in compact scientific-ish notation for table cells.

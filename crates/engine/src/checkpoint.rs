@@ -59,9 +59,10 @@ pub enum CheckpointError {
         /// The journal path.
         path: PathBuf,
     },
-    /// A streaming sink's existing output could not be reused (it was
-    /// written by a different sweep, or could not be opened).
-    Stream {
+    /// The `--out` sink could not be used: a streaming sink's existing
+    /// output was written by a different sweep or could not be opened,
+    /// or the buffered file could not be written.
+    Sink {
         /// The sink path.
         path: PathBuf,
         /// The underlying error.
@@ -84,8 +85,8 @@ impl fmt::Display for CheckpointError {
                  rerun with the original flags or delete the file to start over",
                 path.display()
             ),
-            CheckpointError::Stream { path, source } => {
-                write!(f, "streaming sink {}: {source}", path.display())
+            CheckpointError::Sink { path, source } => {
+                write!(f, "sink {}: {source}", path.display())
             }
         }
     }

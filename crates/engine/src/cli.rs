@@ -16,8 +16,8 @@
 //!
 //! With `--checkpoint`, a killed sweep rerun under the same flags skips
 //! every replica already journaled (see [`crate::checkpoint`]); binaries
-//! that run several sweeps derive one journal per sweep from the flag's
-//! path via [`EngineArgs::run_named`].
+//! that run several sweeps derive one journal and one `--out` file per
+//! sweep from the flags' paths via [`EngineArgs::run_named`].
 //!
 //! With `--shard I/M`, the binary becomes one worker of an M-process
 //! sweep: it runs only the tasks shard `I` owns, journaling them to a
@@ -191,14 +191,16 @@ impl EngineArgs {
             .shard_opt(self.shard)
     }
 
-    /// The sink selected by `--out`, if any (`.jsonl` extension selects
-    /// JSON Lines, anything else CSV).
-    pub fn sink(&self) -> Option<Sink> {
+    /// The sink `--out` selects for the sweep `name` (`.jsonl` extension
+    /// selects JSON Lines, anything else CSV). A non-empty `name` tags the
+    /// path the way [`EngineArgs::run_named`] tags the checkpoint
+    /// (`rows.csv` → `rows-name.csv`).
+    pub fn sink(&self, name: &str) -> Option<Sink> {
         self.out.as_ref().map(|p| {
             if p.extension().is_some_and(|e| e == "jsonl") {
-                Sink::Jsonl(p.clone())
+                Sink::Jsonl(tag_path(p, name, "rows", "jsonl"))
             } else {
-                Sink::Csv(p.clone())
+                Sink::Csv(tag_path(p, name, "rows", "csv"))
             }
         })
     }
@@ -206,11 +208,12 @@ impl EngineArgs {
     /// Runs one sweep under these flags: builds the engine; journals
     /// to/resumes from `--checkpoint`; restricts to `--shard`'s tasks
     /// (the result is then partial — see [`SweepResult::is_complete`]);
-    /// streams `--out` rows as replicas finish under `--stream`.
+    /// writes the `--out` rows, streamed as replicas finish under
+    /// `--stream`, buffered at the end otherwise.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] when the checkpoint or the streamed output
+    /// [`CheckpointError`] when the checkpoint or the `--out` sink
     /// cannot be used (see [`Engine::run_with_checkpoint`]).
     pub fn run(
         &self,
@@ -223,12 +226,17 @@ impl EngineArgs {
     /// [`EngineArgs::run`] for binaries that run several sweeps: a
     /// non-empty `name` derives a per-sweep journal from the
     /// `--checkpoint` path (`ckpt.jsonl` → `ckpt-name.jsonl`) and a
-    /// per-sweep streamed output from the `--out` path, so each sweep
-    /// resumes independently.
+    /// per-sweep output from the `--out` path ([`EngineArgs::sink`]), so
+    /// each sweep resumes independently and writes its own rows.
+    ///
+    /// Streamed or buffered, the rows land in the same file with the same
+    /// bytes. A partial (`--shard`) result writes no rows: the canonical
+    /// rows come from the merge run, and a partial file at the same path
+    /// would only masquerade as them.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] when the checkpoint or the streamed output
+    /// [`CheckpointError`] when the checkpoint or the `--out` sink
     /// cannot be used.
     pub fn run_named(
         &self,
@@ -240,45 +248,56 @@ impl EngineArgs {
             .checkpoint
             .as_ref()
             .map(|p| tag_path(p, name, "checkpoint", "jsonl"));
-        let stream: Option<StreamingSink> = match (self.stream, self.sink()) {
-            (true, Some(sink)) => {
+        let sink = self.sink(name);
+        let sink_error = |sink: &Sink, source| CheckpointError::Sink {
+            path: sink.path().to_path_buf(),
+            source,
+        };
+        let stream: Option<StreamingSink> = match (&sink, self.stream) {
+            (Some(sink), true) => {
                 // a streaming CSV needs its metric columns up front; they
                 // are predicted from the spec + observers, which only a
                 // Custom observer without declared names defeats (JSONL
                 // rows are self-describing and need no prediction)
-                let columns = match &sink {
+                let columns = match sink {
                     Sink::Jsonl(_) => Vec::new(),
-                    Sink::Csv(path) => crate::sink::expected_metric_columns(spec, observers)
-                        .ok_or_else(|| CheckpointError::Stream {
-                            path: path.clone(),
-                            source: std::io::Error::new(
-                                std::io::ErrorKind::InvalidInput,
-                                "streaming CSV cannot predict the metric columns of a \
-                                 Custom observer without declared names; use \
-                                 Observer::custom_named, StreamingSink::csv directly, \
-                                 or a .jsonl --out",
-                            ),
+                    Sink::Csv(_) => crate::sink::expected_metric_columns(spec, observers)
+                        .ok_or_else(|| {
+                            sink_error(
+                                sink,
+                                std::io::Error::new(
+                                    std::io::ErrorKind::InvalidInput,
+                                    "streaming CSV cannot predict the metric columns of a \
+                                     Custom observer without declared names; use \
+                                     Observer::custom_named, StreamingSink::csv directly, \
+                                     or a .jsonl --out",
+                                ),
+                            )
                         })?,
                 };
-                // the same per-sweep tagging `seg_bench::write_rows`
-                // applies to buffered output, so the streamed file is the
-                // one the buffered writer would finalize
-                let sink = match sink {
-                    Sink::Jsonl(path) => Sink::Jsonl(tag_path(&path, name, "rows", "jsonl")),
-                    Sink::Csv(path) => Sink::Csv(tag_path(&path, name, "rows", "csv")),
-                };
                 let resume = checkpoint.is_some();
-                Some(sink.stream(spec, &columns, resume).map_err(|source| {
-                    CheckpointError::Stream {
-                        path: sink.path().to_path_buf(),
-                        source,
-                    }
-                })?)
+                Some(
+                    sink.stream(spec, &columns, resume)
+                        .map_err(|source| sink_error(sink, source))?,
+                )
             }
             _ => None,
         };
-        self.engine()
-            .run_full(spec, observers, checkpoint.as_deref(), stream.as_ref())
+        let result =
+            self.engine()
+                .run_full(spec, observers, checkpoint.as_deref(), stream.as_ref())?;
+        if let Some(sink) = sink.filter(|_| result.is_complete()) {
+            if stream.is_some() {
+                // rewriting the identical bytes would only blank the file
+                // under anyone tailing it
+                println!("per-replica rows streamed to {}", sink.path().display());
+            } else {
+                sink.write(&result)
+                    .map_err(|source| sink_error(&sink, source))?;
+                println!("per-replica rows written to {}", sink.path().display());
+            }
+        }
+        Ok(result)
     }
 
     /// The master seed: the command-line value, or the given default.
@@ -307,7 +326,7 @@ mod tests {
         assert!(rest.is_empty());
         assert_eq!(a.master_seed(42), 42);
         assert_eq!(a.replica_count(3), 3);
-        assert!(a.sink().is_none());
+        assert!(a.sink("").is_none());
     }
 
     #[test]
@@ -320,13 +339,17 @@ mod tests {
         assert_eq!(a.seed, Some(9));
         assert_eq!(a.replicas, Some(5));
         assert_eq!(rest, args("--tau 0.4"));
-        assert_eq!(a.sink(), Some(Sink::Csv(PathBuf::from("x.csv"))));
+        assert_eq!(a.sink(""), Some(Sink::Csv(PathBuf::from("x.csv"))));
+        assert_eq!(
+            a.sink("alpha"),
+            Some(Sink::Csv(PathBuf::from("x-alpha.csv")))
+        );
     }
 
     #[test]
     fn jsonl_extension_selects_jsonl() {
         let (a, _) = EngineArgs::parse(&args("--out rows.jsonl")).unwrap();
-        assert_eq!(a.sink(), Some(Sink::Jsonl(PathBuf::from("rows.jsonl"))));
+        assert_eq!(a.sink(""), Some(Sink::Jsonl(PathBuf::from("rows.jsonl"))));
     }
 
     #[test]
@@ -456,9 +479,48 @@ mod tests {
         .unwrap();
         let spec = SweepSpec::builder().side(24).horizon(1).tau(0.4).build();
         let err = a
-            .run(&spec, &[Observer::custom(|_, _, _| vec![])])
+            .run_named("beta", &spec, &[Observer::custom(|_, _, _| vec![])])
             .unwrap_err();
         assert!(err.to_string().contains("Custom"), "got: {err}");
+        // the refusal names the file the sweep would have written
+        assert!(err.to_string().contains("rows-beta.csv"), "got: {err}");
+    }
+
+    #[test]
+    fn run_named_writes_buffered_rows_where_it_streams_them() {
+        use crate::observe::Observer;
+        let dir = std::env::temp_dir().join("seg_engine_cli_named_rows");
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = SweepSpec::builder()
+            .side(24)
+            .horizon(1)
+            .taus([0.4, 0.45])
+            .replicas(2)
+            .max_events(500)
+            .master_seed(21)
+            .build();
+        for ext in ["csv", "jsonl"] {
+            let run = |mode: &str, stream: bool| -> Vec<u8> {
+                let out = dir.join(mode).join(format!("rows.{ext}"));
+                let mut flags = args("--threads 2 --out");
+                flags.push(out.to_string_lossy().into_owned());
+                if stream {
+                    flags.push("--stream".into());
+                }
+                let (a, _) = EngineArgs::parse(&flags).unwrap();
+                a.run_named("alpha", &spec, &[Observer::TerminalStats])
+                    .unwrap();
+                assert!(!out.exists(), "{mode} run wrote the untagged path");
+                let tagged = dir.join(mode).join(format!("rows-alpha.{ext}"));
+                std::fs::read(&tagged)
+                    .unwrap_or_else(|e| panic!("{mode} run wrote no {}: {e}", tagged.display()))
+            };
+            assert_eq!(
+                run("buffered", false),
+                run("streamed", true),
+                "buffered and streamed .{ext} rows differ"
+            );
+        }
     }
 
     #[test]

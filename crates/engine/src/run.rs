@@ -315,7 +315,7 @@ impl Engine {
     /// # Errors
     ///
     /// [`CheckpointError`] when a journal cannot be used (see
-    /// [`Engine::run_with_checkpoint`]), or [`CheckpointError::Stream`]
+    /// [`Engine::run_with_checkpoint`]), or [`CheckpointError::Sink`]
     /// for the shard + stream combination.
     ///
     /// # Panics
@@ -330,7 +330,7 @@ impl Engine {
         stream: Option<&StreamingSink>,
     ) -> Result<SweepResult, CheckpointError> {
         if let (Some(stream), Some(shard)) = (stream, self.shard) {
-            return Err(CheckpointError::Stream {
+            return Err(CheckpointError::Sink {
                 path: stream.path().to_path_buf(),
                 source: std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
@@ -343,7 +343,7 @@ impl Engine {
         }
         if let (Some(stream), Some(subset)) = (stream, &self.subset) {
             if subset.len() < spec.task_count() {
-                return Err(CheckpointError::Stream {
+                return Err(CheckpointError::Sink {
                     path: stream.path().to_path_buf(),
                     source: std::io::Error::new(
                         std::io::ErrorKind::InvalidInput,

@@ -307,23 +307,7 @@ fn print_point_table(spec: &SweepSpec, result: &SweepResult) {
     println!("{}", table.render());
 }
 
-fn write_sinks(
-    o: &SweepOptions,
-    engine_args: &EngineArgs,
-    result: &SweepResult,
-) -> Result<(), String> {
-    if let Some(sink) = engine_args.sink() {
-        if engine_args.stream {
-            // --stream already wrote every row as its replica finished;
-            // rewriting the identical bytes would only blank the file
-            // under anyone tailing it
-            println!("per-replica rows streamed to {}", sink.path().display());
-        } else {
-            sink.write(result)
-                .map_err(|e| format!("writing {}: {e}", sink.path().display()))?;
-            println!("per-replica rows written to {}", sink.path().display());
-        }
-    }
+fn write_summary(o: &SweepOptions, result: &SweepResult) -> Result<(), String> {
     if let Some(path) = &o.summary {
         let names = result.metric_names();
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -366,9 +350,9 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
             result.records().len(),
             spec.task_count(),
         );
-        return Ok(()); // per-shard sinks would be partial files; skip them
+        return Ok(()); // a per-shard summary would be partial; skip it
     }
-    write_sinks(&o, &engine_args, &result)
+    write_summary(&o, &result)
 }
 
 /// Parses the `serve` subcommand flags into a [`ServeConfig`].

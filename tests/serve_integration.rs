@@ -527,6 +527,50 @@ fn admission_enforces_quotas_keys_and_queue_backpressure() {
 }
 
 #[test]
+fn a_concurrent_burst_past_the_queue_is_shed_with_retry_after() {
+    // one job worker and a 4-deep queue take a 16-submit burst from 8
+    // threads: every submit is admitted (202) or shed (429 +
+    // Retry-After), never anything else, and at least one is shed
+    let dir = tmp_dir("overload");
+    let server = ServerProc::start_with("overload", &dir.join("data"), 1, &["--max-queue", "4"]);
+    let addr = &server.addr;
+    let (burst, threads) = (16u64, 8u64);
+    let shed: usize = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..threads)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mut shed = 0;
+                    for seed in (t..burst).step_by(threads as usize) {
+                        let (status, head, body) =
+                            http(addr, "POST", "/v1/sweeps", &slow_body(9000 + seed));
+                        match status {
+                            202 => {}
+                            429 => {
+                                assert!(
+                                    head.to_ascii_lowercase().contains("retry-after:"),
+                                    "429 without Retry-After:\n{head}"
+                                );
+                                shed += 1;
+                            }
+                            other => panic!(
+                                "burst submit got {other}: {}",
+                                String::from_utf8_lossy(&body)
+                            ),
+                        }
+                    }
+                    shed
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    assert!(
+        shed >= 1,
+        "a {burst}-submit burst against a 4-deep queue shed nothing"
+    );
+}
+
+#[test]
 fn delete_removes_finished_jobs_but_refuses_running_ones() {
     let dir = tmp_dir("delete");
     let reference = dir.join("ref.jsonl");
