@@ -7,10 +7,10 @@
 //! so killing a sweep loses at most the replicas that were in flight.
 //!
 //! On restart with the same spec, [`Checkpoint::resume`] reads the
-//! journal back, the engine skips every recorded task, and — because
-//! replica seeds derive from indices alone — the merged result is
-//! **bit-identical** to an uninterrupted run at any thread count
-//! (property-tested in `tests/checkpoint.rs`).
+//! journal back through [`read_journal`], the engine skips every
+//! recorded task, and — because replica seeds derive from indices
+//! alone — the merged result is **bit-identical** to an uninterrupted
+//! run at any thread count (property-tested in `tests/checkpoint.rs`).
 //!
 //! Failure handling is deliberately asymmetric:
 //!
@@ -27,7 +27,9 @@
 //! Sharded sweeps reuse the same journal format: each `--shard i/M`
 //! worker appends to its own [`shard_journal_path`] next to the base
 //! path, and any resume absorbs every sibling journal it finds — so
-//! "merge the shards" is simply "resume the base journal".
+//! "merge the shards" is simply "resume the base journal". A fleet
+//! coordinator reads the shard journals its workers upload with the same
+//! [`read_journal`], so a file and an upload body pass one validator.
 
 use crate::replica::ReplicaRecord;
 use crate::sink::format_f64;
@@ -216,68 +218,47 @@ struct JournalScan {
     truncate_to: Option<u64>,
 }
 
-/// Reads one journal, validating it against the spec and absorbing its
+/// Reads one journal file through [`read_journal`], absorbing its
 /// records into `completed` (last write wins — duplicates across
 /// journals are identical by determinism). Returns `None` when the file
-/// does not exist. A trailing fragment with no newline is a torn write:
-/// its record is dropped (that replica simply reruns) and its byte
-/// offset reported so the *owner* of the file can cut it off — readers
-/// of other processes' journals must leave it alone, since the writer
-/// may still be mid-append.
+/// does not exist. A torn tail's byte offset is reported so the *owner*
+/// of the file can cut it off — readers of other processes' journals
+/// must leave it alone, since the writer may still be mid-append. Trace
+/// lines ride on fleet uploads only; in a file they are corruption.
 fn scan_journal(
     path: &Path,
-    fingerprint: u64,
-    tasks: &[crate::spec::ReplicaTask],
+    spec: &SweepSpec,
     completed: &mut [Option<ReplicaRecord>],
 ) -> Result<Option<JournalScan>, CheckpointError> {
+    let corrupt = |line: usize, reason: String| CheckpointError::Corrupt {
+        path: path.to_path_buf(),
+        line,
+        reason,
+    };
     let text = match std::fs::read(path) {
-        Ok(bytes) => String::from_utf8(bytes).map_err(|_| CheckpointError::Corrupt {
-            path: path.to_path_buf(),
-            line: 0,
-            reason: "journal is not valid UTF-8".into(),
-        })?,
+        Ok(bytes) => {
+            String::from_utf8(bytes).map_err(|_| corrupt(0, "journal is not valid UTF-8".into()))?
+        }
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut scan = JournalScan {
-        needs_header: true,
-        truncate_to: None,
-    };
-    let complete = match text.rfind('\n') {
-        Some(i) => &text[..i],
-        None => "",
-    };
-    if !text.is_empty() && !text.ends_with('\n') {
-        scan.truncate_to = Some(text.rfind('\n').map_or(0, |i| i as u64 + 1));
-    }
-    for (lineno, line) in complete.lines().enumerate() {
-        let corrupt = |reason: String| CheckpointError::Corrupt {
+    let journal = read_journal(&text, spec).map_err(|e| match e {
+        JournalError::Corrupt { line, reason } => corrupt(line, reason),
+        JournalError::SpecMismatch => CheckpointError::SpecMismatch {
             path: path.to_path_buf(),
-            line: lineno + 1,
-            reason,
-        };
-        if lineno == 0 {
-            let (fp, ntasks) = parse_header_line(line).map_err(corrupt)?;
-            if fp != fingerprint || ntasks != tasks.len() as u64 {
-                return Err(CheckpointError::SpecMismatch {
-                    path: path.to_path_buf(),
-                });
-            }
-            scan.needs_header = false;
-            continue;
-        }
-        let (index, events, metrics) = parse_record_line(line).map_err(corrupt)?;
-        let slot = completed
-            .get_mut(index)
-            .ok_or_else(|| corrupt(format!("task index {index} out of range")))?;
-        *slot = Some(ReplicaRecord {
-            task: tasks[index],
-            events,
-            wall_secs: 0.0,
-            metrics,
-        });
+        },
+    })?;
+    if let Some((line, _)) = journal.spans.first() {
+        return Err(corrupt(*line, "line is not a record".into()));
     }
-    Ok(Some(scan))
+    for rec in journal.records {
+        let index = rec.task.task_index;
+        completed[index] = Some(rec);
+    }
+    Ok(Some(JournalScan {
+        needs_header: journal.complete_len == 0,
+        truncate_to: (journal.complete_len < text.len()).then_some(journal.complete_len as u64),
+    }))
 }
 
 /// An open checkpoint journal the engine appends completed replicas to.
@@ -313,30 +294,6 @@ impl Checkpoint {
         Checkpoint::resume_sharded(path, spec, None)
     }
 
-    /// Reads the records the base journal and every sibling shard
-    /// journal hold, **without touching any file**: nothing is created,
-    /// truncated or opened for append, so it is safe to call while
-    /// workers are live (their torn trailing lines are tolerated and
-    /// left alone). This is the status/monitoring counterpart of
-    /// [`Checkpoint::resume`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Checkpoint::resume`].
-    pub fn peek(
-        base: &Path,
-        spec: &SweepSpec,
-    ) -> Result<Vec<Option<ReplicaRecord>>, CheckpointError> {
-        let fingerprint = spec_fingerprint(spec);
-        let tasks = spec.tasks();
-        let mut completed: Vec<Option<ReplicaRecord>> = vec![None; tasks.len()];
-        scan_journal(base, fingerprint, &tasks, &mut completed)?;
-        for sibling in find_shard_journals(base)? {
-            scan_journal(&sibling, fingerprint, &tasks, &mut completed)?;
-        }
-        Ok(completed)
-    }
-
     /// [`Checkpoint::resume`] for one worker of a sharded sweep: the
     /// worker's own journal is [`shard_journal_path`]`(base, shard)` —
     /// that is what gets created, truncated after a torn write, and
@@ -352,9 +309,7 @@ impl Checkpoint {
         spec: &SweepSpec,
         shard: Option<ShardIndex>,
     ) -> Result<(Vec<Option<ReplicaRecord>>, Checkpoint), CheckpointError> {
-        let fingerprint = spec_fingerprint(spec);
-        let tasks = spec.tasks();
-        let mut completed: Vec<Option<ReplicaRecord>> = vec![None; tasks.len()];
+        let mut completed: Vec<Option<ReplicaRecord>> = vec![None; spec.task_count()];
         let own = match shard {
             Some(s) => shard_journal_path(base, s),
             None => base.to_path_buf(),
@@ -369,11 +324,11 @@ impl Checkpoint {
             if sibling.file_name() == own.file_name() {
                 continue;
             }
-            scan_journal(&sibling, fingerprint, &tasks, &mut completed)?;
+            scan_journal(&sibling, spec, &mut completed)?;
         }
         // then our own journal, which we may repair (truncate a torn
         // trailing write) and will append to
-        let scan = scan_journal(&own, fingerprint, &tasks, &mut completed)?;
+        let scan = scan_journal(&own, spec, &mut completed)?;
         let (needs_header, truncate_to) = match scan {
             Some(s) => (s.needs_header, s.truncate_to),
             None => (true, None),
@@ -391,7 +346,11 @@ impl Checkpoint {
         let file = OpenOptions::new().create(true).append(true).open(&own)?;
         let mut writer = BufWriter::new(file);
         if needs_header {
-            writeln!(writer, "{}", header_line(fingerprint, tasks.len()))?;
+            writeln!(
+                writer,
+                "{}",
+                header_line(spec_fingerprint(spec), spec.task_count())
+            )?;
             writer.flush()?;
         }
         Ok((
@@ -448,76 +407,161 @@ pub fn record_line(rec: &ReplicaRecord) -> String {
     line
 }
 
-/// Parses a journal header line into `(fingerprint, tasks)` — the public
-/// counterpart of what [`Checkpoint::resume`] does per file, for readers
-/// that ingest journals from other transports (e.g. a fleet upload
-/// body).
-///
-/// # Errors
-///
-/// A human-readable reason when the line is not a valid header.
-pub fn parse_header_line(line: &str) -> Result<(u64, u64), String> {
-    let rest = line
-        .strip_prefix("{\"kind\":\"header\",\"fingerprint\":")
-        .ok_or("first line is not a checkpoint header")?;
-    let (fp, rest) = take_u64(rest)?;
-    let rest = rest
-        .strip_prefix(",\"tasks\":")
-        .ok_or("header missing task count")?;
-    let (ntasks, rest) = take_u64(rest)?;
-    if rest != "}" {
-        return Err("trailing bytes after header".into());
-    }
-    Ok((fp, ntasks))
+/// Why [`read_journal`] refused a journal.
+#[derive(Clone, Debug, PartialEq)]
+pub enum JournalError {
+    /// A complete line does not parse.
+    Corrupt {
+        /// 1-based line number of the offending line.
+        line: usize,
+        /// What went wrong.
+        reason: String,
+    },
+    /// The header carries another spec's fingerprint or task count.
+    SpecMismatch,
 }
 
-/// Parses a journal record line into `(task index, events, metrics)` —
-/// see [`parse_header_line`].
+impl fmt::Display for JournalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JournalError::Corrupt { line, reason } => write!(f, "journal line {line}: {reason}"),
+            JournalError::SpecMismatch => f.write_str("journal was written by a different spec"),
+        }
+    }
+}
+
+impl std::error::Error for JournalError {}
+
+/// What [`read_journal`] found in one journal.
+#[derive(Clone, Debug, Default)]
+pub struct Journal {
+    /// The replica records, in journal order. They carry `wall_secs:
+    /// 0.0` like any resumed record.
+    pub records: Vec<ReplicaRecord>,
+    /// `seg_obs` trace lines (`"kind":"span"` / `"kind":"event"`, the
+    /// tracer's JSONL schema) interleaved with the records, verbatim,
+    /// each with its 1-based line number. Fleet workers ship their slice
+    /// of a job's distributed trace this way.
+    pub spans: Vec<(usize, String)>,
+    /// Bytes up to and including the last newline. The journal holds a
+    /// header exactly when this is non-zero; anything past it is a torn
+    /// tail (the writer died mid-line) and was dropped.
+    pub complete_len: usize,
+}
+
+/// Reads one journal — a checkpoint file's contents or a fleet upload
+/// body — validated against `spec`. This is the only parser of the
+/// format: the first complete line must be a header carrying the spec's
+/// fingerprint and task count, every further one a record with an
+/// in-range task index or a trace line (see [`Journal::spans`]). A torn
+/// trailing fragment is dropped, so a journal cut off mid-line loses at
+/// most that line; text with no complete line at all reads as empty.
 ///
 /// # Errors
 ///
-/// A human-readable reason when the line is not a valid record.
-pub fn parse_record_line(line: &str) -> Result<(usize, u64, BTreeMap<String, f64>), String> {
-    let rest = line
-        .strip_prefix("{\"kind\":\"record\",\"task\":")
-        .ok_or("line is not a record")?;
-    let (index, rest) = take_u64(rest)?;
-    let rest = rest
-        .strip_prefix(",\"events\":")
-        .ok_or("record missing events")?;
-    let (events, rest) = take_u64(rest)?;
-    let mut rest = rest
-        .strip_prefix(",\"metrics\":{")
-        .ok_or("record missing metrics")?;
-    let mut metrics = BTreeMap::new();
-    if let Some(tail) = rest.strip_prefix("}}") {
-        if !tail.is_empty() {
-            return Err("trailing bytes after record".into());
+/// [`JournalError::SpecMismatch`] for another spec's header,
+/// [`JournalError::Corrupt`] for a malformed complete line — never a
+/// panic, whatever the bytes.
+pub fn read_journal(text: &str, spec: &SweepSpec) -> Result<Journal, JournalError> {
+    fn header(line: &str) -> Result<(u64, u64), String> {
+        let rest = line
+            .strip_prefix("{\"kind\":\"header\",\"fingerprint\":")
+            .ok_or("first line is not a checkpoint header")?;
+        let (fp, rest) = take_u64(rest)?;
+        let rest = rest
+            .strip_prefix(",\"tasks\":")
+            .ok_or("header missing task count")?;
+        let (ntasks, rest) = take_u64(rest)?;
+        if rest != "}" {
+            return Err("trailing bytes after header".into());
         }
-        return Ok((index as usize, events, metrics));
+        Ok((fp, ntasks))
     }
-    loop {
-        let r = rest.strip_prefix('"').ok_or("expected metric name")?;
-        let q = r.find('"').ok_or("unterminated metric name")?;
-        let name = &r[..q];
-        let r = r[q + 1..]
-            .strip_prefix(':')
-            .ok_or("expected ':' after metric name")?;
-        let end = r.find([',', '}']).ok_or("unterminated metric value")?;
-        let value: f64 = r[..end]
-            .parse()
-            .map_err(|_| format!("bad metric value {:?}", &r[..end]))?;
-        metrics.insert(name.to_string(), value);
-        match &r[end..end + 1] {
-            "," => rest = &r[end + 1..],
-            _ => {
-                if &r[end..] != "}}" {
-                    return Err("trailing bytes after record".into());
+    fn record(line: &str) -> Result<(usize, u64, BTreeMap<String, f64>), String> {
+        let rest = line
+            .strip_prefix("{\"kind\":\"record\",\"task\":")
+            .ok_or("line is not a record")?;
+        let (index, rest) = take_u64(rest)?;
+        let rest = rest
+            .strip_prefix(",\"events\":")
+            .ok_or("record missing events")?;
+        let (events, rest) = take_u64(rest)?;
+        let mut rest = rest
+            .strip_prefix(",\"metrics\":{")
+            .ok_or("record missing metrics")?;
+        let mut metrics = BTreeMap::new();
+        if let Some(tail) = rest.strip_prefix("}}") {
+            if !tail.is_empty() {
+                return Err("trailing bytes after record".into());
+            }
+            return Ok((index as usize, events, metrics));
+        }
+        loop {
+            let r = rest.strip_prefix('"').ok_or("expected metric name")?;
+            let q = r.find('"').ok_or("unterminated metric name")?;
+            let name = &r[..q];
+            let r = r[q + 1..]
+                .strip_prefix(':')
+                .ok_or("expected ':' after metric name")?;
+            let end = r.find([',', '}']).ok_or("unterminated metric value")?;
+            let value: f64 = r[..end]
+                .parse()
+                .map_err(|_| format!("bad metric value {:?}", &r[..end]))?;
+            metrics.insert(name.to_string(), value);
+            match &r[end..end + 1] {
+                "," => rest = &r[end + 1..],
+                _ => {
+                    if &r[end..] != "}}" {
+                        return Err("trailing bytes after record".into());
+                    }
+                    return Ok((index as usize, events, metrics));
                 }
-                return Ok((index as usize, events, metrics));
             }
         }
     }
+    /// The `"kind":"..."` discriminator. Safe on this format because
+    /// `kind` precedes the tracer's free-form `detail` field, and string
+    /// escaping keeps a literal `"kind":"` out of earlier values.
+    fn kind(line: &str) -> Option<&str> {
+        let rest = &line[line.find("\"kind\":\"")? + 8..];
+        Some(&rest[..rest.find('"')?])
+    }
+
+    let complete_len = text.rfind('\n').map_or(0, |i| i + 1);
+    let mut journal = Journal {
+        complete_len,
+        ..Journal::default()
+    };
+    if complete_len == 0 {
+        return Ok(journal);
+    }
+    let tasks = spec.tasks();
+    for (i, line) in text[..complete_len].lines().enumerate() {
+        let corrupt = |reason: String| JournalError::Corrupt {
+            line: i + 1,
+            reason,
+        };
+        if i == 0 {
+            let (fp, ntasks) = header(line).map_err(corrupt)?;
+            if fp != spec_fingerprint(spec) || ntasks != tasks.len() as u64 {
+                return Err(JournalError::SpecMismatch);
+            }
+        } else if matches!(kind(line), Some("span" | "event")) {
+            journal.spans.push((i + 1, line.to_string()));
+        } else {
+            let (index, events, metrics) = record(line).map_err(corrupt)?;
+            let task = *tasks
+                .get(index)
+                .ok_or_else(|| corrupt(format!("task index {index} out of range")))?;
+            journal.records.push(ReplicaRecord {
+                task,
+                events,
+                wall_secs: 0.0,
+                metrics,
+            });
+        }
+    }
+    Ok(journal)
 }
 
 fn take_u64(s: &str) -> Result<(u64, &str), String> {
@@ -564,22 +608,93 @@ mod tests {
         assert_ne!(spec_fingerprint(&base), spec_fingerprint(&more_replicas));
     }
 
+    /// `spec(1)`'s journal header followed by `lines`, one per line.
+    fn journal(lines: &[&str]) -> String {
+        let s = spec(1);
+        let mut text = header_line(spec_fingerprint(&s), s.task_count());
+        for line in lines {
+            text.push('\n');
+            text.push_str(line);
+        }
+        text.push('\n');
+        text
+    }
+
     #[test]
     fn header_and_record_round_trip() {
-        let (fp, n) =
-            parse_header_line("{\"kind\":\"header\",\"fingerprint\":123,\"tasks\":4}").unwrap();
-        assert_eq!((fp, n), (123, 4));
-        let (i, e, m) = parse_record_line(
+        let text = journal(&[
             "{\"kind\":\"record\",\"task\":2,\"events\":9,\"metrics\":{\"a\":1.5,\"b\":-inf}}",
-        )
-        .unwrap();
-        assert_eq!((i, e), (2, 9));
-        assert_eq!(m.get("a"), Some(&1.5));
-        assert_eq!(m.get("b"), Some(&f64::NEG_INFINITY));
-        let (_, _, empty) =
-            parse_record_line("{\"kind\":\"record\",\"task\":0,\"events\":0,\"metrics\":{}}")
-                .unwrap();
-        assert!(empty.is_empty());
+            "{\"kind\":\"record\",\"task\":0,\"events\":0,\"metrics\":{}}",
+        ]);
+        let read = read_journal(&text, &spec(1)).unwrap();
+        assert_eq!(read.complete_len, text.len());
+        let (a, b) = (&read.records[0], &read.records[1]);
+        assert_eq!((a.task.task_index, a.events), (2, 9));
+        assert_eq!(a.task, spec(1).tasks()[2]);
+        assert_eq!(a.metrics.get("a"), Some(&1.5));
+        assert_eq!(a.metrics.get("b"), Some(&f64::NEG_INFINITY));
+        assert!(b.metrics.is_empty());
+    }
+
+    #[test]
+    fn malformed_lines_are_errors_not_panics() {
+        for bad in [
+            "{\"kind\":\"record\",\"task\":x,\"events\":9,\"metrics\":{}}",
+            "{\"kind\":\"record\",\"task\":2}",
+            "not json at all",
+            "{\"kind\":\"record\",\"task\":2,\"events\":9,\"metrics\":{\"a\":}}",
+        ] {
+            let err = read_journal(&journal(&[bad]), &spec(1)).unwrap_err();
+            assert!(
+                matches!(err, JournalError::Corrupt { line: 2, .. }),
+                "{bad:?}: {err:?}"
+            );
+        }
+        assert!(matches!(
+            read_journal("{\"kind\":\"header\"}\n", &spec(1)),
+            Err(JournalError::Corrupt { line: 1, .. })
+        ));
+        assert_eq!(
+            read_journal(&journal(&[]), &spec(2)).unwrap_err(),
+            JournalError::SpecMismatch
+        );
+    }
+
+    #[test]
+    fn a_torn_tail_is_dropped_and_measured() {
+        let mut text = journal(&["{\"kind\":\"record\",\"task\":1,\"events\":7,\"metrics\":{}}"]);
+        let complete = text.len();
+        text.push_str("{\"kind\":\"record\",\"task\":3,\"ev");
+        let read = read_journal(&text, &spec(1)).unwrap();
+        assert_eq!(read.records.len(), 1);
+        assert_eq!(read.complete_len, complete);
+        // a torn header leaves nothing complete: an empty journal
+        let torn = read_journal("{\"kind\":\"hea", &spec(1)).unwrap();
+        assert!(torn.records.is_empty() && torn.complete_len == 0);
+    }
+
+    #[test]
+    fn trace_lines_pass_through_but_a_file_holding_one_is_corrupt() {
+        let span = "{\"t_us\":5,\"unix_us\":99,\"kind\":\"span\",\"name\":\"work.run\",\
+                    \"detail\":\"job x\",\"dur_us\":3,\"trace_id\":\"abc\"}";
+        let event = "{\"t_us\":1,\"kind\":\"event\",\"name\":\"work.claim\",\"detail\":\"\"}";
+        let record = "{\"kind\":\"record\",\"task\":0,\"events\":7,\"metrics\":{}}";
+        let text = journal(&[event, record, span]);
+        let read = read_journal(&text, &spec(1)).unwrap();
+        assert_eq!(read.records.len(), 1);
+        assert_eq!(
+            read.spans,
+            vec![(2, event.to_string()), (4, span.to_string())]
+        );
+        let dir = std::env::temp_dir().join("seg_engine_ckpt_span_file");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ck.jsonl");
+        std::fs::write(&path, &text).unwrap();
+        match Checkpoint::resume(&path, &spec(1)) {
+            Err(CheckpointError::Corrupt { line: 2, .. }) => {}
+            other => panic!("expected a corrupt line 2, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]
@@ -639,18 +754,5 @@ mod tests {
         let spec = spec(3);
         let (_completed, _journal) = Checkpoint::resume(&path, &spec).unwrap();
         assert!(path.exists());
-    }
-
-    #[test]
-    fn malformed_lines_are_errors_not_panics() {
-        for bad in [
-            "{\"kind\":\"record\",\"task\":x,\"events\":9,\"metrics\":{}}",
-            "{\"kind\":\"record\",\"task\":2}",
-            "not json at all",
-            "{\"kind\":\"record\",\"task\":2,\"events\":9,\"metrics\":{\"a\":}}",
-        ] {
-            assert!(parse_record_line(bad).is_err(), "accepted {bad:?}");
-        }
-        assert!(parse_header_line("{\"kind\":\"header\"}").is_err());
     }
 }

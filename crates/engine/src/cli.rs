@@ -77,9 +77,7 @@ pub struct EngineArgs {
     /// the end. CSV sinks write their header up front from the
     /// predicted metric columns
     /// ([`expected_metric_columns`](crate::sink::expected_metric_columns)),
-    /// so this works for both formats unless a
-    /// [`Observer::Custom`](crate::Observer) makes the columns
-    /// unknowable.
+    /// so this works for both formats.
     pub stream: bool,
 }
 
@@ -185,10 +183,13 @@ impl EngineArgs {
     /// or checkpoint is requested, since those runs tend to be the long
     /// ones; sharded when `--shard` was given).
     pub fn engine(&self) -> Engine {
-        Engine::new()
+        let engine = Engine::new()
             .threads(self.threads)
-            .progress(self.out.is_some() || self.checkpoint.is_some())
-            .shard_opt(self.shard)
+            .progress(self.out.is_some() || self.checkpoint.is_some());
+        match self.shard {
+            Some(shard) => engine.shard(shard),
+            None => engine,
+        }
     }
 
     /// The sink `--out` selects for the sweep `name` (`.jsonl` extension
@@ -256,24 +257,12 @@ impl EngineArgs {
         let stream: Option<StreamingSink> = match (&sink, self.stream) {
             (Some(sink), true) => {
                 // a streaming CSV needs its metric columns up front; they
-                // are predicted from the spec + observers, which only a
-                // Custom observer without declared names defeats (JSONL
-                // rows are self-describing and need no prediction)
+                // are predicted from the spec + observers (JSONL rows are
+                // self-describing and need no prediction)
                 let columns = match sink {
                     Sink::Jsonl(_) => Vec::new(),
                     Sink::Csv(_) => crate::sink::expected_metric_columns(spec, observers)
-                        .ok_or_else(|| {
-                            sink_error(
-                                sink,
-                                std::io::Error::new(
-                                    std::io::ErrorKind::InvalidInput,
-                                    "streaming CSV cannot predict the metric columns of a \
-                                     Custom observer without declared names; use \
-                                     Observer::custom_named, StreamingSink::csv directly, \
-                                     or a .jsonl --out",
-                                ),
-                            )
-                        })?,
+                        .expect("every observer declares its metric columns"),
                 };
                 let resume = checkpoint.is_some();
                 Some(
@@ -464,26 +453,6 @@ mod tests {
             header.lines().next().unwrap().contains("zeta_score"),
             "declared column missing from header"
         );
-    }
-
-    #[test]
-    fn streamed_csv_with_custom_observer_is_a_clean_error() {
-        use crate::observe::Observer;
-        let dir = std::env::temp_dir().join("seg_engine_cli_stream_custom");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (a, _) = EngineArgs::parse(&[
-            "--out".to_string(),
-            dir.join("rows.csv").to_string_lossy().into_owned(),
-            "--stream".to_string(),
-        ])
-        .unwrap();
-        let spec = SweepSpec::builder().side(24).horizon(1).tau(0.4).build();
-        let err = a
-            .run_named("beta", &spec, &[Observer::custom(|_, _, _| vec![])])
-            .unwrap_err();
-        assert!(err.to_string().contains("Custom"), "got: {err}");
-        // the refusal names the file the sweep would have written
-        assert!(err.to_string().contains("rows-beta.csv"), "got: {err}");
     }
 
     #[test]

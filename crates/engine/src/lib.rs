@@ -71,8 +71,8 @@ pub mod sink;
 pub mod spec;
 
 pub use checkpoint::{
-    find_shard_journals, header_line, parse_header_line, parse_record_line, record_line,
-    shard_journal_path, spec_fingerprint, Checkpoint, CheckpointError,
+    find_shard_journals, header_line, read_journal, record_line, shard_journal_path,
+    spec_fingerprint, Checkpoint, CheckpointError, Journal, JournalError,
 };
 pub use cli::{tag_path, EngineArgs, ENGINE_USAGE};
 pub use observe::Observer;

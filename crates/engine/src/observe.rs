@@ -44,18 +44,18 @@ pub enum Observer {
         /// Output directory (created if absent).
         dir: PathBuf,
     },
-    /// A caller-supplied measurement. The closure receives a replica-
-    /// seeded RNG so randomized estimators stay deterministic per task.
+    /// A caller-supplied measurement, built with
+    /// [`Observer::custom_named`]. The closure receives a replica-seeded
+    /// RNG so randomized estimators stay deterministic per task.
     ///
-    /// When `names` is set ([`Observer::custom_named`]), the observer
-    /// declares its metric columns up front, which is what lets a
-    /// streaming CSV sink predict its header; the closure may then only
-    /// insert declared names ([`Observer::apply`] rejects others).
+    /// The observer declares its metric columns up front, which is what
+    /// lets a streaming CSV sink predict its header; the closure may
+    /// only insert declared names ([`Observer::apply`] rejects others).
     Custom {
         /// The measurement closure.
         f: Arc<CustomFn>,
-        /// Declared metric names, or `None` when unpredictable.
-        names: Option<Arc<[String]>>,
+        /// Declared metric names.
+        names: Arc<[String]>,
     },
 }
 
@@ -78,23 +78,6 @@ impl std::fmt::Debug for Observer {
 }
 
 impl Observer {
-    /// Wraps a closure as a [`Observer::Custom`] with *undeclared*
-    /// metric names: the sweep still runs and buffers fine, but a
-    /// streaming CSV sink cannot predict its header (use
-    /// [`Observer::custom_named`] for that).
-    pub fn custom<F>(f: F) -> Self
-    where
-        F: Fn(&ReplicaTask, &FinalState, &mut Xoshiro256pp) -> Vec<(String, f64)>
-            + Send
-            + Sync
-            + 'static,
-    {
-        Observer::Custom {
-            f: Arc::new(f),
-            names: None,
-        }
-    }
-
     /// Wraps a closure as a [`Observer::Custom`] that declares its
     /// metric names up front, which makes it streamable to CSV
     /// (`--stream` with a `.csv --out` works because
@@ -118,23 +101,21 @@ impl Observer {
     {
         Observer::Custom {
             f: Arc::new(f),
-            names: Some(names.into_iter().map(Into::into).collect()),
+            names: names.into_iter().map(Into::into).collect(),
         }
     }
 
-    /// The metric names this observer adds to a replica of `variant`, or
-    /// `None` when they cannot be known without running the closure (a
-    /// [`Observer::Custom`] built with [`Observer::custom`]; one built
-    /// with [`Observer::custom_named`] returns its declaration). Kept in
-    /// lockstep with [`Observer::apply`] (enforced by a test); used to
-    /// predict sink columns up front for streaming CSV output.
-    pub fn metric_names(&self, variant: &crate::spec::Variant) -> Option<Vec<String>> {
+    /// The metric names this observer adds to a replica of `variant` (an
+    /// [`Observer::Custom`] returns its declaration). Kept in lockstep
+    /// with [`Observer::apply`] (enforced by a test); used to predict
+    /// sink columns up front for streaming CSV output.
+    pub fn metric_names(&self, variant: &crate::spec::Variant) -> Vec<String> {
         use crate::spec::Variant;
         fn owned(names: &[&str]) -> Vec<String> {
             names.iter().map(|s| s.to_string()).collect()
         }
         match self {
-            Observer::TerminalStats => Some(owned(match variant {
+            Observer::TerminalStats => owned(match variant {
                 Variant::Paper => &[
                     "unhappy",
                     "happy_fraction",
@@ -148,10 +129,10 @@ impl Observer {
                 Variant::Kawasaki => &["interface", "largest_cluster", "plus_fraction"],
                 Variant::MultiType { .. } => &["unhappy", "largest_cluster"],
                 Variant::RingGlauber | Variant::RingKawasaki | Variant::Probe => &[],
-            })),
+            }),
             // artifact-only observers add no metrics
-            Observer::Trace { .. } | Observer::Snapshot { .. } => Some(vec![]),
-            Observer::Custom { names, .. } => names.as_ref().map(|n| n.to_vec()),
+            Observer::Trace { .. } | Observer::Snapshot { .. } => vec![],
+            Observer::Custom { names, .. } => names.to_vec(),
         }
     }
 
@@ -217,17 +198,15 @@ impl Observer {
                 // dynamics' stream
                 let mut rng = Xoshiro256pp::seed_from_u64(task.seed ^ 0x0B5E_7AE5_u64);
                 for (k, v) in f(task, state, &mut rng) {
-                    if let Some(declared) = names {
-                        if !declared.iter().any(|d| d == &k) {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!(
-                                    "custom observer produced undeclared metric `{k}` \
-                                     (declared: {declared:?}); the declaration is what a \
-                                     streaming CSV header was built from"
-                                ),
-                            ));
-                        }
+                    if !names.iter().any(|d| d == &k) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "custom observer produced undeclared metric `{k}` \
+                                 (declared: {names:?}); the declaration is what a \
+                                 streaming CSV header was built from"
+                            ),
+                        ));
                     }
                     metrics.insert(k, v);
                 }
@@ -302,11 +281,7 @@ mod tests {
                 .into_iter()
                 .map(String::from)
                 .collect();
-            predicted.extend(
-                Observer::TerminalStats
-                    .metric_names(&v)
-                    .expect("TerminalStats is predictable"),
-            );
+            predicted.extend(Observer::TerminalStats.metric_names(&v));
             predicted.sort_unstable();
             let actual: Vec<&str> = rec.metrics.keys().map(String::as_str).collect();
             assert_eq!(predicted, actual, "{v}: prediction diverged");
@@ -314,15 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn custom_observers_are_unpredictable_artifact_ones_empty() {
+    fn artifact_observers_add_no_metrics() {
         let v = Variant::Paper;
-        assert!(Observer::custom(|_, _, _| vec![])
+        assert!(Observer::Snapshot { dir: "x".into() }
             .metric_names(&v)
-            .is_none());
-        assert_eq!(
-            Observer::Snapshot { dir: "x".into() }.metric_names(&v),
-            Some(vec![])
-        );
+            .is_empty());
     }
 
     #[test]
@@ -332,7 +303,7 @@ mod tests {
         });
         assert_eq!(
             o.metric_names(&Variant::Paper),
-            Some(vec!["alpha".to_string(), "beta".to_string()])
+            vec!["alpha".to_string(), "beta".to_string()]
         );
         let spec = SweepSpec::builder()
             .side(16)

@@ -113,6 +113,25 @@ impl EngineMetrics {
     }
 }
 
+/// Which of a sweep's tasks an [`Engine`] runs, when not all of them.
+#[derive(Clone, Debug)]
+enum Selection {
+    /// One static shard's round-robin share ([`Engine::shard`]).
+    Shard(ShardIndex),
+    /// Explicit task indices, sorted and deduplicated
+    /// ([`Engine::task_subset`]).
+    Tasks(Arc<Vec<usize>>),
+}
+
+impl Selection {
+    fn selects(&self, task: usize) -> bool {
+        match self {
+            Selection::Shard(s) => s.owns(task),
+            Selection::Tasks(t) => t.binary_search(&task).is_ok(),
+        }
+    }
+}
+
 /// Runs [`SweepSpec`]s on a worker pool.
 ///
 /// Replicas are distributed dynamically (each idle worker claims the next
@@ -139,8 +158,7 @@ impl EngineMetrics {
 pub struct Engine {
     threads: usize,
     progress: bool,
-    shard: Option<ShardIndex>,
-    subset: Option<Arc<Vec<usize>>>,
+    selection: Option<Selection>,
     on_progress: Option<Arc<ProgressFn>>,
     cancel: Option<Arc<AtomicBool>>,
 }
@@ -150,8 +168,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("threads", &self.threads)
             .field("progress", &self.progress)
-            .field("shard", &self.shard)
-            .field("subset", &self.subset)
+            .field("selection", &self.selection)
             .field("on_progress", &self.on_progress.as_ref().map(|_| ".."))
             .field("cancel", &self.cancel)
             .finish()
@@ -172,8 +189,7 @@ impl Engine {
         Engine {
             threads: default_threads(),
             progress: false,
-            shard: None,
-            subset: None,
+            selection: None,
             on_progress: None,
             cancel: None,
         }
@@ -236,15 +252,9 @@ impl Engine {
     /// unless the other shards' records were resumed from journals).
     /// This is the `--shard i/M` building block for multi-process
     /// sweeps; pair it with a checkpoint so the shards can be merged.
+    /// Replaces any earlier [`Engine::task_subset`]: the last call wins.
     pub fn shard(mut self, shard: ShardIndex) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// [`Engine::shard`] with an optional shard (`None` = run
-    /// everything), matching `EngineArgs`-style plumbing.
-    pub fn shard_opt(mut self, shard: Option<ShardIndex>) -> Self {
-        self.shard = shard;
+        self.selection = Some(Selection::Shard(shard));
         self
     }
 
@@ -254,15 +264,27 @@ impl Engine {
     /// (typically a re-partition of a job's missing set, see
     /// `seg_shard::repartition`), and the result is partial unless the
     /// subset covers every task. Indices are sorted and deduplicated;
-    /// out-of-range indices simply never match a task. Composes with
-    /// [`Engine::shard`] as an intersection, though fleet dispatch uses
-    /// one or the other.
+    /// out-of-range indices simply never match a task. Replaces any
+    /// earlier [`Engine::shard`]: the last call wins.
     pub fn task_subset<I: IntoIterator<Item = usize>>(mut self, tasks: I) -> Self {
         let mut v: Vec<usize> = tasks.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        self.subset = Some(Arc::new(v));
+        self.selection = Some(Selection::Tasks(Arc::new(v)));
         self
+    }
+
+    /// Whether this engine runs task `i` (every task without a selection).
+    fn selects(&self, i: usize) -> bool {
+        self.selection.as_ref().is_none_or(|s| s.selects(i))
+    }
+
+    /// The static shard this engine runs, if [`Engine::shard`] chose one.
+    fn static_shard(&self) -> Option<ShardIndex> {
+        match self.selection {
+            Some(Selection::Shard(s)) => Some(s),
+            _ => None,
+        }
     }
 
     /// Runs every replica of the sweep, applying `observers` to each.
@@ -308,15 +330,16 @@ impl Engine {
     /// included) in task order as soon as it is available.
     ///
     /// A streaming sink cannot be combined with a [shard](Engine::shard)
-    /// run: the sink releases rows strictly in task order, and a single
-    /// shard never completes the tasks in between, so nearly every row
-    /// would be parked forever. The combination is rejected up front.
+    /// or [subset](Engine::task_subset) run that leaves tasks out: the
+    /// sink releases rows strictly in task order, and such a run never
+    /// completes the tasks in between, so nearly every row would be
+    /// parked forever. The combination is rejected up front.
     ///
     /// # Errors
     ///
     /// [`CheckpointError`] when a journal cannot be used (see
     /// [`Engine::run_with_checkpoint`]), or [`CheckpointError::Sink`]
-    /// for the shard + stream combination.
+    /// for the partial run + stream combination.
     ///
     /// # Panics
     ///
@@ -329,30 +352,17 @@ impl Engine {
         checkpoint: Option<&Path>,
         stream: Option<&StreamingSink>,
     ) -> Result<SweepResult, CheckpointError> {
-        if let (Some(stream), Some(shard)) = (stream, self.shard) {
-            return Err(CheckpointError::Sink {
-                path: stream.path().to_path_buf(),
-                source: std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!(
-                        "streaming releases rows in task order, which shard {shard} \
-                         alone never completes; stream the merge run instead"
-                    ),
-                ),
-            });
-        }
-        if let (Some(stream), Some(subset)) = (stream, &self.subset) {
-            if subset.len() < spec.task_count() {
+        if let Some(stream) = stream {
+            let total = spec.task_count();
+            let selected = (0..total).filter(|&i| self.selects(i)).count();
+            if selected < total {
                 return Err(CheckpointError::Sink {
                     path: stream.path().to_path_buf(),
                     source: std::io::Error::new(
                         std::io::ErrorKind::InvalidInput,
                         format!(
-                            "streaming releases rows in task order, which a subset of \
-                             {} of {} tasks alone never completes; stream the merge \
-                             run instead",
-                            subset.len(),
-                            spec.task_count()
+                            "streaming releases rows in task order, which {selected} of \
+                             {total} tasks alone never complete; stream the merge run instead"
                         ),
                     ),
                 });
@@ -361,7 +371,8 @@ impl Engine {
         match checkpoint {
             None => Ok(self.run_inner(spec, observers, Vec::new(), None, stream)),
             Some(path) => {
-                let (completed, journal) = Checkpoint::resume_sharded(path, spec, self.shard)?;
+                let (completed, journal) =
+                    Checkpoint::resume_sharded(path, spec, self.static_shard())?;
                 let resumed = completed.iter().flatten().count();
                 if self.progress && resumed > 0 {
                     eprintln!(
@@ -399,17 +410,11 @@ impl Engine {
                     .unwrap_or_else(|e| panic!("streaming sink append failed: {e}"));
             }
         }
-        let owned = |i: usize| self.shard.is_none_or(|s| s.owns(i));
-        let assigned = |i: usize| {
-            self.subset
-                .as_ref()
-                .is_none_or(|s| s.binary_search(&i).is_ok())
-        };
         let pending: Vec<usize> = (0..total)
-            .filter(|&i| slots[i].is_none() && owned(i) && assigned(i))
+            .filter(|&i| slots[i].is_none() && self.selects(i))
             .collect();
         if self.progress {
-            if let Some(shard) = self.shard {
+            if let Some(shard) = self.static_shard() {
                 eprintln!(
                     "sweep: shard {shard} owns {} of {total} tasks ({} still to run)",
                     shard.task_count(total),
@@ -817,6 +822,19 @@ mod tests {
             assert_eq!(rec.events, reference.events);
             assert_eq!(rec.metrics, reference.metrics);
         }
+    }
+
+    #[test]
+    fn the_last_task_selection_wins() {
+        let spec = small_spec(); // 6 tasks
+        let ran = |engine: Engine| -> Vec<usize> {
+            let result = engine.threads(1).run(&spec, &[]);
+            result.records().iter().map(|r| r.task.task_index).collect()
+        };
+        let subset_last = Engine::new().shard(ShardIndex::new(0, 2)).task_subset([1]);
+        assert_eq!(ran(subset_last), vec![1]);
+        let shard_last = Engine::new().task_subset([1]).shard(ShardIndex::new(0, 2));
+        assert_eq!(ran(shard_last), vec![0, 2, 4]);
     }
 
     #[test]

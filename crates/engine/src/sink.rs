@@ -108,10 +108,10 @@ const BASE_COLUMNS: [&str; 8] = [
 /// over every point's variant, of the dynamics' own metrics
 /// ([`crate::replica::variant_metric_names`]) and each observer's
 /// ([`crate::observe::Observer::metric_names`]) — without running
-/// anything. `None` when an [`Observer::Custom`](crate::Observer::Custom)
-/// *without declared names* makes the set unknowable up front (one built
-/// with [`Observer::custom_named`](crate::Observer::custom_named)
-/// contributes its declaration and predicts fine).
+/// anything. Always `Some`: every observer declares its metric names
+/// up front (an [`Observer::Custom`](crate::Observer::Custom)
+/// contributes its declaration). The `Option` return type is kept for
+/// existing callers.
 ///
 /// The prediction equals [`SweepResult::metric_names`] of the finished
 /// sweep (both sides are property-tested), which is what lets a
@@ -129,7 +129,7 @@ pub fn expected_metric_columns(
                 .map(String::from),
         );
         for o in observers {
-            names.extend(o.metric_names(&point.variant)?);
+            names.extend(o.metric_names(&point.variant));
         }
     }
     Some(names.into_iter().collect())

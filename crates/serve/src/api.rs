@@ -45,6 +45,7 @@ use crate::http::{write_json, write_response, write_response_with, ChunkedBody, 
 use crate::jobs::{Job, JobManager, JobState, SubmitOutcome, SweepRequest};
 use crate::json::Json;
 use crate::lifecycle::DeleteOutcome;
+use seg_engine::{read_journal, Journal};
 use seg_obs::json_string;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -490,8 +491,8 @@ fn route<W: Write>(
                 }
             };
             let worker = req.query_param("worker").unwrap_or("unknown");
-            match seg_shard::ingest_journal(&req.body[..], &job.spec) {
-                Ok(ingested) => {
+            match upload_journal(&req.body, &job.spec) {
+                Ok(journal) => {
                     seg_obs::metrics()
                         .histogram(
                             "fleet_journal_upload_bytes",
@@ -500,10 +501,12 @@ fn route<W: Write>(
                             seg_obs::Histogram::SIZE_BUCKETS,
                         )
                         .observe(req.body.len() as f64);
-                    if !ingested.spans.is_empty() {
-                        job.add_worker_spans(worker, &ingested.spans);
+                    if !journal.spans.is_empty() {
+                        let lines: Vec<String> =
+                            journal.spans.into_iter().map(|(_, line)| line).collect();
+                        job.add_worker_spans(worker, &lines);
                     }
-                    let accepted = fleet.accept_upload(worker, &job.id, ingested.records);
+                    let accepted = fleet.accept_upload(worker, &job.id, journal.records);
                     {
                         // record the upload into the job's own trace so the
                         // merged timeline shows when results landed
@@ -550,6 +553,19 @@ fn route<W: Write>(
             write_json(out, 404, &error_body("no such endpoint"), keep)?;
             Ok(keep)
         }
+    }
+}
+
+/// Reads a fleet upload body with the engine's journal reader. Unlike a
+/// checkpoint file, whose torn header is simply rewritten, an upload
+/// must carry at least its header line.
+fn upload_journal(body: &[u8], spec: &seg_engine::SweepSpec) -> Result<Journal, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "journal is not valid UTF-8".to_string())?;
+    match read_journal(text, spec) {
+        Ok(j) if j.complete_len == 0 && !text.is_empty() => {
+            Err("journal has no complete header line".into())
+        }
+        read => read.map_err(|e| e.to_string()),
     }
 }
 
@@ -785,5 +801,123 @@ mod tests {
         mgr.drain();
         ended(stream, ROWS_WAIT_MAX / 2, "drain").unwrap();
         assert!(dechunk(&out.bytes()).is_empty());
+    }
+
+    /// Sends `body` to the upload route as worker `w1`; returns the raw
+    /// response.
+    fn upload(ctx: &ApiContext, job: &str, body: &str) -> String {
+        let req = Request {
+            method: "POST".into(),
+            path: format!("/v1/jobs/{job}/journal"),
+            query: vec![("worker".into(), "w1".into())],
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+            keep_alive: false,
+        };
+        let mut out = Vec::new();
+        handle(&req, &mut out, ctx).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn journal_uploads_keep_their_contract() {
+        use seg_engine::{header_line, record_line, spec_fingerprint, Engine, Observer};
+        let fleet = Arc::new(crate::fleet::FleetRegistry::new(Duration::from_secs(10)));
+        let manager = Arc::new(
+            JobManager::new(tmp("upload"), 1)
+                .unwrap()
+                .with_fleet(fleet.clone()),
+        );
+        let ctx = ApiContext {
+            manager: manager.clone(),
+            fleet: Some(fleet.clone()),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            local_addr: "127.0.0.1:9".parse().unwrap(),
+            started: Instant::now(),
+        };
+        let (job, _) = manager.submit(request(51, 2), None).unwrap();
+        let spec = &job.spec;
+        let total = spec.task_count();
+        let header = |spec: &seg_engine::SweepSpec| {
+            header_line(spec_fingerprint(spec), spec.task_count()) + "\n"
+        };
+        let result = Engine::new()
+            .threads(1)
+            .run(spec, &[Observer::TerminalStats]);
+        let records: String = result
+            .records()
+            .iter()
+            .map(|r| record_line(r) + "\n")
+            .collect();
+        let first = record_line(&result.records()[0]);
+        let event = r#"{"t_us":1,"unix_us":90,"kind":"event","name":"work.claim","detail":""}"#;
+        let span =
+            r#"{"t_us":5,"unix_us":99,"kind":"span","name":"work.run","detail":"","dur_us":3}"#;
+        let rows = [
+            ("empty", String::new(), 200, r#"{"accepted":0}"#),
+            ("header only", header(spec), 200, r#"{"accepted":0}"#),
+            (
+                "header with no newline",
+                header(spec).trim_end().to_string(),
+                400,
+                r#"{"error":"journal has no complete header line"}"#,
+            ),
+            (
+                "foreign fingerprint",
+                header(&request(52, 2).build_spec()),
+                400,
+                r#"{"error":"journal was written by a different spec"}"#,
+            ),
+            (
+                "out-of-range task index",
+                header(spec) + r#"{"kind":"record","task":99,"events":1,"metrics":{}}"# + "\n",
+                400,
+                r#"{"error":"journal line 2: task index 99 out of range"}"#,
+            ),
+            (
+                "interleaved span and event lines",
+                format!("{}{event}\n{first}\n{span}\n", header(spec)),
+                200,
+                r#"{"accepted":1}"#,
+            ),
+            (
+                "duplicate records",
+                format!("{}{records}{records}", header(spec)),
+                200,
+                &format!("{{\"accepted\":{}}}", 2 * total),
+            ),
+        ];
+        for (what, body, status, reply) in rows {
+            let raw = upload(&ctx, &job.id, &body);
+            assert!(
+                raw.starts_with(&format!("HTTP/1.1 {status} ")),
+                "{what}: {raw}"
+            );
+            assert!(raw.ends_with(&format!("\r\n\r\n{reply}")), "{what}: {raw}");
+        }
+        // the trace lines reached the job verbatim, tagged with the worker
+        let trace = job.trace_json();
+        for line in [event, span] {
+            let tagged = format!("{{\"proc\":\"w1\",{}", &line[1..]);
+            assert!(trace.contains(&tagged), "{tagged} missing from {trace}");
+        }
+        // with a live worker the fleet pass absorbs the uploads: every
+        // task lands in the job's journal exactly once
+        fleet.register();
+        manager.run_job_for_test(&job);
+        assert_eq!(job.state(), JobState::Done);
+        assert!(
+            fleet.take_uploads(&job.id).is_empty(),
+            "uploads never absorbed"
+        );
+        let journal = std::fs::read_to_string(job.dir.join("ck.jsonl")).unwrap();
+        let mut tasks: Vec<usize> = seg_engine::read_journal(&journal, spec)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| r.task.task_index)
+            .collect();
+        tasks.sort_unstable();
+        assert_eq!(tasks, (0..total).collect::<Vec<_>>());
     }
 }

@@ -10,7 +10,7 @@
 //! scheduling loop that consumes it lives in
 //! [`JobManager`](crate::jobs::JobManager), and the correctness story
 //! (any partition of tasks merges bit-identically) lives in
-//! [`seg_shard::steal`].
+//! [`seg_shard::repartition`].
 //!
 //! Failure handling is epoch-based: every re-partition bumps the job's
 //! epoch and replaces the *offered* (unclaimed) assignments. A worker

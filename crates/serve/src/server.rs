@@ -10,6 +10,11 @@
 //! - **job workers** (`workers` of them) pop the job queue and run
 //!   sweeps on the engine, each with its own engine thread budget.
 //!
+//! The connection half is `serve_connections`, which takes its request
+//! handler as an argument: `segsim work --metrics-addr` serves its
+//! observability endpoints through the same loop, with the same
+//! handler bound, request deadline and 400/413/500 replies.
+//!
 //! Shutdown (`POST /v1/shutdown`) drains in order: the accept loop
 //! stops, connection handlers finish their current exchange, running
 //! sweeps stop claiming replicas (the ones in flight are journaled by
@@ -20,7 +25,7 @@
 use crate::admission::AdmissionControl;
 use crate::api::{self, ApiContext};
 use crate::fleet::FleetRegistry;
-use crate::http::{read_request, write_json, DeadlineStream, HttpError};
+use crate::http::{read_request, write_json, DeadlineStream, HttpError, Request};
 use crate::jobs::JobManager;
 use seg_analysis::parallel::default_threads;
 use seg_obs::json_string;
@@ -243,13 +248,13 @@ impl Server {
             config.conn_threads.max(1),
             config.data_dir.display()
         );
-        let ctx = Arc::new(ApiContext {
+        let ctx = ApiContext {
             manager: manager.clone(),
             fleet,
             shutdown: shutdown.clone(),
             local_addr,
             started: Instant::now(),
-        });
+        };
 
         let mut job_workers = Vec::new();
         for i in 0..config.workers.max(1) {
@@ -278,25 +283,58 @@ impl Server {
                 .expect("spawn lifecycle sweeper")
         };
 
-        // connections flow through a bounded queue: when every handler is
-        // busy and the queue is full, the accept loop itself blocks, and
-        // further clients wait in the OS backlog
-        let (tx, rx) = sync_channel::<TcpStream>(64);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut conn_workers = Vec::new();
-        for i in 0..config.conn_threads.max(1) {
-            let rx = rx.clone();
-            let ctx = ctx.clone();
-            let max_body = config.max_body;
-            let request_timeout = config.request_timeout;
-            conn_workers.push(
-                std::thread::Builder::new()
-                    .name(format!("conn-{i}"))
-                    .spawn(move || connection_worker(&rx, &ctx, max_body, request_timeout))
-                    .expect("spawn connection handler"),
-            );
+        serve_connections(
+            &listener,
+            config.conn_threads,
+            config.max_body,
+            config.request_timeout,
+            &shutdown,
+            &|req, out| api::handle(req, out, &ctx),
+        );
+        manager.drain(); // idempotent; covers shutdown paths that raced
+        for w in job_workers {
+            let _ = w.join();
         }
+        let _ = sweeper.join();
+        eprintln!("serve: drained, journals flushed");
+        Ok(())
+    }
+}
 
+/// A request handler of [`serve_connections`]: answers one request and
+/// returns whether the connection may stay open.
+pub(crate) type Handler<'a> = dyn Fn(&Request, &mut TcpStream) -> io::Result<bool> + Sync + 'a;
+
+/// Serves `listener` until `shutdown` is set, answering each request
+/// with `handler`.
+///
+/// Connections flow through a bounded queue to `handlers` threads: when
+/// every handler is busy and the queue is full, the accept loop itself
+/// blocks, and further clients wait in the OS backlog — idle
+/// connections never add threads. Each request (head and body) must
+/// arrive within `request_timeout`; bodies over `max_body` get 413,
+/// malformed requests 400, a panicking handler 500. Once `shutdown` is
+/// set (and the accept loop is woken by one more connection), queued
+/// connections drain and every handler thread is joined.
+pub(crate) fn serve_connections(
+    listener: &TcpListener,
+    handlers: usize,
+    max_body: usize,
+    request_timeout: Duration,
+    shutdown: &AtomicBool,
+    handler: &Handler,
+) {
+    let (tx, rx) = sync_channel::<TcpStream>(64);
+    let rx = Mutex::new(rx);
+    std::thread::scope(|scope| {
+        for i in 0..handlers.max(1) {
+            std::thread::Builder::new()
+                .name(format!("conn-{i}"))
+                .spawn_scoped(scope, || {
+                    connection_worker(&rx, max_body, request_timeout, shutdown, handler)
+                })
+                .expect("spawn connection handler");
+        }
         for stream in listener.incoming() {
             if shutdown.load(Ordering::Relaxed) {
                 break;
@@ -312,27 +350,18 @@ impl Server {
         }
         eprintln!(
             "serve: draining ({} connection handler(s) finishing)",
-            conn_workers.len()
+            handlers.max(1)
         );
         drop(tx); // handlers drain the queue, then see the hangup
-        for w in conn_workers {
-            let _ = w.join();
-        }
-        manager.drain(); // idempotent; covers shutdown paths that raced
-        for w in job_workers {
-            let _ = w.join();
-        }
-        let _ = sweeper.join();
-        eprintln!("serve: drained, journals flushed");
-        Ok(())
-    }
+    });
 }
 
 fn connection_worker(
     rx: &Mutex<Receiver<TcpStream>>,
-    ctx: &ApiContext,
     max_body: usize,
     request_timeout: Duration,
+    shutdown: &AtomicBool,
+    handler: &Handler,
 ) {
     let active = seg_obs::metrics().gauge(
         "serve_active_connections",
@@ -345,7 +374,7 @@ fn connection_worker(
             Err(_) => return, // accept loop hung up and the queue is empty
         };
         active.inc();
-        let outcome = handle_connection(stream, ctx, max_body, request_timeout);
+        let outcome = handle_connection(stream, max_body, request_timeout, shutdown, handler);
         active.dec();
         if let Err(e) = outcome {
             eprintln!("serve: connection error: {e}");
@@ -356,9 +385,10 @@ fn connection_worker(
 /// Runs the keep-alive request loop of one connection.
 fn handle_connection(
     stream: TcpStream,
-    ctx: &ApiContext,
     max_body: usize,
     request_timeout: Duration,
+    shutdown: &AtomicBool,
+    handler: &Handler,
 ) -> io::Result<()> {
     // writes stay on a generous per-write timeout (row streams follow
     // live jobs and may run for minutes); reads get a whole-request
@@ -372,7 +402,7 @@ fn handle_connection(
             Ok(None) => return Ok(()), // clean close between requests
             Ok(Some(req)) => {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    api::handle(&req, &mut writer, ctx)
+                    handler(&req, &mut writer)
                 }));
                 match outcome {
                     // a draining server closes even willing keep-alive
@@ -382,12 +412,12 @@ fn handle_connection(
                     // the drain, so serve at most one more on a short
                     // deadline instead of resetting it mid-flight
                     Ok(Ok(true)) => {
-                        if ctx.shutdown.load(Ordering::Relaxed) {
+                        if shutdown.load(Ordering::Relaxed) {
                             reader.get_mut().arm(Duration::from_millis(200));
                             if let Ok(Some(req)) = read_request(&mut reader, max_body) {
                                 let _ =
                                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        api::handle(&req, &mut writer, ctx)
+                                        handler(&req, &mut writer)
                                     }));
                             }
                             return Ok(());

@@ -33,16 +33,18 @@
 //! engine's throughput gauges, which the coordinator re-exports as
 //! `fleet_worker_*{worker=...}`; `--metrics-addr` additionally exposes
 //! the worker's own `/metrics` + `/healthz` + `/v1/metrics/history`
-//! (and starts the [`mod@seg_obs::history`] scraper feeding the latter),
-//! and `--trace-out` exports its trace ring as JSONL.
+//! (and starts the [`mod@seg_obs::history`] scraper feeding the latter)
+//! through the server's connection loop, with its handler bound and
+//! request deadline, and `--trace-out` exports its trace ring as JSONL.
 
-use crate::http::{read_request, write_json as http_write_json, write_response};
+use crate::http::{write_json as http_write_json, write_response, Request};
 use crate::jobs::SweepRequest;
 use crate::json::Json;
+use crate::server::{serve_connections, ServeConfig};
 use seg_engine::{header_line, record_line, spec_fingerprint, Engine, Observer};
 use seg_obs::{json_number, json_string, TraceContext};
 use std::cell::Cell;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -314,62 +316,35 @@ fn stats_body() -> String {
     )
 }
 
-/// Serves one connection of the worker's own observability listener:
+/// Answers one request on the worker's own observability listener:
 /// `GET /metrics` (Prometheus text), `GET /healthz`, and the same
 /// `GET /v1/metrics/history` the coordinator answers — the worker runs
 /// its own [`mod@seg_obs::history`] scraper, so its engine gauges are
 /// queryable as time series too. Same contracts as the coordinator's
 /// endpoints, minus everything job-related.
-fn serve_metrics_conn(stream: TcpStream) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    // small cap: nothing legitimate POSTs bodies at this listener
-    while let Ok(Some(req)) = read_request(&mut reader, 16 * 1024) {
-        let keep = req.keep_alive;
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/metrics") => write_response(
-                &mut writer,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                seg_obs::metrics().render().as_bytes(),
+fn metrics_route(req: &Request, out: &mut TcpStream) -> io::Result<bool> {
+    let keep = req.keep_alive;
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") => write_response(
+            out,
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            seg_obs::metrics().render().as_bytes(),
+            keep,
+        )?,
+        ("GET", "/healthz") => http_write_json(out, 200, "{\"status\":\"ok\"}", keep)?,
+        ("GET", "/v1/metrics/history") => match crate::api::metrics_history_body(req) {
+            Ok(body) => http_write_json(out, 200, &body, keep)?,
+            Err(e) => http_write_json(
+                out,
+                400,
+                &format!("{{\"error\":{}}}", json_string(&e)),
                 keep,
             )?,
-            ("GET", "/healthz") => http_write_json(&mut writer, 200, "{\"status\":\"ok\"}", keep)?,
-            ("GET", "/v1/metrics/history") => match crate::api::metrics_history_body(&req) {
-                Ok(body) => http_write_json(&mut writer, 200, &body, keep)?,
-                Err(e) => http_write_json(
-                    &mut writer,
-                    400,
-                    &format!("{{\"error\":{}}}", json_string(&e)),
-                    keep,
-                )?,
-            },
-            _ => http_write_json(&mut writer, 404, "{\"error\":\"no such endpoint\"}", keep)?,
-        }
-        writer.flush()?;
-        if !keep {
-            break;
-        }
+        },
+        _ => http_write_json(out, 404, "{\"error\":\"no such endpoint\"}", keep)?,
     }
-    Ok(())
-}
-
-/// Binds the worker's `/metrics`+`/healthz` listener and serves it on a
-/// background thread forever. Prints the bound address (`--metrics-addr
-/// 127.0.0.1:0` picks an ephemeral port; the printed line is how tests
-/// and operators learn it).
-fn spawn_metrics_listener(addr: &str) -> io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    println!("work: metrics on http://{}", listener.local_addr()?);
-    io::stdout().flush().ok();
-    std::thread::spawn(move || {
-        for stream in listener.incoming().flatten() {
-            std::thread::spawn(move || {
-                let _ = serve_metrics_conn(stream);
-            });
-        }
-    });
-    Ok(())
+    Ok(keep)
 }
 
 fn register(addr: &str) -> io::Result<String> {
@@ -582,7 +557,25 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<()> {
         // build info + uptime anchor the series like on the coordinator
         seg_obs::register_process_metrics(env!("CARGO_PKG_VERSION"));
         seg_obs::history().start(Duration::from_secs(1));
-        spawn_metrics_listener(addr)?;
+        // `:0` picks an ephemeral port; the printed line is how tests and
+        // operators learn it
+        let listener = TcpListener::bind(addr)?;
+        println!("work: metrics on http://{}", listener.local_addr()?);
+        io::stdout().flush().ok();
+        // the server's connection loop, handler pool and request deadline;
+        // a small body cap, since nothing legitimate POSTs bodies here
+        let defaults = ServeConfig::default();
+        std::thread::spawn(move || {
+            let never = AtomicBool::new(false);
+            serve_connections(
+                &listener,
+                defaults.conn_threads,
+                16 * 1024,
+                defaults.request_timeout,
+                &never,
+                &metrics_route,
+            )
+        });
     }
     let assignments = seg_obs::metrics().counter(
         "work_assignments_total",
@@ -650,30 +643,31 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    /// A one-shot canned server: each accepted connection reads the
-    /// request head and answers with the next scripted response.
-    fn scripted_server(responses: Vec<String>) -> String {
+    /// Serves `route` on an ephemeral loopback port through the
+    /// server's connection loop, with a `deadline` per request.
+    fn serve_on_loopback<H>(deadline: Duration, route: H) -> String
+    where
+        H: Fn(&Request, &mut TcpStream) -> io::Result<bool> + Send + Sync + 'static,
+    {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
-            for response in responses {
-                let (stream, _) = match listener.accept() {
-                    Ok(pair) => pair,
-                    Err(_) => return,
-                };
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut line = String::new();
-                while reader.read_line(&mut line).is_ok() {
-                    if line == "\r\n" || line.is_empty() {
-                        break;
-                    }
-                    line.clear();
-                }
-                let mut w = stream;
-                let _ = w.write_all(response.as_bytes());
-            }
+            let never = AtomicBool::new(false);
+            serve_connections(&listener, 2, 1024, deadline, &never, &route)
         });
         addr
+    }
+
+    /// A canned server: each request is answered with the next scripted
+    /// response, then the connection closes.
+    fn scripted_server(responses: Vec<String>) -> String {
+        let responses = std::sync::Mutex::new(responses.into_iter());
+        serve_on_loopback(Duration::from_secs(5), move |_, out| {
+            if let Some(response) = responses.lock().unwrap().next() {
+                out.write_all(response.as_bytes())?;
+            }
+            Ok(false)
+        })
     }
 
     fn retries_for(op: &'static str) -> u64 {
@@ -732,5 +726,44 @@ mod tests {
         ]);
         let resp = call_retrying("test_header", &addr, "GET", "/x", b"", &[]).unwrap();
         assert_eq!(resp.retry_after, Some(7));
+    }
+
+    #[test]
+    fn a_partial_head_is_closed_at_the_request_deadline() {
+        let addr = serve_on_loopback(Duration::from_millis(200), metrics_route);
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nhost: x\r\n")
+            .unwrap();
+        let started = std::time::Instant::now();
+        let mut rest = Vec::new();
+        // the loop drops the connection without a reply: EOF, or a reset
+        let _ = stream.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "got {:?}", String::from_utf8_lossy(&rest));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "closed only after {:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn the_metrics_route_answers_400_to_a_malformed_request_line() {
+        let addr = serve_on_loopback(Duration::from_secs(5), metrics_route);
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.write_all(b"BOGUS\r\n\r\n").unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 400"), "got {reply:?}");
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200"), "got {reply:?}");
     }
 }

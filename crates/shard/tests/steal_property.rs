@@ -9,16 +9,16 @@
 //! This simulates exactly what `segsim serve --fleet` does over HTTP
 //! (`crates/serve/src/jobs.rs::execute_fleet`), minus the transport:
 //! workers run [`Engine::task_subset`], serialize their records as a
-//! shard journal, the coordinator ingests the journals with
-//! [`ingest_journal`], dedupes by task index, and appends survivors to
+//! shard journal, the coordinator reads the journals with
+//! [`read_journal`], dedupes by task index, and appends survivors to
 //! the job checkpoint; a final resumed run yields the merged rows.
 
 use proptest::prelude::*;
 use seg_engine::{
-    header_line, record_line, spec_fingerprint, Checkpoint, Engine, Observer, Sink, SweepSpec,
-    Variant,
+    header_line, read_journal, record_line, spec_fingerprint, Checkpoint, Engine, Observer, Sink,
+    SweepSpec, Variant,
 };
-use seg_shard::{ingest_journal, repartition};
+use seg_shard::repartition;
 use std::fs;
 use std::path::PathBuf;
 
@@ -152,7 +152,7 @@ proptest! {
                 if first_round && w == killed {
                     body = kill_upload(&body, keep, torn);
                 }
-                let records = ingest_journal(body.as_bytes(), &spec).unwrap().records;
+                let records = read_journal(&body, &spec).unwrap().records;
                 for rec in records {
                     let i = rec.task.task_index;
                     // dedupe by task index against the journal, so a
@@ -211,7 +211,7 @@ fn duplicate_uploads_are_deduplicated_by_task_index() {
     let share: Vec<usize> = (0..total).collect();
     let body = worker_upload(&spec, &share, 1);
     for _ in 0..2 {
-        for rec in ingest_journal(body.as_bytes(), &spec).unwrap().records {
+        for rec in read_journal(&body, &spec).unwrap().records {
             let i = rec.task.task_index;
             if i < total && !done[i] {
                 journal.append(&rec).unwrap();

@@ -20,9 +20,10 @@
 //! - [`seg_engine`] — parallel sweep & replica orchestration (start at
 //!   [`seg_engine::SweepSpec`]);
 //! - [`seg_shard`] — the fleet's dynamic split: re-partition a sweep's
-//!   missing tasks among live workers and ingest the shard journals they
-//!   upload (start at [`seg_shard::repartition`]); the static split is
-//!   [`seg_engine::ShardIndex`] (`--shard I/M`);
+//!   missing tasks among live workers ([`seg_shard::repartition`]); the
+//!   static split is [`seg_engine::ShardIndex`] (`--shard I/M`), and the
+//!   shard journals workers upload are read by
+//!   [`seg_engine::read_journal`];
 //! - [`seg_serve`] — simulation as a service: `segsim serve` accepts
 //!   sweep requests over HTTP, schedules them on the engine with a
 //!   fingerprint-keyed result cache, and streams rows back (start at

@@ -20,6 +20,8 @@ mod support;
 
 use std::collections::HashSet;
 use std::fs;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::process::Command;
 use std::time::Duration;
 use support::{
@@ -288,4 +290,63 @@ fn fleet_endpoints_are_404_when_fleet_mode_is_off() {
         "unhelpful error: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// The worker's `--metrics-addr` listener runs on the server's
+/// connection loop: a malformed request line gets a 400, and idle
+/// connections beyond the handler pool wait in its bounded queue and
+/// the OS backlog instead of each pinning a thread of their own.
+#[test]
+fn worker_metrics_listener_answers_400_and_bounds_its_threads() {
+    let dir = tmp_dir("fleet_listener");
+    let server = ServerProc::start_with("fleet_listener", &dir.join("data"), 1, &["--fleet"]);
+    let _ = fs::remove_file(log_path("fleet_listener-worker1"));
+    let worker = WorkerProc::start(
+        "fleet_listener",
+        1,
+        &server.addr,
+        &["--metrics-addr", "127.0.0.1:0"],
+    );
+    let line = wait_for_log(
+        &worker.log,
+        "work: metrics on http://",
+        Duration::from_secs(10),
+    );
+    let addr = line
+        .lines()
+        .filter_map(|l| l.strip_prefix("work: metrics on http://"))
+        .next_back()
+        .expect("metrics address line")
+        .trim()
+        .to_string();
+
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    conn.write_all(b"GARBAGE\r\n\r\n").unwrap();
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 400"), "got {reply:?}");
+
+    let threads = || -> usize {
+        let status = fs::read_to_string(format!("/proc/{}/status", worker.child.id()))
+            .expect("worker /proc status");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|n| n.trim().parse().ok())
+            .expect("Threads line")
+    };
+    let before = threads();
+    let idle: Vec<TcpStream> = (0..100)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    std::thread::sleep(Duration::from_millis(500));
+    let during = threads();
+    assert!(
+        during < before + 16,
+        "{} idle connections grew the worker from {before} to {during} threads",
+        idle.len()
+    );
+    drop(idle);
+    let (status, _, _) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "the listener is still serving");
 }
