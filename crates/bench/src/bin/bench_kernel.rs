@@ -149,10 +149,13 @@ fn main() {
     println!("wrote {}", args.out);
 
     if let Some(baseline_path) = args.check {
-        let baseline = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        });
+        let baseline = std::fs::read_to_string(&baseline_path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| seg_obs::Json::parse(&text))
+            .unwrap_or_else(|e| {
+                eprintln!("cannot read baseline {baseline_path}: {e}");
+                std::process::exit(2);
+            });
         println!(
             "checking medians against {baseline_path} (tolerance {:.2}):",
             args.tolerance

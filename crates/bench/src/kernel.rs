@@ -11,6 +11,7 @@
 
 use seg_core::ring::{RingKawasaki, RingSim};
 use seg_core::{ModelConfig, Simulation};
+use seg_obs::Json;
 use std::time::{Duration, Instant};
 
 /// Grid side for the 2-D kernel workload.
@@ -192,27 +193,20 @@ impl Spread {
     }
 }
 
-/// Extracts `"key": <number>` from a flat JSON document written by
-/// `bench_kernel` (no nesting of the same key, numbers unquoted).
-pub fn extract_metric(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// A metric of a `BENCH_kernel.json` document (its `metrics` object).
+pub fn baseline_metric(baseline: &Json, key: &str) -> Option<f64> {
+    baseline.get("metrics")?.get(key)?.as_f64()
 }
 
 /// Compares each metric's median with `baseline` (a `BENCH_kernel.json`
 /// document): a metric regresses when its median is below `tolerance ×`
 /// its baseline value. Returns one report line per metric and whether
 /// any regressed; metrics missing from the baseline are skipped.
-pub fn check(metrics: &[(String, Spread)], baseline: &str, tolerance: f64) -> (Vec<String>, bool) {
+pub fn check(metrics: &[(String, Spread)], baseline: &Json, tolerance: f64) -> (Vec<String>, bool) {
     let mut failed = false;
     let lines = metrics
         .iter()
-        .map(|(k, s)| match extract_metric(baseline, k) {
+        .map(|(k, s)| match baseline_metric(baseline, k) {
             Some(base) => {
                 let ok = s.median >= tolerance * base;
                 failed |= !ok;
@@ -243,7 +237,8 @@ mod tests {
 
     #[test]
     fn check_fails_against_a_doubled_baseline() {
-        let baseline = include_str!("../../../BENCH_kernel.json");
+        let text = include_str!("../../../BENCH_kernel.json");
+        let baseline = &Json::parse(text).unwrap();
         let keys = [
             "twod_flips_per_s_w1",
             "twod_flips_per_s_w8",
@@ -254,7 +249,7 @@ mod tests {
         let metrics: Vec<(String, Spread)> = keys
             .iter()
             .map(|k| {
-                let base = extract_metric(baseline, k).expect("committed metric");
+                let base = baseline_metric(baseline, k).expect("committed metric");
                 (
                     k.to_string(),
                     Spread::of(vec![0.9 * base, 0.3 * base, base]),
@@ -264,18 +259,18 @@ mod tests {
         let (lines, failed) = check(&metrics, baseline, 0.5);
         assert!(!failed, "{lines:?}");
         // every baseline value doubled: the same medians are at 45%
-        let mut doubled = baseline.to_string();
+        let mut doubled = text.to_string();
         for k in keys {
-            let base = extract_metric(baseline, k).unwrap();
+            let base = baseline_metric(baseline, k).unwrap();
             doubled = doubled.replace(
                 &format!("\"{k}\": {base:.1}"),
                 &format!("\"{k}\": {:.1}", 2.0 * base),
             );
         }
-        let (lines, failed) = check(&metrics, &doubled, 0.5);
+        let (lines, failed) = check(&metrics, &Json::parse(&doubled).unwrap(), 0.5);
         assert!(failed, "{lines:?}");
         assert!(lines.iter().all(|l| l.ends_with("REGRESSION")), "{lines:?}");
-        let (lines, _) = check(&metrics, "{}", 0.5);
+        let (lines, _) = check(&metrics, &Json::Obj(Vec::new()), 0.5);
         assert!(lines.iter().all(|l| l.ends_with("skipped")), "{lines:?}");
     }
 

@@ -34,6 +34,7 @@
 use crate::replica::ReplicaRecord;
 use crate::sink::format_f64;
 use crate::spec::{ShardIndex, SweepSpec};
+use seg_obs::{json_string, parse_json_string};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -397,10 +398,8 @@ pub fn record_line(rec: &ReplicaRecord) -> String {
         if i > 0 {
             line.push(',');
         }
-        // metric names are identifier-like; quote verbatim
-        line.push('"');
-        line.push_str(k);
-        line.push_str("\":");
+        line.push_str(&json_string(k));
+        line.push(':');
         line.push_str(&format_f64(*v));
     }
     line.push_str("}}");
@@ -497,17 +496,15 @@ pub fn read_journal(text: &str, spec: &SweepSpec) -> Result<Journal, JournalErro
             return Ok((index as usize, events, metrics));
         }
         loop {
-            let r = rest.strip_prefix('"').ok_or("expected metric name")?;
-            let q = r.find('"').ok_or("unterminated metric name")?;
-            let name = &r[..q];
-            let r = r[q + 1..]
+            let (name, r) = parse_json_string(rest).map_err(|e| format!("bad metric name: {e}"))?;
+            let r = r
                 .strip_prefix(':')
                 .ok_or("expected ':' after metric name")?;
             let end = r.find([',', '}']).ok_or("unterminated metric value")?;
             let value: f64 = r[..end]
                 .parse()
                 .map_err(|_| format!("bad metric value {:?}", &r[..end]))?;
-            metrics.insert(name.to_string(), value);
+            metrics.insert(name, value);
             match &r[end..end + 1] {
                 "," => rest = &r[end + 1..],
                 _ => {

@@ -114,6 +114,45 @@ fn fully_journaled_sweep_runs_nothing_on_resume() {
 }
 
 #[test]
+fn metric_names_needing_json_escapes_resume_to_the_same_rows() {
+    // a quote, a backslash and a control character: the journal must
+    // escape each one the way the JSONL sink does, and read it back
+    const NAMES: [&str; 3] = ["a\"b\\c", "tab\there", "ctl\u{1}"];
+    let observer = || {
+        Observer::custom_named(NAMES, |task, _, _| {
+            NAMES
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (n.to_string(), (task.task_index + i) as f64))
+                .collect()
+        })
+    };
+    let spec = spec(13);
+    let journal = tmp("escaped_names.jsonl");
+    let _ = fs::remove_file(&journal);
+    let baseline = Engine::new().threads(2).run(&spec, &[observer()]);
+    Engine::new()
+        .threads(2)
+        .run_with_checkpoint(&spec, &[observer()], &journal)
+        .unwrap();
+    interrupt(&journal, 3, false);
+    let resumed = Engine::new()
+        .threads(2)
+        .run_with_checkpoint(&spec, &[observer()], &journal)
+        .expect("a journal with escaped metric names resumes");
+    let (base_rows, resumed_rows) = (tmp("escaped_base.jsonl"), tmp("escaped_resumed.jsonl"));
+    Sink::Jsonl(base_rows.clone()).write(&baseline).unwrap();
+    Sink::Jsonl(resumed_rows.clone()).write(&resumed).unwrap();
+    assert_eq!(
+        fs::read(&base_rows).unwrap(),
+        fs::read(&resumed_rows).unwrap()
+    );
+    assert!(fs::read_to_string(&base_rows)
+        .unwrap()
+        .contains(r#""a\"b\\c":"#));
+}
+
+#[test]
 fn corrupt_record_line_is_a_clean_error() {
     let spec = spec(11);
     let journal = tmp("corrupt.jsonl");

@@ -53,7 +53,8 @@
 //! [`History::remove_labeled`] drops them (the server does when a job is
 //! deleted or evicted).
 
-use crate::metrics::{Registry, SeriesValue};
+use crate::metrics::{render_labels, Registry, SeriesValue};
+use crate::Json;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
@@ -122,22 +123,15 @@ pub struct SeriesId {
 }
 
 impl SeriesId {
-    /// The Prometheus-style rendering: `name` or `name{k="v",...}`.
+    /// The Prometheus-style rendering: `name` or `name{k="v",...}`, with
+    /// the label syntax of the `/metrics` exposition.
     pub fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.clone();
-        }
-        let parts: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-            .collect();
-        format!("{}{{{}}}", self.name, parts.join(","))
+        format!("{}{}", self.name, render_labels(&self.labels, None))
     }
 
     /// Parses the [`SeriesId::render`] form back. `None` on malformed
-    /// input (used by JSONL replay, which only ever sees its own
-    /// output).
+    /// input (used by JSONL replay, which decodes the line's JSON string
+    /// first, so every escaped label character comes back).
     pub fn parse(text: &str) -> Option<SeriesId> {
         let Some(brace) = text.find('{') else {
             return Some(SeriesId {
@@ -178,12 +172,6 @@ impl SeriesId {
         labels.sort();
         Some(SeriesId { name, labels })
     }
-}
-
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 /// One series' retained state: the tier rings plus the roll-up and
@@ -557,93 +545,59 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn point_json(s: &Sample) -> String {
-    match s.value {
-        Value::Counter { total, rate } => format!(
-            "{{\"unix_us\":{},\"total\":{total},\"rate\":{}}}",
-            s.unix_us,
-            fmt_f64(rate)
+/// A sample value's kind and its fields as JSON members — shared by the
+/// query document's points and the persistence lines.
+fn value_fields(value: Value) -> (&'static str, String) {
+    match value {
+        Value::Counter { total, rate } => (
+            "counter",
+            format!("\"total\":{total},\"rate\":{}", fmt_f64(rate)),
         ),
-        Value::Gauge(v) => format!("{{\"unix_us\":{},\"value\":{}}}", s.unix_us, fmt_f64(v)),
-        Value::Histogram { p50, p99, count } => format!(
-            "{{\"unix_us\":{},\"p50\":{},\"p99\":{},\"count\":{count}}}",
-            s.unix_us,
-            fmt_f64(p50),
-            fmt_f64(p99)
+        Value::Gauge(v) => ("gauge", format!("\"value\":{}", fmt_f64(v))),
+        Value::Histogram { p50, p99, count } => (
+            "histogram",
+            format!(
+                "\"p50\":{},\"p99\":{},\"count\":{count}",
+                fmt_f64(p50),
+                fmt_f64(p99)
+            ),
         ),
     }
+}
+
+fn point_json(s: &Sample) -> String {
+    format!("{{\"unix_us\":{},{}}}", s.unix_us, value_fields(s.value).1)
 }
 
 /// One persistence line: `{"unix_us":...,"series":"...","kind":...}`
 /// plus the kind's fields — self-describing, grep/jq-friendly, and the
 /// exact input [`parse_sample_line`] replays.
 fn sample_json_line(id: &SeriesId, s: &Sample) -> String {
-    let head = format!(
-        "{{\"unix_us\":{},\"series\":{}",
+    let (kind, fields) = value_fields(s.value);
+    format!(
+        "{{\"unix_us\":{},\"series\":{},\"kind\":\"{kind}\",{fields}}}",
         s.unix_us,
         crate::json_string(&id.render())
-    );
-    match s.value {
-        Value::Counter { total, rate } => {
-            format!(
-                "{head},\"kind\":\"counter\",\"total\":{total},\"rate\":{}}}",
-                fmt_f64(rate)
-            )
-        }
-        Value::Gauge(v) => format!("{head},\"kind\":\"gauge\",\"value\":{}}}", fmt_f64(v)),
-        Value::Histogram { p50, p99, count } => format!(
-            "{head},\"kind\":\"histogram\",\"p50\":{},\"p99\":{},\"count\":{count}}}",
-            fmt_f64(p50),
-            fmt_f64(p99)
-        ),
-    }
-}
-
-/// Extracts `"key":<number>` from one of our own JSONL lines.
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Extracts `"key":"value"` (JSON-unescaped) from one of our own lines.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                c => out.push(c),
-            },
-            '"' => return Some(out),
-            c => out.push(c),
-        }
-    }
+    )
 }
 
 /// Parses one [`sample_json_line`] back; `None` for anything else (a
 /// truncated tail line after a crash is skipped, not fatal).
 fn parse_sample_line(line: &str) -> Option<(SeriesId, Sample)> {
-    let unix_us = field_f64(line, "unix_us")? as u64;
-    let id = SeriesId::parse(&field_str(line, "series")?)?;
-    let value = match field_str(line, "kind")?.as_str() {
+    let doc = Json::parse(line).ok()?;
+    let num = |key: &str| doc.get(key).and_then(Json::as_f64);
+    let unix_us = num("unix_us")? as u64;
+    let id = SeriesId::parse(doc.get("series")?.as_str()?)?;
+    let value = match doc.get("kind")?.as_str()? {
         "counter" => Value::Counter {
-            total: field_f64(line, "total")? as u64,
-            rate: field_f64(line, "rate")?,
+            total: num("total")? as u64,
+            rate: num("rate")?,
         },
-        "gauge" => Value::Gauge(field_f64(line, "value")?),
+        "gauge" => Value::Gauge(num("value")?),
         "histogram" => Value::Histogram {
-            p50: field_f64(line, "p50")?,
-            p99: field_f64(line, "p99")?,
-            count: field_f64(line, "count")? as u64,
+            p50: num("p50")?,
+            p99: num("p99")?,
+            count: num("count")? as u64,
         },
         _ => return None,
     };

@@ -21,8 +21,9 @@
 //!   cadence), with optional append-only JSONL persistence that
 //!   replays on restart (`segsim serve --metrics-history-out FILE`,
 //!   `GET /v1/metrics/history`);
-//! - [`mod@json`] — the JSON string escaper and number formatter every
-//!   hand-written JSON writer of the workspace shares;
+//! - [`mod@json`] — the workspace's one JSON reader ([`Json`], a
+//!   bounded-depth parser) and the string escaper and number formatter
+//!   every hand-written JSON writer shares;
 //! - [`alerts`] — threshold and SLO rules (`segsim serve --alerts
 //!   FILE`, `GET /alerts`) evaluated against history after each
 //!   scrape, with `for`-duration hysteresis, firing/resolved trace
@@ -66,7 +67,7 @@ pub mod trace;
 
 pub use alerts::AlertEngine;
 pub use history::{history, History};
-pub use json::{json_number, json_string};
+pub use json::{json_number, json_string, parse_json_string, Json};
 pub use metrics::{
     metrics, register_process_metrics, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     SeriesSnapshot, SeriesValue,

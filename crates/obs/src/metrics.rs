@@ -471,46 +471,28 @@ impl Registry {
             out.push_str(&format!("# HELP {name} {}\n", escape_help(&family.help)));
             out.push_str(&format!("# TYPE {name} {kind}\n"));
             for (labels, instrument) in family.series.iter() {
+                // one sample line: `name_suffix{labels,le} value`
+                let mut sample = |suffix: &str, le: Option<&str>, value: String| {
+                    out.push_str(&format!(
+                        "{name}{suffix}{} {value}\n",
+                        render_labels(labels, le)
+                    ));
+                };
                 match instrument {
-                    Instrument::Counter(c) => {
-                        out.push_str(&format!(
-                            "{name}{} {}\n",
-                            render_labels(labels, None),
-                            c.get()
-                        ));
-                    }
-                    Instrument::Gauge(g) => {
-                        out.push_str(&format!(
-                            "{name}{} {}\n",
-                            render_labels(labels, None),
-                            format_value(g.get())
-                        ));
-                    }
+                    Instrument::Counter(c) => sample("", None, c.get().to_string()),
+                    Instrument::Gauge(g) => sample("", None, format_value(g.get())),
                     Instrument::Histogram(h) => {
                         let snap = h.snapshot();
                         let mut cumulative = 0u64;
                         for (i, bound) in snap.bounds.iter().enumerate() {
                             cumulative += snap.counts[i];
-                            out.push_str(&format!(
-                                "{name}_bucket{} {cumulative}\n",
-                                render_labels(labels, Some(&format_value(*bound))),
-                            ));
+                            let le = format_value(*bound);
+                            sample("_bucket", Some(&le), cumulative.to_string());
                         }
                         cumulative += snap.counts[snap.bounds.len()];
-                        out.push_str(&format!(
-                            "{name}_bucket{} {cumulative}\n",
-                            render_labels(labels, Some("+Inf")),
-                        ));
-                        out.push_str(&format!(
-                            "{name}_sum{} {}\n",
-                            render_labels(labels, None),
-                            format_value(snap.sum)
-                        ));
-                        out.push_str(&format!(
-                            "{name}_count{} {}\n",
-                            render_labels(labels, None),
-                            snap.count
-                        ));
+                        sample("_bucket", Some("+Inf"), cumulative.to_string());
+                        sample("_sum", None, format_value(snap.sum));
+                        sample("_count", None, snap.count.to_string());
                     }
                 }
             }
@@ -539,8 +521,10 @@ pub fn register_process_metrics(version: &str) {
     );
 }
 
-/// `{a="x",le="0.5"}` — or the empty string for a bare sample.
-fn render_labels(labels: &[(String, String)], le: Option<&str>) -> String {
+/// `{a="x",le="0.5"}` — or the empty string for a bare sample. The one
+/// label renderer: the exposition and history's
+/// [`SeriesId::render`](crate::history::SeriesId::render) both use it.
+pub(crate) fn render_labels(labels: &[(String, String)], le: Option<&str>) -> String {
     if labels.is_empty() && le.is_none() {
         return String::new();
     }

@@ -43,10 +43,9 @@
 
 use crate::http::{write_json, write_response, write_response_with, ChunkedBody, Request};
 use crate::jobs::{Job, JobManager, JobState, SubmitOutcome, SweepRequest};
-use crate::json::Json;
 use crate::lifecycle::DeleteOutcome;
 use seg_engine::{read_journal, Journal};
-use seg_obs::json_string;
+use seg_obs::{json_string, Json};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -703,25 +702,14 @@ mod tests {
         }
     }
 
-    /// The body of a complete chunked response (panics when the
-    /// terminating chunk is missing).
+    /// The body of a complete response (panics when it is cut short or
+    /// bytes follow it).
     fn dechunk(raw: &[u8]) -> Vec<u8> {
-        let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("head") + 4;
-        let mut rest = &raw[head_end..];
-        let mut body = Vec::new();
-        loop {
-            let line_end = rest.windows(2).position(|w| w == b"\r\n").expect("size");
-            let size = usize::from_str_radix(std::str::from_utf8(&rest[..line_end]).unwrap(), 16)
-                .expect("hex size");
-            rest = &rest[line_end + 2..];
-            if size == 0 {
-                assert_eq!(rest, b"\r\n", "bytes after the last chunk");
-                return body;
-            }
-            body.extend_from_slice(&rest[..size]);
-            assert_eq!(&rest[size..size + 2], b"\r\n");
-            rest = &rest[size + 2..];
-        }
+        let mut rest = raw;
+        let response = crate::http::read_response(&mut rest, crate::http::MAX_RESPONSE_BODY)
+            .expect("a complete response");
+        assert!(rest.is_empty(), "bytes after the last chunk");
+        response.body
     }
 
     /// Starts `stream_rows` on its own thread and returns once the
@@ -881,6 +869,12 @@ mod tests {
                 r#"{"accepted":1}"#,
             ),
             (
+                "a trace line that is not JSON",
+                format!("{}x\"kind\":\"span\"\n", header(spec)),
+                200,
+                r#"{"accepted":0}"#,
+            ),
+            (
                 "duplicate records",
                 format!("{}{records}{records}", header(spec)),
                 200,
@@ -895,8 +889,18 @@ mod tests {
             );
             assert!(raw.ends_with(&format!("\r\n\r\n{reply}")), "{what}: {raw}");
         }
-        // the trace lines reached the job verbatim, tagged with the worker
+        // the trace lines reached the job verbatim, tagged with the
+        // worker, and the one that is not JSON did not
         let trace = job.trace_json();
+        let doc = Json::parse(&trace).expect("the trace document is JSON");
+        let from_worker = doc
+            .get("spans")
+            .unwrap()
+            .as_list()
+            .into_iter()
+            .filter(|span| span.get("proc").and_then(Json::as_str) == Some("w1"))
+            .count();
+        assert_eq!(from_worker, 2, "{trace}");
         for line in [event, span] {
             let tagged = format!("{{\"proc\":\"w1\",{}", &line[1..]);
             assert!(trace.contains(&tagged), "{tagged} missing from {trace}");

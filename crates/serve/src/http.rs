@@ -1,10 +1,14 @@
 //! A minimal HTTP/1.1 layer over `std::io` streams.
 //!
-//! Just enough of RFC 9112 for the service: request-line + header
-//! parsing with hard size limits, `Content-Length` bodies (no request
-//! chunked encoding), keep-alive bookkeeping, and two response shapes —
-//! fixed-length JSON and `Transfer-Encoding: chunked` for streams whose
-//! length is unknown up front (the NDJSON row streams).
+//! Just enough of RFC 9112 for the service and its fleet workers: one
+//! bounded head reader (start line + headers with hard size limits and
+//! strict `Content-Length` rules) under both [`read_request`]
+//! (`Content-Length` bodies only, no request chunked encoding) and
+//! [`read_response`] (`Content-Length` or chunked bodies, capped before
+//! anything is allocated), keep-alive bookkeeping, and two
+//! response shapes — fixed-length JSON and `Transfer-Encoding: chunked`
+//! for streams whose length is unknown up front (the NDJSON row
+//! streams).
 //!
 //! Everything here is transport; routing and semantics live in
 //! [`crate::api`].
@@ -13,10 +17,25 @@ use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Hard cap on the request line + headers, bytes.
+/// Hard cap on the start line + headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Hard cap on the number of header lines.
 pub const MAX_HEADERS: usize = 64;
+
+/// The body cap the platform's HTTP clients pass to [`read_response`].
+///
+/// The largest response the service sends such a client is a fleet
+/// claim: up to [`MAX_TASKS`](crate::jobs::MAX_TASKS) task indices, at
+/// most 7 bytes each with their comma (7 MB), plus the job's normalized
+/// request document. That document lists each axis value of a request
+/// body the coordinator accepted under its `--max-body` cap (1 MiB by
+/// default); the widest value renders 47 times longer than it was sent
+/// (`5e-324,` becomes a 327-byte decimal), so at the default cap the
+/// whole claim stays under 54 MiB. A coordinator run with a far larger
+/// `--max-body` can accept a request whose claim exceeds this; a worker
+/// then refuses the claim as a transport error rather than allocate
+/// without bound.
+pub const MAX_RESPONSE_BODY: usize = 64 << 20;
 
 /// A parsed request.
 #[derive(Clone, Debug)]
@@ -39,10 +58,7 @@ pub struct Request {
 impl Request {
     /// The first value of a (lower-case) header name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// The first value of a query parameter.
@@ -54,15 +70,40 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// A parsed response.
+#[derive(Clone, Debug)]
+pub struct Response {
+    /// The three-digit status code.
+    pub status: u16,
+    /// Headers with lower-cased names, in order.
+    pub headers: Vec<(String, String)>,
+    /// The body, de-chunked.
+    pub body: Vec<u8>,
+}
+
+impl Response {
+    /// The first value of a (lower-case) header name.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        find_header(&self.headers, name)
+    }
+}
+
+fn find_header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
+    headers
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// Why a message could not be read.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The bytes are not a well-formed request (respond 400, close).
+    /// The bytes are not a well-formed message (respond 400, close).
     Malformed(String),
     /// The declared body exceeds the configured cap (respond 413,
     /// close — the body was not read).
     BodyTooLarge {
-        /// What the request declared.
+        /// What the message declared.
         declared: u64,
         /// The configured cap.
         limit: usize,
@@ -74,7 +115,7 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
+            HttpError::Malformed(m) => write!(f, "malformed HTTP message: {m}"),
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
             }
@@ -91,7 +132,8 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// Reads one line terminated by `\n`, enforcing the head-size budget.
+/// Reads one line terminated by `\n`, drawing its bytes from `budget`;
+/// no line may exceed [`MAX_HEAD_BYTES`] either.
 fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
     loop {
@@ -108,8 +150,8 @@ fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Option<String>
             Some(i) => i + 1,
             None => buf.len(),
         };
-        if take > *budget {
-            return Err(HttpError::Malformed("request head too large".into()));
+        if take > *budget || line.len() + take > MAX_HEAD_BYTES {
+            return Err(HttpError::Malformed("message too large".into()));
         }
         *budget -= take;
         let found_newline = buf[take - 1] == b'\n';
@@ -126,6 +168,77 @@ fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Option<String>
     }
 }
 
+/// A message head: the start line, then the headers with lower-cased
+/// names, within [`MAX_HEAD_BYTES`] and [`MAX_HEADERS`].
+struct Head {
+    start: String,
+    headers: Vec<(String, String)>,
+}
+
+impl Head {
+    /// Reads one head; `Ok(None)` on a clean EOF before its first byte.
+    fn read<R: BufRead>(r: &mut R) -> Result<Option<Head>, HttpError> {
+        let mut budget = MAX_HEAD_BYTES;
+        let start = match read_line(r, &mut budget)? {
+            None => return Ok(None),
+            Some(l) if l.is_empty() => return Err(HttpError::Malformed("empty start line".into())),
+            Some(l) => l,
+        };
+        let mut headers = Vec::new();
+        loop {
+            let line = read_line(r, &mut budget)?
+                .ok_or_else(|| HttpError::Malformed("EOF in headers".into()))?;
+            if line.is_empty() {
+                return Ok(Some(Head { start, headers }));
+            }
+            if headers.len() >= MAX_HEADERS {
+                return Err(HttpError::Malformed("too many headers".into()));
+            }
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| HttpError::Malformed(format!("header without ':' ({line:?})")))?;
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        }
+    }
+
+    /// The declared `Content-Length`, checked against `max_body`.
+    fn content_length(&self, max_body: usize) -> Result<Option<usize>, HttpError> {
+        // RFC 9112 §6.3: the length is 1*DIGIT, and repeated fields must
+        // agree; anything else leaves the message's end ambiguous
+        let mut content_length = None;
+        for (_, v) in self.headers.iter().filter(|(k, _)| k == "content-length") {
+            let parsed = match v.parse::<u64>() {
+                Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => return Err(HttpError::Malformed(format!("bad content-length {v:?}"))),
+            };
+            if content_length.is_some_and(|first| first != parsed) {
+                return Err(HttpError::Malformed("conflicting content-length".into()));
+            }
+            content_length = Some(parsed);
+        }
+        match content_length {
+            Some(n) if n > max_body as u64 => Err(HttpError::BodyTooLarge {
+                declared: n,
+                limit: max_body,
+            }),
+            n => Ok(n.map(|n| n as usize)),
+        }
+    }
+}
+
+/// Appends exactly `n` more bytes from `r` to `body`, which the caller
+/// keeps within `cap`. The buffer grows by doubling but never past
+/// `cap`, so a body read in many pieces holds at most `cap` bytes plus,
+/// while it moves, the buffer it outgrew.
+fn append_exact<R: Read>(r: &mut R, body: &mut Vec<u8>, n: usize, cap: usize) -> io::Result<()> {
+    let len = body.len();
+    if len + n > body.capacity() {
+        body.reserve_exact((len + n).max(2 * body.capacity()).min(cap) - len);
+    }
+    body.resize(len + n, 0);
+    r.read_exact(&mut body[len..])
+}
+
 /// Reads one request off the stream.
 ///
 /// Returns `Ok(None)` on a clean EOF *before* any byte of a request —
@@ -139,13 +252,10 @@ fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Option<String>
 /// `max_body` (the body is left unread), [`HttpError::Io`] for socket
 /// failures.
 pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Request>, HttpError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let request_line = match read_line(r, &mut budget)? {
-        None => return Ok(None),
-        Some(l) if l.is_empty() => return Err(HttpError::Malformed("empty request line".into())),
-        Some(l) => l,
+    let Some(head) = Head::read(r)? else {
+        return Ok(None);
     };
-    let mut parts = request_line.split_whitespace();
+    let mut parts = head.start.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m.to_string(), t.to_string(), v.to_string()),
         _ => return Err(HttpError::Malformed("bad request line".into())),
@@ -153,58 +263,17 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Req
     if version != "HTTP/1.1" && version != "HTTP/1.0" {
         return Err(HttpError::Malformed(format!("unsupported {version}")));
     }
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(r, &mut budget)?
-            .ok_or_else(|| HttpError::Malformed("EOF in headers".into()))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::Malformed("too many headers".into()));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("header without ':' ({line:?})")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let find = |name: &str| {
-        headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
-    let keep_alive = match find("connection").map(str::to_ascii_lowercase) {
+    let keep_alive = match find_header(&head.headers, "connection").map(str::to_ascii_lowercase) {
         Some(c) if c.contains("close") => false,
         Some(c) if c.contains("keep-alive") => true,
         _ => version == "HTTP/1.1",
     };
-    // RFC 9112 §6.3: the length is 1*DIGIT, and repeated fields must
-    // agree; anything else leaves the message's end ambiguous
-    let mut content_length = None;
-    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
-        let parsed = match v.parse::<u64>() {
-            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
-            _ => return Err(HttpError::Malformed(format!("bad content-length {v:?}"))),
-        };
-        if content_length.is_some_and(|first| first != parsed) {
-            return Err(HttpError::Malformed("conflicting content-length".into()));
-        }
-        content_length = Some(parsed);
-    }
-    let content_length = content_length.unwrap_or(0);
-    if find("transfer-encoding").is_some() {
+    if find_header(&head.headers, "transfer-encoding").is_some() {
         return Err(HttpError::Malformed(
             "chunked request bodies are not supported".into(),
         ));
     }
-    if content_length > max_body as u64 {
-        return Err(HttpError::BodyTooLarge {
-            declared: content_length,
-            limit: max_body,
-        });
-    }
-    let mut body = vec![0u8; content_length as usize];
+    let mut body = vec![0u8; head.content_length(max_body)?.unwrap_or(0)];
     r.read_exact(&mut body)?;
     let (path, query_raw) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q),
@@ -222,10 +291,84 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Req
         method,
         path,
         query,
-        headers,
+        headers: head.headers,
         body,
         keep_alive,
     }))
+}
+
+/// Reads one response off the stream: a status line, then a
+/// `Content-Length` or chunked body (no trailers) of at most `max_body`
+/// bytes. Every chunk size is checked against what is left of
+/// `max_body` before its bytes are read, and chunk framing counts
+/// against it too, so one call reads at most [`MAX_HEAD_BYTES`] plus
+/// `max_body` bytes.
+///
+/// # Errors
+///
+/// [`HttpError::Malformed`] for bytes that are not a response (EOF
+/// before a status line included), [`HttpError::BodyTooLarge`] for a
+/// body past `max_body`, [`HttpError::Io`] for socket failures.
+pub fn read_response<R: BufRead>(r: &mut R, max_body: usize) -> Result<Response, HttpError> {
+    let head = Head::read(r)?.ok_or_else(|| HttpError::Malformed("no status line".into()))?;
+    let mut parts = head.start.splitn(3, ' ');
+    let status = match (parts.next(), parts.next()) {
+        (Some("HTTP/1.1" | "HTTP/1.0"), Some(code))
+            if code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit()) =>
+        {
+            code.parse().expect("three digits")
+        }
+        _ => return Err(HttpError::Malformed("bad status line".into())),
+    };
+    let too_large = |declared: u64| HttpError::BodyTooLarge {
+        declared,
+        limit: max_body,
+    };
+    let mut body = Vec::new();
+    match find_header(&head.headers, "transfer-encoding") {
+        // chunked framing overrides any Content-Length (RFC 9112 §6.3)
+        Some(te) if te.eq_ignore_ascii_case("chunked") => {
+            // body bytes and framing share one budget
+            let mut budget = max_body;
+            loop {
+                let line = read_line(r, &mut budget)?
+                    .ok_or_else(|| HttpError::Malformed("EOF before the last chunk".into()))?;
+                let hex = line.split(';').next().unwrap_or_default().trim();
+                let size = match u64::from_str_radix(hex, 16) {
+                    Ok(n) if hex.bytes().all(|b| b.is_ascii_hexdigit()) => n,
+                    _ => return Err(HttpError::Malformed(format!("bad chunk size {hex:?}"))),
+                };
+                if size > budget as u64 {
+                    return Err(too_large(size.saturating_add(body.len() as u64)));
+                }
+                budget -= size as usize;
+                append_exact(r, &mut body, size as usize, max_body)?;
+                // each chunk's data ends in CRLF, and so does the last
+                // chunk's (empty: no trailers) trailer section
+                if read_line(r, &mut budget)?.as_deref() != Some("") {
+                    return Err(HttpError::Malformed("chunk not followed by CRLF".into()));
+                }
+                if size == 0 {
+                    break;
+                }
+            }
+        }
+        Some(te) => {
+            return Err(HttpError::Malformed(format!(
+                "unsupported transfer-encoding {te:?}"
+            )))
+        }
+        // the service frames every response it sends
+        None => match head.content_length(max_body)? {
+            Some(n) => append_exact(r, &mut body, n, max_body)?,
+            None => return Err(HttpError::Malformed("response has no framing".into())),
+        },
+    }
+    Ok(Response {
+        status,
+        headers: head.headers,
+        body,
+    })
 }
 
 /// The standard reason phrase for the status codes the service uses.

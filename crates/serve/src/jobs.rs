@@ -28,11 +28,10 @@
 
 use crate::admission::{AdmissionControl, Rejection};
 use crate::fleet::{EpochHealth, FleetRegistry, FLEET_POLL};
-use crate::json::Json;
 use seg_engine::{
     spec_fingerprint, Checkpoint, Engine, Observer, Sink, SweepProgress, SweepSpec, Variant,
 };
-use seg_obs::{json_number, json_string, TraceContext};
+use seg_obs::{json_number, json_string, Json, TraceContext};
 use seg_shard::repartition;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -87,34 +86,20 @@ pub struct SweepRequest {
     pub max_events: Option<u64>,
 }
 
-fn axis_u32(body: &Json, key: &str) -> Result<Vec<u32>, String> {
-    match body.get(key) {
-        None => Ok(Vec::new()),
-        Some(v) => v
-            .as_list()
+/// An axis written as a scalar or an array (`"tau": 0.4` and `"tau":
+/// [0.4, 0.45]` both work), each element read by `read`; an absent axis
+/// is empty. Errors name the field.
+fn axis<T>(
+    body: &Json,
+    key: &str,
+    read: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    body.get(key).map_or(Ok(Vec::new()), |v| {
+        v.as_list()
             .into_iter()
-            .map(|x| {
-                x.as_u64()
-                    .filter(|&n| n <= u32::MAX as u64)
-                    .map(|n| n as u32)
-                    .ok_or_else(|| format!("{key}: expected a non-negative integer, got {x}"))
-            })
-            .collect(),
-    }
-}
-
-fn axis_f64(body: &Json, key: &str) -> Result<Vec<f64>, String> {
-    match body.get(key) {
-        None => Ok(Vec::new()),
-        Some(v) => v
-            .as_list()
-            .into_iter()
-            .map(|x| {
-                x.as_f64()
-                    .ok_or_else(|| format!("{key}: expected a number, got {x}"))
-            })
-            .collect(),
-    }
+            .map(|x| read(x).map_err(|e| format!("{key}: {e}")))
+            .collect()
+    })
 }
 
 impl SweepRequest {
@@ -127,9 +112,9 @@ impl SweepRequest {
     /// A human-readable message naming the offending field or value —
     /// the body of the 400 response.
     pub fn from_json(body: &Json) -> Result<SweepRequest, String> {
-        if !matches!(body, Json::Obj(_)) {
+        let Json::Obj(pairs) = body else {
             return Err("request body must be a JSON object".into());
-        }
+        };
         const KNOWN: [&str; 8] = [
             "side",
             "horizon",
@@ -140,28 +125,26 @@ impl SweepRequest {
             "seed",
             "max_events",
         ];
-        if let Json::Obj(pairs) = body {
-            for (k, _) in pairs {
-                if !KNOWN.contains(&k.as_str()) {
-                    return Err(format!(
-                        "unknown field {k:?} (expected one of {})",
-                        KNOWN.join(", ")
-                    ));
-                }
-            }
+        if let Some((k, _)) = pairs.iter().find(|(k, _)| !KNOWN.contains(&k.as_str())) {
+            return Err(format!(
+                "unknown field {k:?} (expected one of {})",
+                KNOWN.join(", ")
+            ));
         }
-        let variants = match body.get("variant") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_list()
-                .into_iter()
-                .map(|x| {
-                    x.as_str()
-                        .ok_or_else(|| format!("variant: expected a string, got {x}"))?
-                        .parse::<Variant>()
-                        .map_err(|e| format!("variant: {e}"))
-                })
-                .collect::<Result<_, _>>()?,
+        let integer = |x: &Json| {
+            x.as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| format!("expected a non-negative integer, got {x}"))
+        };
+        let number = |x: &Json| {
+            x.as_f64()
+                .ok_or_else(|| format!("expected a number, got {x}"))
+        };
+        let variant = |x: &Json| {
+            let flag = x
+                .as_str()
+                .ok_or_else(|| format!("expected a string, got {x}"))?;
+            flag.parse::<Variant>().map_err(|e| e.to_string())
         };
         let scalar_u64 = |key: &str, default: u64| -> Result<u64, String> {
             match body.get(key) {
@@ -172,11 +155,11 @@ impl SweepRequest {
             }
         };
         let req = SweepRequest {
-            sides: axis_u32(body, "side")?,
-            horizons: axis_u32(body, "horizon")?,
-            taus: axis_f64(body, "tau")?,
-            densities: axis_f64(body, "density")?,
-            variants,
+            sides: axis(body, "side", integer)?,
+            horizons: axis(body, "horizon", integer)?,
+            taus: axis(body, "tau", number)?,
+            densities: axis(body, "density", number)?,
+            variants: axis(body, "variant", variant)?,
             replicas: u32::try_from(scalar_u64("replicas", 1)?)
                 .map_err(|_| "replicas: out of range".to_string())?,
             seed: scalar_u64("seed", 0)?,
@@ -336,8 +319,8 @@ pub struct Job {
     pub(crate) state: Mutex<JobState>,
     progress: Mutex<SweepProgress>,
     /// Trace lines uploaded by fleet workers (already tagged with their
-    /// `proc`), merged into [`Job::trace_json`].
-    worker_spans: Mutex<Vec<String>>,
+    /// `proc`) keyed by their `unix_us`, merged into [`Job::trace_json`].
+    worker_spans: Mutex<Vec<(u64, String)>>,
     /// The client whose admission slot this job holds (fresh jobs
     /// only); taken back when the job leaves the queued/running states.
     pub(crate) client: Mutex<Option<String>>,
@@ -497,15 +480,20 @@ impl Job {
 
     /// Absorbs trace lines a fleet worker shipped on a journal upload,
     /// tagging each with the worker's id as its `proc` so the merged
-    /// timeline says which process recorded what. Bounded at
-    /// [`WORKER_SPANS_CAP`]; excess lines are dropped.
+    /// timeline says which process recorded what. Only lines that parse
+    /// as JSON objects are kept, so one bad upload cannot break the
+    /// trace document. Bounded at [`WORKER_SPANS_CAP`]; excess lines are
+    /// dropped.
     pub fn add_worker_spans(&self, proc_tag: &str, lines: &[String]) {
         let mut spans = self.worker_spans.lock().expect("worker spans poisoned");
         for line in lines {
             if spans.len() >= WORKER_SPANS_CAP {
                 break;
             }
-            spans.push(tag_proc(line, proc_tag));
+            if let Ok(doc @ Json::Obj(_)) = Json::parse(line) {
+                let unix_us = doc.get("unix_us").and_then(Json::as_u64).unwrap_or(0);
+                spans.push((unix_us, tag_proc(line, proc_tag)));
+            }
         }
     }
 
@@ -515,19 +503,12 @@ impl Job {
     /// timeline. Bounded by the tracer ring ([`seg_obs::Tracer::CAPACITY`])
     /// plus [`WORKER_SPANS_CAP`].
     pub fn trace_json(&self) -> String {
-        let mut entries: Vec<(u64, String)> = Vec::new();
-        for ev in seg_obs::tracer().snapshot_trace(&self.trace_id) {
-            let line = tag_proc(&ev.to_json(), "coordinator");
-            entries.push((ev.unix_us, line));
-        }
-        for line in self
-            .worker_spans
-            .lock()
-            .expect("worker spans poisoned")
+        let mut entries: Vec<(u64, String)> = seg_obs::tracer()
+            .snapshot_trace(&self.trace_id)
             .iter()
-        {
-            entries.push((extract_unix_us(line).unwrap_or(0), line.clone()));
-        }
+            .map(|ev| (ev.unix_us, tag_proc(&ev.to_json(), "coordinator")))
+            .collect();
+        entries.extend_from_slice(&self.worker_spans.lock().expect("worker spans poisoned"));
         entries.sort_by_key(|(unix_us, _)| *unix_us);
         let spans: Vec<String> = entries.into_iter().map(|(_, line)| line).collect();
         format!(
@@ -592,24 +573,16 @@ impl Job {
     }
 }
 
-/// Tags a trace JSONL line with the process that recorded it by
-/// splicing a `proc` field in right after the opening brace. A line
-/// that is not an object passes through unchanged.
+/// Tags a trace JSONL line holding a JSON object with the process that
+/// recorded it by splicing a `proc` field in as its first member.
 fn tag_proc(line: &str, proc_tag: &str) -> String {
-    match line.strip_prefix('{') {
-        Some(rest) => format!("{{\"proc\":{},{rest}", json_string(proc_tag)),
-        None => line.to_string(),
-    }
-}
-
-/// The `unix_us` column of a trace line — the sort key that merges
-/// several processes' clocks into one timeline.
-fn extract_unix_us(line: &str) -> Option<u64> {
-    let rest = &line[line.find("\"unix_us\":")? + 10..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let rest = line.trim_start().strip_prefix('{').unwrap_or(line);
+    let sep = if rest.trim_start().starts_with('}') {
+        ""
+    } else {
+        ","
+    };
+    format!("{{\"proc\":{}{sep}{rest}", json_string(proc_tag))
 }
 
 /// The trace id a job runs under: the submitter's `X-Seg-Trace` value

@@ -7,8 +7,8 @@
 //! sweep requests over HTTP, schedules them on the
 //! [`seg_engine`] worker pool, and streams result rows back while they
 //! compute. It is std-only like everything else here — the HTTP/1.1
-//! layer is hand-rolled on [`std::net::TcpListener`], the JSON layer on
-//! a small recursive-descent parser.
+//! layer is hand-rolled on [`std::net::TcpListener`], and JSON is read
+//! with [`seg_obs::Json`], the workspace's one JSON parser.
 //!
 //! The service leans on the engine's determinism guarantees instead of
 //! inventing its own semantics:
@@ -55,7 +55,6 @@ pub mod dashboard;
 pub mod fleet;
 pub mod http;
 pub mod jobs;
-pub mod json;
 pub mod lifecycle;
 pub mod server;
 pub mod worker;
@@ -65,7 +64,7 @@ pub use api::ApiContext;
 pub use fleet::{Assignment, EpochHealth, FleetRegistry};
 pub use http::{ChunkedBody, DeadlineStream, HttpError, Request};
 pub use jobs::{Job, JobManager, JobState, SchedulingSnapshot, SubmitOutcome, SweepRequest};
-pub use json::Json;
 pub use lifecycle::DeleteOutcome;
+pub use seg_obs::Json;
 pub use server::{serve, ServeConfig, Server};
 pub use worker::{run_worker, WorkerConfig};

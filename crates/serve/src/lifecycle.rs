@@ -159,7 +159,7 @@ impl JobManager {
 mod tests {
     use super::*;
     use crate::jobs::{SubmitOutcome, SweepRequest};
-    use crate::json::Json;
+    use seg_obs::Json;
     use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {

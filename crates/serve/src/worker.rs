@@ -12,8 +12,10 @@
 //!
 //! The client is deliberately thin: a blocking `Connection: close` HTTP
 //! call per interaction on [`std::net::TcpStream`], no state beyond the
-//! worker id. Every exchange carries connect/read/write deadlines and
-//! rides a jittered-exponential retry loop (`call_retrying`) that
+//! worker id. Every exchange carries a connect deadline, a write
+//! deadline and one read budget for the whole response, reads that
+//! response with the server's own bounded [`read_response`], and rides a
+//! jittered-exponential retry loop (`call_retrying`) that
 //! honors `Retry-After` on 429/503 and counts
 //! `work_retries_total{op=...}`, so flaky networks and coordinator
 //! backpressure degrade throughput instead of killing workers.
@@ -37,14 +39,16 @@
 //! through the server's connection loop, with its handler bound and
 //! request deadline, and `--trace-out` exports its trace ring as JSONL.
 
-use crate::http::{write_json as http_write_json, write_response, Request};
+use crate::http::{
+    read_response, write_json as http_write_json, write_response, DeadlineStream, Request,
+    Response, MAX_RESPONSE_BODY,
+};
 use crate::jobs::SweepRequest;
-use crate::json::Json;
 use crate::server::{serve_connections, ServeConfig};
 use seg_engine::{header_line, record_line, spec_fingerprint, Engine, Observer};
-use seg_obs::{json_number, json_string, TraceContext};
+use seg_obs::{json_number, json_string, Json, TraceContext};
 use std::cell::Cell;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,8 +72,9 @@ const HEARTBEAT_EVERY: Duration = Duration::from_millis(300);
 const MAX_CONSECUTIVE_FAILURES: u32 = 5;
 
 /// Per-exchange transport deadlines: a coordinator that cannot accept
-/// a connection within [`CONNECT_TIMEOUT`] or move bytes within
-/// [`IO_TIMEOUT`] counts as a failed attempt and the call is retried.
+/// a connection within [`CONNECT_TIMEOUT`], or take one write or
+/// deliver its whole response within [`IO_TIMEOUT`], counts as a failed
+/// attempt and the call is retried.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 const IO_TIMEOUT: Duration = Duration::from_secs(15);
 
@@ -114,21 +119,15 @@ impl WorkerConfig {
     }
 }
 
-/// What one coordinator exchange came back with. `retry_after` is the
-/// server's `Retry-After` header in seconds, when it sent one — the
-/// retry loop prefers it over its own backoff schedule.
-struct Response {
-    status: u16,
-    retry_after: Option<u64>,
-    body: Vec<u8>,
-}
-
-/// One blocking HTTP exchange: connect, send, read the full response.
+/// One blocking HTTP exchange: connect, send, read the full response
+/// through [`read_response`] under the [`MAX_RESPONSE_BODY`] cap.
 /// `extra_headers` are appended to the request head verbatim — the
 /// fleet uses this to carry `x-seg-trace` on every in-trace request.
-/// Connect and per-read/write deadlines bound the exchange so a
-/// wedged coordinator (or a fault-injection proxy swallowing bytes)
-/// surfaces as a timeout error instead of a hang.
+/// The connect deadline, a per-write deadline and one [`IO_TIMEOUT`]
+/// budget for every read of the exchange (a [`DeadlineStream`], armed
+/// before the request is sent) bound the exchange, so a wedged
+/// coordinator — or a fault-injection proxy swallowing or dribbling
+/// bytes — surfaces as a timeout error instead of a hang.
 fn call(
     addr: &str,
     method: &str,
@@ -141,9 +140,10 @@ fn call(
         .next()
         .ok_or_else(|| io::Error::other(format!("{addr} resolved to no address")))?;
     let stream = TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut writer = stream.try_clone()?;
+    let mut reader = DeadlineStream::new(stream);
+    reader.arm(IO_TIMEOUT);
     let extra: String = extra_headers
         .iter()
         .map(|(k, v)| format!("{k}: {v}\r\n"))
@@ -155,61 +155,7 @@ fn call(
     )?;
     writer.write_all(body)?;
     writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::other(format!("bad status line {status_line:?}")))?;
-    let mut content_length: Option<usize> = None;
-    let mut retry_after: Option<u64> = None;
-    let mut chunked = false;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            if name == "content-length" {
-                content_length = value.parse().ok();
-            } else if name == "retry-after" {
-                retry_after = value.parse().ok();
-            } else if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
-                chunked = true;
-            }
-        }
-    }
-    let mut body = Vec::new();
-    if chunked {
-        loop {
-            let mut size_line = String::new();
-            reader.read_line(&mut size_line)?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| io::Error::other(format!("bad chunk size {size_line:?}")))?;
-            let mut chunk = vec![0u8; size + 2]; // data + CRLF
-            reader.read_exact(&mut chunk)?;
-            if size == 0 {
-                break;
-            }
-            body.extend_from_slice(&chunk[..size]);
-        }
-    } else if let Some(n) = content_length {
-        body.resize(n, 0);
-        reader.read_exact(&mut body)?;
-    } else {
-        reader.read_to_end(&mut body)?;
-    }
-    Ok(Response {
-        status,
-        retry_after,
-        body,
-    })
+    read_response(&mut BufReader::new(reader), MAX_RESPONSE_BODY).map_err(io::Error::other)
 }
 
 /// Full-jitter milliseconds in `[0, ms]` from a thread-local xorshift
@@ -268,7 +214,8 @@ fn call_retrying(
         let outcome = call(addr, method, path, body, extra_headers);
         let wait = match &outcome {
             Ok(resp) if resp.status == 429 || resp.status == 503 => resp
-                .retry_after
+                .header("retry-after")
+                .and_then(|s| s.parse::<u64>().ok())
                 .map(|s| Duration::from_secs(s.min(60)))
                 .unwrap_or_else(|| Duration::from_millis(jitter_ms(backoff_ms))),
             Ok(_) => return outcome,
@@ -642,6 +589,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     /// Serves `route` on an ephemeral loopback port through the
     /// server's connection loop, with a `deadline` per request.
@@ -725,7 +673,7 @@ mod tests {
             "HTTP/1.1 200 OK\r\nretry-after: 7\r\ncontent-length: 0\r\n\r\n".to_string(),
         ]);
         let resp = call_retrying("test_header", &addr, "GET", "/x", b"", &[]).unwrap();
-        assert_eq!(resp.retry_after, Some(7));
+        assert_eq!(resp.header("retry-after"), Some("7"));
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! Hostile input on the HTTP request reader: arbitrary bytes, mutated
-//! valid requests, over-long lines, absurd `Content-Length` values and
-//! bad UTF-8 go through `http::read_request`. Each input must come back
-//! as `Ok` or `Err` without a panic, read no more than the head limit
-//! plus `max_body`, and allocate no more than `max_body` plus a small
-//! multiple of the head limit, whatever the request declares.
+//! Hostile input on the two HTTP readers: arbitrary bytes, mutated
+//! valid requests and responses, over-long lines, absurd
+//! `Content-Length` values and chunk sizes, missing CRLFs, trailers,
+//! unframed bodies and bad UTF-8
+//! go through both `http::read_request` and `http::read_response`. Each
+//! input must come back as `Ok` or `Err` without a panic, read no more
+//! than the head limit plus `max_body`, and allocate no more than a
+//! small multiple of the head limit plus `max_body` (twice `max_body`
+//! for a response, whose chunked body grows by reallocation), whatever
+//! the message declares.
 
 use proptest::prelude::*;
-use seg_serve::http::{read_request, MAX_HEADERS, MAX_HEAD_BYTES};
+use seg_serve::http::{read_request, read_response, MAX_HEADERS, MAX_HEAD_BYTES};
 use seg_serve::HttpError;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,29 +77,56 @@ impl Read for Metered<'_> {
     }
 }
 
-/// Reads one request from `bytes` through a `chunk`-byte buffer and
-/// checks the outcome against the limits, reporting a panic or a broken
-/// limit as an error.
+/// The reader a check drives.
+#[derive(Clone, Copy, Debug)]
+enum Reader {
+    Request,
+    Response,
+}
+
+/// Reads `bytes` with both readers through a `chunk`-byte buffer and
+/// checks each outcome against the limits, reporting a panic or a
+/// broken limit as an error.
 fn read_checked(bytes: &[u8], chunk: usize, max_body: usize) -> Result<(), String> {
-    let mut reader = BufReader::with_capacity(chunk, Metered { bytes, taken: 0 });
+    read_checked_by(Reader::Request, bytes, chunk, max_body)?;
+    read_checked_by(Reader::Response, bytes, chunk, max_body)
+}
+
+fn read_checked_by(
+    reader: Reader,
+    bytes: &[u8],
+    chunk: usize,
+    max_body: usize,
+) -> Result<(), String> {
+    let mut input = BufReader::with_capacity(chunk, Metered { bytes, taken: 0 });
     let before = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(before));
-    let outcome = catch_unwind(AssertUnwindSafe(|| read_request(&mut reader, max_body)))
-        .map_err(|_| "read_request panicked".to_string())?;
+    let outcome = catch_unwind(AssertUnwindSafe(|| match reader {
+        Reader::Request => read_request(&mut input, max_body).map(|r| r.map(|r| r.body.len())),
+        Reader::Response => read_response(&mut input, max_body).map(|r| Some(r.body.len())),
+    }))
+    .map_err(|_| format!("the {reader:?} reader panicked"))?;
     let allocated = PEAK.with(Cell::get) - before;
-    if allocated > max_body + HEAD_ALLOWANCE {
+    let body_allowance = match reader {
+        Reader::Request => max_body,
+        // a chunked body grows by reallocation, and a moving buffer is
+        // charged twice while it moves
+        Reader::Response => 2 * max_body,
+    };
+    if allocated > body_allowance + HEAD_ALLOWANCE {
         return Err(format!(
-            "allocated {allocated} bytes with max_body {max_body} ({outcome:?})"
+            "{reader:?}: allocated {allocated} bytes with max_body {max_body} ({outcome:?})"
         ));
     }
-    let taken = reader.get_ref().taken;
+    let taken = input.get_ref().taken;
     if taken > MAX_HEAD_BYTES + max_body + chunk {
-        return Err(format!("read {taken} bytes with max_body {max_body}"));
+        return Err(format!(
+            "{reader:?}: read {taken} bytes with max_body {max_body}"
+        ));
     }
     match outcome {
-        Ok(Some(req)) if req.body.len() > max_body => Err(format!(
-            "accepted a {}-byte body over max_body {max_body}",
-            req.body.len()
+        Ok(Some(len)) if len > max_body => Err(format!(
+            "{reader:?}: accepted a {len}-byte body over max_body {max_body}"
         )),
         _ => Ok(()),
     }
@@ -106,6 +137,26 @@ const VALID: &[&str] = &[
     "GET /v1/jobs/abc/rows?from=3&limit=10 HTTP/1.1\r\nHost: x\r\n\r\n",
     "POST /v1/sweeps HTTP/1.1\r\nContent-Length: 4\r\nConnection: close\r\n\r\nabcd",
     "DELETE /v1/jobs/0123 HTTP/1.0\r\nConnection: keep-alive\r\nAuthorization: Bearer k\r\n\r\n",
+];
+
+/// Valid responses the mutation strategy starts from, with their bodies.
+const VALID_RESPONSES: &[(&str, &str)] = &[
+    (
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\n\r\n{\"ok\":true}",
+        "{\"ok\":true}",
+    ),
+    (
+        "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n8\r\n{\"a\":1}\n\r\n8;x=y\r\n{\"b\":2}\n\r\n0\r\n\r\n",
+        "{\"a\":1}\n{\"b\":2}\n",
+    ),
+    (
+        "HTTP/1.1 429 Too Many Requests\r\nretry-after: 3\r\ncontent-length: 0\r\n\r\n",
+        "",
+    ),
+    (
+        "HTTP/1.0 200 OK\r\ncontent-length: 5\r\nconnection: close\r\n\r\nhello",
+        "hello",
+    ),
 ];
 
 /// Fragments spliced into requests: line structure, header names, edge
@@ -131,6 +182,11 @@ fn fragment(k: usize) -> Vec<u8> {
         b"0x10",
         b"HTTP/1.1",
         b"HTTP/2",
+        b"HTTP/1.1 200 OK\r\n",
+        b"ffffffffffffffff\r\n",
+        b"10000000000000000",
+        b";ext=1",
+        b"0\r\n\r\n",
         b"?a=b&&c",
         b"\xff",
         b"\xc3",
@@ -183,7 +239,7 @@ proptest! {
 
     #[test]
     fn mutated_valid_requests_stay_within_limits(
-        base in 0usize..VALID.len(),
+        base in 0usize..VALID.len() + VALID_RESPONSES.len(),
         edits in prop::collection::vec(
             (any::<u8>(), any::<usize>(), any::<u8>(), any::<usize>()),
             1..6,
@@ -191,7 +247,10 @@ proptest! {
         chunk in 1usize..8192,
         limit in 0usize..MAX_BODIES.len(),
     ) {
-        let mut bytes = VALID[base].as_bytes().to_vec();
+        let mut bytes = match VALID.get(base) {
+            Some(request) => request.as_bytes().to_vec(),
+            None => VALID_RESPONSES[base - VALID.len()].0.as_bytes().to_vec(),
+        };
         for &(kind, at, byte, k) in &edits {
             mutate(&mut bytes, kind, at, byte, k);
         }
@@ -208,6 +267,15 @@ fn valid_bases_parse() {
             .expect("valid request")
             .expect("not EOF");
         assert!(req.body.len() <= 4, "{base}");
+    }
+}
+
+#[test]
+fn valid_responses_parse() {
+    for (raw, body) in VALID_RESPONSES {
+        let response = read_response(&mut raw.as_bytes(), 1024).expect("valid response");
+        assert_eq!(response.body, body.as_bytes(), "{raw}");
+        assert!(read_checked(raw.as_bytes(), 5, 1024).is_ok(), "{raw}");
     }
 }
 
@@ -234,6 +302,15 @@ fn absurd_content_lengths_are_refused_before_any_body_is_read() {
         match read_request(&mut raw.as_bytes(), max_body) {
             Err(HttpError::Malformed(_) | HttpError::BodyTooLarge { .. }) => {}
             other => panic!("Content-Length {value:?}: {other:?}"),
+        }
+        assert!(
+            read_checked(raw.as_bytes(), 7, max_body).is_ok(),
+            "{value:?}"
+        );
+        let raw = format!("HTTP/1.1 200 OK\r\nContent-Length: {value}\r\n\r\nabcd");
+        match read_response(&mut raw.as_bytes(), max_body) {
+            Err(HttpError::Malformed(_) | HttpError::BodyTooLarge { .. }) => {}
+            other => panic!("response Content-Length {value:?}: {other:?}"),
         }
         assert!(
             read_checked(raw.as_bytes(), 7, max_body).is_ok(),
@@ -284,5 +361,70 @@ fn over_long_lines_and_bad_utf8_are_malformed() {
             String::from_utf8_lossy(&raw[..raw.len().min(80)])
         );
         assert!(read_checked(&raw, 13, 1024).is_ok());
+    }
+}
+
+#[test]
+fn absurd_chunk_sizes_are_refused_before_any_chunk_is_read() {
+    let max_body = 1024;
+    let refused = [
+        "ffffffffffffffff",
+        "10000000000000000",
+        "fffffffffffffffffffffffffffffffff",
+        "401",
+        "-1",
+        "+4",
+        " ",
+        "",
+        "4 4",
+        "0x4",
+        "g",
+    ];
+    for size in refused {
+        let raw = format!(
+            "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n{size}\r\nabcd\r\n0\r\n\r\n"
+        );
+        match read_response(&mut raw.as_bytes(), max_body) {
+            Err(HttpError::Malformed(_) | HttpError::BodyTooLarge { .. }) => {}
+            other => panic!("chunk size {size:?}: {other:?}"),
+        }
+        assert!(
+            read_checked(raw.as_bytes(), 7, max_body).is_ok(),
+            "{size:?}"
+        );
+    }
+    // the sizes add up: two chunks within the cap, a third past it
+    let raw = "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n\
+               1f0\r\n"
+        .to_string()
+        + &"a".repeat(0x1f0)
+        + "\r\n1f0\r\n"
+        + &"b".repeat(0x1f0)
+        + "\r\n1f0\r\n";
+    assert!(matches!(
+        read_response(&mut raw.as_bytes(), max_body),
+        Err(HttpError::BodyTooLarge { .. })
+    ));
+}
+
+#[test]
+fn missing_crlfs_and_cut_short_responses_are_errors() {
+    for raw in [
+        "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n4\r\nabcdXY0\r\n\r\n",
+        "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n4\r\nabcd\r\n0\r\n",
+        "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n4\r\nabcd\r\n",
+        "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n4\r\nab",
+        "HTTP/1.1 200 OK\r\ncontent-length: 4\r\n\r\nab",
+        "HTTP/1.1 200 OK\r\ncontent-length: 4\r\n",
+        "HTTP/1.1 200 OK",
+        "HTTP/1.1 200 OK\r\ntransfer-encoding: gzip\r\n\r\n",
+        "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n0\r\nx-trailer: 1\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nconnection: close\r\n\r\nunframed",
+        "HTTP/1.1 2000 OK\r\n\r\n",
+        "HTTP/2 200 OK\r\n\r\n",
+        "",
+    ] {
+        assert!(read_response(&mut raw.as_bytes(), 1024).is_err(), "{raw:?}");
+        assert!(read_checked(raw.as_bytes(), 3, 1024).is_ok(), "{raw:?}");
     }
 }

@@ -9,11 +9,14 @@
 //! This is the programmatic counterpart of `segsim serve` + `curl`; the
 //! endpoints and schema are documented in `docs/SERVING.md`.
 
+use self_organized_segregation::seg_obs::Json;
+use self_organized_segregation::seg_serve::http::{read_response, MAX_RESPONSE_BODY};
 use self_organized_segregation::seg_serve::{ServeConfig, Server};
-use std::io::{Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
-/// One `Connection: close` HTTP exchange, returning the raw response.
+/// One `Connection: close` HTTP exchange, returning the response body
+/// (de-chunked) as read by the service's own HTTP reader.
 fn http(addr: &str, method: &str, path: &str, body: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect to the server");
     write!(
@@ -22,9 +25,9 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> String {
         body.len()
     )
     .expect("send request");
-    let mut out = String::new();
-    stream.read_to_string(&mut out).expect("read response");
-    out
+    let response =
+        read_response(&mut BufReader::new(stream), MAX_RESPONSE_BODY).expect("read response");
+    String::from_utf8(response.body).expect("UTF-8 body")
 }
 
 fn main() {
@@ -47,23 +50,14 @@ fn main() {
         "/v1/sweeps",
         r#"{"side": 32, "horizon": 1, "tau": [0.4, 0.45], "replicas": 2, "seed": 7}"#,
     );
-    let body = submit.split("\r\n\r\n").nth(1).expect("response body");
-    println!("submitted: {body}");
-    let id: String = body
-        .split("\"id\":\"")
-        .nth(1)
-        .expect("job id")
-        .chars()
-        .take_while(|c| *c != '"')
-        .collect();
+    println!("submitted: {submit}");
+    let doc = Json::parse(&submit).expect("JSON status document");
+    let id = doc.get("id").and_then(Json::as_str).expect("job id");
 
     // the rows endpoint follows the live job and ends when it completes;
     // rows are byte-identical to `segsim sweep --stream --out rows.jsonl`
     let rows = http(&addr, "GET", &format!("/v1/jobs/{id}/rows"), "");
-    let ndjson: Vec<&str> = rows
-        .split("\r\n")
-        .filter(|l| l.starts_with('{') && l.contains("\"seed\""))
-        .collect();
+    let ndjson: Vec<&str> = rows.lines().collect();
     println!("streamed {} result rows; first:", ndjson.len());
     println!("  {}", ndjson.first().expect("at least one row"));
 
@@ -74,7 +68,12 @@ fn main() {
         "/v1/sweeps",
         r#"{"side": 32, "horizon": 1, "tau": [0.4, 0.45], "replicas": 2, "seed": 7}"#,
     );
-    assert!(again.contains("\"cached\":true"), "expected a cache hit");
+    let cached = Json::parse(&again).expect("JSON status document");
+    assert_eq!(
+        cached.get("cached"),
+        Some(&Json::Bool(true)),
+        "expected a cache hit"
+    );
     println!("resubmission was a cache hit (no recomputation)");
 
     // graceful shutdown: drain the workers, flush journals, exit

@@ -9,8 +9,9 @@
 
 mod support;
 
+use self_organized_segregation::seg_serve::http::{read_response, MAX_RESPONSE_BODY};
 use std::fs;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -341,38 +342,11 @@ fn metrics_endpoint_exposes_valid_prometheus_text_under_load() {
     assert!(*count >= 2.0, "both submits should be timed");
 }
 
-/// Reads one `Content-Length`-framed response off a held keep-alive
-/// connection, returning `(status, head, body)`.
-fn read_one_response(reader: &mut BufReader<TcpStream>) -> (u16, String, Vec<u8>) {
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        assert!(
-            reader.read_line(&mut line).expect("read head line") > 0,
-            "connection closed mid-head (head so far: {head:?})"
-        );
-        if line == "\r\n" {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let length: usize = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse().expect("numeric content-length"))
-        })
-        .expect("content-length header");
-    let mut body = vec![0u8; length];
-    reader.read_exact(&mut body).expect("read body");
-    (status, head, body)
+/// Reads one response off a held keep-alive connection with the
+/// service's own reader, returning `(status, body)`.
+fn read_one_response(reader: &mut BufReader<TcpStream>) -> (u16, Vec<u8>) {
+    let response = read_response(reader, MAX_RESPONSE_BODY).expect("one response");
+    (response.status, response.body)
 }
 
 /// A slow fresh job for admission/lifecycle tests: enough replicas that
@@ -401,7 +375,7 @@ fn healthz_reports_draining_once_shutdown_begins() {
         "GET /healthz HTTP/1.1\r\nhost: {addr}\r\ncontent-length: 0\r\n\r\n"
     )
     .unwrap();
-    let (status, _, body) = read_one_response(&mut reader);
+    let (status, body) = read_one_response(&mut reader);
     assert_eq!(status, 200);
     assert!(
         String::from_utf8_lossy(&body).contains("\"status\":\"ok\""),
@@ -419,7 +393,7 @@ fn healthz_reports_draining_once_shutdown_begins() {
         "GET /healthz HTTP/1.1\r\nhost: {addr}\r\ncontent-length: 0\r\n\r\n"
     )
     .unwrap();
-    let (status, _, body) = read_one_response(&mut reader);
+    let (status, body) = read_one_response(&mut reader);
     assert_eq!(status, 503, "draining healthz must be unready");
     assert!(
         String::from_utf8_lossy(&body).contains("\"status\":\"draining\""),

@@ -6,6 +6,8 @@
 
 pub mod chaos;
 
+use self_organized_segregation::seg_obs::Json;
+use self_organized_segregation::seg_serve::http::{read_response, MAX_RESPONSE_BODY};
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -200,7 +202,8 @@ pub fn wait_for_log(path: &Path, needle: &str, timeout: Duration) -> String {
 }
 
 /// A one-shot HTTP exchange (`Connection: close`), returning
-/// `(status, headers, body)` with chunked bodies decoded.
+/// `(status, header lines, body)` with chunked bodies decoded. The
+/// response goes through the service's own bounded reader.
 pub fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String, Vec<u8>) {
     http_with(addr, method, path, &[], body)
 }
@@ -230,61 +233,25 @@ pub fn http_with(
     // best-effort: a server rejecting an oversized body responds and
     // closes without reading it, which makes this write fail with EPIPE
     let _ = stream.write_all(body.as_bytes());
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response head")
-        + 4;
-    let head = String::from_utf8(raw[..head_end].to_vec()).unwrap();
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let payload = &raw[head_end..];
-    let body = if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        decode_chunked(payload)
-    } else {
-        payload.to_vec()
-    };
-    (status, head, body)
+    let mut reader = BufReader::new(stream);
+    let response = read_response(&mut reader, MAX_RESPONSE_BODY).expect("read response");
+    // the exchange ends when the server closes the connection, after the
+    // bookkeeping (request metrics) that follows its reply
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("read to close");
+    assert!(rest.is_empty(), "bytes after the response");
+    let head = response
+        .headers
+        .iter()
+        .map(|(k, v)| format!("{k}: {v}\r\n"))
+        .collect();
+    (response.status, head, response.body)
 }
 
-pub fn decode_chunked(mut raw: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = raw
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .expect("chunk size line");
-        let size = usize::from_str_radix(
-            std::str::from_utf8(&raw[..line_end]).expect("ascii size"),
-            16,
-        )
-        .expect("hex chunk size");
-        raw = &raw[line_end + 2..];
-        if size == 0 {
-            return out;
-        }
-        out.extend_from_slice(&raw[..size]);
-        assert_eq!(&raw[size..size + 2], b"\r\n", "chunk not CRLF-terminated");
-        raw = &raw[size + 2..];
-    }
-}
-
-/// Pulls `"field":"value"` out of a JSON response without a parser.
+/// A string field of a JSON response body.
 pub fn json_str_field(body: &[u8], field: &str) -> Option<String> {
-    let text = std::str::from_utf8(body).ok()?;
-    let key = format!("\"{field}\":\"");
-    let start = text.find(&key)? + key.len();
-    let end = text[start..].find('"')? + start;
-    Some(text[start..end].to_string())
+    let doc = Json::parse(std::str::from_utf8(body).ok()?).ok()?;
+    doc.get(field)?.as_str().map(String::from)
 }
 
 pub fn poll_until_state(addr: &str, id: &str, want: &str, timeout: Duration) {
