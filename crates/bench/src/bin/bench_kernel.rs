@@ -15,7 +15,9 @@
 //! - `--check BASELINE` — after measuring, compare each metric's median
 //!   against the committed baseline JSON and exit non-zero if any fell
 //!   below `tolerance × baseline` (default tolerance 0.5, i.e. fail only
-//!   on a >50% regression — machine-to-machine noise passes);
+//!   on a >50% regression — machine-to-machine noise passes). The
+//!   baseline must not be the `--out` file, which the run would overwrite
+//!   before comparing it with itself: that exits 2 before measuring;
 //! - `--tolerance F` — the regression factor for `--check`.
 //!
 //! See `docs/PERFORMANCE.md` for how the baseline is tracked across PRs.
@@ -23,6 +25,9 @@
 use seg_bench::kernel::{self, Spread};
 use std::time::Duration;
 
+const USAGE: &str = "usage: bench_kernel [--quick] [--out PATH] [--check BASELINE] [--tolerance F]";
+
+#[derive(Debug)]
 struct Args {
     quick: bool,
     out: String,
@@ -30,49 +35,64 @@ struct Args {
     tolerance: f64,
 }
 
-fn parse_args() -> Args {
+/// Parses the flags; `Ok(None)` asks for the usage text.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
         quick: false,
         out: "BENCH_kernel.json".to_string(),
         check: None,
         tolerance: 0.5,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
+        let mut value = |flag: &str| it.next().cloned().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
             "--quick" => args.quick = true,
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = Some(value("--check")),
+            "--out" => args.out = value("--out")?,
+            "--check" => args.check = Some(value("--check")?),
             "--tolerance" => {
-                args.tolerance = value("--tolerance").parse().unwrap_or_else(|e| {
-                    eprintln!("bad --tolerance: {e}");
-                    std::process::exit(2);
-                })
+                args.tolerance = value("--tolerance")?
+                    .parse()
+                    .map_err(|e| format!("bad --tolerance: {e}"))?
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_kernel [--quick] [--out PATH] [--check BASELINE] [--tolerance F]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}; see --help");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag {other}; see --help")),
         }
     }
-    args
+    if let Some(check) = &args.check {
+        if same_file(check, &args.out) {
+            return Err(format!(
+                "--check {check} is the --out file: the run would overwrite the \
+                 baseline and compare it with itself; pass another --out"
+            ));
+        }
+    }
+    Ok(Some(args))
+}
+
+/// Whether two paths name one file: equal as written, or resolving to
+/// the same existing file.
+fn same_file(a: &str, b: &str) -> bool {
+    a == b
+        || matches!(
+            (std::fs::canonicalize(a), std::fs::canonicalize(b)),
+            (Ok(x), Ok(y)) if x == y
+        )
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     let budget = if args.quick {
         Duration::from_millis(200)
     } else {
@@ -172,5 +192,57 @@ fn main() {
             std::process::exit(1);
         }
         println!("all metrics within tolerance");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Option<Args>, String> {
+        parse_args(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn a_baseline_equal_to_the_output_is_refused() {
+        // the default --out is BENCH_kernel.json
+        for line in [
+            "--check BENCH_kernel.json",
+            "--quick --check BENCH_kernel.json --tolerance 0.5",
+            "--out k.json --check k.json",
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains("is the --out file"), "{line}: {err}");
+        }
+        // two spellings of one existing file
+        let dir = std::env::temp_dir().join(format!("bench_kernel_args_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("k.json");
+        std::fs::write(&file, "{}").unwrap();
+        let other = dir.join(".").join("k.json");
+        let line = format!("--out {} --check {}", file.display(), other.display());
+        assert!(parse(&line).is_err(), "{line}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn distinct_paths_and_plain_runs_parse() {
+        let args = parse("--quick --out out/k.json --check BENCH_kernel.json --tolerance 0.4")
+            .unwrap()
+            .unwrap();
+        assert!(args.quick);
+        assert_eq!(args.out, "out/k.json");
+        assert_eq!(args.check.as_deref(), Some("BENCH_kernel.json"));
+        assert_eq!(args.tolerance, 0.4);
+        assert_eq!(parse("").unwrap().unwrap().out, "BENCH_kernel.json");
+        assert!(parse("--help").unwrap().is_none());
+        assert!(parse("--tolerance x").is_err());
+        assert!(parse("--out").is_err());
+        assert!(parse("--bogus").is_err());
     }
 }

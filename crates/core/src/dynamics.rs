@@ -6,11 +6,14 @@
 //! jump chain: sample an agent from a tracked set, maybe flip it, repair
 //! the bookkeeping. They differ only in how the same-type count `S`
 //! classifies an agent — *tracked* (eligible to be sampled) and *unhappy*
-//! (counted) — and in what a sampled agent does. [`GridDynamics`] owns
-//! everything but that rule.
+//! (counted) — and in what a sampled agent does. The §I-A Kawasaki swap
+//! ([`KawasakiSim`](crate::variants::KawasakiSim)) runs on the same core
+//! with its unhappy agents kept per type in ranked sets, from which it
+//! draws one agent of each type. [`GridDynamics`] owns everything but
+//! the rule.
 
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{AgentType, ClassTable, IndexedSet, Point, TypeField, WindowCounts};
+use seg_grid::{AgentType, ClassTable, IndexedSet, Point, TrackedSet, TypeField, WindowCounts};
 
 /// A configuration, its window counts, the tracked set and unhappy count
 /// of one rule, the RNG and the flip counter.
@@ -21,21 +24,26 @@ use seg_grid::{AgentType, ClassTable, IndexedSet, Point, TypeField, WindowCounts
 /// The processes read the fields; only [`GridDynamics::flip`] writes the
 /// configuration, and every flip goes through the fused kernel, which
 /// keeps the tracked set and the unhappy count exact in O(N).
+///
+/// The tracked set is an [`IndexedSet`] for the processes that sample a
+/// uniform tracked agent, and per-type ranked sets (`[RankedSet; 2]`) for
+/// the Kawasaki swap, which draws the `k`-th unhappy agent of each type
+/// in scan order.
 #[derive(Clone, Debug)]
-pub(crate) struct GridDynamics {
+pub(crate) struct GridDynamics<T = IndexedSet> {
     pub(crate) field: TypeField,
     pub(crate) counts: WindowCounts,
     /// The rule's classes, precomputed for the fused flip kernel.
     classes: ClassTable,
     /// Agents whose class has [`ClassTable::TRACKED`] set.
-    pub(crate) tracked: IndexedSet,
+    pub(crate) tracked: T,
     /// Incrementally-maintained number of unhappy agents.
     pub(crate) unhappy: usize,
     pub(crate) rng: Xoshiro256pp,
     pub(crate) flips: u64,
 }
 
-impl GridDynamics {
+impl<T: TrackedSet> GridDynamics<T> {
     /// Counts every window of `field` and classifies every agent.
     ///
     /// # Panics
@@ -50,17 +58,50 @@ impl GridDynamics {
         rng: Xoshiro256pp,
     ) -> Self {
         let counts = WindowCounts::new(&field, horizon);
+        Self::from_counts(field, counts, n_size, classify, rng, 0)
+    }
+
+    /// The core over `counts`, which must count `field`'s windows.
+    fn from_counts(
+        field: TypeField,
+        counts: WindowCounts,
+        n_size: u32,
+        classify: impl FnMut(u32) -> (bool, bool),
+        rng: Xoshiro256pp,
+        flips: u64,
+    ) -> Self {
         let mut core = GridDynamics {
             classes: class_table(&counts, n_size, classify),
-            tracked: IndexedSet::new(field.torus().len()),
+            tracked: T::empty(field.torus().len()),
             unhappy: 0,
             field,
             counts,
             rng,
-            flips: 0,
+            flips,
         };
         core.classify_all();
         core
+    }
+
+    /// The same configuration, counts, RNG state and flip count under
+    /// another rule, which may keep another kind of tracked set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rule is sized for another `N`.
+    pub(crate) fn retrack<U: TrackedSet>(
+        self,
+        n_size: u32,
+        classify: impl FnMut(u32) -> (bool, bool),
+    ) -> GridDynamics<U> {
+        GridDynamics::from_counts(
+            self.field,
+            self.counts,
+            n_size,
+            classify,
+            self.rng,
+            self.flips,
+        )
     }
 
     /// Replaces the rule and reclassifies every agent.
@@ -78,13 +119,12 @@ impl GridDynamics {
     fn classify_all(&mut self) {
         self.unhappy = 0;
         for i in 0..self.field.torus().len() {
-            let c = self
-                .classes
-                .class(self.field.get_index(i), self.counts.plus_count_index(i));
+            let ty = self.field.get_index(i);
+            let c = self.classes.class(ty, self.counts.plus_count_index(i));
             if c & ClassTable::TRACKED != 0 {
-                self.tracked.insert(i);
+                self.tracked.insert(i, ty);
             } else {
-                self.tracked.remove(i);
+                self.tracked.remove(i, ty);
             }
             self.unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
         }
@@ -94,14 +134,6 @@ impl GridDynamics {
     #[inline]
     pub(crate) fn same_count(&self, u: Point) -> u32 {
         self.counts.same_count(u, self.field.get(u))
-    }
-
-    /// A uniformly chosen tracked agent: one RNG draw, or `None` and no
-    /// draw when the set is empty.
-    #[inline]
-    pub(crate) fn sample(&mut self) -> Option<Point> {
-        let i = self.tracked.sample(&mut self.rng)?;
-        Some(self.field.torus().from_index(i))
     }
 
     /// Flips the agent at `at` and repairs the counts, the tracked set and
@@ -139,6 +171,18 @@ impl GridDynamics {
             unhappy += usize::from(is_unhappy);
         }
         unhappy == self.unhappy
+    }
+}
+
+impl GridDynamics {
+    /// A uniformly chosen tracked agent: one RNG draw, or `None` and no
+    /// draw when the set is empty.
+    // always: with the core generic, `#[inline]` alone left it a call
+    // out of `Simulation::step`
+    #[inline(always)]
+    pub(crate) fn sample(&mut self) -> Option<Point> {
+        let i = self.tracked.sample(&mut self.rng)?;
+        Some(self.field.torus().from_index(i))
     }
 }
 

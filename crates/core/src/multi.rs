@@ -12,7 +12,7 @@
 use crate::intolerance::Intolerance;
 use crate::metrics::Clusters;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{window_fits, IndexedSet, Point, Torus};
+use seg_grid::{window_fits, AgentType, IndexedSet, Point, Torus, TypeField, WindowCounts};
 
 /// A `k`-type Glauber segregation model.
 #[derive(Clone, Debug)]
@@ -69,18 +69,34 @@ impl MultiSim {
         sim
     }
 
+    /// Recounts every window, type by type with the separable box filter
+    /// of [`WindowCounts::new`] over the type's indicator field, and
+    /// reclassifies every agent.
     fn rebuild(&mut self) {
         let k = self.k as usize;
-        self.counts.fill(0);
-        let w = self.horizon as i64;
-        for i in 0..self.torus.len() {
-            let p = self.torus.from_index(i);
-            for dy in -w..=w {
-                for dx in -w..=w {
-                    let q = self.torus.offset(p, dx, dy);
-                    let t = self.types[self.torus.index(q)] as usize;
-                    self.counts[i * k + t] += 1;
-                }
+        for t in 0..self.k {
+            let indicator = TypeField::from_types(
+                self.torus,
+                self.types
+                    .iter()
+                    .map(|&ty| {
+                        if ty == t {
+                            AgentType::Plus
+                        } else {
+                            AgentType::Minus
+                        }
+                    })
+                    .collect(),
+            );
+            let windows = WindowCounts::new(&indicator, self.horizon);
+            for (i, c) in self
+                .counts
+                .iter_mut()
+                .skip(t as usize)
+                .step_by(k)
+                .enumerate()
+            {
+                *c = windows.plus_count_index(i);
             }
         }
         self.unhappy = 0;
@@ -305,6 +321,32 @@ mod tests {
         assert_eq!(sim.unhappy_count(), 0);
     }
 
+    /// Every window's per-type counts, one `Torus::offset` per cell of
+    /// each window.
+    fn naive_counts(sim: &MultiSim) -> Vec<u32> {
+        let (t, k, w) = (sim.torus, sim.k as usize, i64::from(sim.horizon));
+        let mut counts = vec![0; t.len() * k];
+        for i in 0..t.len() {
+            let p = t.from_index(i);
+            for dy in -w..=w {
+                for dx in -w..=w {
+                    let q = t.offset(p, dx, dy);
+                    counts[i * k + sim.types[t.index(q)] as usize] += 1;
+                }
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn box_filter_counts_match_a_naive_count() {
+        // the last two windows span the whole torus side
+        for (n, w, k, seed) in [(24, 1, 4, 1), (17, 3, 3, 2), (9, 4, 5, 3), (13, 6, 2, 4)] {
+            let sim = MultiSim::random(n, w, k, 0.35, seed);
+            assert_eq!(sim.counts, naive_counts(&sim), "n={n} w={w} k={k}");
+        }
+    }
+
     #[test]
     fn step_keeps_counts_consistent() {
         let mut sim = MultiSim::random(24, 1, 4, 0.35, 9);
@@ -313,15 +355,16 @@ mod tests {
                 break;
             }
         }
-        // rebuild and compare
+        // a naive per-cell count, then a rebuild, as references
         let snapshot = sim.counts.clone();
+        assert_eq!(snapshot, naive_counts(&sim), "incremental counts diverged");
         let happy_snapshot = sim.happy.clone();
         let unhappy_snapshot = sim.unhappy_count();
         let flippable_snapshot: Vec<bool> = (0..sim.torus.len())
             .map(|i| sim.flippable.contains(i))
             .collect();
         sim.rebuild();
-        assert_eq!(snapshot, sim.counts, "incremental counts diverged");
+        assert_eq!(snapshot, sim.counts, "rebuilt counts diverged");
         assert_eq!(happy_snapshot, sim.happy, "happy vector diverged");
         assert_eq!(
             unhappy_snapshot,

@@ -20,7 +20,7 @@ use crate::dynamics::GridDynamics;
 use crate::intolerance::Intolerance;
 use crate::sim::Simulation;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{AgentType, Point, TypeField};
+use seg_grid::{AgentType, Point, RankedSet, TypeField};
 
 /// The local update rule of a [`VariantSim`].
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -138,26 +138,40 @@ impl VariantSim {
 /// The closed-system Kawasaki swap dynamics: two unhappy agents of
 /// opposite types exchange positions iff the swap makes both happy. The
 /// total count of each type is conserved (§I-A's "closed" model).
+///
+/// The grid-dynamics core keeps the unhappy agents of each type in a
+/// [`RankedSet`], so an attempt draws the `k`-th unhappy agent of a type
+/// in scan order in O(log n): the agents a whole-torus scan would list,
+/// picked by the same two RNG draws. An attempt is decided from the two
+/// agents' counts before anything moves, and an accepted swap costs two
+/// flips of the fused kernel.
 #[derive(Clone, Debug)]
 pub struct KawasakiSim {
-    sim: Simulation,
+    /// Tracked = unhappy, kept per type.
+    core: GridDynamics<[RankedSet; 2]>,
+    intol: Intolerance,
     swaps: u64,
     failed_attempts: u64,
 }
 
 impl KawasakiSim {
-    /// Wraps a [`Simulation`] (its Glauber stepper is not used).
+    /// Takes over a [`Simulation`]'s configuration, counts and RNG state
+    /// (its Glauber stepper is not used).
     pub fn new(sim: Simulation) -> Self {
+        let intol = sim.intolerance();
         KawasakiSim {
-            sim,
+            core: sim
+                .core
+                .retrack(intol.neighborhood_size(), unhappy_class(intol)),
+            intol,
             swaps: 0,
             failed_attempts: 0,
         }
     }
 
-    /// The inner state.
+    /// The current configuration.
     pub fn field(&self) -> &TypeField {
-        self.sim.field()
+        &self.core.field
     }
 
     /// Completed swaps.
@@ -170,40 +184,42 @@ impl KawasakiSim {
         self.failed_attempts
     }
 
-    /// Unhappy agents of the given type, freshly scanned.
-    fn unhappy_of(&self, ty: AgentType) -> Vec<Point> {
-        let t = self.sim.torus();
-        t.points()
-            .filter(|p| self.sim.field().get(*p) == ty && !self.sim.is_happy(*p))
-            .collect()
-    }
-
     /// Attempts one swap: samples an unhappy agent of each type uniformly
     /// and swaps iff both become happy. Returns `Some(true)` on a swap,
     /// `Some(false)` on a rejected attempt, `None` when one side has no
     /// unhappy agents (the process is stuck/stable).
     pub fn try_swap(&mut self) -> Option<bool> {
-        let plus = self.unhappy_of(AgentType::Plus);
-        let minus = self.unhappy_of(AgentType::Minus);
+        let [minus, plus] = &self.core.tracked;
         if plus.is_empty() || minus.is_empty() {
             return None;
         }
-        let rng = &mut self.sim.core.rng;
-        let a = plus[rng.next_below(plus.len() as u64) as usize];
-        let b = minus[rng.next_below(minus.len() as u64) as usize];
-        // swapping opposite types == flipping both
-        self.sim.force_flip_at(a);
-        self.sim.force_flip_at(b);
-        if self.sim.is_happy(a) && self.sim.is_happy(b) {
+        let rng = &mut self.core.rng;
+        let a = plus.select(rng.next_below(plus.len() as u64) as usize);
+        let b = minus.select(rng.next_below(minus.len() as u64) as usize);
+        let torus = self.core.field.torus();
+        let (a, b) = (torus.from_index(a), torus.from_index(b));
+        if self.swap_makes_both_happy(a, b) {
+            // swapping opposite types == flipping both
+            self.core.flip(a);
+            self.core.flip(b);
             self.swaps += 1;
             Some(true)
         } else {
-            // revert
-            self.sim.force_flip_at(a);
-            self.sim.force_flip_at(b);
             self.failed_attempts += 1;
             Some(false)
         }
+    }
+
+    /// Whether swapping the `Plus` agent at `a` with the `Minus` agent at
+    /// `b` leaves both happy. After the swap `a` counts the minus agents
+    /// of its window plus itself, less `b` if `b` is in that window (and
+    /// then `a` is in `b`'s); symmetrically for `b`.
+    fn swap_makes_both_happy(&self, a: Point, b: Point) -> bool {
+        let counts = &self.core.counts;
+        let near = u32::from(self.core.field.torus().linf_distance(a, b) <= counts.horizon());
+        let s_a = counts.minus_count(a) + 1 - near;
+        let s_b = counts.plus_count(b) + 1 - near;
+        self.intol.is_happy(s_a) && self.intol.is_happy(s_b)
     }
 
     /// Runs until `max_attempts` attempts have been made or no opposite
@@ -217,13 +233,110 @@ impl KawasakiSim {
         }
         self.swaps - s0
     }
+
+    /// Full consistency audit: the counts, both unhappy sets and the
+    /// unhappy total against the intolerance, and every member's rank
+    /// and select against a scan of the torus. O(n²·N); for tests and
+    /// debugging.
+    pub fn audit(&self) -> bool {
+        if !self.core.audit(unhappy_class(self.intol)) {
+            return false;
+        }
+        let field = &self.core.field;
+        [AgentType::Minus, AgentType::Plus].into_iter().all(|ty| {
+            let set = &self.core.tracked[ty as usize];
+            let scan: Vec<usize> = (0..field.torus().len())
+                .filter(|&i| {
+                    field.get_index(i) == ty
+                        && !self
+                            .intol
+                            .is_happy(self.core.counts.same_count_index(i, ty))
+                })
+                .collect();
+            set.len() == scan.len()
+                && scan
+                    .iter()
+                    .enumerate()
+                    .all(|(k, &i)| set.select(k) == i && set.rank(i) == k)
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use proptest::prelude::*;
     use seg_grid::Torus;
+
+    /// The whole-torus-scan Kawasaki dynamics `KawasakiSim` replaced, kept
+    /// as its reference: each attempt lists both types' unhappy agents in
+    /// scan order, draws one of each, flips both and reverts unless both
+    /// are happy.
+    struct ScanKawasaki {
+        sim: Simulation,
+    }
+
+    impl ScanKawasaki {
+        fn unhappy_of(&self, ty: AgentType) -> Vec<Point> {
+            let t = self.sim.torus();
+            t.points()
+                .filter(|p| self.sim.field().get(*p) == ty && !self.sim.is_happy(*p))
+                .collect()
+        }
+
+        fn try_swap(&mut self) -> Option<bool> {
+            let plus = self.unhappy_of(AgentType::Plus);
+            let minus = self.unhappy_of(AgentType::Minus);
+            if plus.is_empty() || minus.is_empty() {
+                return None;
+            }
+            let rng = &mut self.sim.core.rng;
+            let a = plus[rng.next_below(plus.len() as u64) as usize];
+            let b = minus[rng.next_below(minus.len() as u64) as usize];
+            self.sim.force_flip_at(a);
+            self.sim.force_flip_at(b);
+            if self.sim.is_happy(a) && self.sim.is_happy(b) {
+                Some(true)
+            } else {
+                self.sim.force_flip_at(a);
+                self.sim.force_flip_at(b);
+                Some(false)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The ranked select picks the agents the scan picked, attempt by
+        /// attempt, through random swap/reject sequences on random fields
+        /// (densities away from ½, windows up to the torus side), and the
+        /// per-type sets and ranks stay equal to a fresh scan.
+        #[test]
+        fn ranked_select_matches_the_scan(
+            seed in any::<u64>(),
+            n in 9u32..28,
+            w in 1u32..5,
+            tau in 0.25f64..0.7,
+            density in 0.3f64..0.7,
+            attempts in 1usize..300,
+        ) {
+            let w = w.min((n - 1) / 2);
+            let build = || ModelConfig::new(n, w, tau).initial_density(density).seed(seed).build();
+            let mut scan = ScanKawasaki { sim: build() };
+            let mut k = KawasakiSim::new(build());
+            for attempt in 0..attempts {
+                let expected = scan.try_swap();
+                prop_assert_eq!(k.try_swap(), expected, "attempt {}", attempt);
+                if expected.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(k.field().as_slice() == scan.sim.field().as_slice());
+            prop_assert!(k.audit(), "audit failed");
+        }
+    }
 
     fn variant(n: u32, w: u32, tau: f64, rule: UpdateRule, seed: u64) -> VariantSim {
         let torus = Torus::new(n);
@@ -271,15 +384,28 @@ mod tests {
         let mut k = KawasakiSim::new(sim);
         let mut checked = 0;
         for _ in 0..500 {
+            let before = k.field().clone();
             match k.try_swap() {
-                Some(true) => checked += 1,
-                Some(false) => {}
+                Some(true) => {
+                    // the two agents that moved are happy where they landed
+                    let t = before.torus();
+                    let moved: Vec<Point> = t
+                        .points()
+                        .filter(|&p| before.get(p) != k.field().get(p))
+                        .collect();
+                    assert_eq!(moved.len(), 2);
+                    for p in moved {
+                        let s = k.core.same_count(p);
+                        assert!(k.intol.is_happy(s), "{p} unhappy after its swap");
+                    }
+                    checked += 1;
+                }
+                Some(false) => assert_eq!(before.as_slice(), k.field().as_slice()),
                 None => break,
             }
         }
-        // sanity: some swaps happened and the invariant held throughout
-        // (violations would have been caught inside try_swap's revert)
-        assert!(checked > 0 || k.failed_attempts() > 0);
+        assert!(checked > 0, "no swap happened");
+        assert!(k.audit());
     }
 
     #[test]

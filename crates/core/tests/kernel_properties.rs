@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use seg_core::interval::{ComfortBand, IntervalSim};
 use seg_core::ring::{RingKawasaki, RingSim};
-use seg_core::variants::{UpdateRule, VariantSim};
+use seg_core::variants::{KawasakiSim, UpdateRule, VariantSim};
 use seg_core::{Intolerance, ModelConfig};
 use seg_grid::rng::Xoshiro256pp;
 use seg_grid::{AgentType, ClassTable, Point, Torus, Transition, TypeField};
@@ -244,6 +244,95 @@ fn interval_sim_reproduces_wide_window_goldens() {
         assert_eq!(
             got, expected,
             "trajectory diverged for n={n} w={w} band=[{lo}, {hi}] seed={seed}"
+        );
+    }
+}
+
+/// FNV-1a over a field's types in index order.
+fn field_digest(field: &TypeField) -> u64 {
+    field
+        .as_slice()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &t| {
+            (h ^ t as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// `((n, w, tau, seed, budget), (stuck, swaps, failed_attempts,
+/// plus_total, field digest))` of the 2-D `KawasakiSim` after at most
+/// `budget` attempts from `ModelConfig::new(n, w, tau).seed(seed)`;
+/// `stuck` when `try_swap` returned `None` first. Recorded from the
+/// whole-torus-scan implementation. τ sits on both sides of ½, w ∈ {1,
+/// 2, 4}; the last rows have a window one or two cells short of the
+/// torus side.
+#[allow(clippy::type_complexity)]
+const GOLDEN_KAWASAKI: &[((u32, u32, f64, u64, u64), (bool, u64, u64, usize, u64))] = &[
+    (
+        (32, 1, 0.44, 1, 3000),
+        (true, 96, 0, 517, 0xf87c0ab374f9f9f6),
+    ),
+    (
+        (32, 1, 0.60, 3, 3000),
+        (false, 217, 2783, 513, 0x99a632fa2775a880),
+    ),
+    (
+        (24, 1, 0.25, 6, 3000),
+        (true, 15, 0, 296, 0x3d0bc70c5d619c9b),
+    ),
+    (
+        (32, 2, 0.44, 1, 3000),
+        (true, 168, 0, 517, 0x952e1d4fc97f31a8),
+    ),
+    (
+        (40, 2, 0.40, 2, 100),
+        (false, 100, 0, 790, 0x6b33dc3f76d19f45),
+    ),
+    (
+        (40, 2, 0.55, 4, 3000),
+        (false, 486, 2514, 801, 0x81506dfb9d2c3020),
+    ),
+    (
+        (48, 4, 0.45, 1, 2000),
+        (true, 554, 0, 1156, 0x012b1195776b6967),
+    ),
+    (
+        (48, 4, 0.58, 2, 2000),
+        (false, 80, 1920, 1152, 0x35f03e7b69364b07),
+    ),
+    (
+        (10, 4, 0.52, 1, 400),
+        (false, 2, 398, 52, 0x073e9df5c3181f31),
+    ),
+    ((11, 4, 0.49, 2, 400), (true, 31, 0, 57, 0xa0cabf10eed937f8)),
+    (
+        (11, 4, 0.52, 1, 400),
+        (false, 12, 388, 65, 0x4a7043915af7f95c),
+    ),
+];
+
+#[test]
+fn kawasaki_reproduces_scan_goldens() {
+    for &((n, w, tau, seed, budget), expected) in GOLDEN_KAWASAKI {
+        let mut k = KawasakiSim::new(ModelConfig::new(n, w, tau).seed(seed).build());
+        let mut attempts = 0;
+        let mut stuck = false;
+        while attempts < budget {
+            if k.try_swap().is_none() {
+                stuck = true;
+                break;
+            }
+            attempts += 1;
+        }
+        let got = (
+            stuck,
+            k.swaps(),
+            k.failed_attempts(),
+            k.field().plus_total(),
+            field_digest(k.field()),
+        );
+        assert_eq!(
+            got, expected,
+            "trajectory diverged for n={n} w={w} τ={tau} seed={seed}"
         );
     }
 }

@@ -19,6 +19,8 @@
 //!   [`ClassTable`] per cell;
 //! - [`IndexedSet`] — the O(1) insert/remove/sample index set behind every
 //!   incrementally-maintained agent set of the dynamics layers;
+//! - [`RankedSet`] — a bitset with O(log n) rank and select, which keeps
+//!   the 2-D Kawasaki dynamics' unhappy agents of each type in scan order;
 //! - [`BlockGrid`] — the renormalization into `m`-blocks used by the paper's
 //!   good/bad-block percolation arguments (§IV-B);
 //! - [`Annulus`] — the annular firewall geometry of Lemma 9;
@@ -52,6 +54,7 @@ mod indexed_set;
 mod neighborhood;
 pub mod path;
 mod prefix;
+mod ranked_set;
 pub mod rng;
 mod torus;
 mod window;
@@ -63,5 +66,6 @@ pub use indexed_set::IndexedSet;
 pub use neighborhood::Neighborhood;
 pub use path::{shortest_block_path, BlockPath};
 pub use prefix::PrefixSums;
+pub use ranked_set::RankedSet;
 pub use torus::{Point, Torus};
-pub use window::{window_fits, ClassTable, Transition, WindowCounts};
+pub use window::{window_fits, ClassTable, TrackedSet, Transition, WindowCounts};

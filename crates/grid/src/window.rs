@@ -1,6 +1,6 @@
 //! Incremental per-agent neighborhood counts — the dynamics hot path.
 
-use crate::{AgentType, IndexedSet, Point, Torus, TypeField};
+use crate::{AgentType, IndexedSet, Point, RankedSet, Torus, TypeField};
 use std::ops::Range;
 
 /// Whether a window of horizon `w` (diameter `2w + 1`) fits a torus of
@@ -9,6 +9,100 @@ use std::ops::Range;
 /// validator of a windowed process checks this one predicate.
 pub fn window_fits(side: u32, horizon: u32) -> bool {
     2 * u64::from(horizon) < u64::from(side)
+}
+
+/// The cells a dynamics process tracks — those whose [`ClassTable`] class
+/// has [`ClassTable::TRACKED`] set — as the fused flip kernel maintains
+/// them.
+///
+/// The kernel tells the set each cell's type, so a set may keep its
+/// members by type ([`RankedSet`] pairs, for example); a plain set
+/// ignores it. Only the flipped cell changes type, and it alone goes
+/// through [`TrackedSet::retype`].
+pub trait TrackedSet {
+    /// An empty set over the cells `0..capacity`.
+    fn empty(capacity: usize) -> Self;
+
+    /// Whether cell `i` is in the set.
+    fn contains(&self, i: usize) -> bool;
+
+    /// Cell `i`, of type `ty`, becomes tracked.
+    fn insert(&mut self, i: usize, ty: AgentType);
+
+    /// Cell `i`, of type `ty`, stops being tracked.
+    fn remove(&mut self, i: usize, ty: AgentType);
+
+    /// Cell `i` flipped to `new_type`, and `step` takes its tracked bit
+    /// from the old type's class to the new type's. The default writes
+    /// the set only when the bit changes, which is right for a set that
+    /// ignores types.
+    #[inline]
+    fn retype(&mut self, i: usize, new_type: AgentType, step: Transition) {
+        if step.tracked_changed() {
+            if step.tracked() {
+                self.insert(i, new_type);
+            } else {
+                self.remove(i, new_type.flipped());
+            }
+        }
+    }
+}
+
+impl TrackedSet for IndexedSet {
+    #[inline]
+    fn empty(capacity: usize) -> Self {
+        IndexedSet::new(capacity)
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        IndexedSet::contains(self, i)
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize, _ty: AgentType) {
+        IndexedSet::insert(self, i);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize, _ty: AgentType) {
+        IndexedSet::remove(self, i);
+    }
+}
+
+/// Tracked cells kept by type: `[Minus members, Plus members]`, each in
+/// ascending index order, so a process can draw the `k`-th tracked cell
+/// of either type in O(log n).
+impl TrackedSet for [RankedSet; 2] {
+    fn empty(capacity: usize) -> Self {
+        [RankedSet::new(capacity), RankedSet::new(capacity)]
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        self[0].contains(i) || self[1].contains(i)
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize, ty: AgentType) {
+        self[ty as usize].insert(i);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize, ty: AgentType) {
+        self[ty as usize].remove(i);
+    }
+
+    #[inline]
+    fn retype(&mut self, i: usize, new_type: AgentType, step: Transition) {
+        // tracked before the step, under the old type
+        if step.tracked() != step.tracked_changed() {
+            self[new_type.flipped() as usize].remove(i);
+        }
+        if step.tracked() {
+            self[new_type as usize].insert(i);
+        }
+    }
 }
 
 /// A per-type lookup table classifying an agent by the number of `+1`
@@ -20,7 +114,7 @@ pub fn window_fits(side: u32, horizon: u32) -> bool {
 /// per entry:
 ///
 /// - [`ClassTable::TRACKED`] — the agent belongs in the caller's
-///   incrementally-maintained [`IndexedSet`] (e.g. *flippable* for the
+///   incrementally-maintained [`TrackedSet`] (e.g. *flippable* for the
 ///   paper's rule, *unhappy* for the flip-when-unhappy variant);
 /// - [`ClassTable::UNHAPPY`] — the agent is unhappy/discontent, used to
 ///   maintain unhappy counts incrementally.
@@ -47,7 +141,7 @@ pub struct ClassTable {
 }
 
 impl ClassTable {
-    /// Bit 0: the agent belongs in the tracked [`IndexedSet`].
+    /// Bit 0: the agent belongs in the caller's [`TrackedSet`].
     pub const TRACKED: u8 = 1;
     /// Bit 1: the agent is unhappy (counts toward the unhappy total).
     pub const UNHAPPY: u8 = 2;
@@ -208,10 +302,10 @@ impl Transition {
         u32::from(self.0 >> Self::UNHAPPY_SHIFT)
     }
 
-    /// Applies the tracked-bit change of cell `i` to `tracked`, whose
-    /// membership must equal the bit before the step.
+    /// Applies the tracked-bit change of cell `i`, of type `ty`, to
+    /// `tracked`, whose membership must equal the bit before the step.
     #[inline]
-    fn apply(self, i: usize, tracked: &mut IndexedSet) {
+    fn apply<T: TrackedSet>(self, i: usize, ty: AgentType, tracked: &mut T) {
         debug_assert_eq!(
             tracked.contains(i),
             self.tracked() != self.tracked_changed(),
@@ -220,9 +314,9 @@ impl Transition {
         // an unchanged bit would make the insert/remove a no-op
         if self.tracked_changed() {
             if self.tracked() {
-                tracked.insert(i);
+                tracked.insert(i, ty);
             } else {
-                tracked.remove(i);
+                tracked.remove(i, ty);
             }
         }
     }
@@ -421,13 +515,13 @@ impl WindowCounts {
     /// row-major classification sweep over the window, and trajectories
     /// that sample from `tracked` are bit-identical to the unfused
     /// two-pass update.
-    pub fn apply_flip_fused(
+    pub fn apply_flip_fused<T: TrackedSet>(
         &mut self,
         z: Point,
         new_type: AgentType,
         field: &TypeField,
         classes: &ClassTable,
-        tracked: &mut IndexedSet,
+        tracked: &mut T,
     ) -> i64 {
         debug_assert_eq!(field.get(z), new_type, "field must be flipped first");
         debug_assert_eq!(classes.n_size(), self.neighborhood_size());
@@ -453,7 +547,12 @@ impl WindowCounts {
             let was = classes.class(new_type.flipped(), old_pc);
             let t = Transition::between(was, classes.class(new_type, plus[zi]));
             unhappy_biased += t.unhappy_biased();
-            t.apply(zi, tracked);
+            debug_assert_eq!(
+                tracked.contains(zi),
+                was & ClassTable::TRACKED != 0,
+                "tracked set out of sync with the class table at cell {zi}"
+            );
+            tracked.retype(zi, new_type, t);
             unhappy_biased += steps.run(plus, types, zi + 1..run.end, tracked);
         });
         i64::from(unhappy_biased) - i64::from(self.neighborhood_size())
@@ -494,12 +593,12 @@ impl Steps<'_> {
     // inlined into each of the kernel's three calls: the per-run call
     // cost shows at w = 1, where a run is one to three cells
     #[inline(always)]
-    fn run(
+    fn run<T: TrackedSet>(
         &self,
         plus: &mut [u32],
         types: &[AgentType],
         run: Range<usize>,
-        tracked: &mut IndexedSet,
+        tracked: &mut T,
     ) -> u32 {
         let mut biased = 0;
         let first = run.start;
@@ -507,7 +606,7 @@ impl Steps<'_> {
             let t = self.table[(ty as usize) * self.stride + *pc as usize];
             *pc = pc.wrapping_add(self.delta);
             biased += t.unhappy_biased();
-            t.apply(first + k, tracked);
+            t.apply(first + k, ty, tracked);
         }
         biased
     }
