@@ -12,24 +12,28 @@
 use crate::intolerance::Intolerance;
 use crate::metrics::Clusters;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{window_fits, AgentType, IndexedSet, Point, Torus, TypeField, WindowCounts};
+use seg_grid::{box_filter, for_each_window_run, window_fits, IndexedSet, Point, Torus};
 
-/// A `k`-type Glauber segregation model.
+/// Class bits: happy; eligible (unhappy, with a happy-making type).
+const HAPPY: u8 = 1;
+const ELIGIBLE: u8 = 2;
+
+/// A `k`-type Glauber segregation model: `k` planes of window counts, each
+/// the [`box_filter`] of one type's indicator, updated along the flip
+/// window's row runs ([`for_each_window_run`]) like the two-type kernel.
 #[derive(Clone, Debug)]
 pub struct MultiSim {
     torus: Torus,
     horizon: u32,
     k: u8,
     types: Vec<u8>,
-    /// counts[i * k + t] = number of type-t agents in the ball around cell i
+    /// counts[t * n² + i] = number of type-t agents in cell i's window
     counts: Vec<u32>,
     intol: Intolerance,
     flippable: IndexedSet,
-    /// happy[i] mirrors `is_happy_at(i)`, maintained incrementally so
-    /// `unhappy_count` never rescans (the k-type analogue of the 2-type
-    /// `ClassTable` bookkeeping).
-    happy: Vec<bool>,
-    /// Number of `false` entries in `happy`.
+    /// class[i] = the [`HAPPY`] and [`ELIGIBLE`] bits of cell i
+    class: Vec<u8>,
+    /// Number of cells without [`HAPPY`].
     unhappy: usize,
     rng: Xoshiro256pp,
     flips: u64,
@@ -56,11 +60,11 @@ impl MultiSim {
             torus,
             horizon,
             k,
-            counts: vec![0; torus.len() * k as usize],
+            counts: Vec::with_capacity(torus.len() * k as usize),
             types,
             intol,
             flippable: IndexedSet::new(torus.len()),
-            happy: vec![false; torus.len()],
+            class: vec![HAPPY; torus.len()],
             unhappy: 0,
             rng,
             flips: 0,
@@ -69,49 +73,56 @@ impl MultiSim {
         sim
     }
 
-    /// Recounts every window, type by type with the separable box filter
-    /// of [`WindowCounts::new`] over the type's indicator field, and
-    /// reclassifies every agent.
+    /// Recounts every type's plane with the box filter and reclassifies
+    /// every agent in index order, from a state with every cell happy.
     fn rebuild(&mut self) {
-        let k = self.k as usize;
+        let (torus, w) = (self.torus, self.horizon);
+        self.counts.clear();
         for t in 0..self.k {
-            let indicator = TypeField::from_types(
-                self.torus,
-                self.types
-                    .iter()
-                    .map(|&ty| {
-                        if ty == t {
-                            AgentType::Plus
-                        } else {
-                            AgentType::Minus
-                        }
-                    })
-                    .collect(),
-            );
-            let windows = WindowCounts::new(&indicator, self.horizon);
-            for (i, c) in self
-                .counts
-                .iter_mut()
-                .skip(t as usize)
-                .step_by(k)
-                .enumerate()
-            {
-                *c = windows.plus_count_index(i);
-            }
+            box_filter(torus, w, &self.types, |&ty| ty == t, &mut self.counts);
         }
+        self.class.fill(HAPPY);
         self.unhappy = 0;
+        self.flippable.clear();
         for i in 0..self.torus.len() {
-            let h = self.is_happy_at(i);
-            self.happy[i] = h;
-            if !h {
-                self.unhappy += 1;
-            }
-            if !h && self.best_retype(i).is_some() {
-                self.flippable.insert(i);
-            } else {
-                self.flippable.remove(i);
-            }
+            self.reclassify(i);
         }
+    }
+
+    /// Classifies cell `i` with no data-dependent branch: happy at `thr`
+    /// own-type agents, eligible if unhappy and some other type plus the
+    /// agent reaches `thr`. Moves the unhappy total by the happy bit's
+    /// change and writes `flippable` only where eligibility changed.
+    #[inline(always)]
+    fn reclassify(&mut self, i: usize) {
+        let (me, plane) = (usize::from(self.types[i]), self.torus.len());
+        let thr = self.intol.threshold();
+        let happy = self.counts[me * plane + i] >= thr;
+        let mut viable = false;
+        for t in 0..usize::from(self.k) {
+            viable |= (t != me) & (self.counts[t * plane + i] + 1 >= thr);
+        }
+        let was = self.class[i];
+        let now = u8::from(happy) * HAPPY + u8::from(!happy & viable) * ELIGIBLE;
+        debug_assert_eq!(self.flippable.contains(i), was & ELIGIBLE != 0, "cell {i}");
+        self.unhappy = self.unhappy + usize::from(was & HAPPY) - usize::from(happy);
+        self.class[i] = now;
+        match ((was ^ now) & ELIGIBLE != 0, now & ELIGIBLE != 0) {
+            (true, true) => self.flippable.insert(i),
+            (true, false) => self.flippable.remove(i),
+            (false, _) => {}
+        }
+    }
+
+    /// Recomputes the counts, class bits, unhappy total and flippable set
+    /// from the types and reports whether the maintained ones equal them.
+    pub fn audit(&self) -> bool {
+        let mut fresh = self.clone();
+        fresh.rebuild();
+        fresh.counts == self.counts
+            && fresh.class == self.class
+            && fresh.unhappy == self.unhappy
+            && fresh.flippable.sorted() == self.flippable.sorted()
     }
 
     /// Number of types.
@@ -131,36 +142,24 @@ impl MultiSim {
 
     /// Count of type-`t` agents in the ball around `p`.
     pub fn count_of(&self, p: Point, t: u8) -> u32 {
-        self.counts[self.torus.index(p) * self.k as usize + t as usize]
-    }
-
-    /// Whether the agent at cell `i` is happy, computed from the counts
-    /// (the maintained `happy` vector caches exactly this).
-    fn is_happy_at(&self, i: usize) -> bool {
-        let me = self.types[i] as usize;
-        self.intol.is_happy(self.counts[i * self.k as usize + me])
+        self.counts[usize::from(t) * self.torus.len() + self.torus.index(p)]
     }
 
     /// A type that would make the agent at cell `i` happy after a switch
     /// (own-type count gains 1 for the agent itself), preferring the most
     /// numerous; `None` if no type works.
     fn best_retype(&self, i: usize) -> Option<u8> {
-        let k = self.k as usize;
         let me = self.types[i] as usize;
         let mut best: Option<(u32, u8)> = None;
-        for t in 0..k {
-            if t == me {
-                continue;
-            }
+        for (t, c) in self.counts[i..]
+            .iter()
+            .step_by(self.torus.len())
+            .enumerate()
+        {
             // after switching, own count = current count of t + 1 (self)
-            let own = self.counts[i * k + t] + 1;
-            if self.intol.is_happy(own) {
-                let cand = (own, t as u8);
-                best = Some(match best {
-                    None => cand,
-                    Some(b) if cand.0 > b.0 => cand,
-                    Some(b) => b,
-                });
+            let own = c + 1;
+            if t != me && self.intol.is_happy(own) && best.is_none_or(|b| own > b.0) {
+                best = Some((own, t as u8));
             }
         }
         best.map(|(_, t)| t)
@@ -179,48 +178,33 @@ impl MultiSim {
 
     /// One step: a uniformly chosen eligible agent switches to its best
     /// happy-making type. `None` when stable.
+    ///
+    /// Each window row run first moves two count slices (old type −1, new
+    /// type +1), then reclassifies its cells in order. A class depends only
+    /// on the cell's own counts and type, so the flippable set sees the
+    /// insert/remove sequence of a count pass, then a row-major classify.
     pub fn step(&mut self) -> Option<Point> {
         let i = self.flippable.sample(&mut self.rng)?;
         let new_t = self
             .best_retype(i)
             .expect("flippable set only holds eligible agents");
-        let at = self.torus.from_index(i);
-        let old_t = self.types[i] as usize;
+        let old_t = usize::from(self.types[i]);
         self.types[i] = new_t;
         self.flips += 1;
-        let k = self.k as usize;
-        let w = self.horizon as i64;
-        for dy in -w..=w {
-            for dx in -w..=w {
-                let v = self.torus.offset(at, dx, dy);
-                let vi = self.torus.index(v);
-                self.counts[vi * k + old_t] -= 1;
-                self.counts[vi * k + new_t as usize] += 1;
+        let plane = self.torus.len();
+        let (old, new) = (old_t * plane, usize::from(new_t) * plane);
+        let at = self.torus.from_index(i);
+        for_each_window_run(self.torus, self.horizon, at, |run| {
+            for c in &mut self.counts[old + run.start..old + run.end] {
+                *c -= 1;
             }
-        }
-        for dy in -w..=w {
-            for dx in -w..=w {
-                let v = self.torus.offset(at, dx, dy);
-                let vi = self.torus.index(v);
-                // only cells inside the window saw their counts (or, for
-                // the actor, their type) change, so reclassifying them
-                // keeps the happy vector and unhappy counter exact
-                let h = self.is_happy_at(vi);
-                if h != self.happy[vi] {
-                    self.happy[vi] = h;
-                    if h {
-                        self.unhappy -= 1;
-                    } else {
-                        self.unhappy += 1;
-                    }
-                }
-                if !h && self.best_retype(vi).is_some() {
-                    self.flippable.insert(vi);
-                } else {
-                    self.flippable.remove(vi);
-                }
+            for c in &mut self.counts[new + run.start..new + run.end] {
+                *c += 1;
             }
-        }
+            for v in run {
+                self.reclassify(v);
+            }
+        });
         Some(at)
     }
 
@@ -237,9 +221,7 @@ impl MultiSim {
     /// Per-type totals across the torus.
     pub fn type_totals(&self) -> Vec<usize> {
         let mut out = vec![0usize; self.k as usize];
-        for &t in &self.types {
-            out[t as usize] += 1;
-        }
+        self.types.iter().for_each(|&t| out[t as usize] += 1);
         out
     }
 
@@ -252,14 +234,106 @@ impl MultiSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-pass step `MultiSim::step` replaced, kept as its reference:
+    /// one `Torus::offset` walk over the window moves every count, a
+    /// second reclassifies every window cell and inserts or removes it
+    /// unconditionally.
+    struct TwoPassMulti {
+        sim: MultiSim,
+    }
+
+    impl TwoPassMulti {
+        fn step(&mut self) -> Option<Point> {
+            let sim = &mut self.sim;
+            let i = sim.flippable.sample(&mut sim.rng)?;
+            let new_t = sim.best_retype(i).expect("eligible");
+            let at = sim.torus.from_index(i);
+            let old_t = sim.types[i] as usize;
+            sim.types[i] = new_t;
+            sim.flips += 1;
+            let plane = sim.torus.len();
+            let w = sim.horizon as i64;
+            for dy in -w..=w {
+                for dx in -w..=w {
+                    let vi = sim.torus.index(sim.torus.offset(at, dx, dy));
+                    sim.counts[old_t * plane + vi] -= 1;
+                    sim.counts[new_t as usize * plane + vi] += 1;
+                }
+            }
+            for dy in -w..=w {
+                for dx in -w..=w {
+                    let vi = sim.torus.index(sim.torus.offset(at, dx, dy));
+                    let me = sim.types[vi] as usize;
+                    let h = sim.intol.is_happy(sim.counts[me * plane + vi]);
+                    if h != (sim.class[vi] & HAPPY != 0) {
+                        if h {
+                            sim.unhappy -= 1;
+                        } else {
+                            sim.unhappy += 1;
+                        }
+                    }
+                    let eligible = !h && sim.best_retype(vi).is_some();
+                    sim.class[vi] = u8::from(h) * HAPPY + u8::from(eligible) * ELIGIBLE;
+                    if eligible {
+                        sim.flippable.insert(vi);
+                    } else {
+                        sim.flippable.remove(vi);
+                    }
+                }
+            }
+            Some(at)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused step acts on the agents the two-pass step acted on,
+        /// step by step, on random k, w, τ and sides (windows up to the
+        /// side), and leaves the same types, counts, classes, unhappy
+        /// total and flippable set, in the same set order.
+        #[test]
+        fn fused_step_matches_the_two_pass_step(
+            seed in any::<u64>(),
+            n in 3u32..26,
+            w in 1u32..6,
+            k in 2u8..7,
+            tau in 0.15f64..0.7,
+            steps in 1usize..400,
+        ) {
+            let w = w.min((n - 1) / 2);
+            let mut fused = MultiSim::random(n, w, k, tau, seed);
+            let mut two_pass = TwoPassMulti { sim: fused.clone() };
+            for step in 0..steps {
+                let expected = two_pass.step();
+                prop_assert_eq!(fused.step(), expected, "step {}", step);
+                if expected.is_none() {
+                    break;
+                }
+            }
+            let reference = &two_pass.sim;
+            prop_assert_eq!(&fused.types, &reference.types);
+            prop_assert_eq!(&fused.counts, &reference.counts);
+            prop_assert_eq!(&fused.class, &reference.class);
+            prop_assert_eq!(fused.unhappy, reference.unhappy);
+            prop_assert_eq!(
+                fused.flippable.iter().collect::<Vec<_>>(),
+                reference.flippable.iter().collect::<Vec<_>>()
+            );
+            prop_assert!(fused.audit(), "audit failed");
+        }
+    }
 
     #[test]
     fn counts_sum_to_neighborhood_size() {
         let sim = MultiSim::random(32, 2, 3, 0.4, 1);
-        let k = sim.k as usize;
         let nsize = sim.intol.neighborhood_size();
         for i in 0..sim.torus.len() {
-            let total: u32 = (0..k).map(|t| sim.counts[i * k + t]).sum();
+            let total: u32 = (0..sim.k)
+                .map(|t| sim.count_of(sim.torus.from_index(i), t))
+                .sum();
             assert_eq!(total, nsize);
         }
     }
@@ -301,7 +375,7 @@ mod tests {
                 for i in 0..sim.torus.len() {
                     let s = counts.same_count_index(i, field.get_index(i));
                     let at = format!("τ={tau} round={round} cell={i} S={s}");
-                    assert_eq!(sim.happy[i], sim.intol.is_happy(s), "{at}");
+                    assert_eq!(sim.class[i] & HAPPY != 0, sim.intol.is_happy(s), "{at}");
                     assert_eq!(sim.flippable.contains(i), sim.intol.is_flippable(s), "{at}");
                 }
                 for _ in 0..100 {
@@ -326,12 +400,13 @@ mod tests {
     fn naive_counts(sim: &MultiSim) -> Vec<u32> {
         let (t, k, w) = (sim.torus, sim.k as usize, i64::from(sim.horizon));
         let mut counts = vec![0; t.len() * k];
+        let plane = t.len();
         for i in 0..t.len() {
             let p = t.from_index(i);
             for dy in -w..=w {
                 for dx in -w..=w {
                     let q = t.offset(p, dx, dy);
-                    counts[i * k + sim.types[t.index(q)] as usize] += 1;
+                    counts[sim.types[t.index(q)] as usize * plane + i] += 1;
                 }
             }
         }
@@ -349,40 +424,49 @@ mod tests {
 
     #[test]
     fn step_keeps_counts_consistent() {
-        let mut sim = MultiSim::random(24, 1, 4, 0.35, 9);
-        for _ in 0..200 {
-            if sim.step().is_none() {
-                break;
+        for (n, w, k, tau, seed) in [(24, 1, 4, 0.35, 9), (9, 4, 3, 0.4, 8), (20, 3, 5, 0.25, 2)] {
+            let mut sim = MultiSim::random(n, w, k, tau, seed);
+            for _ in 0..200 {
+                if sim.step().is_none() {
+                    break;
+                }
+                assert!(sim.audit(), "n={n} w={w} k={k}: audit failed");
             }
+            // a naive per-cell count as the reference for the box filter
+            assert_eq!(
+                sim.counts,
+                naive_counts(&sim),
+                "incremental counts diverged"
+            );
         }
-        // a naive per-cell count, then a rebuild, as references
-        let snapshot = sim.counts.clone();
-        assert_eq!(snapshot, naive_counts(&sim), "incremental counts diverged");
-        let happy_snapshot = sim.happy.clone();
-        let unhappy_snapshot = sim.unhappy_count();
-        let flippable_snapshot: Vec<bool> = (0..sim.torus.len())
-            .map(|i| sim.flippable.contains(i))
-            .collect();
-        sim.rebuild();
-        assert_eq!(snapshot, sim.counts, "rebuilt counts diverged");
-        assert_eq!(happy_snapshot, sim.happy, "happy vector diverged");
-        assert_eq!(
-            unhappy_snapshot,
-            sim.unhappy_count(),
-            "unhappy counter diverged"
-        );
-        let rebuilt: Vec<bool> = (0..sim.torus.len())
-            .map(|i| sim.flippable.contains(i))
-            .collect();
-        assert_eq!(flippable_snapshot, rebuilt, "eligibility diverged");
+    }
+
+    #[test]
+    fn audit_catches_stale_state() {
+        let sim = MultiSim::random(16, 1, 3, 0.4, 3);
+        assert!(sim.audit());
+        let mut stale = sim.clone();
+        stale.counts[5] += 1;
+        assert!(!stale.audit(), "stale count");
+        let mut stale = sim.clone();
+        stale.unhappy += 1;
+        assert!(!stale.audit(), "stale unhappy total");
+        let mut stale = sim.clone();
+        let i = (0..sim.torus.len())
+            .find(|&i| sim.class[i] & ELIGIBLE == 0)
+            .unwrap();
+        stale.flippable.insert(i);
+        assert!(!stale.audit(), "stale flippable set");
     }
 
     #[test]
     fn maintained_unhappy_count_matches_a_rescan_along_a_trajectory() {
         let mut sim = MultiSim::random(20, 2, 3, 0.4, 17);
         for step in 0..300 {
-            let rescan = (0..sim.torus.len())
-                .filter(|&i| !sim.is_happy_at(i))
+            let rescan = sim
+                .torus
+                .points()
+                .filter(|&p| !sim.intol.is_happy(sim.count_of(p, sim.type_at(p))))
                 .count();
             assert_eq!(sim.unhappy_count(), rescan, "diverged at step {step}");
             if sim.step().is_none() {

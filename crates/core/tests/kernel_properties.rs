@@ -14,6 +14,7 @@
 
 use proptest::prelude::*;
 use seg_core::interval::{ComfortBand, IntervalSim};
+use seg_core::multi::MultiSim;
 use seg_core::ring::{RingKawasaki, RingSim};
 use seg_core::variants::{KawasakiSim, UpdateRule, VariantSim};
 use seg_core::{Intolerance, ModelConfig};
@@ -333,6 +334,125 @@ fn kawasaki_reproduces_scan_goldens() {
         assert_eq!(
             got, expected,
             "trajectory diverged for n={n} w={w} τ={tau} seed={seed}"
+        );
+    }
+}
+
+/// `((n, w, k, tau, seed, budget), (stable, flips, unhappy_count,
+/// flippable_count, per-type totals, type digest))` of `MultiSim::random(n,
+/// w, k, tau, seed)` after `run(budget)`; the digest is FNV-1a over the
+/// final types in index order. Recorded from the two-pass step (apply
+/// every count, then reclassify the window in a second walk). τ spans
+/// 0.25–0.6, k ∈ {2, 3, 5}, w ∈ {1, 2, 4}; two runs are cut by their
+/// budget, and the rows on sides 3, 5 and 9 have windows as wide as the
+/// side (one of them stable from the start).
+#[allow(clippy::type_complexity)]
+const GOLDEN_MULTI: &[(
+    (u32, u32, u8, f64, u64, u64),
+    (bool, u64, usize, usize, &[usize], u64),
+)] = &[
+    (
+        (32, 1, 2, 0.44, 1, 5000),
+        (true, 240, 0, 0, &[571, 453], 0x75ea0e1dbf07c3c2),
+    ),
+    (
+        (32, 1, 3, 0.30, 2, 5000),
+        (true, 232, 0, 0, &[340, 390, 294], 0x3107c2d18f7744e7),
+    ),
+    (
+        (24, 2, 3, 0.40, 3, 5000),
+        (true, 313, 1, 0, &[180, 143, 253], 0x9a8052798cfaf2be),
+    ),
+    (
+        (40, 2, 5, 0.25, 4, 5000),
+        (
+            true,
+            986,
+            0,
+            0,
+            &[370, 473, 288, 171, 298],
+            0xef147ce988828405,
+        ),
+    ),
+    (
+        (32, 2, 3, 0.55, 5, 300),
+        (false, 300, 424, 81, &[381, 238, 405], 0xa6d1943764c27067),
+    ),
+    (
+        (48, 4, 3, 0.35, 6, 3000),
+        (true, 1456, 0, 0, &[444, 953, 907], 0xd72e021a40d961ae),
+    ),
+    (
+        (40, 4, 2, 0.60, 7, 3000),
+        (true, 738, 108, 0, &[1272, 328], 0xc045f5343ffcf5ef),
+    ),
+    (
+        (48, 1, 5, 0.30, 13, 200),
+        (
+            false,
+            200,
+            856,
+            856,
+            &[488, 446, 445, 419, 506],
+            0x971bc89182182b10,
+        ),
+    ),
+    (
+        (9, 4, 3, 0.40, 8, 500),
+        (true, 47, 0, 0, &[0, 0, 81], 0x82792160122b9745),
+    ),
+    (
+        (9, 4, 5, 0.25, 9, 500),
+        (true, 0, 81, 0, &[19, 13, 19, 11, 19], 0x018c8a930049c1cb),
+    ),
+    (
+        (9, 4, 5, 0.25, 14, 500),
+        (true, 59, 0, 0, &[0, 0, 0, 81, 0], 0x467e9ac919cc84c2),
+    ),
+    (
+        (9, 4, 2, 0.55, 17, 500),
+        (true, 37, 0, 0, &[81, 0], 0x0edbe9edbe9a769f),
+    ),
+    (
+        (17, 4, 2, 0.50, 12, 2000),
+        (true, 150, 0, 0, &[153, 136], 0x55a3f6d0614a8867),
+    ),
+    (
+        (5, 2, 2, 0.55, 10, 200),
+        (true, 8, 0, 0, &[25, 0], 0xd4657f55662f817f),
+    ),
+    (
+        (5, 2, 3, 0.40, 11, 200),
+        (true, 14, 0, 0, &[0, 0, 25], 0x552506313e2c9d45),
+    ),
+    (
+        (3, 1, 3, 0.50, 16, 100),
+        (true, 5, 0, 0, &[9, 0, 0], 0xe604823a249029bf),
+    ),
+];
+
+#[test]
+fn multi_reproduces_goldens() {
+    for &((n, w, k, tau, seed, budget), (stable, flips, unhappy, flippable, totals, digest)) in
+        GOLDEN_MULTI
+    {
+        let mut sim = MultiSim::random(n, w, k, tau, seed);
+        let got_stable = sim.run(budget);
+        let t = Torus::new(n);
+        let got_digest = t.points().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
+            (h ^ u64::from(sim.type_at(p))).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(
+            (
+                got_stable,
+                sim.flips(),
+                sim.unhappy_count(),
+                sim.flippable_count(),
+                sim.type_totals(),
+                got_digest
+            ),
+            (stable, flips, unhappy, flippable, totals.to_vec(), digest),
+            "trajectory diverged for n={n} w={w} k={k} τ={tau} seed={seed}"
         );
     }
 }

@@ -23,7 +23,7 @@ proptest! {
             .side(side)
             .horizon(1)
             .taus([tau, 1.0 - tau])
-            .variants([Variant::Paper, Variant::Noise(0.02)])
+            .variants([Variant::Paper, Variant::Noise(0.02), Variant::MultiType { k: 3 }])
             .replicas(replicas)
             .master_seed(master_seed)
             .max_events(budget)
@@ -81,5 +81,35 @@ fn ring_sweep_is_thread_count_invariant() {
     for (x, y) in a.records().iter().zip(b.records()) {
         assert_eq!(x.events, y.events);
         assert_eq!(x.metrics, y.metrics);
+    }
+}
+
+/// The k-type model's rows, journal lines included, are byte-identical
+/// at 1, 2 and 4 threads, on sides whose windows reach the torus side.
+#[test]
+fn multi_type_rows_are_byte_identical_at_any_thread_count() {
+    let spec = SweepSpec::builder()
+        .sides([5, 24])
+        .horizons([1, 2])
+        .taus([0.3, 0.45])
+        .variants([Variant::MultiType { k: 3 }])
+        .replicas(3)
+        .master_seed(0x5E67_2017)
+        .max_events(3_000)
+        .build();
+    let rows = |threads| {
+        let result = Engine::new()
+            .threads(threads)
+            .run(&spec, &[Observer::TerminalStats]);
+        result
+            .records()
+            .iter()
+            .map(seg_engine::record_line)
+            .collect::<Vec<_>>()
+    };
+    let serial = rows(1);
+    assert_eq!(serial.len(), spec.task_count());
+    for threads in [2, 4] {
+        assert_eq!(rows(threads), serial, "{threads} threads");
     }
 }

@@ -17,6 +17,10 @@
 //!   agent in the same pass, walking each window row as at most two
 //!   contiguous runs and reading one precomputed [`Transition`] of the
 //!   [`ClassTable`] per cell;
+//! - [`box_filter`] and [`for_each_window_run`] — the window machinery
+//!   shared by every grid dynamics: the O(n²) separable box filter that
+//!   builds window counts (one plane per type for the `k`-type model), and
+//!   the walk over a flip window's row runs that its flip kernels use;
 //! - [`IndexedSet`] — the O(1) insert/remove/sample index set behind every
 //!   incrementally-maintained agent set of the dynamics layers;
 //! - [`RankedSet`] — a bitset with O(log n) rank and select, which keeps
@@ -68,4 +72,6 @@ pub use path::{shortest_block_path, BlockPath};
 pub use prefix::PrefixSums;
 pub use ranked_set::RankedSet;
 pub use torus::{Point, Torus};
-pub use window::{window_fits, ClassTable, TrackedSet, Transition, WindowCounts};
+pub use window::{
+    box_filter, for_each_window_run, window_fits, ClassTable, TrackedSet, Transition, WindowCounts,
+};

@@ -362,58 +362,14 @@ impl WindowCounts {
     /// paper takes `w ∈ O(√log n)`, far below that).
     pub fn new(field: &TypeField, horizon: u32) -> Self {
         let torus = field.torus();
-        let n = torus.side() as usize;
-        assert!(
-            window_fits(torus.side(), horizon),
-            "window diameter {} exceeds torus side {}",
-            2 * u64::from(horizon) + 1,
-            torus.side()
+        let mut plus = Vec::new();
+        box_filter(
+            torus,
+            horizon,
+            field.as_slice(),
+            |&t| t == AgentType::Plus,
+            &mut plus,
         );
-        let w = horizon as usize;
-        // Separable box filter with wrap-around: horizontal sliding sums
-        // along each row, then vertical sliding sums of whole rows. The
-        // window's entering and leaving indices advance by one per step,
-        // so they wrap with a compare instead of a division.
-        let wrap = |i: usize| if i >= n { i - n } else { i };
-        let mut horiz = vec![0u32; n * n];
-        for (types, out) in field
-            .as_slice()
-            .chunks_exact(n)
-            .zip(horiz.chunks_exact_mut(n))
-        {
-            let is_plus = |x: usize| u32::from(types[x] == AgentType::Plus);
-            let mut s: u32 = (0..=2 * w).map(|dx| is_plus(wrap(dx + n - w))).sum();
-            out[0] = s;
-            let (mut enter, mut leave) = (wrap(w + 1), wrap(n - w));
-            for o in &mut out[1..] {
-                s = s + is_plus(enter) - is_plus(leave);
-                *o = s;
-                enter = wrap(enter + 1);
-                leave = wrap(leave + 1);
-            }
-        }
-        let row = |y: usize| &horiz[y * n..(y + 1) * n];
-        let mut plus = vec![0u32; n * n];
-        for dy in 0..=2 * w {
-            for (p, h) in plus[..n].iter_mut().zip(row(wrap(dy + n - w))) {
-                *p += h;
-            }
-        }
-        let (mut enter, mut leave) = (wrap(w + 1), wrap(n - w));
-        for y in 1..n {
-            let (done, rest) = plus.split_at_mut(y * n);
-            let above = &done[(y - 1) * n..];
-            for (((p, a), e), l) in rest[..n]
-                .iter_mut()
-                .zip(above)
-                .zip(row(enter))
-                .zip(row(leave))
-            {
-                *p = a + e - l;
-            }
-            enter = wrap(enter + 1);
-            leave = wrap(leave + 1);
-        }
         WindowCounts {
             torus,
             horizon,
@@ -504,8 +460,7 @@ impl WindowCounts {
     /// move one step in the flip's direction, so it costs one load from
     /// that direction's [`Transition`] table. The flipped agent changes
     /// type too and is classified with two [`ClassTable::class`] loads.
-    /// Each window row is walked as at most two contiguous slices of the
-    /// counts and the field, split where it wraps around the torus.
+    /// The window is walked as [`for_each_window_run`]'s row runs.
     ///
     /// `tracked` must hold exactly the cells whose class before the flip
     /// has [`ClassTable::TRACKED`] set (debug builds assert it per touched
@@ -612,11 +567,74 @@ impl Steps<'_> {
     }
 }
 
+/// Appends to `out` one plane of window counts: entry `i` is the number
+/// of cells `c` of the row-major grid `cells` with `counted(c)` in the l∞
+/// ball of radius `w` around cell `i`. O(n²): a separable box filter with
+/// wrap-around, horizontal sliding sums along each row, then vertical
+/// sliding sums of whole rows. Panics unless the window fits the torus.
+pub fn box_filter<T>(
+    torus: Torus,
+    horizon: u32,
+    cells: &[T],
+    counted: impl Fn(&T) -> bool,
+    out: &mut Vec<u32>,
+) {
+    let n = torus.side() as usize;
+    assert!(
+        window_fits(torus.side(), horizon),
+        "window diameter {} exceeds torus side {}",
+        2 * u64::from(horizon) + 1,
+        torus.side()
+    );
+    debug_assert_eq!(cells.len(), n * n);
+    let w = horizon as usize;
+    // the window's entering and leaving indices advance by one per step,
+    // so they wrap with a compare instead of a division
+    let wrap = |i: usize| if i >= n { i - n } else { i };
+    let mut horiz = vec![0u32; n * n];
+    for (row, sums) in cells.chunks_exact(n).zip(horiz.chunks_exact_mut(n)) {
+        let is_in = |x: usize| u32::from(counted(&row[x]));
+        let mut s: u32 = (0..=2 * w).map(|dx| is_in(wrap(dx + n - w))).sum();
+        sums[0] = s;
+        let (mut enter, mut leave) = (wrap(w + 1), wrap(n - w));
+        for o in &mut sums[1..] {
+            s = s + is_in(enter) - is_in(leave);
+            *o = s;
+            enter = wrap(enter + 1);
+            leave = wrap(leave + 1);
+        }
+    }
+    let row = |y: usize| &horiz[y * n..(y + 1) * n];
+    let base = out.len();
+    out.resize(base + n * n, 0);
+    let out = &mut out[base..];
+    for (x, p) in out[..n].iter_mut().enumerate() {
+        *p = (0..=2 * w).map(|dy| row(wrap(dy + n - w))[x]).sum();
+    }
+    let (mut enter, mut leave) = (wrap(w + 1), wrap(n - w));
+    for y in 1..n {
+        let (done, rest) = out.split_at_mut(y * n);
+        let above = &done[(y - 1) * n..];
+        for (((p, a), e), l) in rest[..n]
+            .iter_mut()
+            .zip(above)
+            .zip(row(enter))
+            .zip(row(leave))
+        {
+            *p = a + e - l;
+        }
+        enter = wrap(enter + 1);
+        leave = wrap(leave + 1);
+    }
+}
+
 /// Calls `f` with the index ranges of the `(2w+1)²` window centred at `z`
 /// in row-major window order: each window row is one contiguous range of
 /// the row-major grid, or two where it wraps past the torus edge.
+/// [`WindowCounts::apply_flip_fused`] and the `k`-type model's step walk
+/// their flip windows with it.
 #[inline]
-fn for_each_window_run(torus: Torus, horizon: u32, z: Point, mut f: impl FnMut(Range<usize>)) {
+pub fn for_each_window_run(torus: Torus, horizon: u32, z: Point, mut f: impl FnMut(Range<usize>)) {
     let n = torus.side() as usize;
     let d = 2 * horizon as usize + 1;
     let x0 = torus.wrap(i64::from(z.x) - i64::from(horizon)) as usize;

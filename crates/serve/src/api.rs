@@ -791,6 +791,39 @@ mod tests {
         assert!(dechunk(&out.bytes()).is_empty());
     }
 
+    #[test]
+    fn an_oversized_multi_type_sweep_is_a_400_with_a_message() {
+        let manager = Arc::new(JobManager::new(tmp("multi-cap"), 1).unwrap());
+        let ctx = ApiContext {
+            manager: manager.clone(),
+            fleet: None,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            local_addr: "127.0.0.1:9".parse().unwrap(),
+            started: Instant::now(),
+        };
+        // 255 count planes of 4096² cells: ~17 GB per replica
+        let body = r#"{"side": 4096, "horizon": 1, "tau": 0.4, "variant": "multi:255"}"#;
+        let req = Request {
+            method: "POST".into(),
+            path: "/v1/sweeps".into(),
+            query: Vec::new(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+            keep_alive: false,
+        };
+        let mut out = Vec::new();
+        handle(&req, &mut out, &ctx).unwrap();
+        let raw = String::from_utf8(out).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+        let reply = Json::parse(raw.split("\r\n\r\n").nth(1).unwrap()).unwrap();
+        let message = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains("multi:255 at side 4096"), "{message}");
+        assert!(
+            manager.jobs_snapshot().is_empty(),
+            "a refused sweep made a job"
+        );
+    }
+
     /// Sends `body` to the upload route as worker `w1`; returns the raw
     /// response.
     fn upload(ctx: &ApiContext, job: &str, body: &str) -> String {

@@ -45,6 +45,10 @@ use std::time::{Duration, Instant};
 pub const MAX_SIDE: u32 = 4096;
 /// Maximum points × replicas of one request.
 pub const MAX_TASKS: usize = 1_000_000;
+/// Maximum `k · side²` of a `multi:k` point: one replica keeps `k` window
+/// counts per cell, so this caps its count table at four `MAX_SIDE`²
+/// planes (`multi:4` at side 4096, 1 GiB of `u32`).
+pub const MAX_MULTI_COUNTS: u64 = 4 * (MAX_SIDE as u64) * (MAX_SIDE as u64);
 /// The spacing of a job's pushed history samples — the "1s" tier's
 /// resolution. A job records its first progress sample, then at most one
 /// per this interval, then always its final one.
@@ -63,8 +67,8 @@ pub const WORKER_SPANS_CAP: usize = 2048;
 /// Which sweeps are legal is decided by
 /// [`SweepSpecBuilder::try_build`](seg_engine::SweepSpecBuilder::try_build)
 /// alone; [`SweepRequest::from_json`] adds only the service's policy on
-/// top: its JSON schema and the per-request caps [`MAX_SIDE`] and
-/// [`MAX_TASKS`].
+/// top: its JSON schema and the per-request caps [`MAX_SIDE`],
+/// [`MAX_TASKS`] and [`MAX_MULTI_COUNTS`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepRequest {
     /// Grid sides (`side`, scalar or array).
@@ -179,6 +183,18 @@ impl SweepRequest {
     fn check_caps(&self) -> Result<(), String> {
         if self.sides.iter().any(|&n| n > MAX_SIDE) {
             return Err(format!("side values are capped at {MAX_SIDE}"));
+        }
+        let multi_k = self.variants.iter().filter_map(|v| match v {
+            Variant::MultiType { k } => Some(u64::from(*k)),
+            _ => None,
+        });
+        if let (Some(k), Some(&n)) = (multi_k.max(), self.sides.iter().max()) {
+            if k * u64::from(n) * u64::from(n) > MAX_MULTI_COUNTS {
+                return Err(format!(
+                    "multi:{k} at side {n} keeps {k} x {n}^2 window counts per replica, \
+                     over the cap of {MAX_MULTI_COUNTS} (4 x {MAX_SIDE}^2)"
+                ));
+            }
         }
         let points = [
             self.sides.len(),
@@ -1309,6 +1325,10 @@ mod tests {
             (r#", "bogus": 1"#, "unknown field"),
             (r#", "replicas": 1000000000"#, "cap"),
             (r#", "side": 100000"#, "capped"),
+            (
+                r#", "side": 4096, "variant": "multi:255""#,
+                "multi:255 at side 4096",
+            ),
             (r#", "seed": -3"#, "seed"),
         ] {
             let err = SweepRequest::from_json(&request_json(extra)).unwrap_err();

@@ -129,6 +129,31 @@ fn valid_bases_are_accepted() {
     }
 }
 
+/// Small bodies asking for unbounded memory, and a word of the message
+/// that refuses each. Only the refusal is exercised: none is ever run.
+const OVERSIZED: &[(&str, &str)] = &[
+    (
+        r#"{"side": 4096, "horizon": 1, "tau": 0.4, "variant": "multi:255"}"#,
+        "multi:255 at side 4096",
+    ),
+    (
+        r#"{"side": [16, 4096], "horizon": 1, "tau": 0.4, "variant": ["paper", "multi:5"]}"#,
+        "multi:5 at side 4096",
+    ),
+];
+
+#[test]
+fn oversized_requests_are_refused_with_a_message() {
+    for (body, needle) in OVERSIZED {
+        let json = Json::parse(body).unwrap();
+        let err = SweepRequest::from_json(&json).expect_err(body);
+        assert!(err.contains(needle), "{body}: {err}");
+    }
+    // the cap still admits four types at the largest side
+    let json = Json::parse(r#"{"side": 4096, "horizon": 1, "tau": 0.4, "variant": "multi:4"}"#);
+    assert!(SweepRequest::from_json(&json.unwrap()).is_ok());
+}
+
 #[test]
 fn long_axes_are_refused_without_overflowing_the_task_count() {
     // five axes of 8000 values each: 8000⁵ points overflow a 64-bit
