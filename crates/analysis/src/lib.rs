@@ -4,8 +4,7 @@
 //!   quantiles);
 //! - [`regression`] — ordinary least squares and log-linear exponential
 //!   fits (used to extract empirical growth exponents);
-//! - [`series`] — parameter sweeps and aligned-table printing for the
-//!   experiment harnesses;
+//! - [`series`] — aligned-table printing for the experiment harnesses;
 //! - [`ppm`] — portable-pixmap output for Figure 1's four-color frames;
 //! - [`csv`] — a minimal CSV writer for experiment data.
 //!
@@ -23,7 +22,6 @@
 
 pub mod bootstrap;
 pub mod csv;
-pub mod histogram;
 pub mod parallel;
 pub mod ppm;
 pub mod regression;

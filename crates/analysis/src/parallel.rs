@@ -20,36 +20,22 @@ pub fn parallel_map<T: Send>(
     threads: usize,
     job: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    parallel_map_observed(tasks, threads, job, |_, _| {})
-}
-
-/// [`parallel_map`] plus a completion hook: `on_done(i, &value)` runs on
-/// the worker thread as soon as task `i` finishes (tasks complete in an
-/// arbitrary order; the returned vector is still in index order). The
-/// sweep engine uses the hook for progress and throughput reporting.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, or propagates the first panicking job.
-pub fn parallel_map_observed<T: Send>(
-    tasks: usize,
-    threads: usize,
-    job: impl Fn(usize) -> T + Sync,
-    on_done: impl Fn(usize, &T) + Sync,
-) -> Vec<T> {
-    parallel_map_halting(tasks, threads, job, on_done, || false)
+    parallel_map_halting(tasks, threads, job, |_, _| {}, || false)
         .into_iter()
         .map(|s| s.expect("no halt requested, so every slot is filled"))
         .collect()
 }
 
-/// [`parallel_map_observed`] that can stop early: `halt()` is consulted
+/// [`parallel_map`] with a completion hook and an early stop.
+/// `on_done(i, &value)` runs on the worker thread as soon as task `i`
+/// finishes (tasks complete in an arbitrary order). `halt()` is consulted
 /// before each task is claimed, and once it returns `true` no further
 /// tasks start — tasks already running finish normally (and still reach
 /// `on_done`), so nothing is ever half-done. The result has `Some` for
 /// every completed task and `None` for the tasks that never ran. The
-/// sweep engine uses this for graceful shutdown: a drained sweep stops
-/// claiming replicas, journals what finished, and resumes later.
+/// sweep engine uses the hook for progress and throughput reporting and
+/// the stop for graceful shutdown: a drained sweep stops claiming
+/// replicas, journals what finished, and resumes later.
 ///
 /// # Panics
 ///
@@ -185,10 +171,10 @@ mod tests {
     }
 
     #[test]
-    fn observed_hook_sees_every_completion() {
+    fn completion_hook_sees_every_task() {
         let done = std::sync::atomic::AtomicUsize::new(0);
         let sum = std::sync::atomic::AtomicUsize::new(0);
-        let out = parallel_map_observed(
+        let out = parallel_map_halting(
             10,
             3,
             |i| i * 2,
@@ -197,8 +183,9 @@ mod tests {
                 done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 sum.fetch_add(*v, std::sync::atomic::Ordering::Relaxed);
             },
+            || false,
         );
-        assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(out, (0..10).map(|i| Some(i * 2)).collect::<Vec<_>>());
         assert_eq!(done.load(std::sync::atomic::Ordering::Relaxed), 10);
         assert_eq!(sum.load(std::sync::atomic::Ordering::Relaxed), 90);
     }

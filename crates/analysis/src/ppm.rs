@@ -11,7 +11,7 @@ use std::path::Path;
 
 /// An RGB color.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Rgb(
+pub(crate) struct Rgb(
     /// red
     pub u8,
     /// green
@@ -21,13 +21,13 @@ pub struct Rgb(
 );
 
 /// Figure 1 legend: happy `(+1)`.
-pub const HAPPY_PLUS: Rgb = Rgb(0, 153, 0); // green
+const HAPPY_PLUS: Rgb = Rgb(0, 153, 0); // green
 /// Figure 1 legend: happy `(-1)`.
-pub const HAPPY_MINUS: Rgb = Rgb(0, 51, 204); // blue
+const HAPPY_MINUS: Rgb = Rgb(0, 51, 204); // blue
 /// Figure 1 legend: unhappy `(+1)`.
-pub const UNHAPPY_PLUS: Rgb = Rgb(255, 255, 255); // white
+const UNHAPPY_PLUS: Rgb = Rgb(255, 255, 255); // white
 /// Figure 1 legend: unhappy `(-1)`.
-pub const UNHAPPY_MINUS: Rgb = Rgb(255, 216, 0); // yellow
+const UNHAPPY_MINUS: Rgb = Rgb(255, 216, 0); // yellow
 
 /// A raster image with PPM (P6) output.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,7 +43,7 @@ impl Image {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new(width: u32, height: u32, fill: Rgb) -> Self {
+    pub(crate) fn new(width: u32, height: u32, fill: Rgb) -> Self {
         assert!(width > 0 && height > 0, "dimensions must be positive");
         Image {
             width,
@@ -52,22 +52,12 @@ impl Image {
         }
     }
 
-    /// Image width.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Image height.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Sets the pixel at `(x, y)`.
     ///
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn set(&mut self, x: u32, y: u32, c: Rgb) {
+    pub(crate) fn set(&mut self, x: u32, y: u32, c: Rgb) {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.pixels[(y as usize) * (self.width as usize) + x as usize] = c;
     }
@@ -77,13 +67,14 @@ impl Image {
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn get(&self, x: u32, y: u32) -> Rgb {
+    #[cfg(test)]
+    fn get(&self, x: u32, y: u32) -> Rgb {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.pixels[(y as usize) * (self.width as usize) + x as usize]
     }
 
     /// Serializes as binary PPM (P6).
-    pub fn write_ppm<W: Write>(&self, mut out: W) -> io::Result<()> {
+    fn write_ppm<W: Write>(&self, mut out: W) -> io::Result<()> {
         writeln!(out, "P6\n{} {}\n255", self.width, self.height)?;
         let mut buf = Vec::with_capacity(self.pixels.len() * 3);
         for p in &self.pixels {

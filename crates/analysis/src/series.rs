@@ -1,5 +1,4 @@
-//! Parameter sweeps and aligned-table printing for the experiment
-//! harnesses.
+//! Aligned-table printing for the experiment harnesses.
 
 use std::fmt::Write as _;
 
@@ -89,38 +88,6 @@ impl Table {
     }
 }
 
-/// Evenly spaced sample points of the open interval `(lo, hi)` —
-/// endpoints excluded, which is what the paper's τ-ranges need.
-///
-/// # Panics
-///
-/// Panics if `steps == 0` or `lo >= hi`.
-pub fn open_interval_grid(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
-    assert!(steps > 0, "need at least one step");
-    assert!(lo < hi, "empty interval");
-    (1..=steps)
-        .map(|i| lo + (hi - lo) * i as f64 / (steps as f64 + 1.0))
-        .collect()
-}
-
-/// Geometrically spaced integer values from `lo` to `hi` inclusive,
-/// deduplicated — used for horizon/N sweeps.
-///
-/// # Panics
-///
-/// Panics if `lo == 0`, `lo > hi`, or `points == 0`.
-pub fn geometric_grid(lo: u64, hi: u64, points: usize) -> Vec<u64> {
-    assert!(lo > 0 && lo <= hi && points > 0, "bad geometric grid");
-    let mut out: Vec<u64> = (0..points)
-        .map(|i| {
-            let f = i as f64 / (points.max(2) - 1) as f64;
-            ((lo as f64) * ((hi as f64 / lo as f64).powf(f))).round() as u64
-        })
-        .collect();
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,28 +111,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new(vec!["a".into()]);
         t.push_row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn open_grid_excludes_endpoints() {
-        let g = open_interval_grid(0.0, 1.0, 9);
-        assert_eq!(g.len(), 9);
-        assert!(g[0] > 0.0 && g[8] < 1.0);
-        assert!((g[4] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_grid_spans_range() {
-        let g = geometric_grid(1, 100, 5);
-        assert_eq!(*g.first().unwrap(), 1);
-        assert_eq!(*g.last().unwrap(), 100);
-        for w in g.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-    }
-
-    #[test]
-    fn geometric_grid_single_point() {
-        assert_eq!(geometric_grid(7, 7, 3), vec![7]);
     }
 }

@@ -53,12 +53,6 @@ impl Summary {
     pub fn std_dev(&self) -> f64 {
         self.variance.sqrt()
     }
-
-    /// Normal-approximation confidence interval at ±`z` standard errors
-    /// (z = 1.96 for 95%).
-    pub fn confidence_interval(&self, z: f64) -> (f64, f64) {
-        (self.mean - z * self.stderr, self.mean + z * self.stderr)
-    }
 }
 
 /// The `q`-quantile (0 ≤ q ≤ 1) by linear interpolation of order
@@ -81,16 +75,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
         let frac = pos - lo as f64;
         v[lo] * (1.0 - frac) + v[hi] * frac
     }
-}
-
-/// Empirical probability that a sample exceeds `threshold`.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty.
-pub fn exceedance(xs: &[f64], threshold: f64) -> f64 {
-    assert!(!xs.is_empty(), "empty sample");
-    xs.iter().filter(|x| **x > threshold).count() as f64 / xs.len() as f64
 }
 
 #[cfg(test)]
@@ -116,29 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn confidence_interval_widens_with_z() {
-        let s = Summary::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let (l1, h1) = s.confidence_interval(1.0);
-        let (l2, h2) = s.confidence_interval(2.0);
-        assert!(l2 < l1 && h2 > h1);
-        assert!((l1 + h1) / 2.0 - s.mean < 1e-12);
-    }
-
-    #[test]
     fn quantile_endpoints_and_median() {
         let xs = [3.0, 1.0, 2.0, 5.0, 4.0];
         assert_eq!(quantile(&xs, 0.0), 1.0);
         assert_eq!(quantile(&xs, 1.0), 5.0);
         assert_eq!(quantile(&xs, 0.5), 3.0);
         assert_eq!(quantile(&xs, 0.25), 2.0);
-    }
-
-    #[test]
-    fn exceedance_counts() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(exceedance(&xs, 2.5), 0.5);
-        assert_eq!(exceedance(&xs, 0.0), 1.0);
-        assert_eq!(exceedance(&xs, 4.0), 0.0);
     }
 
     #[test]

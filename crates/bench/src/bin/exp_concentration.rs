@@ -16,6 +16,7 @@
 use seg_analysis::series::Table;
 use seg_analysis::stats::Summary;
 use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
+use seg_core::Intolerance;
 use seg_engine::{Observer, SweepSpec};
 use seg_grid::{Neighborhood, PrefixSums, Torus};
 
@@ -34,8 +35,9 @@ fn main() {
         &format!("{replicas} fresh 64²-fields, w = 5 (N = 121), sub-neighborhood radius 2"),
     );
 
-    let nsize = ((2 * HORIZON + 1) * (2 * HORIZON + 1)) as f64;
-    let threshold = (TAU * nsize).ceil();
+    let intol = Intolerance::new((2 * HORIZON + 1) * (2 * HORIZON + 1), TAU);
+    let nsize = f64::from(intol.neighborhood_size());
+    let threshold = f64::from(intol.threshold());
 
     let spec = SweepSpec::builder()
         .side(SIDE)

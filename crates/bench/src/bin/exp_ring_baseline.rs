@@ -9,6 +9,7 @@
 
 use seg_analysis::series::Table;
 use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
+use seg_core::Intolerance;
 use seg_engine::{SweepSpec, Variant};
 
 fn main() {
@@ -65,8 +66,7 @@ fn main() {
     let g_runs = glauber.summarize("mean_run");
     let k_runs = kawasaki.summarize("mean_run");
     for (i, &tau) in taus.iter().enumerate() {
-        let w = 8.0;
-        let eff = (tau * (2.0 * w + 1.0)).ceil() / (2.0 * w + 1.0);
+        let eff = Intolerance::new(2 * 8 + 1, tau).tau();
         table.push_row(vec![
             format!("{eff:.3}"),
             format!("{:.0}", glauber.summarize("events")[i].summary.mean),

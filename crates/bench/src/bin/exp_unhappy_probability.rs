@@ -12,7 +12,7 @@
 
 use seg_analysis::series::Table;
 use seg_bench::{banner, run_sweep, usage_or_die, BASE_SEED};
-use seg_core::radical::{find_radical_regions_with_threshold, RadicalParams};
+use seg_core::radical::{find_radical_regions, RadicalParams};
 use seg_core::{Intolerance, ModelConfig};
 use seg_engine::{Observer, SweepPoint, SweepSpec};
 use seg_grid::PrefixSums;
@@ -95,7 +95,7 @@ fn main() {
         .seed(engine_args.master_seed(BASE_SEED))
         .build();
     let ps = PrefixSums::new(sim.field());
-    let found = find_radical_regions_with_threshold(&ps, params, thr);
+    let found = find_radical_regions(&ps, params, thr);
     let mc_log2 = (found.len().max(1) as f64 / sim.torus().len() as f64).log2();
     println!("Lemma 20 (radical region of radius {radius}, minus threshold {thr}/{region_size}):");
     println!("  log2 P exact (binomial) = {exact_log2:.2}");

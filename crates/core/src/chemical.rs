@@ -7,8 +7,9 @@
 //! since good blocks occur with probability above the site-percolation
 //! threshold, a cycle of good blocks around the nucleus exists w.h.p.,
 //! and by Garet–Marchand its length is proportional to its radius. This
-//! module runs that construction concretely: classify blocks, find a
-//! surrounding cycle of good blocks by BFS, and report its length.
+//! module runs that construction concretely: classify blocks, scan the
+//! block rings around the center outward for one made entirely of good
+//! blocks, and report its length.
 
 use seg_grid::{BlockCoord, BlockGrid, PrefixSums};
 
@@ -184,10 +185,13 @@ mod tests {
         let p = find_chemical_path(&grid, &good, BlockCoord { bx: 10, by: 10 }, 3, 3).unwrap();
         let unique: std::collections::HashSet<_> = p.cycle.iter().collect();
         assert_eq!(unique.len(), p.cycle.len(), "no block repeats");
+        let m = grid.blocks_per_side();
+        let step = |a: u32, b: u32| ((a + m - b) % m).min((b + m - a) % m);
         for i in 0..p.cycle.len() {
-            let next = p.cycle[(i + 1) % p.cycle.len()];
-            assert!(
-                grid.adjacent(p.cycle[i]).contains(&next),
+            let (a, b) = (p.cycle[i], p.cycle[(i + 1) % p.cycle.len()]);
+            assert_eq!(
+                step(a.bx, b.bx) + step(a.by, b.by),
+                1,
                 "consecutive ring blocks must be 4-adjacent"
             );
         }

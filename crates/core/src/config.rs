@@ -84,19 +84,9 @@ impl ModelConfig {
         (2 * self.horizon + 1) * (2 * self.horizon + 1)
     }
 
-    /// Intolerance `τ̃`.
-    pub fn tau_tilde(&self) -> f64 {
-        self.tau_tilde
-    }
-
     /// Initial `+1` density `p`.
     pub fn density(&self) -> f64 {
         self.p
-    }
-
-    /// The configured seed.
-    pub fn seed_value(&self) -> u64 {
-        self.seed
     }
 
     /// The integer intolerance for this configuration.
@@ -141,8 +131,6 @@ mod tests {
         assert_eq!(c.horizon(), 5);
         assert_eq!(c.neighborhood_size(), 121);
         assert_eq!(c.density(), 0.5);
-        assert_eq!(c.seed_value(), 0);
-        assert!((c.tau_tilde() - 0.43).abs() < 1e-15);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Firewalls: the static monochromatic shields of Lemma 9 and the
-//! chemical firewalls of §IV-B.
+//! Firewalls: the static monochromatic shields of Lemma 9 (the chemical
+//! firewall of §IV-B is built in [`crate::chemical`]).
 //!
 //! An annular firewall is a monochromatic annulus of width `√2·w`. Every
 //! agent deep in the annulus sees a neighborhood dominated by the annulus
@@ -87,64 +87,10 @@ pub fn firewall_survives_dynamics(
     before.iter().all(|(p, t)| sim.field().get(*p) == *t)
 }
 
-/// A chemical firewall candidate: a cycle of monochromatic blocks around
-/// a center (§IV-B). This helper verifies the *cycle* property on a
-/// renormalized block grid: the given blocks must form a closed 4-adjacent
-/// cycle whose interior contains `inside`.
-pub fn is_block_cycle_enclosing(
-    grid: &seg_grid::BlockGrid,
-    cycle: &[seg_grid::BlockCoord],
-    inside: seg_grid::BlockCoord,
-) -> bool {
-    if cycle.len() < 4 {
-        return false;
-    }
-    // closed and 4-adjacent consecutive blocks, no repeats
-    let mut seen = std::collections::HashSet::new();
-    for b in cycle {
-        if !seen.insert(*b) {
-            return false;
-        }
-    }
-    let adj = |a: seg_grid::BlockCoord, b: seg_grid::BlockCoord| grid.adjacent(a).contains(&b);
-    for i in 0..cycle.len() {
-        let next = cycle[(i + 1) % cycle.len()];
-        if !adj(cycle[i], next) {
-            return false;
-        }
-    }
-    if seen.contains(&inside) {
-        return false;
-    }
-    // Flood-fill from `inside` over non-cycle blocks. On the block *torus*
-    // a cycle separates the blocks into two components; we call `inside`
-    // enclosed iff its component is the strictly smaller one (the cycle's
-    // interior in the paper's planar picture).
-    let m = grid.blocks_per_side();
-    let total = (m as usize) * (m as usize);
-    let mut visited = std::collections::HashSet::new();
-    let mut queue = std::collections::VecDeque::from([inside]);
-    visited.insert(inside);
-    while let Some(b) = queue.pop_front() {
-        for nb in grid.adjacent(b) {
-            if !seen.contains(&nb) && visited.insert(nb) {
-                queue.push_back(nb);
-            }
-        }
-        if visited.len() + seen.len() >= total {
-            return false; // fill reached everything: the cycle separates nothing
-        }
-    }
-    let component = visited.len();
-    let other = total - seen.len() - component;
-    component < other
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use seg_grid::{BlockCoord, BlockGrid};
 
     #[test]
     fn wide_firewall_is_static() {
@@ -276,31 +222,5 @@ mod tests {
             diff <= a.len() as i64 / 10,
             "interior outcomes diverged strongly: {plus_a} vs {plus_b}"
         );
-    }
-
-    #[test]
-    fn block_cycle_detection() {
-        let t = Torus::new(80);
-        let grid = BlockGrid::new(t, 8); // 10×10 blocks
-                                         // a 3×3 ring of blocks around (5,5)
-        let mut cycle = Vec::new();
-        for bx in 4..=6u32 {
-            cycle.push(BlockCoord { bx, by: 4 });
-        }
-        for by in 5..=6u32 {
-            cycle.push(BlockCoord { bx: 6, by });
-        }
-        for bx in (4..=5u32).rev() {
-            cycle.push(BlockCoord { bx, by: 6 });
-        }
-        cycle.push(BlockCoord { bx: 4, by: 5 });
-        let inside = BlockCoord { bx: 5, by: 5 };
-        assert!(is_block_cycle_enclosing(&grid, &cycle, inside));
-        // a broken cycle does not enclose
-        let broken = &cycle[..cycle.len() - 1];
-        assert!(!is_block_cycle_enclosing(&grid, broken, inside));
-        // a block outside the ring is not enclosed
-        let outside = BlockCoord { bx: 0, by: 0 };
-        assert!(!is_block_cycle_enclosing(&grid, &cycle, outside));
     }
 }

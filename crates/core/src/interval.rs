@@ -9,6 +9,7 @@
 //! budget-capped and reports whether a stable state was reached.
 
 use crate::dynamics::GridDynamics;
+use crate::intolerance::scaled_count;
 use seg_grid::rng::Xoshiro256pp;
 use seg_grid::{Point, Torus, TypeField};
 
@@ -21,7 +22,8 @@ pub struct ComfortBand {
 }
 
 impl ComfortBand {
-    /// Builds `[⌈τ_lo·N⌉, ⌊τ_hi·N⌋]`.
+    /// Builds `[⌈τ_lo·N⌉, ⌊τ_hi·N⌋]`, exact also where a float product
+    /// `τ·N` lands a rounding error away from an integer.
     ///
     /// # Panics
     ///
@@ -33,8 +35,8 @@ impl ComfortBand {
         );
         ComfortBand {
             n_size,
-            lo: (tau_lo * n_size as f64).ceil() as u32,
-            hi: (tau_hi * n_size as f64).floor() as u32,
+            lo: scaled_count(tau_lo, n_size).ceil() as u32,
+            hi: scaled_count(tau_hi, n_size).floor() as u32,
         }
     }
 
@@ -56,7 +58,7 @@ impl ComfortBand {
 
     /// Whether a discontent agent's flip would make it content.
     #[inline]
-    pub fn flip_makes_content(&self, same_count: u32) -> bool {
+    fn flip_makes_content(&self, same_count: u32) -> bool {
         self.is_content(self.n_size - same_count + 1)
     }
 

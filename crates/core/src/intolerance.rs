@@ -1,5 +1,25 @@
 //! Integer happiness thresholds (§II-A) and flip feasibility.
 
+/// `τ·N` as a float, snapped to the integer it denotes when it lies
+/// within rounding error of one, so that `ceil`/`floor` of it are exact.
+///
+/// `τ` itself is a rounded decimal and the product rounds again, so `τ·N`
+/// can miss the integer it denotes by a few ulps: `0.56 · 25` evaluates to
+/// `14.000000000000002`, whose plain `ceil` is 15, not `⌈14⌉ = 14`. Both
+/// errors are relative and below `f64::EPSILON` each, so a distance of at
+/// most `4ε·τN` to the nearest integer means "that integer". Any `τ` with a
+/// few decimals lies much farther than that from every other integer:
+/// a 3-decimal `τ` with `N ≤ 10⁶` misses a non-integer `τN` by ≥ 1/1000.
+pub(crate) fn scaled_count(tau: f64, n_size: u32) -> f64 {
+    let x = tau * n_size as f64;
+    let nearest = x.round();
+    if (x - nearest).abs() <= 4.0 * f64::EPSILON * nearest.max(1.0) {
+        nearest
+    } else {
+        x
+    }
+}
+
 /// The intolerance parameter in its exact integer form.
 ///
 /// The paper sets `τ = ⌈τ̃N⌉ / N` where `τ̃ ∈ [0, 1]` and `N = (2w+1)²`:
@@ -23,7 +43,9 @@ pub struct Intolerance {
 }
 
 impl Intolerance {
-    /// Builds the threshold `⌈τ̃ · N⌉` for a neighborhood of size `N`.
+    /// Builds the threshold `⌈τ̃ · N⌉` for a neighborhood of size `N`,
+    /// exact also where the float product `τ̃ · N` lands a rounding error
+    /// away from an integer (`⌈0.56 · 25⌉ = 14`).
     ///
     /// # Panics
     ///
@@ -34,7 +56,7 @@ impl Intolerance {
             (0.0..=1.0).contains(&tau_tilde),
             "intolerance must lie in [0, 1], got {tau_tilde}"
         );
-        let threshold = (tau_tilde * n_size as f64).ceil() as u32;
+        let threshold = scaled_count(tau_tilde, n_size).ceil() as u32;
         Intolerance { n_size, threshold }
     }
 
@@ -75,7 +97,7 @@ impl Intolerance {
     /// Same-type count after the agent itself flips: the `N − S` agents of
     /// the (new) same type plus the agent itself.
     #[inline]
-    pub fn same_count_after_flip(&self, same_count: u32) -> u32 {
+    fn same_count_after_flip(&self, same_count: u32) -> u32 {
         debug_assert!(same_count >= 1, "same count includes the agent itself");
         self.n_size - same_count + 1
     }
@@ -84,7 +106,7 @@ impl Intolerance {
     /// dynamics flip exactly these agents: for `τ < 1/2` every unhappy
     /// agent qualifies, for `τ > 1/2` only the *super-unhappy* do (§IV-C).
     #[inline]
-    pub fn flip_makes_happy(&self, same_count: u32) -> bool {
+    pub(crate) fn flip_makes_happy(&self, same_count: u32) -> bool {
         self.is_happy(self.same_count_after_flip(same_count))
     }
 

@@ -16,10 +16,9 @@
 //! - [`lyapunov`] — the monotone potential that certifies termination;
 //! - [`regions`] — monochromatic and almost-monochromatic regions `M(u)`,
 //!   `M'(u)` of §II-A;
-//! - [`radical`] — radical regions, unhappy regions, expandability
-//!   (Lemmas 4–6);
-//! - [`firewall`] — annular firewalls (Lemma 9) and block-cycle
-//!   enclosure checks;
+//! - [`radical`] — radical regions and the scan that finds them
+//!   (Lemmas 20–22);
+//! - [`firewall`] — annular firewalls (Lemma 9);
 //! - [`chemical`] — the chemical firewall of §IV-B built end-to-end
 //!   (good/bad blocks, enclosing rings);
 //! - [`race`] — Lemma 10's firewall-formation race, measured;
@@ -62,7 +61,6 @@ pub mod radical;
 pub mod regions;
 pub mod ring;
 pub mod sim;
-pub mod spread;
 pub mod trace;
 pub mod variants;
 

@@ -125,11 +125,6 @@ impl MultiSim {
             && fresh.flippable.sorted() == self.flippable.sorted()
     }
 
-    /// Number of types.
-    pub fn type_count(&self) -> u8 {
-        self.k
-    }
-
     /// Flips so far.
     pub fn flips(&self) -> u64 {
         self.flips
@@ -138,11 +133,6 @@ impl MultiSim {
     /// The type of the agent at `p`.
     pub fn type_at(&self, p: Point) -> u8 {
         self.types[self.torus.index(p)]
-    }
-
-    /// Count of type-`t` agents in the ball around `p`.
-    pub fn count_of(&self, p: Point, t: u8) -> u32 {
-        self.counts[usize::from(t) * self.torus.len() + self.torus.index(p)]
     }
 
     /// A type that would make the agent at cell `i` happy after a switch
@@ -235,6 +225,11 @@ impl MultiSim {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Count of type-`t` agents in the ball around `p`.
+    fn count_of(sim: &MultiSim, p: Point, t: u8) -> u32 {
+        sim.counts[usize::from(t) * sim.torus.len() + sim.torus.index(p)]
+    }
 
     /// The two-pass step `MultiSim::step` replaced, kept as its reference:
     /// one `Torus::offset` walk over the window moves every count, a
@@ -332,7 +327,7 @@ mod tests {
         let nsize = sim.intol.neighborhood_size();
         for i in 0..sim.torus.len() {
             let total: u32 = (0..sim.k)
-                .map(|t| sim.count_of(sim.torus.from_index(i), t))
+                .map(|t| count_of(&sim, sim.torus.from_index(i), t))
                 .sum();
             assert_eq!(total, nsize);
         }
@@ -466,7 +461,7 @@ mod tests {
             let rescan = sim
                 .torus
                 .points()
-                .filter(|&p| !sim.intol.is_happy(sim.count_of(p, sim.type_at(p))))
+                .filter(|&p| !sim.intol.is_happy(count_of(&sim, p, sim.type_at(p))))
                 .count();
             assert_eq!(sim.unhappy_count(), rescan, "diverged at step {step}");
             if sim.step().is_none() {

@@ -12,7 +12,7 @@
 use crate::config::ModelConfig;
 use crate::sim::Simulation;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{AgentType, Annulus, Point, Torus, TypeField};
+use seg_grid::{AgentType, Annulus, Torus, TypeField};
 
 /// Outcome of one race trial.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -168,11 +168,6 @@ pub fn race_statistics(
         outcomes.push(o);
     }
     (trapped, won, outcomes)
-}
-
-/// Helper for harnesses: the `Point` at the grid center.
-pub fn grid_center(side: u32) -> Point {
-    Torus::new(side).point(side as i64 / 2, side as i64 / 2)
 }
 
 #[cfg(test)]

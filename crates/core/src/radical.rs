@@ -1,17 +1,15 @@
-//! Radical regions, unhappy regions and expandability (Lemmas 4–6).
+//! Radical regions (§III, Lemmas 20–22).
 //!
 //! A *radical region* `N_{(1+ε')w}` is a ball of radius `(1+ε')w` holding
-//! fewer than `τ̂·(1+ε')²N` agents of type `(-1)`, where
-//! `τ̂ = τ·[1 − 1/(τ·N^{1/2−ε})]` (§III). Such a region contains an
-//! *unhappy region* at its center w.h.p. (Lemma 4), and for `ε' > f(τ)` a
-//! sequence of at most `(w+1)²` legal flips inside it turns the central
-//! `N_{w/2}` monochromatic — the region is *expandable* (Lemma 5). Radical
-//! regions are the paper's segregation nuclei.
+//! fewer than `τ̂·(1+ε')²N` agents of type `(-1)`; the paper deflates `τ`
+//! to `τ̂ = τ·[1 − 1/(τ·N^{1/2−ε})]`, which tends to `τ` as `N → ∞`. Such
+//! a region contains an unhappy region at its center w.h.p. (Lemma 4) and,
+//! for `ε' > f(τ)`, can be made to expand (Lemma 5). Radical regions are
+//! the paper's segregation nuclei; `exp_unhappy_probability` counts them
+//! in frozen random fields against the probability of Lemma 20.
 
 use crate::intolerance::Intolerance;
-use crate::sim::Simulation;
-use seg_grid::{AgentType, Neighborhood, Point, PrefixSums, TypeField};
-use seg_theory::exponents::tau_hat;
+use seg_grid::{Neighborhood, Point, PrefixSums};
 
 /// Parameters of the radical-region analysis.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -21,12 +19,10 @@ pub struct RadicalParams {
     /// The geometric enlargement `ε'` (must exceed `f(τ)` for Lemma 5 to
     /// apply).
     pub eps_prime: f64,
-    /// The technical exponent `ε ∈ (0, 1/2)` of Proposition 1.
-    pub eps_tech: f64,
 }
 
 impl RadicalParams {
-    /// Standard parameters: `ε' = f(τ) + margin`, `ε = 1/4`.
+    /// Standard parameters: `ε' = f(τ) + margin`.
     ///
     /// # Panics
     ///
@@ -36,7 +32,6 @@ impl RadicalParams {
         RadicalParams {
             horizon,
             eps_prime: seg_theory::trigger::f_trigger(tau) + margin,
-            eps_tech: 0.25,
         }
     }
 
@@ -45,48 +40,23 @@ impl RadicalParams {
         ((1.0 + self.eps_prime) * self.horizon as f64).ceil() as u32
     }
 
-    /// Radius of the central unhappy region, `⌈ε'w⌉`.
-    pub fn nucleus_radius(&self) -> u32 {
-        (self.eps_prime * self.horizon as f64).ceil() as u32
-    }
-
-    /// The deficiency threshold on minus-agents: `τ̂·(size of region)`,
-    /// with the paper's finite-`N` deflation `τ̂ = τ[1 − 1/(τN^{1/2−ε})]`.
-    ///
-    /// The deflation is asymptotic — for very small `N` it can exceed `τ`
-    /// entirely (threshold 0); [`RadicalParams::minus_threshold_plain`]
-    /// is the undeflated variant small-scale scans should use.
-    pub fn minus_threshold(&self, intol: Intolerance) -> u64 {
-        let radius = self.radical_radius();
-        let region_size = (2 * radius as u64 + 1) * (2 * radius as u64 + 1);
-        let th = tau_hat(intol.tau(), intol.neighborhood_size(), self.eps_tech).max(0.0);
-        (th * region_size as f64).floor() as u64
-    }
-
-    /// The deficiency threshold without the `τ̂` deflation: `τ·(size of
-    /// region)`. This is the `N → ∞` limit of [`RadicalParams::minus_threshold`].
+    /// The deficiency threshold on minus-agents without the `τ̂`
+    /// deflation: `⌊τ·(size of region)⌋`, the `N → ∞` limit of the
+    /// paper's threshold. (At the small `N` a scan can reach, the deflation
+    /// can exceed `τ` entirely and leave threshold 0.)
     pub fn minus_threshold_plain(&self, intol: Intolerance) -> u64 {
         let radius = self.radical_radius();
         let region_size = (2 * radius as u64 + 1) * (2 * radius as u64 + 1);
-        (intol.tau() * region_size as f64).floor() as u64
+        // ⌊(τN/N)·size⌋ in integers: the float product can land a rounding
+        // error below an integer and floor one too low
+        u64::from(intol.threshold()) * region_size / u64::from(intol.neighborhood_size())
     }
 }
 
 /// Whether the ball of radius `(1+ε')w` at `center` is a radical region of
-/// type `(+1)` — i.e. deficient in `(-1)` agents (Lemma 4's setup; swap
-/// types for the mirror notion).
-pub fn is_radical_region(
-    ps: &PrefixSums,
-    intol: Intolerance,
-    params: RadicalParams,
-    center: Point,
-) -> bool {
-    is_radical_region_with_threshold(ps, params, center, params.minus_threshold(intol))
-}
-
-/// [`is_radical_region`] with an explicit minus-count threshold (e.g.
-/// [`RadicalParams::minus_threshold_plain`] for small-`N` scans).
-pub fn is_radical_region_with_threshold(
+/// type `(+1)` — i.e. holds fewer than `threshold` `(-1)` agents (Lemma 4's
+/// setup; swap types for the mirror notion).
+fn is_radical_region(
     ps: &PrefixSums,
     params: RadicalParams,
     center: Point,
@@ -96,126 +66,24 @@ pub fn is_radical_region_with_threshold(
     ps.minus_in(&ball) < threshold
 }
 
-/// Scans the whole grid for radical regions; returns their centers.
+/// Scans the whole grid for radical regions with minus-count threshold
+/// `threshold` (e.g. [`RadicalParams::minus_threshold_plain`]); returns
+/// their centers.
 ///
 /// (Lemma 22 predicts about
 /// `n² · 2^{−[1−H(τ'')](1+ε')²N}` of them in the initial configuration —
 /// astronomically rare for large `N`, observable for small horizons.)
-pub fn find_radical_regions(
-    ps: &PrefixSums,
-    intol: Intolerance,
-    params: RadicalParams,
-) -> Vec<Point> {
-    find_radical_regions_with_threshold(ps, params, params.minus_threshold(intol))
-}
-
-/// [`find_radical_regions`] with an explicit minus-count threshold.
-pub fn find_radical_regions_with_threshold(
-    ps: &PrefixSums,
-    params: RadicalParams,
-    threshold: u64,
-) -> Vec<Point> {
+pub fn find_radical_regions(ps: &PrefixSums, params: RadicalParams, threshold: u64) -> Vec<Point> {
     ps.torus()
         .points()
-        .filter(|c| is_radical_region_with_threshold(ps, params, *c, threshold))
+        .filter(|c| is_radical_region(ps, params, *c, threshold))
         .collect()
-}
-
-/// Result of an expandability check (Lemma 5).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Expansion {
-    /// Whether the central `N_{w/2}` became all `(+1)`.
-    pub expanded: bool,
-    /// The flips performed, in order.
-    pub flips: Vec<Point>,
-}
-
-/// Checks whether the radical region at `center` is *expandable*: whether
-/// a sequence of at most `(w+1)²` legal flips of agents inside the region
-/// can make the central `N_{w/2}` monochromatic of type `(+1)` (Lemma 5's
-/// flip schedule, found greedily).
-///
-/// Greedy is complete here: legal flips of `(-1)` agents only ever
-/// *decrease* minus-counts, so a flip that is legal now remains legal
-/// later (for τ ≤ 1/2) and the order does not matter.
-///
-/// The check runs on a scratch copy of the field; the input simulation is
-/// unchanged.
-pub fn check_expandable(sim: &Simulation, params: RadicalParams, center: Point) -> Expansion {
-    let torus = sim.torus();
-    let w = params.horizon;
-    let budget = ((w + 1) * (w + 1)) as usize;
-    let region = Neighborhood::new(torus, center, params.radical_radius());
-    let target = Neighborhood::new(torus, center, w / 2);
-
-    let mut scratch = sim.clone();
-    let mut flips = Vec::new();
-    loop {
-        if target
-            .points()
-            .all(|p| scratch.field().get(p) == AgentType::Plus)
-        {
-            return Expansion {
-                expanded: true,
-                flips,
-            };
-        }
-        if flips.len() >= budget {
-            return Expansion {
-                expanded: false,
-                flips,
-            };
-        }
-        // any legal flip of a (-1) agent inside the radical region?
-        let next = region.points().find(|p| {
-            scratch.field().get(*p) == AgentType::Minus && {
-                let s = scratch.same_count(*p);
-                scratch.intolerance().is_flippable(s)
-            }
-        });
-        match next {
-            Some(p) => {
-                scratch.force_flip_at(p);
-                flips.push(p);
-            }
-            None => {
-                return Expansion {
-                    expanded: false,
-                    flips,
-                }
-            }
-        }
-    }
-}
-
-/// Counts the unhappy `(-1)` agents in the nucleus `N_{ε'w}` at `center` —
-/// the *unhappy region* test of Lemma 4. Returns
-/// `(count, lemma4_threshold)`; Lemma 4 predicts `count ≥ threshold`
-/// w.h.p. inside a radical region, with
-/// `threshold = ⌊τ·(ε'w ball size) − N^{1/2+ε}⌋` (clamped at 0).
-pub fn unhappy_nucleus(
-    field: &TypeField,
-    sim: &Simulation,
-    params: RadicalParams,
-    center: Point,
-) -> (u64, u64) {
-    let torus = field.torus();
-    let nucleus = Neighborhood::new(torus, center, params.nucleus_radius());
-    let count = nucleus
-        .points()
-        .filter(|p| field.get(*p) == AgentType::Minus && !sim.is_happy(*p))
-        .count() as u64;
-    let n = sim.intolerance().neighborhood_size() as f64;
-    let tau = sim.intolerance().tau();
-    let raw = tau * nucleus.len() as f64 - n.powf(0.5 + params.eps_tech);
-    (count, raw.max(0.0).floor() as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModelConfig;
-    use seg_grid::Torus;
+    use seg_grid::{AgentType, Torus, TypeField};
 
     fn plus_heavy_field(n: u32, center: Point, radius: u32, minus_fraction_in: f64) -> TypeField {
         // deterministic striped pattern: inside the ball, make roughly a
@@ -247,14 +115,15 @@ mod tests {
         let params = RadicalParams::for_tau(w, tau, 0.05);
         let t = Torus::new(n);
         let center = t.point(48, 48);
-        // far fewer minus agents than τ̂ inside the radical ball
+        // far fewer minus agents than τ inside the radical ball
         let field = plus_heavy_field(n, center, params.radical_radius(), 0.10);
         let ps = PrefixSums::new(&field);
         let intol = Intolerance::new((2 * w + 1) * (2 * w + 1), tau);
-        assert!(is_radical_region(&ps, intol, params, center));
+        let threshold = params.minus_threshold_plain(intol);
+        assert!(is_radical_region(&ps, params, center, threshold));
         // a balanced region is not radical
         let far = t.point(0, 0);
-        assert!(!is_radical_region(&ps, intol, params, far));
+        assert!(!is_radical_region(&ps, params, far, threshold));
     }
 
     #[test]
@@ -268,7 +137,7 @@ mod tests {
         let field = plus_heavy_field(n, center, params.radical_radius() + 2, 0.05);
         let ps = PrefixSums::new(&field);
         let intol = Intolerance::new((2 * w + 1) * (2 * w + 1), tau);
-        let found = find_radical_regions(&ps, intol, params);
+        let found = find_radical_regions(&ps, params, params.minus_threshold_plain(intol));
         assert!(!found.is_empty());
         assert!(
             found
@@ -279,85 +148,14 @@ mod tests {
     }
 
     #[test]
-    fn expandable_region_expands() {
-        // A ball of unhappy minus agents inside a plus sea: the greedy
-        // schedule must clear the center block.
-        let n = 96;
-        let w = 4;
-        let tau = 0.45;
-        let t = Torus::new(n);
-        let center = t.point(48, 48);
-        let field = TypeField::from_fn(t, |p| {
-            // a few scattered minus agents near the center, plus sea outside
-            let d = t.linf_distance(center, p);
-            if d <= 2 && (p.x + p.y) % 3 == 0 {
-                AgentType::Minus
-            } else {
-                AgentType::Plus
-            }
-        });
-        let cfg = ModelConfig::new(n, w, tau);
-        let sim = cfg.build_with_field(field);
-        let params = RadicalParams::for_tau(w, tau, 0.05);
-        let exp = check_expandable(&sim, params, center);
-        assert!(exp.expanded, "scattered minority must be absorbable");
-        assert!(exp.flips.len() <= ((w + 1) * (w + 1)) as usize);
-    }
-
-    #[test]
-    fn balanced_region_does_not_expand() {
-        // A perfectly balanced checkerboard has no flippable agents at
-        // τ = 0.45 (every agent sees ~half same-type, which is ≥ τ).
-        let n = 64;
-        let w = 4;
-        let tau = 0.45;
-        let t = Torus::new(n);
-        let field = TypeField::from_fn(t, |p| {
-            if (p.x + p.y) % 2 == 0 {
-                AgentType::Plus
-            } else {
-                AgentType::Minus
-            }
-        });
-        let sim = ModelConfig::new(n, w, tau).build_with_field(field);
-        let params = RadicalParams::for_tau(w, tau, 0.05);
-        let exp = check_expandable(&sim, params, t.point(32, 32));
-        assert!(!exp.expanded);
-        assert!(exp.flips.is_empty(), "no legal flips in a balanced field");
-    }
-
-    #[test]
-    fn unhappy_nucleus_counts() {
-        let n = 96;
-        let w = 4;
-        let tau = 0.45;
-        let t = Torus::new(n);
-        let center = t.point(48, 48);
-        // isolated minus agents near center are unhappy in a plus sea
-        let field = TypeField::from_fn(t, |p| {
-            if t.linf_distance(center, p) <= 1 {
-                AgentType::Minus
-            } else {
-                AgentType::Plus
-            }
-        });
-        let sim = ModelConfig::new(n, w, tau).build_with_field(field.clone());
-        let params = RadicalParams::for_tau(w, tau, 0.3);
-        let (count, _) = unhappy_nucleus(&field, &sim, params, center);
-        assert_eq!(count, 9, "the 3×3 minus cluster is unhappy");
-    }
-
-    #[test]
     fn radical_radius_scales_with_eps() {
         let a = RadicalParams {
             horizon: 10,
             eps_prime: 0.1,
-            eps_tech: 0.25,
         };
         let b = RadicalParams {
             horizon: 10,
             eps_prime: 0.4,
-            eps_tech: 0.25,
         };
         assert!(b.radical_radius() > a.radical_radius());
         assert_eq!(a.radical_radius(), 11);

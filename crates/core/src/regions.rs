@@ -10,8 +10,8 @@
 //! `u` (shrink toward `u`) — so it is found by binary search with an
 //! O(ρ²) center scan per probe. The almost-monochromatic criterion is not
 //! monotone, so [`almost_monochromatic_region`] scans radii upward and
-//! returns the largest passing one (with a cap); the difference is noted
-//! in EXPERIMENTS.md when comparing against the theorems.
+//! returns the largest passing one (with a cap); the `exp_theorem2_almost`
+//! row of `docs/EXPERIMENTS.md` notes the difference.
 
 use seg_grid::{Neighborhood, Point, PrefixSums, Torus, TypeField};
 
@@ -206,29 +206,6 @@ pub fn region_size_distribution(
         .collect();
     sizes.sort_unstable();
     sizes
-}
-
-/// Monte-Carlo estimate of `E[M']` (almost-monochromatic), as above.
-///
-/// # Panics
-///
-/// Panics if `samples == 0`.
-pub fn expected_almost_monochromatic_size(
-    field: &TypeField,
-    ps: &PrefixSums,
-    ratio_bound: f64,
-    cap: u32,
-    samples: u32,
-    rng: &mut seg_grid::rng::Xoshiro256pp,
-) -> f64 {
-    assert!(samples > 0, "need at least one sample");
-    let torus = field.torus();
-    let mut total = 0u64;
-    for _ in 0..samples {
-        let u = torus.from_index(rng.next_below(torus.len() as u64) as usize);
-        total += almost_monochromatic_region(field, ps, u, ratio_bound, cap).size;
-    }
-    total as f64 / samples as f64
 }
 
 #[cfg(test)]

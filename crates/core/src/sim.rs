@@ -190,19 +190,6 @@ impl Simulation {
         }
     }
 
-    /// Runs until continuous time reaches `t_end` or the process is
-    /// stable, whichever comes first.
-    pub fn run_until_time(&mut self, t_end: f64) -> RunReport {
-        let t0 = self.time;
-        let f0 = self.flips();
-        while self.time < t_end && self.step().is_some() {}
-        RunReport {
-            flips: self.flips() - f0,
-            terminated: self.is_stable(),
-            elapsed_time: self.time - t0,
-        }
-    }
-
     /// Full consistency audit of the counts, the flippable set and the
     /// unhappy total against [`Intolerance::classify`]. O(n²·N); for tests
     /// and debugging.
@@ -333,12 +320,5 @@ mod tests {
     fn set_intolerance_rejects_wrong_n() {
         let mut sim = ModelConfig::new(48, 2, 0.4).seed(0).build();
         sim.set_intolerance(crate::intolerance::Intolerance::new(49, 0.4));
-    }
-
-    #[test]
-    fn run_until_time_respects_deadline() {
-        let mut sim = ModelConfig::new(64, 3, 0.45).seed(14).build();
-        sim.run_until_time(0.05);
-        assert!(sim.time() >= 0.05 || sim.is_stable());
     }
 }

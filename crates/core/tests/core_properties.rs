@@ -94,3 +94,34 @@ proptest! {
         }
     }
 }
+
+/// Integer thresholds are the exact `⌈τN⌉` and `⌊τN⌋` of integer
+/// arithmetic, even where the float product `τ·N` lands a rounding error
+/// away from an integer (`0.56 · 25 = 14.000000000000002`):
+/// - every integer threshold `k` of every window `N = (2w+1)²`, `w ≤ 30`,
+///   survives the round trip through its rational `τ = k/N`;
+/// - every 3-decimal `τ` at `w ≤ 12` gives `⌈τN⌉` for [`Intolerance`] and
+///   the band's lower end, and `⌊τN⌋` for the band's upper end.
+#[test]
+fn thresholds_are_exact_integer_ceilings_and_floors() {
+    for w in 0..=30u32 {
+        let n = (2 * w + 1) * (2 * w + 1);
+        for k in 0..=n {
+            let tau = Intolerance::from_threshold(n, k).tau();
+            assert_eq!(Intolerance::new(n, tau).threshold(), k, "N={n} k={k}");
+            let band = ComfortBand::new(n, tau, tau);
+            assert_eq!((band.lo(), band.hi()), (k, k), "N={n} k={k}");
+        }
+    }
+    for w in 0..=12u32 {
+        let n = (2 * w + 1) * (2 * w + 1);
+        for m in 0..=1000u32 {
+            let tau = f64::from(m) / 1000.0;
+            let ceil = (m * n).div_ceil(1000);
+            let floor = m * n / 1000;
+            assert_eq!(Intolerance::new(n, tau).threshold(), ceil, "N={n} τ={tau}");
+            assert_eq!(ComfortBand::new(n, tau, 1.0).lo(), ceil, "N={n} τ={tau}");
+            assert_eq!(ComfortBand::new(n, 0.0, tau).hi(), floor, "N={n} τ={tau}");
+        }
+    }
+}

@@ -68,7 +68,7 @@ impl Annulus {
 
     /// The inner radius `r − √2·w`.
     #[inline]
-    pub fn inner_radius(&self) -> f64 {
+    fn inner_radius(&self) -> f64 {
         (self.outer_radius - std::f64::consts::SQRT_2 * self.horizon as f64).max(0.0)
     }
 
@@ -82,7 +82,7 @@ impl Annulus {
     /// Whether `p` lies strictly inside the inner circle (the protected
     /// interior).
     #[inline]
-    pub fn is_interior(&self, p: Point) -> bool {
+    fn is_interior(&self, p: Point) -> bool {
         self.torus.euclidean_distance(self.center, p) < self.inner_radius()
     }
 

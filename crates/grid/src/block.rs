@@ -6,7 +6,7 @@
 //! arguments on the block lattice. [`BlockGrid`] is that renormalized
 //! lattice: a partition of the torus into `side × side` square tiles.
 
-use crate::{Neighborhood, Point, PrefixSums, Torus};
+use crate::{Point, PrefixSums, Torus};
 
 /// Coordinates of a block in the renormalized lattice.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -34,8 +34,7 @@ pub struct BlockCoord {
 /// let t = Torus::new(100);
 /// let bg = BlockGrid::new(t, 10);
 /// assert_eq!(bg.blocks_per_side(), 10);
-/// let b = bg.block_of(t.point(57, 93));
-/// assert_eq!((b.bx, b.by), (5, 9));
+/// assert_eq!(bg.len(), 100);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BlockGrid {
@@ -65,18 +64,6 @@ impl BlockGrid {
         }
     }
 
-    /// The underlying torus.
-    #[inline]
-    pub fn torus(&self) -> Torus {
-        self.torus
-    }
-
-    /// Side of each block, in cells.
-    #[inline]
-    pub fn block_side(&self) -> u32 {
-        self.block_side
-    }
-
     /// Number of whole blocks per axis.
     #[inline]
     pub fn blocks_per_side(&self) -> u32 {
@@ -95,22 +82,12 @@ impl BlockGrid {
         self.blocks_per_side == 0
     }
 
-    /// The block containing a torus point (points beyond the last whole
-    /// block wrap into the last block).
-    pub fn block_of(&self, p: Point) -> BlockCoord {
-        let clamp = |c: u32| (c / self.block_side).min(self.blocks_per_side - 1);
-        BlockCoord {
-            bx: clamp(p.x),
-            by: clamp(p.y),
-        }
-    }
-
     /// Top-left cell of a block.
     ///
     /// # Panics
     ///
     /// Panics if the block coordinates are out of range.
-    pub fn origin_of(&self, b: BlockCoord) -> Point {
+    fn origin_of(&self, b: BlockCoord) -> Point {
         assert!(
             b.bx < self.blocks_per_side && b.by < self.blocks_per_side,
             "block {b:?} out of range ({} per side)",
@@ -119,16 +96,6 @@ impl BlockGrid {
         self.torus.point(
             (b.bx * self.block_side) as i64,
             (b.by * self.block_side) as i64,
-        )
-    }
-
-    /// Center cell of a block (rounded down for even sides).
-    pub fn center_of(&self, b: BlockCoord) -> Point {
-        let o = self.origin_of(b);
-        self.torus.offset(
-            o,
-            (self.block_side / 2) as i64,
-            (self.block_side / 2) as i64,
         )
     }
 
@@ -143,49 +110,12 @@ impl BlockGrid {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
-    pub fn block_from_index(&self, i: usize) -> BlockCoord {
+    fn block_from_index(&self, i: usize) -> BlockCoord {
         assert!(i < self.len(), "block index {i} out of bounds");
         BlockCoord {
             bx: (i % self.blocks_per_side as usize) as u32,
             by: (i / self.blocks_per_side as usize) as u32,
         }
-    }
-
-    /// Iterates all cells of a block.
-    pub fn cells_of(&self, b: BlockCoord) -> impl Iterator<Item = Point> + '_ {
-        let o = self.origin_of(b);
-        let side = self.block_side as i64;
-        let t = self.torus;
-        (0..side).flat_map(move |dy| (0..side).map(move |dx| t.offset(o, dx, dy)))
-    }
-
-    /// Count of `+1` agents inside block `b`, via prefix sums.
-    pub fn plus_in_block(&self, ps: &PrefixSums, b: BlockCoord) -> u64 {
-        ps.plus_in_rect(self.origin_of(b), self.block_side, self.block_side)
-    }
-
-    /// The horizontally/vertically adjacent blocks (the block lattice
-    /// adjacency used for m-paths and m-cycles, §IV-B), on the block torus.
-    pub fn adjacent(&self, b: BlockCoord) -> [BlockCoord; 4] {
-        let m = self.blocks_per_side;
-        [
-            BlockCoord {
-                bx: (b.bx + 1) % m,
-                by: b.by,
-            },
-            BlockCoord {
-                bx: (b.bx + m - 1) % m,
-                by: b.by,
-            },
-            BlockCoord {
-                bx: b.bx,
-                by: (b.by + 1) % m,
-            },
-            BlockCoord {
-                bx: b.bx,
-                by: (b.by + m - 1) % m,
-            },
-        ]
     }
 
     /// Classifies every block as *good* or *bad* per §IV-B: a block is good
@@ -227,93 +157,12 @@ impl BlockGrid {
         }
         out
     }
-
-    /// The l∞ ball of blocks of radius `r` around `b` (used when scanning
-    /// for radical regions and chemical paths).
-    pub fn block_ball(&self, b: BlockCoord, r: u32) -> Vec<BlockCoord> {
-        let m = self.blocks_per_side as i64;
-        let r = r as i64;
-        let mut v = Vec::new();
-        for dy in -r..=r {
-            for dx in -r..=r {
-                let bx = (((b.bx as i64 + dx) % m) + m) % m;
-                let by = (((b.by as i64 + dy) % m) + m) % m;
-                v.push(BlockCoord {
-                    bx: bx as u32,
-                    by: by as u32,
-                });
-            }
-        }
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Neighborhood (in cells) spanned by a block: the ball centered at the
-    /// block center with radius `block_side / 2`.
-    pub fn block_neighborhood(&self, b: BlockCoord) -> Neighborhood {
-        Neighborhood::new(self.torus, self.center_of(b), self.block_side / 2)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256pp;
     use crate::{AgentType, TypeField};
-
-    #[test]
-    fn block_of_and_origin_roundtrip() {
-        let t = Torus::new(60);
-        let bg = BlockGrid::new(t, 6);
-        assert_eq!(bg.blocks_per_side(), 10);
-        for i in 0..bg.len() {
-            let b = bg.block_from_index(i);
-            assert_eq!(bg.block_index(b), i);
-            let o = bg.origin_of(b);
-            assert_eq!(bg.block_of(o), b);
-        }
-    }
-
-    #[test]
-    fn cells_partition_the_torus_when_divisible() {
-        let t = Torus::new(24);
-        let bg = BlockGrid::new(t, 4);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..bg.len() {
-            for c in bg.cells_of(bg.block_from_index(i)) {
-                assert!(seen.insert(c), "cell {c:?} in two blocks");
-            }
-        }
-        assert_eq!(seen.len(), t.len());
-    }
-
-    #[test]
-    fn plus_in_block_matches_iteration() {
-        let t = Torus::new(36);
-        let mut rng = Xoshiro256pp::seed_from_u64(77);
-        let f = TypeField::random(t, 0.5, &mut rng);
-        let ps = PrefixSums::new(&f);
-        let bg = BlockGrid::new(t, 9);
-        for i in 0..bg.len() {
-            let b = bg.block_from_index(i);
-            let brute = bg
-                .cells_of(b)
-                .filter(|p| f.get(*p) == AgentType::Plus)
-                .count() as u64;
-            assert_eq!(bg.plus_in_block(&ps, b), brute);
-        }
-    }
-
-    #[test]
-    fn adjacency_wraps_block_torus() {
-        let t = Torus::new(40);
-        let bg = BlockGrid::new(t, 10);
-        let corner = BlockCoord { bx: 0, by: 0 };
-        let adj = bg.adjacent(corner);
-        assert!(adj.contains(&BlockCoord { bx: 3, by: 0 }));
-        assert!(adj.contains(&BlockCoord { bx: 0, by: 3 }));
-    }
 
     #[test]
     fn classify_good_flags_skewed_blocks() {
@@ -348,15 +197,6 @@ mod tests {
         // checkerboard prefix deviations are at most 1/2 cell row → allow 2.
         let flags = bg.classify_good(&ps, |_| 2.0);
         assert!(flags.iter().all(|g| *g));
-    }
-
-    #[test]
-    fn block_ball_size() {
-        let t = Torus::new(100);
-        let bg = BlockGrid::new(t, 10);
-        let b = BlockCoord { bx: 5, by: 5 };
-        assert_eq!(bg.block_ball(b, 1).len(), 9);
-        assert_eq!(bg.block_ball(b, 2).len(), 25);
     }
 
     #[test]

@@ -33,20 +33,6 @@ impl AgentType {
             AgentType::Minus => -1,
         }
     }
-
-    /// Converts from a spin value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spin` is neither `+1` nor `-1`.
-    #[inline]
-    pub fn from_spin(spin: i8) -> AgentType {
-        match spin {
-            1 => AgentType::Plus,
-            -1 => AgentType::Minus,
-            other => panic!("invalid spin value {other}"),
-        }
-    }
 }
 
 impl std::fmt::Display for AgentType {
@@ -202,19 +188,6 @@ mod tests {
     fn agent_type_flip_involution() {
         assert_eq!(AgentType::Plus.flipped(), AgentType::Minus);
         assert_eq!(AgentType::Minus.flipped().flipped(), AgentType::Minus);
-    }
-
-    #[test]
-    fn spin_roundtrip() {
-        for t in [AgentType::Plus, AgentType::Minus] {
-            assert_eq!(AgentType::from_spin(t.spin()), t);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid spin")]
-    fn bad_spin_panics() {
-        let _ = AgentType::from_spin(0);
     }
 
     #[test]

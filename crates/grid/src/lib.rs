@@ -56,7 +56,6 @@ mod block;
 mod field;
 mod indexed_set;
 mod neighborhood;
-pub mod path;
 mod prefix;
 mod ranked_set;
 pub mod rng;
@@ -68,7 +67,6 @@ pub use block::{BlockCoord, BlockGrid};
 pub use field::{AgentType, TypeField};
 pub use indexed_set::IndexedSet;
 pub use neighborhood::Neighborhood;
-pub use path::{shortest_block_path, BlockPath};
 pub use prefix::PrefixSums;
 pub use ranked_set::RankedSet;
 pub use torus::{Point, Torus};

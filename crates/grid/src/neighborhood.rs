@@ -101,27 +101,6 @@ impl Neighborhood {
         })
     }
 
-    /// Points on the *outside boundary*: l∞ distance exactly `radius + 1`
-    /// (the "agents right outside the boundary" of Lemmas 8 and 16).
-    pub fn outer_boundary(&self) -> Vec<Point> {
-        let r = self.radius as i64 + 1;
-        let t = self.torus;
-        let c = self.center;
-        if 2 * r + 1 > t.side() as i64 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity((8 * r) as usize);
-        for dx in -r..=r {
-            out.push(t.offset(c, dx, -r));
-            out.push(t.offset(c, dx, r));
-        }
-        for dy in (-r + 1)..r {
-            out.push(t.offset(c, -r, dy));
-            out.push(t.offset(c, r, dy));
-        }
-        out
-    }
-
     /// Number of agents in the intersection of this ball with `other`.
     ///
     /// Lemma 5's geometry reasons about the overlap `N''(u)` between the
@@ -201,21 +180,6 @@ mod tests {
             assert!(seen.insert(p));
         }
         assert_eq!(seen.len(), 49);
-    }
-
-    #[test]
-    fn outer_boundary_distance_and_count() {
-        let t = Torus::new(50);
-        let c = t.point(10, 10);
-        let nb = Neighborhood::new(t, c, 4);
-        let b = nb.outer_boundary();
-        // ring of l∞ radius 5 has 8*5 = 40 points
-        assert_eq!(b.len(), 40);
-        for p in &b {
-            assert_eq!(t.linf_distance(c, *p), 5);
-        }
-        let unique: std::collections::HashSet<_> = b.iter().collect();
-        assert_eq!(unique.len(), 40);
     }
 
     #[test]

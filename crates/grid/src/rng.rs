@@ -91,13 +91,6 @@ impl Xoshiro256pp {
         let u = 1.0 - self.next_f64();
         -u.ln() / rate
     }
-
-    /// Derives an independent generator for a sub-task (e.g. one replica of a
-    /// sweep) by hashing the label into the stream.
-    pub fn fork(&mut self, label: u64) -> Self {
-        let a = self.next_u64();
-        Xoshiro256pp::seed_from_u64(a ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
 }
 
 /// SplitMix64, used only to expand seeds.
@@ -182,19 +175,5 @@ mod tests {
         let k = (0..n).filter(|_| r.next_bool(0.3)).count();
         let freq = k as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "freq = {freq}");
-    }
-
-    #[test]
-    fn fork_streams_are_uncorrelated_with_parent() {
-        let mut parent = Xoshiro256pp::seed_from_u64(77);
-        let mut child = parent.fork(0);
-        let mut other = parent.fork(1);
-        // crude check: streams differ pairwise
-        let a = child.next_u64();
-        let b = other.next_u64();
-        let c = parent.next_u64();
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(b, c);
     }
 }

@@ -138,23 +138,9 @@ impl Torus {
         self.point(p.x as i64 + dx, p.y as i64 + dy)
     }
 
-    /// Signed representative of the coordinate difference `b − a` in
-    /// `(−n/2, n/2]`: the shortest displacement on the circle.
-    #[inline]
-    pub fn signed_delta(&self, a: u32, b: u32) -> i64 {
-        let n = self.n as i64;
-        let mut d = (b as i64 - a as i64) % n;
-        if d > n / 2 {
-            d -= n;
-        } else if d < -(n - 1) / 2 {
-            d += n;
-        }
-        d
-    }
-
     /// Distance between two circle coordinates (1-D torus metric).
     #[inline]
-    pub fn circle_distance(&self, a: u32, b: u32) -> u32 {
+    pub(crate) fn circle_distance(&self, a: u32, b: u32) -> u32 {
         let d = (a as i64 - b as i64).unsigned_abs() as u32 % self.n;
         d.min(self.n - d)
     }
@@ -187,30 +173,6 @@ impl Torus {
     pub fn points(&self) -> impl Iterator<Item = Point> + '_ {
         let t = *self;
         (0..self.len()).map(move |i| t.from_index(i))
-    }
-
-    /// The four horizontal/vertical (von Neumann) neighbors of `p`.
-    pub fn von_neumann_neighbors(&self, p: Point) -> [Point; 4] {
-        [
-            self.offset(p, 1, 0),
-            self.offset(p, -1, 0),
-            self.offset(p, 0, 1),
-            self.offset(p, 0, -1),
-        ]
-    }
-
-    /// The eight l∞ neighbors (Moore neighborhood of radius 1) of `p`.
-    pub fn moore_neighbors(&self, p: Point) -> [Point; 8] {
-        [
-            self.offset(p, 1, 0),
-            self.offset(p, -1, 0),
-            self.offset(p, 0, 1),
-            self.offset(p, 0, -1),
-            self.offset(p, 1, 1),
-            self.offset(p, 1, -1),
-            self.offset(p, -1, 1),
-            self.offset(p, -1, -1),
-        ]
     }
 }
 
@@ -299,27 +261,6 @@ mod tests {
         let a = t.point(0, 0);
         let b = t.point(9, 9);
         assert!((t.euclidean_distance(a, b) - (2.0f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn signed_delta_shortest_representative() {
-        let t = Torus::new(10);
-        assert_eq!(t.signed_delta(0, 9), -1);
-        assert_eq!(t.signed_delta(9, 0), 1);
-        assert_eq!(t.signed_delta(0, 5), 5);
-        assert_eq!(t.signed_delta(2, 2), 0);
-    }
-
-    #[test]
-    fn neighbors_are_at_expected_distances() {
-        let t = Torus::new(5);
-        let p = t.point(0, 0);
-        for q in t.von_neumann_neighbors(p) {
-            assert_eq!(t.l1_distance(p, q), 1);
-        }
-        for q in t.moore_neighbors(p) {
-            assert_eq!(t.linf_distance(p, q), 1);
-        }
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{
-    AgentType, BlockGrid, Neighborhood, Point, PrefixSums, Torus, TypeField, WindowCounts,
-};
+use seg_grid::{AgentType, Neighborhood, Point, PrefixSums, Torus, TypeField, WindowCounts};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -72,23 +70,6 @@ proptest! {
             wc.apply_flip(p, new);
         }
         prop_assert!(wc.verify_against(&f));
-    }
-
-    /// Block partition: when the side divides n, every cell is in exactly
-    /// one block, and per-block plus counts sum to the total.
-    #[test]
-    fn blocks_partition_and_count(seed in any::<u64>(), bs in 1u32..6, m in 2u32..8) {
-        let n = bs * m;
-        let t = Torus::new(n);
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let f = TypeField::random(t, 0.5, &mut rng);
-        let ps = PrefixSums::new(&f);
-        let grid = BlockGrid::new(t, bs);
-        prop_assert_eq!(grid.blocks_per_side(), m);
-        let total: u64 = (0..grid.len())
-            .map(|i| grid.plus_in_block(&ps, grid.block_from_index(i)))
-            .sum();
-        prop_assert_eq!(total, f.plus_total() as u64);
     }
 
     /// Prefix rectangle counts are additive under horizontal splits.

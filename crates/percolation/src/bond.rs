@@ -3,13 +3,10 @@
 //! Kesten's concentration theorem (the paper's Theorem 3) is "originally
 //! stated for bond percolation" (§IV-A); this module provides that
 //! original setting — open/closed edges, clusters, spanning — alongside
-//! the site model, plus edge-weighted first-passage times so the bond
-//! form of Theorem 3 can be measured too.
+//! the site model.
 
 use crate::union_find::UnionFind;
 use seg_grid::rng::Xoshiro256pp;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A `width × height` patch of `Z²` with independently open *edges*.
 ///
@@ -88,7 +85,7 @@ impl BondLattice {
     /// # Panics
     ///
     /// Panics if out of range.
-    pub fn h_open(&self, x: u32, y: u32) -> bool {
+    fn h_open(&self, x: u32, y: u32) -> bool {
         assert!(x + 1 < self.width && y < self.height, "edge out of range");
         self.horizontal[(y as usize) * (self.width as usize - 1) + x as usize]
     }
@@ -98,7 +95,7 @@ impl BondLattice {
     /// # Panics
     ///
     /// Panics if out of range.
-    pub fn v_open(&self, x: u32, y: u32) -> bool {
+    fn v_open(&self, x: u32, y: u32) -> bool {
         assert!(x < self.width && y + 1 < self.height, "edge out of range");
         self.vertical[(y as usize) * (self.width as usize) + x as usize]
     }
@@ -163,124 +160,6 @@ impl BondLattice {
     }
 }
 
-/// First-passage percolation on *edges* (Kesten's original formulation):
-/// i.i.d. non-negative weights on edges, path time = sum of edge weights.
-#[derive(Clone, Debug)]
-pub struct EdgeFpp {
-    width: u32,
-    height: u32,
-    horizontal: Vec<f64>,
-    vertical: Vec<f64>,
-}
-
-impl EdgeFpp {
-    /// Samples i.i.d. `Exp(rate)` edge weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions are < 2 or the rate is not positive.
-    pub fn random_exponential(width: u32, height: u32, rate: f64, rng: &mut Xoshiro256pp) -> Self {
-        assert!(width >= 2 && height >= 2, "need at least a 2×2 patch");
-        let h_count = (width as usize - 1) * height as usize;
-        let v_count = width as usize * (height as usize - 1);
-        EdgeFpp {
-            width,
-            height,
-            horizontal: (0..h_count).map(|_| rng.next_exponential(rate)).collect(),
-            vertical: (0..v_count).map(|_| rng.next_exponential(rate)).collect(),
-        }
-    }
-
-    #[inline]
-    fn site(&self, x: u32, y: u32) -> usize {
-        (y as usize) * (self.width as usize) + x as usize
-    }
-
-    /// Least path weight between two sites (Dijkstra over edges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of bounds.
-    pub fn passage_time(&self, source: (u32, u32), target: (u32, u32)) -> f64 {
-        assert!(
-            source.0 < self.width && source.1 < self.height,
-            "source oob"
-        );
-        assert!(
-            target.0 < self.width && target.1 < self.height,
-            "target oob"
-        );
-        let n = self.width as usize * self.height as usize;
-        let mut best = vec![f64::INFINITY; n];
-        let si = self.site(source.0, source.1);
-        let ti = self.site(target.0, target.1);
-        best[si] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse((OrderedF64(0.0), si)));
-        while let Some(Reverse((OrderedF64(d), i))) = heap.pop() {
-            if d > best[i] {
-                continue;
-            }
-            if i == ti {
-                return d;
-            }
-            let (x, y) = (
-                (i % self.width as usize) as u32,
-                (i / self.width as usize) as u32,
-            );
-            let mut relax = |j: usize, w: f64| {
-                let nd = d + w;
-                if nd < best[j] {
-                    best[j] = nd;
-                    heap.push(Reverse((OrderedF64(nd), j)));
-                }
-            };
-            if x + 1 < self.width {
-                relax(
-                    self.site(x + 1, y),
-                    self.horizontal[(y as usize) * (self.width as usize - 1) + x as usize],
-                );
-            }
-            if x > 0 {
-                relax(
-                    self.site(x - 1, y),
-                    self.horizontal[(y as usize) * (self.width as usize - 1) + x as usize - 1],
-                );
-            }
-            if y + 1 < self.height {
-                relax(
-                    self.site(x, y + 1),
-                    self.vertical[(y as usize) * (self.width as usize) + x as usize],
-                );
-            }
-            if y > 0 {
-                relax(
-                    self.site(x, y - 1),
-                    self.vertical[((y - 1) as usize) * (self.width as usize) + x as usize],
-                );
-            }
-        }
-        f64::INFINITY
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Debug)]
-struct OrderedF64(f64);
-
-impl Eq for OrderedF64 {}
-
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,52 +201,6 @@ mod tests {
         let above = BondLattice::spanning_probability(40, 0.60, 60, &mut rng);
         assert!(below < 0.25, "p = 0.40 should rarely span: {below}");
         assert!(above > 0.75, "p = 0.60 should usually span: {above}");
-    }
-
-    #[test]
-    fn edge_fpp_zero_distance_to_self() {
-        let mut rng = Xoshiro256pp::seed_from_u64(20);
-        let fpp = EdgeFpp::random_exponential(16, 16, 1.0, &mut rng);
-        assert_eq!(fpp.passage_time((3, 3), (3, 3)), 0.0);
-    }
-
-    #[test]
-    fn edge_fpp_symmetric() {
-        // edge weights are symmetric: T(a→b) = T(b→a) exactly
-        let mut rng = Xoshiro256pp::seed_from_u64(21);
-        let fpp = EdgeFpp::random_exponential(20, 20, 1.0, &mut rng);
-        let ab = fpp.passage_time((1, 1), (15, 12));
-        let ba = fpp.passage_time((15, 12), (1, 1));
-        assert!((ab - ba).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edge_fpp_triangle_inequality() {
-        let mut rng = Xoshiro256pp::seed_from_u64(22);
-        let fpp = EdgeFpp::random_exponential(20, 20, 1.0, &mut rng);
-        let ac = fpp.passage_time((0, 0), (19, 19));
-        let ab = fpp.passage_time((0, 0), (10, 10));
-        let bc = fpp.passage_time((10, 10), (19, 19));
-        assert!(ac <= ab + bc + 1e-12);
-    }
-
-    #[test]
-    fn edge_fpp_linear_growth() {
-        let mut rng = Xoshiro256pp::seed_from_u64(23);
-        let mut mean_at = |k: u32| {
-            let mut total = 0.0;
-            for _ in 0..20 {
-                let fpp = EdgeFpp::random_exponential(k + 9, 9, 1.0, &mut rng);
-                total += fpp.passage_time((4, 4), (4 + k, 4));
-            }
-            total / 20.0
-        };
-        let t10 = mean_at(10);
-        let t30 = mean_at(30);
-        assert!(
-            (2.0..4.5).contains(&(t30 / t10)),
-            "edge T_k should be ≈ linear: {t10} vs {t30}"
-        );
     }
 
     #[test]

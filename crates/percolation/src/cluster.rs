@@ -8,20 +8,16 @@ use seg_grid::rng::Xoshiro256pp;
 /// The labeled open clusters of a [`SiteLattice`].
 #[derive(Clone, Debug)]
 pub struct ClusterSet {
-    /// For each site, the cluster id (`usize::MAX` for closed sites).
-    label: Vec<usize>,
     /// Size of each cluster, indexed by id.
     sizes: Vec<usize>,
     /// l1 radius of each cluster around its first-seen site.
     radii: Vec<u32>,
-    width: u32,
 }
 
 impl ClusterSet {
     /// Builds the set from a lattice and a populated union-find.
     pub(crate) fn from_union_find(lat: &SiteLattice, mut uf: UnionFind) -> Self {
         let w = lat.width() as usize;
-        let mut label = vec![usize::MAX; lat.len()];
         let mut root_to_id: std::collections::HashMap<usize, usize> =
             std::collections::HashMap::new();
         let mut sizes = Vec::new();
@@ -40,19 +36,13 @@ impl ClusterSet {
                     radii.push(0);
                     sizes.len() - 1
                 });
-                label[i] = id;
                 sizes[id] += 1;
                 let (ax, ay) = anchors[id];
                 let r = (x as i64 - ax).unsigned_abs() + (y as i64 - ay).unsigned_abs();
                 radii[id] = radii[id].max(r as u32);
             }
         }
-        ClusterSet {
-            label,
-            sizes,
-            radii,
-            width: lat.width(),
-        }
+        ClusterSet { sizes, radii }
     }
 
     /// Number of clusters.
@@ -63,15 +53,6 @@ impl ClusterSet {
     /// Size of the largest cluster (0 if there are none).
     pub fn largest_size(&self) -> usize {
         self.sizes.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Cluster id of the site at `(x, y)`, or `None` if closed.
-    pub fn cluster_of(&self, x: u32, y: u32) -> Option<usize> {
-        let i = (y as usize) * (self.width as usize) + x as usize;
-        match self.label[i] {
-            usize::MAX => None,
-            id => Some(id),
-        }
     }
 
     /// Sizes of all clusters.
@@ -85,17 +66,6 @@ impl ClusterSet {
     /// cluster's origin site.
     pub fn radii(&self) -> &[u32] {
         &self.radii
-    }
-
-    /// Histogram of cluster radii: `hist[r]` = number of clusters with
-    /// radius exactly `r`.
-    pub fn radius_histogram(&self) -> Vec<usize> {
-        let max = self.radii.iter().copied().max().unwrap_or(0) as usize;
-        let mut hist = vec![0usize; max + 1];
-        for &r in &self.radii {
-            hist[r as usize] += 1;
-        }
-        hist
     }
 }
 
@@ -196,9 +166,6 @@ mod tests {
         assert_eq!(cs.cluster_count(), 2);
         assert_eq!(cs.sizes(), &[6, 6]);
         assert_eq!(cs.largest_size(), 6);
-        assert_eq!(cs.cluster_of(0, 1), cs.cluster_of(5, 1));
-        assert_ne!(cs.cluster_of(0, 1), cs.cluster_of(0, 3));
-        assert_eq!(cs.cluster_of(0, 0), None);
     }
 
     #[test]
@@ -207,8 +174,6 @@ mod tests {
         let cs = lat.clusters();
         // anchor is (0, 1); farthest site (8, 1) at l1 distance 8
         assert_eq!(cs.radii(), &[8]);
-        let hist = cs.radius_histogram();
-        assert_eq!(hist[8], 1);
     }
 
     #[test]

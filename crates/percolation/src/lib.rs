@@ -36,7 +36,6 @@ pub mod bond;
 pub mod chemical;
 pub mod cluster;
 pub mod finite_size;
-pub mod fkg;
 pub mod fpp;
 pub mod site;
 pub mod theta;

@@ -66,24 +66,6 @@ impl SiteLattice {
         }
     }
 
-    /// Builds occupancy directly from a row-major boolean vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `open.len() != width * height`.
-    pub fn from_open(width: u32, height: u32, open: Vec<bool>) -> Self {
-        assert_eq!(
-            open.len(),
-            width as usize * height as usize,
-            "occupancy length mismatch"
-        );
-        SiteLattice {
-            width,
-            height,
-            open,
-        }
-    }
-
     /// Patch width.
     pub fn width(&self) -> u32 {
         self.width
@@ -189,23 +171,6 @@ impl SiteLattice {
         }
         hits as f64 / trials as f64
     }
-
-    /// Bisection estimate of the critical probability on an `n × n` box:
-    /// the `p` at which the spanning probability crosses `1/2`.
-    ///
-    /// Converges (in `n`, then in `trials`) to `p_c(site, Z²) ≈ 0.5927`.
-    pub fn estimate_pc(n: u32, trials: u32, iterations: u32, rng: &mut Xoshiro256pp) -> f64 {
-        let (mut lo, mut hi) = (0.3f64, 0.9f64);
-        for _ in 0..iterations {
-            let mid = 0.5 * (lo + hi);
-            if SiteLattice::spanning_probability(n, mid, trials, rng) < 0.5 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
 }
 
 #[cfg(test)]
@@ -264,16 +229,6 @@ mod tests {
         assert!(high > low, "low = {low}, high = {high}");
         assert!(high > 0.9);
         assert!(low < 0.3);
-    }
-
-    #[test]
-    fn pc_estimate_near_592() {
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
-        let pc = SiteLattice::estimate_pc(48, 40, 10, &mut rng);
-        assert!(
-            (0.54..0.66).contains(&pc),
-            "estimated pc = {pc}, expected near 0.5927"
-        );
     }
 
     #[test]

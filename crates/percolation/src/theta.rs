@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 /// Whether the center of a `(2m+1)²` box connects to the box boundary
 /// through open sites — the finite-volume proxy for `0 ↔ ∞`.
-pub fn center_reaches_boundary(lat: &SiteLattice) -> bool {
+fn center_reaches_boundary(lat: &SiteLattice) -> bool {
     let (w, h) = (lat.width(), lat.height());
     let (cx, cy) = (w / 2, h / 2);
     if !lat.is_open(cx, cy) {

@@ -5,7 +5,7 @@ use crate::entropy::binary_entropy;
 
 /// Natural log of `n!` via the additive table for small `n` and Stirling's
 /// series for large `n` (absolute error < 1e-10 for all `n`).
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     const TABLE_LEN: usize = 257;
     // thread-safe lazily built table for n < 257
     fn table() -> &'static [f64; 257] {
@@ -33,7 +33,7 @@ pub fn ln_factorial(n: u64) -> f64 {
 /// # Panics
 ///
 /// Panics if `k > n`.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
     assert!(k <= n, "k = {k} > n = {n}");
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
@@ -160,6 +160,27 @@ mod tests {
         let a = ln_factorial(256) + 257f64.ln();
         let b = ln_factorial(257);
         assert!((a - b).abs() < 1e-9, "seam error {}", (a - b).abs());
+    }
+
+    #[test]
+    fn ln_factorial_recurrence_across_the_seam() {
+        // ln(n!) = ln((n−1)!) + ln n, on both sides of the table/Stirling seam
+        for n in 1..2000u64 {
+            let rhs = ln_factorial(n - 1) + (n as f64).ln();
+            assert!((ln_factorial(n) - rhs).abs() < 1e-8, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn ln_choose_satisfies_pascal_rule() {
+        // C(n,k) = C(n−1,k−1) + C(n−1,k)
+        for n in 2..300u64 {
+            for k in (1..n).step_by(7) {
+                let lhs = ln_choose(n, k).exp();
+                let rhs = ln_choose(n - 1, k - 1).exp() + ln_choose(n - 1, k).exp();
+                assert!((lhs - rhs).abs() / rhs < 1e-9, "n = {n}, k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -26,11 +26,7 @@ pub fn tau1() -> f64 {
 }
 
 /// The left-hand side of Eq. (1): zero exactly at [`tau1`].
-///
-/// # Panics
-///
-/// Panics if `4τ/3` leaves `[0, 1]` (i.e. `τ > 3/4`).
-pub fn tau1_residual(tau: f64) -> f64 {
+fn tau1_residual(tau: f64) -> f64 {
     0.75 * (1.0 - binary_entropy(4.0 * tau / 3.0)) - (1.0 - binary_entropy(tau))
 }
 
@@ -44,11 +40,6 @@ pub fn tau1_residual(tau: f64) -> f64 {
 pub fn tau2() -> f64 {
     // 1024 τ² − 384 τ + 11 = 0 ⇒ τ = (384 ± 320)/2048 ∈ {11/32, 1/32}.
     11.0 / 32.0
-}
-
-/// Residual of Eq. (3); zero at `11/32` and `1/32`.
-pub fn tau2_residual(tau: f64) -> f64 {
-    1024.0 * tau * tau - 384.0 * tau + 11.0
 }
 
 /// Width of the monochromatic-segregation interval `(τ1, 1/2)` plus its
@@ -133,9 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn tau2_is_exact_root() {
-        assert_eq!(tau2_residual(tau2()), 0.0);
-        assert_eq!(tau2_residual(1.0 / 32.0), 0.0);
+    fn tau2_is_exact_root_of_eq3() {
+        for root in [tau2(), 1.0 / 32.0] {
+            assert_eq!(1024.0 * root * root - 384.0 * root + 11.0, 0.0);
+        }
     }
 
     #[test]

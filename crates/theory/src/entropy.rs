@@ -25,56 +25,14 @@ pub fn binary_entropy(x: f64) -> f64 {
     -(x * x.log2()) - (1.0 - x) * (1.0 - x).log2()
 }
 
-/// Natural-log binary entropy `−x·ln(x) − (1−x)·ln(1−x)`; used by the
-/// log-space binomial tail computations.
-///
-/// # Panics
-///
-/// Panics if `x` is outside `[0, 1]` or is NaN.
-pub fn binary_entropy_nats(x: f64) -> f64 {
-    binary_entropy(x) * std::f64::consts::LN_2
-}
-
-/// Inverse of [`binary_entropy`] on the increasing branch `[0, 1/2]`.
-///
-/// Returns the unique `x ∈ [0, 1/2]` with `H(x) = h`.
-///
-/// # Panics
-///
-/// Panics if `h` is outside `[0, 1]`.
-///
-/// # Example
-///
-/// ```
-/// use seg_theory::entropy::{binary_entropy, binary_entropy_inv};
-/// let x = binary_entropy_inv(0.7);
-/// assert!((binary_entropy(x) - 0.7).abs() < 1e-12);
-/// assert!(x <= 0.5);
-/// ```
-pub fn binary_entropy_inv(h: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&h), "entropy value {h} outside [0,1]");
-    let (mut lo, mut hi) = (0.0f64, 0.5f64);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if binary_entropy(mid) < h {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 /// Generic bisection root finder on `[lo, hi]`; requires a sign change.
-///
-/// Used by the paper-constant solvers ([`crate::constants::tau1`]) and
-/// available to downstream experiment code.
+/// Used by the paper-constant solver [`crate::constants::tau1`].
 ///
 /// # Panics
 ///
 /// Panics if `f(lo)` and `f(hi)` have the same sign, or if the interval is
 /// empty or not finite.
-pub fn bisect(mut f: impl FnMut(f64) -> f64, lo: f64, hi: f64) -> f64 {
+pub(crate) fn bisect(mut f: impl FnMut(f64) -> f64, lo: f64, hi: f64) -> f64 {
     assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad interval");
     let (mut lo, mut hi) = (lo, hi);
     let (flo, fhi) = (f(lo), f(hi));
@@ -127,24 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn nats_is_ln2_times_bits() {
-        for x in [0.1, 0.3, 0.5] {
-            assert!(
-                (binary_entropy_nats(x) - binary_entropy(x) * std::f64::consts::LN_2).abs() < 1e-14
-            );
-        }
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        for i in 1..100 {
-            let h = i as f64 / 100.0;
-            let x = binary_entropy_inv(h);
-            assert!((binary_entropy(x) - h).abs() < 1e-10, "h = {h}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "outside")]
     fn entropy_rejects_out_of_range() {
         let _ = binary_entropy(1.5);
@@ -154,6 +94,16 @@ mod tests {
     fn bisect_finds_sqrt2() {
         let r = bisect(|x| x * x - 2.0, 0.0, 2.0);
         assert!((r - std::f64::consts::SQRT_2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bisect_finds_roots_of_monotone_cubics() {
+        // every root in [-3, 3] is bracketed by the sign change on [-5, 5]
+        for i in 0..=60 {
+            let root = -3.0 + 0.1 * i as f64;
+            let found = bisect(|x| (x - root) * ((x - root).powi(2) + 1.0), -5.0, 5.0);
+            assert!((found - root).abs() < 1e-9, "root {root}: found {found}");
+        }
     }
 
     #[test]

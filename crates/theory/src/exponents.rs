@@ -34,36 +34,6 @@ pub fn fold(tau: f64) -> f64 {
     }
 }
 
-/// Finite-`N` corrected intolerance `τ' = (τN − 2)/(N − 1)` (Lemma 19).
-/// As `N → ∞`, `τ' → τ`; the asymptotic curves use the limit.
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-pub fn tau_prime(tau: f64, n: u32) -> f64 {
-    assert!(n >= 2, "neighborhood size must be at least 2");
-    (tau * n as f64 - 2.0) / (n as f64 - 1.0)
-}
-
-/// Deflated threshold `τ̂ = τ·[1 − 1/(τ·N^{1/2−ε})]` used in the radical
-/// region definition (§III). The `eps` here is the technical `ε ∈ (0,1/2)`
-/// of Proposition 1, *not* the geometric `ε'`.
-///
-/// # Panics
-///
-/// Panics if `eps` is outside `(0, 1/2)` or `n == 0`.
-pub fn tau_hat(tau: f64, n: u32, eps: f64) -> f64 {
-    assert!(eps > 0.0 && eps < 0.5, "eps must lie in (0, 1/2)");
-    assert!(n > 0, "neighborhood size must be positive");
-    tau * (1.0 - 1.0 / (tau * (n as f64).powf(0.5 - eps)))
-}
-
-/// The reflected threshold `τ̄ = 1 − τ + 2/N` for the super-unhappy
-/// analysis on `τ > 1/2` (§IV-C).
-pub fn tau_bar(tau: f64, n: u32) -> f64 {
-    1.0 - tau + 2.0 / n as f64
-}
-
 /// Lower-bound exponent `a(τ)` (Eq. 12/21), evaluated in the `N → ∞`
 /// limit with the infimal `ε' = f(τ)`.
 ///
@@ -82,31 +52,7 @@ pub fn tau_bar(tau: f64, n: u32) -> f64 {
 /// assert!((exponent_a(0.44) - exponent_a(0.56)).abs() < 1e-14);
 /// ```
 pub fn exponent_a(tau: f64) -> f64 {
-    let t = fold(tau);
-    assert!(
-        t > tau2() && t < 0.5,
-        "a(tau) defined for folded tau in (tau2, 1/2); got {tau}"
-    );
-    exponent_a_with_eps(tau, f_trigger(tau))
-}
-
-/// Lower-bound exponent with an explicit `ε' ≥ f(τ)`.
-///
-/// # Panics
-///
-/// Panics if the folded `τ` leaves `(τ2, 1/2)` or if `ε' < f(τ)` (the
-/// construction of Lemma 5 then fails).
-pub fn exponent_a_with_eps(tau: f64, eps: f64) -> f64 {
-    let t = fold(tau);
-    assert!(
-        t > tau2() && t < 0.5,
-        "a(tau) defined for folded tau in (tau2, 1/2); got {tau}"
-    );
-    assert!(
-        eps >= f_trigger(tau) - 1e-12,
-        "eps' = {eps} below the Lemma 5 threshold f({tau}) = {}",
-        f_trigger(tau)
-    );
+    let (t, eps) = folded_with_trigger(tau, "a");
     (1.0 - (2.0 * eps + eps * eps)) * (1.0 - binary_entropy(t))
 }
 
@@ -125,26 +71,22 @@ pub fn exponent_a_with_eps(tau: f64, eps: f64) -> f64 {
 /// assert!(exponent_b(tau) > exponent_a(tau)); // a valid sandwich
 /// ```
 pub fn exponent_b(tau: f64) -> f64 {
-    let t = fold(tau);
-    assert!(
-        t > tau2() && t < 0.5,
-        "b(tau) defined for folded tau in (tau2, 1/2); got {tau}"
-    );
-    exponent_b_with_eps(tau, f_trigger(tau))
+    let (t, eps) = folded_with_trigger(tau, "b");
+    1.5 * (1.0 + eps) * (1.0 + eps) * (1.0 - binary_entropy(t))
 }
 
-/// Upper-bound exponent with an explicit `ε'`.
+/// The folded `τ` and the infimal `ε' = f(τ)` of exponent `which`.
 ///
 /// # Panics
 ///
-/// Panics if the folded `τ` leaves `(τ2, 1/2)`.
-pub fn exponent_b_with_eps(tau: f64, eps: f64) -> f64 {
+/// Panics if the folded `τ` is not in `(τ2, 1/2)`.
+fn folded_with_trigger(tau: f64, which: &str) -> (f64, f64) {
     let t = fold(tau);
     assert!(
         t > tau2() && t < 0.5,
-        "b(tau) defined for folded tau in (tau2, 1/2); got {tau}"
+        "{which}(tau) defined for folded tau in (tau2, 1/2); got {tau}"
     );
-    1.5 * (1.0 + eps) * (1.0 + eps) * (1.0 - binary_entropy(t))
+    (t, f_trigger(tau))
 }
 
 /// A row of the Figure 3 dataset.
@@ -227,25 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn finite_n_corrections_converge() {
-        let tau = 0.45;
-        for n in [25u32, 121, 441, 10_001] {
-            let tp = tau_prime(tau, n);
-            assert!(tp < tau);
-            assert!((tau - tp) < 3.0 / n as f64 + 1e-12);
-        }
-        // τ̂ converges like 1/N^{1/2−ε}: visible only at large N.
-        let th_small = tau_hat(tau, 441, 0.25);
-        assert!(th_small < tau);
-        let th_large = tau_hat(tau, 1_000_000, 0.1);
-        assert!(
-            th_large < tau && th_large > 0.98 * tau,
-            "tau_hat = {th_large}"
-        );
-        assert!((tau_bar(0.55, 441) - (0.45 + 2.0 / 441.0)).abs() < 1e-14);
-    }
-
-    #[test]
     fn magnitude_near_half_is_small() {
         // as τ → 1/2, 1 − H(τ) → 0 hence both exponents vanish
         assert!(exponent_a(0.4999) < 1e-4);
@@ -264,11 +187,5 @@ mod tests {
     #[should_panic(expected = "defined for folded tau")]
     fn a_rejects_out_of_range() {
         let _ = exponent_a(0.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "below the Lemma 5 threshold")]
-    fn a_rejects_too_small_eps() {
-        let _ = exponent_a_with_eps(0.4, 0.0);
     }
 }

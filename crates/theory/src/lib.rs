@@ -1,23 +1,19 @@
-//! Closed-form constants and bounds from *Self-organized Segregation on the
+//! Closed-form constants and exponents from *Self-organized Segregation on the
 //! Grid* (Omidvar & Franceschetti, PODC 2017).
 //!
 //! Everything stated in the paper as a formula lives here so that the
 //! experiment harnesses can print the theoretical curves next to measured
 //! data:
 //!
-//! - [`entropy`] — the binary entropy function `H` of Eq. (2) and its
-//!   inverse;
+//! - [`entropy`] — the binary entropy function `H` of Eq. (2);
 //! - [`constants`] — the phase boundaries `τ1 ≈ 0.4330` (Eq. 1) and
 //!   `τ2 = 11/32 = 0.34375` (Eq. 3), and the interval widths of Figure 2;
 //! - [`trigger`] — the triggering threshold `f(τ)` of Eq. (10) / Figure 6;
 //! - [`exponents`] — the exponent multipliers `a(τ)` and `b(τ)` of
-//!   Theorems 1–2 / Figure 3, with the finite-`N` corrections `τ'`, `τ̂`,
-//!   `τ̄` of §II-A and §IV-C;
+//!   Theorems 1–2 / Figure 3;
 //! - [`binomial`] — log-space binomial tails; the exact unhappiness
 //!   probability `p_u` and its `2^{−[1−H(τ')]N}/√N` sandwich (Lemma 19),
-//!   and the radical-region probability of Lemma 20;
-//! - [`bounds`] — Azuma/Hoeffding deviation scales mirroring Lemma 1,
-//!   Lemma 18 and Proposition 1.
+//!   and the radical-region probability of Lemma 20.
 //!
 //! # Example
 //!
@@ -32,10 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod binomial;
-pub mod bounds;
 pub mod constants;
 pub mod entropy;
 pub mod exponents;
-pub mod lemma16;
-pub mod lemma7;
 pub mod trigger;

@@ -43,12 +43,6 @@ pub fn f_trigger(tau: f64) -> f64 {
     (3.0 * d + disc.max(0.0).sqrt()) / (2.0 * (3.0 * t + 0.5))
 }
 
-/// Discriminant of Eq. (10); non-negative exactly where `f` is real.
-pub fn f_trigger_discriminant(tau: f64) -> f64 {
-    let d = tau - 0.5;
-    9.0 * d * d - 7.0 * d * (3.0 * tau + 0.5)
-}
-
 /// The inequality of Lemma 5 before the algebra: with nucleus radius factor
 /// `ε'`, the worst-case count of `(-1)` agents in a corner agent's
 /// neighborhood must fall below `τN`. Returns the left-hand side minus the

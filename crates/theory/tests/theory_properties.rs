@@ -1,10 +1,10 @@
 //! Property-based tests for the closed-form theory layer.
 
 use proptest::prelude::*;
-use seg_theory::binomial::{binomial_cdf, binomial_pmf, ln_choose, ln_factorial};
+use seg_theory::binomial::{binomial_cdf, binomial_pmf};
 use seg_theory::constants::{tau1, tau2};
-use seg_theory::entropy::{binary_entropy, binary_entropy_inv, bisect};
-use seg_theory::exponents::{exponent_a_with_eps, exponent_b_with_eps, fold};
+use seg_theory::entropy::binary_entropy;
+use seg_theory::exponents::{exponent_a, exponent_b, fold};
 use seg_theory::trigger::{f_trigger, lemma5_margin};
 
 proptest! {
@@ -16,32 +16,6 @@ proptest! {
         let mid = binary_entropy(0.5 * (a + b));
         let chord = 0.5 * (binary_entropy(a) + binary_entropy(b));
         prop_assert!(mid >= chord - 1e-12);
-    }
-
-    /// Inverse entropy really inverts on the lower branch.
-    #[test]
-    fn entropy_inverse(h in 0.0f64..=1.0) {
-        let x = binary_entropy_inv(h);
-        prop_assert!(x <= 0.5 + 1e-12);
-        prop_assert!((binary_entropy(x) - h).abs() < 1e-9);
-    }
-
-    /// ln_factorial satisfies the recurrence ln(n!) = ln((n−1)!) + ln n,
-    /// including across the table/Stirling seam.
-    #[test]
-    fn factorial_recurrence(n in 1u64..2000) {
-        let lhs = ln_factorial(n);
-        let rhs = ln_factorial(n - 1) + (n as f64).ln();
-        prop_assert!((lhs - rhs).abs() < 1e-8, "n = {}: {} vs {}", n, lhs, rhs);
-    }
-
-    /// Pascal's rule in log space: C(n,k) = C(n−1,k−1) + C(n−1,k).
-    #[test]
-    fn pascal_rule(n in 2u64..300, k_raw in 1u64..300) {
-        let k = k_raw.min(n - 1);
-        let lhs = ln_choose(n, k).exp();
-        let rhs = ln_choose(n - 1, k - 1).exp() + ln_choose(n - 1, k).exp();
-        prop_assert!((lhs - rhs).abs() / rhs < 1e-9);
     }
 
     /// The binomial CDF is monotone in k and in −p.
@@ -69,30 +43,21 @@ proptest! {
         prop_assert!(lemma5_margin(tau, f + 0.02) < 0.0);
     }
 
-    /// Exponents: a < b for every admissible (τ, ε'), both positive, both
-    /// symmetric under folding.
+    /// Exponents: a < b on the whole interval (τ2, 1/2), both positive,
+    /// both symmetric under folding.
     #[test]
-    fn exponent_sandwich(tau_frac in 0.0f64..1.0, extra in 0.0f64..0.1) {
+    fn exponent_sandwich(tau_frac in 0.0f64..1.0) {
         let t2 = tau2();
         let tau = t2 + 1e-6 + (0.5 - t2 - 2e-6) * tau_frac;
-        let eps = f_trigger(tau) + extra;
-        prop_assume!(2.0 * eps + eps * eps < 1.0);
-        let a = exponent_a_with_eps(tau, eps);
-        let b = exponent_b_with_eps(tau, eps);
+        let a = exponent_a(tau);
+        let b = exponent_b(tau);
         prop_assert!(a > 0.0);
         prop_assert!(b > a);
         let mirrored = 1.0 - tau;
-        prop_assert!((exponent_a_with_eps(mirrored, eps) - a).abs() < 1e-12);
+        prop_assert!((exponent_a(mirrored) - a).abs() < 1e-12);
+        prop_assert!((exponent_b(mirrored) - b).abs() < 1e-12);
         // folding 1−τ reproduces τ up to f64 rounding of the subtraction
         prop_assert!((fold(mirrored) - fold(tau)).abs() < 1e-12);
-    }
-
-    /// Bisection finds roots of monotone cubics wherever a sign change
-    /// brackets them.
-    #[test]
-    fn bisect_cubic(root in -3.0f64..3.0) {
-        let found = bisect(|x| (x - root) * ((x - root).powi(2) + 1.0), -5.0, 5.0);
-        prop_assert!((found - root).abs() < 1e-9);
     }
 }
 

@@ -14,7 +14,7 @@
 //! - [`seg_core`] — the model and its analysis (start at
 //!   [`seg_core::ModelConfig`]);
 //! - [`seg_grid`] — torus geometry, spin fields, windows, blocks;
-//! - [`seg_theory`] — the paper's closed-form constants and bounds;
+//! - [`seg_theory`] — the paper's closed-form constants and exponents;
 //! - [`seg_percolation`] — site percolation, chemical distance, FPP;
 //! - [`seg_analysis`] — statistics, fits and image/CSV output;
 //! - [`seg_engine`] — parallel sweep & replica orchestration (start at

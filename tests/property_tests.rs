@@ -101,12 +101,29 @@ proptest! {
 
     /// Monochromatic regions behave monotonically: radius never exceeds
     /// the torus cap, the witnessing ball contains the agent and is
-    /// actually monochromatic.
+    /// actually monochromatic. On sides ≤ 24 both regions are also the
+    /// largest: `M(u)` (binary search over radii, which rests on the
+    /// monotonicity argument of `seg_core::regions`) and `M'(u)` (upward
+    /// radius scan) match a brute-force scan of every ball containing `u`,
+    /// on random fields and on fields with a planted monochromatic square.
     #[test]
-    fn region_witness_is_valid(seed in any::<u64>(), n in 8u32..48) {
+    fn region_witness_is_valid(
+        seed in any::<u64>(),
+        n in 8u32..48,
+        planted in any::<bool>(),
+        bound_pick in 0usize..3,
+    ) {
         let t = Torus::new(n);
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let f = TypeField::random(t, 0.5, &mut rng);
+        let mut f = TypeField::random(t, 0.5, &mut rng);
+        if planted {
+            let c = t.from_index(rng.next_below(t.len() as u64) as usize);
+            let r = rng.next_below(u64::from(n / 2)) as u32;
+            let ty = f.get(c);
+            for p in Neighborhood::new(t, c, r).points() {
+                f.set(p, ty);
+            }
+        }
         let ps = PrefixSums::new(&f);
         let u = t.from_index((seed % t.len() as u64) as usize);
         let r = monochromatic_region(&f, &ps, u);
@@ -115,6 +132,28 @@ proptest! {
         prop_assert!(ball.contains(u));
         prop_assert!(ps.is_monochromatic(&ball));
         prop_assert_eq!(r.size, (2 * r.radius as u64 + 1) * (2 * r.radius as u64 + 1));
+        if n <= 24 {
+            let cap = (n - 1) / 2;
+            // the largest radius of any ball containing u that passes
+            let brute = |pass: &dyn Fn(&Neighborhood) -> bool| -> u32 {
+                (0..=cap)
+                    .rev()
+                    .find(|&rho| {
+                        t.points().any(|c| {
+                            let ball = Neighborhood::new(t, c, rho);
+                            ball.contains(u) && pass(&ball)
+                        })
+                    })
+                    .unwrap_or(0)
+            };
+            prop_assert_eq!(r.radius, brute(&|b| ps.is_monochromatic(b)));
+            let bound = [0.0, 0.05, 0.25][bound_pick];
+            let a = almost_monochromatic_region(&f, &ps, u, bound, cap);
+            prop_assert_eq!(a.radius, brute(&|b| ps.minority_ratio(b) <= bound));
+            let witness = Neighborhood::new(t, a.center, a.radius);
+            prop_assert!(witness.contains(u));
+            prop_assert!(ps.minority_ratio(&witness) <= bound);
+        }
     }
 
     /// Binary entropy: bounds, symmetry, strict interior positivity.
