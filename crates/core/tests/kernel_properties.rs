@@ -110,6 +110,56 @@ fn kernel_reproduces_large_and_torus_wide_window_goldens() {
     }
 }
 
+/// `((n, w, tau, density, seed), (flips, plus_total, unhappy, path))` of
+/// the paper's process above ½ run to a stable state, recorded before the
+/// kernel skipped quiet row runs. Above ½ each flip direction has four
+/// plus counts where a class changes (two below ½), and stuck agents stay
+/// unhappy at the end. The first rows are w ∈ {4, 8} on large tori; then
+/// windows as wide as the torus (from a minority start, or no agent could
+/// flip) and windows two cells narrower than it, where every row run
+/// wraps.
+#[allow(clippy::type_complexity)]
+const GOLDEN_ABOVE_HALF: &[((u32, u32, f64, f64, u64), (u64, usize, usize, u64))] = &[
+    (
+        (64, 4, 0.55, 0.50, 1),
+        (2656, 1565, 122, 0x9e7100b08a20a8ce),
+    ),
+    (
+        (64, 4, 0.60, 0.50, 1),
+        (1887, 2730, 360, 0xe7fc4f57d0387180),
+    ),
+    (
+        (128, 8, 0.55, 0.50, 1),
+        (9549, 8187, 457, 0x97e0ab2f940e9229),
+    ),
+    ((128, 8, 0.60, 0.50, 1), (8144, 0, 0, 0xa321a66161674ea9)),
+    ((9, 4, 0.55, 0.30, 1), (26, 0, 0, 0x6b1d065b2574940d)),
+    ((17, 8, 0.60, 0.35, 1), (102, 0, 0, 0xa93d317ee34c931e)),
+    ((11, 4, 0.55, 0.50, 1), (56, 121, 0, 0x393c0f74d55cde8f)),
+    ((21, 8, 0.55, 0.50, 1), (218, 441, 0, 0x1f92242db6ad0a1c)),
+];
+
+#[test]
+fn kernel_reproduces_above_half_wide_window_goldens() {
+    for &((n, w, tau, p, seed), expected) in GOLDEN_ABOVE_HALF {
+        let mut sim = ModelConfig::new(n, w, tau)
+            .initial_density(p)
+            .seed(seed)
+            .build();
+        let (steps, digest) = path_digest(|| sim.step().map(|e| e.at), u64::MAX);
+        assert!(
+            sim.audit(),
+            "audit failed for n={n} w={w} τ={tau} p={p} seed={seed}"
+        );
+        assert_eq!(sim.flips(), steps);
+        let got = (steps, sim.field().plus_total(), sim.unhappy_count(), digest);
+        assert_eq!(
+            got, expected,
+            "trajectory diverged for n={n} w={w} τ={tau} p={p} seed={seed}"
+        );
+    }
+}
+
 /// `((n, w, tau, noise, seed), (steps, flips, plus_total, unhappy, path))`
 /// of `VariantSim` after at most `steps` rings: flip-when-unhappy when
 /// `noise` is `None`, else the noisy paper rule. Recorded with the

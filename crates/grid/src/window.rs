@@ -36,7 +36,9 @@ pub trait TrackedSet {
     /// from the old type's class to the new type's. The default writes
     /// the set only when the bit changes, which is right for a set that
     /// ignores types.
-    #[inline]
+    // always: with the kernel instantiated with and without the quiet-run
+    // check, `#[inline]` alone left it a call
+    #[inline(always)]
     fn retype(&mut self, i: usize, new_type: AgentType, step: Transition) {
         if step.tracked_changed() {
             if step.tracked() {
@@ -93,7 +95,7 @@ impl TrackedSet for [RankedSet; 2] {
         self[ty as usize].remove(i);
     }
 
-    #[inline]
+    #[inline(always)]
     fn retype(&mut self, i: usize, new_type: AgentType, step: Transition) {
         // tracked before the step, under the old type
         if step.tracked() != step.tracked_changed() {
@@ -127,6 +129,22 @@ impl TrackedSet for [RankedSet; 2] {
 /// direction, so the table also precomputes, per direction, the
 /// [`Transition`] from `class(ty, pc)` to `class(ty, pc ± 1)`: the kernel
 /// then classifies a touched agent with one array load.
+///
+/// Most of those transitions are *quiet*: the tracked bit stays and the
+/// unhappy count does not move. Per direction the table also lists the
+/// *loud* plus counts, where the transition of either type is not quiet,
+/// so the kernel can pass over a window row that holds none of them with
+/// a plain count add. The list leaves out the states no stepped agent is
+/// in: its window holds itself and the flipped agent's old type, so a
+/// flip to `Plus` steps a `Plus` agent from `1..N` and a `Minus` agent
+/// from `0..N−1`, and a flip to `Minus` a `Plus` agent from `2..=N` and a
+/// `Minus` agent from `1..N`. Counted in, they would make every
+/// monochrome window, and for many rules every run, read as loud. The
+/// list holds at most [`ClassTable::MAX_LOUD`] counts and is absent for a
+/// direction with more; the kernel then classifies every cell, as it does
+/// for any rule. The paper's rule has two loud counts per direction below
+/// ½ (where an agent turns happy or unhappy) and four above, where
+/// flippable and unhappy part.
 #[derive(Clone, Debug)]
 pub struct ClassTable {
     n_size: u32,
@@ -138,6 +156,10 @@ pub struct ClassTable {
     up: Box<[Transition]>,
     /// `down[k]`: from `bits[k]` to the class at `plus_count − 1`.
     down: Box<[Transition]>,
+    /// The loud plus counts of a flip to `Minus` and to `Plus`, indexed by
+    /// the new type and padded with `u32::MAX`, which no count reaches;
+    /// `None` for a direction with more than [`ClassTable::MAX_LOUD`].
+    loud: [Option<[u32; ClassTable::MAX_LOUD]>; 2],
 }
 
 impl ClassTable {
@@ -145,6 +167,12 @@ impl ClassTable {
     pub const TRACKED: u8 = 1;
     /// Bit 1: the agent is unhappy (counts toward the unhappy total).
     pub const UNHAPPY: u8 = 2;
+    /// The most loud plus counts a flip direction may have for the kernel
+    /// to skip quiet window rows. Two, the paper's rule below ½: above ½
+    /// its four loud counts put about one row in five at a class boundary
+    /// (w = 8), and checking for them and stepping those rows saved
+    /// nothing over the table walk.
+    pub const MAX_LOUD: usize = 2;
 
     /// Builds a table for windows of size `n_size` from a classifier
     /// `classify(type, plus_count) -> (tracked, unhappy)` evaluated over
@@ -173,11 +201,17 @@ impl ClassTable {
                 down.push(Transition::between(row[pc], row[pc.saturating_sub(1)]));
             }
         }
+        // a flip to Minus steps down from a Plus agent, and one to Plus up
+        let loud = [
+            loud_counts(&down, n_size, AgentType::Plus),
+            loud_counts(&up, n_size, AgentType::Minus),
+        ];
         ClassTable {
             n_size,
             bits,
             up: up.into(),
             down: down.into(),
+            loud,
         }
     }
 
@@ -242,6 +276,34 @@ impl ClassTable {
     }
 }
 
+/// The plus counts at which a step by `steps` (one direction's
+/// transitions, `Minus` rows then `Plus` rows of `N + 1`) is not quiet for
+/// an agent of either type, padded with `u32::MAX`; `None` if there are
+/// more than [`ClassTable::MAX_LOUD`]. Only the counts an agent the kernel
+/// steps can hold are read: its window holds itself and the flipped agent,
+/// which was of type `flipped_from`.
+fn loud_counts(
+    steps: &[Transition],
+    n_size: u32,
+    flipped_from: AgentType,
+) -> Option<[u32; ClassTable::MAX_LOUD]> {
+    let stride = n_size as usize + 1;
+    let is_loud = |ty: AgentType, pc: u32| {
+        let plus = u32::from(ty == AgentType::Plus) + u32::from(flipped_from == AgentType::Plus);
+        let reachable = pc >= plus && pc + (2 - plus) <= n_size;
+        reachable && !steps[(ty as usize) * stride + pc as usize].is_quiet()
+    };
+    let mut loud = [u32::MAX; ClassTable::MAX_LOUD];
+    let mut len = 0;
+    for pc in 0..=n_size {
+        if is_loud(AgentType::Minus, pc) || is_loud(AgentType::Plus, pc) {
+            *loud.get_mut(len)? = pc;
+            len += 1;
+        }
+    }
+    Some(loud)
+}
+
 /// What one step of an agent's plus count does to its [`ClassTable`]
 /// class, packed into a byte: the new tracked bit, whether it changed, and
 /// the change in unhappiness. The fused kernel reads one per touched cell.
@@ -300,6 +362,12 @@ impl Transition {
     #[inline]
     fn unhappy_biased(self) -> u32 {
         u32::from(self.0 >> Self::UNHAPPY_SHIFT)
+    }
+
+    /// Whether the step leaves both the tracked bit and the unhappy count
+    /// as they were.
+    fn is_quiet(self) -> bool {
+        !self.tracked_changed() && self.unhappy_biased() == 1
     }
 
     /// Applies the tracked-bit change of cell `i`, of type `ty`, to
@@ -462,14 +530,26 @@ impl WindowCounts {
     /// type too and is classified with two [`ClassTable::class`] loads.
     /// The window is walked as [`for_each_window_run`]'s row runs.
     ///
+    /// Quiet runs: when the window is at least 13 cells wide (w ≥ 6) and
+    /// `classes` lists this direction's loud plus counts, each run first
+    /// gets its delta in one vectorised pass that also notes whether any
+    /// old count was loud (see [`ClassTable`]). A run with none changes no
+    /// class: it writes nothing to `tracked` and adds nothing to the
+    /// unhappy count. A run that holds one has its loud cells gathered
+    /// and stepped through the transition table, from their old counts
+    /// and in index order. Narrower windows, whose runs are too short and
+    /// too often loud for the check to pay, and tables with more loud
+    /// counts take the table walk for every run, compiled as it was
+    /// without the check.
+    ///
     /// `tracked` must hold exactly the cells whose class before the flip
-    /// has [`ClassTable::TRACKED`] set (debug builds assert it per touched
-    /// cell). The set is then only written where that bit changes: the
-    /// skipped writes were no-ops, so the effective insert/remove sequence
-    /// is exactly that of [`WindowCounts::apply_flip`] followed by a
-    /// row-major classification sweep over the window, and trajectories
-    /// that sample from `tracked` are bit-identical to the unfused
-    /// two-pass update.
+    /// has [`ClassTable::TRACKED`] set (debug builds assert it per
+    /// reclassified cell). The set is then only written where that bit
+    /// changes: the skipped writes were no-ops, so the effective
+    /// insert/remove sequence is exactly that of
+    /// [`WindowCounts::apply_flip`] followed by a row-major classification
+    /// sweep over the window, and trajectories that sample from `tracked`
+    /// are bit-identical to the unfused two-pass update.
     pub fn apply_flip_fused<T: TrackedSet>(
         &mut self,
         z: Point,
@@ -480,25 +560,66 @@ impl WindowCounts {
     ) -> i64 {
         debug_assert_eq!(field.get(z), new_type, "field must be flipped first");
         debug_assert_eq!(classes.n_size(), self.neighborhood_size());
-        let delta = count_delta(new_type);
-        let zi = self.torus.index(z);
         let steps = Steps {
             table: classes.transitions(new_type),
             stride: classes.n_size() as usize + 1,
-            delta,
+            delta: count_delta(new_type),
+            loud: [u32::MAX; ClassTable::MAX_LOUD],
         };
+        let wide = 2 * self.horizon + 1 >= QUIET_MIN_WIDTH;
+        let unhappy_biased = match classes.loud[new_type as usize].filter(|_| wide) {
+            Some(loud) => self.quiet_walk(
+                z,
+                new_type,
+                field,
+                classes,
+                Steps { loud, ..steps },
+                tracked,
+            ),
+            None => self.fused_walk::<T, false>(z, new_type, field, classes, steps, tracked),
+        };
+        i64::from(unhappy_biased) - i64::from(self.neighborhood_size())
+    }
+
+    /// The walk with the quiet-run check, kept out of line so that the
+    /// narrow-window kernel compiles as it did without it.
+    #[inline(never)]
+    fn quiet_walk<T: TrackedSet>(
+        &mut self,
+        z: Point,
+        new_type: AgentType,
+        field: &TypeField,
+        classes: &ClassTable,
+        steps: Steps<'_>,
+        tracked: &mut T,
+    ) -> u32 {
+        self.fused_walk::<T, true>(z, new_type, field, classes, steps, tracked)
+    }
+
+    /// [`WindowCounts::apply_flip_fused`]'s walk, with the quiet-run check
+    /// when `QUIET`; returns the window's Σ (unhappy delta + 1).
+    #[inline(always)]
+    fn fused_walk<T: TrackedSet, const QUIET: bool>(
+        &mut self,
+        z: Point,
+        new_type: AgentType,
+        field: &TypeField,
+        classes: &ClassTable,
+        steps: Steps<'_>,
+        tracked: &mut T,
+    ) -> u32 {
+        let zi = self.torus.index(z);
         let types = field.as_slice();
-        // Σ (unhappy delta + 1) over the window's N cells
         let mut unhappy_biased: u32 = 0;
         let plus = &mut self.plus;
         for_each_window_run(self.torus, self.horizon, z, |run| {
             if !run.contains(&zi) {
-                unhappy_biased += steps.run(plus, types, run, tracked);
+                unhappy_biased += steps.run::<T, QUIET>(plus, types, run, tracked);
                 return;
             }
-            unhappy_biased += steps.run(plus, types, run.start..zi, tracked);
+            unhappy_biased += steps.run::<T, QUIET>(plus, types, run.start..zi, tracked);
             let old_pc = plus[zi];
-            plus[zi] = old_pc.wrapping_add(delta);
+            plus[zi] = old_pc.wrapping_add(steps.delta);
             let was = classes.class(new_type.flipped(), old_pc);
             let t = Transition::between(was, classes.class(new_type, plus[zi]));
             unhappy_biased += t.unhappy_biased();
@@ -508,9 +629,9 @@ impl WindowCounts {
                 "tracked set out of sync with the class table at cell {zi}"
             );
             tracked.retype(zi, new_type, t);
-            unhappy_biased += steps.run(plus, types, zi + 1..run.end, tracked);
+            unhappy_biased += steps.run::<T, QUIET>(plus, types, zi + 1..run.end, tracked);
         });
-        i64::from(unhappy_biased) - i64::from(self.neighborhood_size())
+        unhappy_biased
     }
 
     /// Recomputes from scratch and asserts agreement — a debugging aid used
@@ -520,6 +641,14 @@ impl WindowCounts {
         fresh.plus == self.plus
     }
 }
+
+/// The narrowest window (`2w + 1` cells) whose flips check their row
+/// runs for loud counts before classifying them. Measured on the paper's
+/// rule below ½ (replayed trajectories, 128² torus), the check costs
+/// about 10% at w = 4, where a fifth of the runs are loud, reads between
+/// −10% and +9% at w = 5 from run to run, and saves about 15% at w = 6
+/// and 25–30% at w = 7 and 8.
+const QUIET_MIN_WIDTH: u32 = 13;
 
 /// The count change a flip to `new_type` makes in every window holding
 /// it, as a wrapping `u32` delta.
@@ -533,6 +662,7 @@ fn count_delta(new_type: AgentType) -> u32 {
 
 /// The per-direction transition table of one flip, for the agents whose
 /// type it leaves unchanged.
+#[derive(Clone, Copy)]
 struct Steps<'a> {
     /// [`ClassTable::transitions`] for the flip's direction.
     table: &'a [Transition],
@@ -540,30 +670,106 @@ struct Steps<'a> {
     stride: usize,
     /// The wrapping count delta of the flip.
     delta: u32,
+    /// The direction's loud plus counts, padded with `u32::MAX`; read only
+    /// by the quiet-run check.
+    loud: [u32; ClassTable::MAX_LOUD],
 }
 
 impl Steps<'_> {
     /// Steps the cells of one contiguous `run` of the counts `plus` and
-    /// the field `types`; returns the run's Σ (unhappy delta + 1).
+    /// the field `types`; returns the run's Σ (unhappy delta + 1). With
+    /// `QUIET`, only the run's loud cells are classified.
     // inlined into each of the kernel's three calls: the per-run call
     // cost shows at w = 1, where a run is one to three cells
     #[inline(always)]
-    fn run<T: TrackedSet>(
+    fn run<T: TrackedSet, const QUIET: bool>(
         &self,
         plus: &mut [u32],
         types: &[AgentType],
         run: Range<usize>,
         tracked: &mut T,
     ) -> u32 {
-        let mut biased = 0;
         let first = run.start;
-        for (k, (pc, &ty)) in plus[run.clone()].iter_mut().zip(&types[run]).enumerate() {
+        let cells = &mut plus[run.clone()];
+        let types = &types[run];
+        if QUIET {
+            // a biased 1 per quiet cell; the loud ones are stepped below
+            let mut biased = cells.len() as u32;
+            if !self.add_and_probe(cells) {
+                return biased;
+            }
+            // gather the loud cells' offsets without a branch per cell,
+            // then step them from their old counts in index order
+            const BLOCK: usize = 32;
+            for (b, block) in cells.chunks(BLOCK).enumerate() {
+                let mut loud_at = [0u8; BLOCK];
+                let mut found = 0;
+                for (k, &pc) in block.iter().enumerate() {
+                    // found ≤ k < BLOCK: the modulo only spares a bounds check
+                    loud_at[found % BLOCK] = k as u8;
+                    found += self.is_loud(pc.wrapping_sub(self.delta)) as usize;
+                }
+                for &k in &loud_at[..found] {
+                    let i = b * BLOCK + usize::from(k);
+                    let (old, ty) = (cells[i].wrapping_sub(self.delta), types[i]);
+                    let t = self.table[(ty as usize) * self.stride + old as usize];
+                    biased = biased + t.unhappy_biased() - 1;
+                    t.apply(first + i, ty, tracked);
+                }
+            }
+            return biased;
+        }
+        let mut biased = 0;
+        for (k, (pc, &ty)) in cells.iter_mut().zip(types).enumerate() {
             let t = self.table[(ty as usize) * self.stride + *pc as usize];
             *pc = pc.wrapping_add(self.delta);
             biased += t.unhappy_biased();
             t.apply(first + k, ty, tracked);
         }
         biased
+    }
+
+    /// Adds the delta to every count of `cells`; returns whether any old
+    /// count was loud. Branch-free over four-cell chunks, so each chunk is
+    /// one vector compare-and-add.
+    #[inline(always)]
+    fn add_and_probe(&self, cells: &mut [u32]) -> bool {
+        const LANES: usize = 4;
+        let n = cells.len();
+        let mut hits = [0u32; LANES];
+        if n < LANES {
+            for c in cells {
+                hits[0] |= self.is_loud(*c);
+                *c = c.wrapping_add(self.delta);
+            }
+            return hits[0] != 0;
+        }
+        // the last four cells, read before any add: stepping them after
+        // the whole chunks rewrites the cells those chunks share with them
+        // to the same value, so no run leaves a scalar tail
+        let mut last = [0u32; LANES];
+        last.copy_from_slice(&cells[n - LANES..]);
+        for chunk in cells.chunks_exact_mut(LANES) {
+            for j in 0..LANES {
+                hits[j] |= self.is_loud(chunk[j]);
+                chunk[j] = chunk[j].wrapping_add(self.delta);
+            }
+        }
+        for j in 0..LANES {
+            hits[j] |= self.is_loud(last[j]);
+            last[j] = last[j].wrapping_add(self.delta);
+        }
+        cells[n - LANES..].copy_from_slice(&last);
+        (hits[0] | hits[1] | hits[2] | hits[3]) != 0
+    }
+
+    /// 1 if `count` is one of the loud counts, else 0.
+    #[inline(always)]
+    fn is_loud(&self, count: u32) -> u32 {
+        // spelled out, not looped over `loud`, so that the vector lanes
+        // hold cells rather than loud counts
+        let [l0, l1] = self.loud;
+        u32::from(count == l0) | u32::from(count == l1)
     }
 }
 
@@ -820,6 +1026,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn loud_counts_of_the_paper_rule() {
+        // below ½ (k = 122 of N = 289) an agent crosses a class boundary
+        // only where it turns happy or unhappy: S from k − 1 to k and back
+        let n = 289;
+        let below = threshold_table(n, 122);
+        let up = [121, n - 122]; // Plus at S = k − 1, Minus at S = k
+        let down = [122, n - 121]; // Plus at S = k, Minus at S = k − 1
+        assert_eq!(below.loud[AgentType::Plus as usize], Some(up));
+        assert_eq!(below.loud[AgentType::Minus as usize], Some(down));
+        // above ½ flippable and unhappy part: four counts, over the limit
+        let above = threshold_table(n, 159);
+        assert_eq!(above.loud, [None, None]);
+        // a rule whose class changes only where no stepped agent is
+        let edges = ClassTable::build_same_count(n, |s| (s == 0, s == 0));
+        assert_eq!(edges.loud, [Some([u32::MAX; 2]); 2]);
     }
 
     #[test]
