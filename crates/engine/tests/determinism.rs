@@ -3,7 +3,9 @@
 //! many, for any master seed and any mix of parameters.
 
 use proptest::prelude::*;
-use seg_engine::{Engine, Observer, SweepSpec, Variant};
+use seg_engine::{
+    expected_metric_columns, Engine, FinalState, Observer, Sink, SweepPoint, SweepSpec, Variant,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -112,4 +114,123 @@ fn multi_type_rows_are_byte_identical_at_any_thread_count() {
     for threads in [2, 4] {
         assert_eq!(rows(threads), serial, "{threads} threads");
     }
+}
+
+/// Every variant once, two replicas each, on a small budget. `Probe`
+/// gets a value only from the custom observer.
+fn all_variant_spec() -> SweepSpec {
+    let mut b = SweepSpec::builder();
+    for v in [
+        Variant::Paper,
+        Variant::FlipWhenUnhappy,
+        Variant::Noise(0.02),
+        Variant::Kawasaki,
+        Variant::RingGlauber,
+        Variant::RingKawasaki,
+        Variant::TwoSided { tau_hi: 0.8 },
+        Variant::MultiType { k: 3 },
+        Variant::Probe,
+    ] {
+        b = b.point(SweepPoint::new(24, 1, 0.42).with_variant(v));
+    }
+    b.replicas(2)
+        .master_seed(0x5E67_2017)
+        .max_events(2_000)
+        .build()
+}
+
+/// A custom observer that measures only `Probe` replicas, so its
+/// declared column renders empty on every other row.
+fn probe_draw() -> Observer {
+    Observer::custom_named(["draw"], |_, state, rng| match state {
+        FinalState::Probe => vec![("draw".to_string(), rng.next_f64())],
+        _ => vec![],
+    })
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn scratch_dir() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("seg_engine_determinism_{}", std::process::id()))
+}
+
+fn scratch(name: &str) -> std::path::PathBuf {
+    std::fs::create_dir_all(scratch_dir()).unwrap();
+    scratch_dir().join(name)
+}
+
+/// Byte pins on the buffered CSV, the JSONL rows and the checkpoint
+/// journal of the all-variant sweep under `[TerminalStats, custom]`.
+/// A change to any variant's dynamics, metric columns or row format
+/// moves one of these digests.
+#[test]
+fn all_variant_rows_and_journal_are_pinned() {
+    let spec = all_variant_spec();
+    let observers = [Observer::TerminalStats, probe_draw()];
+    let journal = scratch("golden.ck.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    let result = Engine::new()
+        .threads(1)
+        .run_with_checkpoint(&spec, &observers, &journal)
+        .unwrap();
+    assert!(result.is_complete());
+    let csv = scratch("golden.csv");
+    let jsonl = scratch("golden.jsonl");
+    Sink::Csv(csv.clone()).write(&result).unwrap();
+    Sink::Jsonl(jsonl.clone()).write(&result).unwrap();
+    let digest = |p: &std::path::Path| fnv1a(&std::fs::read(p).unwrap());
+    let got = [digest(&csv), digest(&jsonl), digest(&journal)];
+    for p in [&csv, &jsonl, &journal] {
+        std::fs::remove_file(p).unwrap();
+    }
+    // the last test out removes the shared directory
+    let _ = std::fs::remove_dir(scratch_dir());
+    assert_eq!(
+        got,
+        [
+            0x6f03_4364_97a1_fc79,
+            0x65cb_4ede_dce3_3d27,
+            0x8317_590e_8fc4_e4b2
+        ],
+        "digests {got:#018x?} (csv, jsonl, journal) moved"
+    );
+}
+
+/// The predicted metric columns are the columns the sweep produces,
+/// for every variant and observer mix, and a CSV streamed under the
+/// prediction is the buffered file byte for byte.
+#[test]
+fn predicted_columns_match_what_every_variant_writes() {
+    let spec = all_variant_spec();
+    for (tag, observers) in [
+        ("none", vec![]),
+        ("stats", vec![Observer::TerminalStats]),
+        ("stats_custom", vec![Observer::TerminalStats, probe_draw()]),
+    ] {
+        let columns = expected_metric_columns(&spec, &observers).unwrap();
+        let streamed = scratch(&format!("{tag}.streamed.csv"));
+        let _ = std::fs::remove_file(&streamed);
+        let sink = Sink::Csv(streamed.clone())
+            .stream(&spec, &columns, false)
+            .unwrap();
+        let result = Engine::new()
+            .threads(2)
+            .run_full(&spec, &observers, None, Some(&sink))
+            .unwrap();
+        assert_eq!(columns, result.metric_names(), "{tag}: prediction");
+        let buffered = scratch(&format!("{tag}.buffered.csv"));
+        Sink::Csv(buffered.clone()).write(&result).unwrap();
+        assert_eq!(
+            std::fs::read(&streamed).unwrap(),
+            std::fs::read(&buffered).unwrap(),
+            "{tag}: streamed and buffered CSV differ"
+        );
+        std::fs::remove_file(&streamed).unwrap();
+        std::fs::remove_file(&buffered).unwrap();
+    }
+    let _ = std::fs::remove_dir(scratch_dir());
 }
