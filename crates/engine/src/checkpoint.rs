@@ -32,7 +32,7 @@
 //! [`read_journal`], so a file and an upload body pass one validator.
 
 use crate::replica::ReplicaRecord;
-use crate::sink::format_f64;
+use crate::sink::{create_parent_dirs, format_f64};
 use crate::spec::{ShardIndex, SweepSpec};
 use seg_obs::{json_string, parse_json_string};
 use std::collections::BTreeMap;
@@ -305,7 +305,7 @@ impl Checkpoint {
     /// # Errors
     ///
     /// As [`Checkpoint::resume`].
-    pub fn resume_sharded(
+    pub(crate) fn resume_sharded(
         base: &Path,
         spec: &SweepSpec,
         shard: Option<ShardIndex>,
@@ -339,11 +339,7 @@ impl Checkpoint {
             // would glue onto it and corrupt the journal
             OpenOptions::new().write(true).open(&own)?.set_len(len)?;
         }
-        if let Some(parent) = own.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
+        create_parent_dirs(&own)?;
         let file = OpenOptions::new().create(true).append(true).open(&own)?;
         let mut writer = BufWriter::new(file);
         if needs_header {

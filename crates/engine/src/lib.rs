@@ -76,7 +76,7 @@ pub use checkpoint::{
 };
 pub use cli::{tag_path, EngineArgs, ENGINE_USAGE};
 pub use observe::Observer;
-pub use replica::{variant_metric_names, FinalState, ReplicaRecord};
+pub use replica::{FinalState, ReplicaRecord};
 pub use run::{Engine, PointSummary, ProgressFn, SweepProgress, SweepResult, ThroughputReport};
 pub use sink::{expected_metric_columns, write_summary_csv, Sink, StreamingSink};
 pub use spec::{

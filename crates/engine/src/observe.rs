@@ -5,11 +5,10 @@
 //! deterministic functions of the replica's final state so that sweep
 //! output stays independent of thread count.
 
-use crate::replica::FinalState;
+use crate::replica::{columns, FinalState};
 use crate::spec::ReplicaTask;
 use seg_analysis::csv::write_csv_file;
 use seg_analysis::ppm::{figure1_frame, type_frame};
-use seg_core::metrics::Clusters;
 use seg_core::trace::TracePoint;
 use seg_grid::rng::Xoshiro256pp;
 use std::collections::BTreeMap;
@@ -25,8 +24,10 @@ pub type CustomFn =
 #[derive(Clone)]
 pub enum Observer {
     /// Terminal configuration statistics via [`seg_core::metrics`]:
-    /// `unhappy`, `happy_fraction`, `interface`, `largest_cluster`,
-    /// `plus_fraction` (2-D variants only; ring variants skip it).
+    /// some of `unhappy`, `happy_fraction`, `interface`,
+    /// `largest_cluster` and `plus_fraction`, as the variant's row of the
+    /// column table in [`crate::replica`] declares (the paper variant
+    /// writes all five, the ring variants and `Probe` none).
     TerminalStats,
     /// Time-series of the run via [`seg_core::trace`], written as
     /// `trace_p{point}_r{replica}.csv` under `dir`. Only the paper
@@ -106,30 +107,12 @@ impl Observer {
     }
 
     /// The metric names this observer adds to a replica of `variant` (an
-    /// [`Observer::Custom`] returns its declaration). Kept in lockstep
-    /// with [`Observer::apply`] (enforced by a test); used to predict
-    /// sink columns up front for streaming CSV output.
+    /// [`Observer::Custom`] returns its declaration); used to predict
+    /// sink columns up front for streaming CSV output. TerminalStats'
+    /// names come from the same table its writes go through.
     pub fn metric_names(&self, variant: &crate::spec::Variant) -> Vec<String> {
-        use crate::spec::Variant;
-        fn owned(names: &[&str]) -> Vec<String> {
-            names.iter().map(|s| s.to_string()).collect()
-        }
         match self {
-            Observer::TerminalStats => owned(match variant {
-                Variant::Paper => &[
-                    "unhappy",
-                    "happy_fraction",
-                    "interface",
-                    "largest_cluster",
-                    "plus_fraction",
-                ],
-                Variant::FlipWhenUnhappy | Variant::Noise(_) | Variant::TwoSided { .. } => {
-                    &["unhappy", "interface", "largest_cluster", "plus_fraction"]
-                }
-                Variant::Kawasaki => &["interface", "largest_cluster", "plus_fraction"],
-                Variant::MultiType { .. } => &["unhappy", "largest_cluster"],
-                Variant::RingGlauber | Variant::RingKawasaki | Variant::Probe => &[],
-            }),
+            Observer::TerminalStats => columns(variant).1.iter().map(|s| s.to_string()).collect(),
             // artifact-only observers add no metrics
             Observer::Trace { .. } | Observer::Snapshot { .. } => vec![],
             Observer::Custom { names, .. } => names.to_vec(),
@@ -151,36 +134,10 @@ impl Observer {
     ) -> io::Result<()> {
         match self {
             Observer::TerminalStats => {
-                let (field, unhappy) = match state {
-                    FinalState::Grid(sim) => {
-                        let unhappy = sim.unhappy_count();
-                        let n = sim.torus().len();
-                        metrics.insert("happy_fraction".into(), 1.0 - unhappy as f64 / n as f64);
-                        (sim.field(), Some(unhappy))
-                    }
-                    FinalState::VariantGrid(sim) => (sim.field(), Some(sim.unhappy_count())),
-                    FinalState::Kawasaki(sim) => (sim.field(), None),
-                    FinalState::TwoSided(sim) => (sim.field(), Some(sim.discontent_count())),
-                    FinalState::Multi(sim) => {
-                        metrics.insert("unhappy".into(), sim.unhappy_count() as f64);
-                        metrics.insert("largest_cluster".into(), sim.largest_cluster() as f64);
-                        return Ok(());
-                    }
-                    FinalState::Ring(_) | FinalState::RingKawasaki(_) | FinalState::Probe => {
-                        return Ok(())
-                    }
-                };
-                if let Some(unhappy) = unhappy {
-                    metrics.insert("unhappy".into(), unhappy as f64);
-                }
-                let clusters = Clusters::of_field(field);
-                let n = field.torus().len() as f64;
-                metrics.insert("interface".into(), clusters.interface_length() as f64);
-                metrics.insert("largest_cluster".into(), clusters.largest() as f64);
-                metrics.insert("plus_fraction".into(), field.plus_total() as f64 / n);
+                state.terminal_stats(metrics);
                 Ok(())
             }
-            // the trace is recorded during the run (see `run_replica`)
+            // the trace is recorded during the run (see `FinalState::run`)
             Observer::Trace { .. } => Ok(()),
             Observer::Snapshot { dir } => {
                 let image = match state {
@@ -228,7 +185,7 @@ fn artifact_path(dir: &Path, task: &ReplicaTask, stem: &str, ext: &str) -> PathB
 /// # Errors
 ///
 /// I/O errors from creating the directory or writing the file.
-pub fn write_trace(dir: &Path, task: &ReplicaTask, trace: &[TracePoint]) -> io::Result<()> {
+pub(crate) fn write_trace(dir: &Path, task: &ReplicaTask, trace: &[TracePoint]) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let mut rows: Vec<Vec<String>> = vec![vec![
         "flips".into(),
@@ -252,41 +209,7 @@ pub fn write_trace(dir: &Path, task: &ReplicaTask, trace: &[TracePoint]) -> io::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replica::{run_replica, variant_metric_names};
     use crate::spec::{SweepSpec, Variant};
-
-    #[test]
-    fn terminal_stats_metric_names_match_what_apply_inserts() {
-        for v in [
-            Variant::Paper,
-            Variant::FlipWhenUnhappy,
-            Variant::Noise(0.05),
-            Variant::Kawasaki,
-            Variant::RingGlauber,
-            Variant::RingKawasaki,
-            Variant::TwoSided { tau_hi: 0.9 },
-            Variant::MultiType { k: 3 },
-            Variant::Probe,
-        ] {
-            let spec = SweepSpec::builder()
-                .side(24)
-                .horizon(1)
-                .tau(0.42)
-                .variant(v)
-                .max_events(500)
-                .master_seed(7)
-                .build();
-            let rec = run_replica(&spec.tasks()[0], &[Observer::TerminalStats]);
-            let mut predicted: Vec<String> = variant_metric_names(&v)
-                .into_iter()
-                .map(String::from)
-                .collect();
-            predicted.extend(Observer::TerminalStats.metric_names(&v));
-            predicted.sort_unstable();
-            let actual: Vec<&str> = rec.metrics.keys().map(String::as_str).collect();
-            assert_eq!(predicted, actual, "{v}: prediction diverged");
-        }
-    }
 
     #[test]
     fn artifact_observers_add_no_metrics() {
@@ -294,27 +217,6 @@ mod tests {
         assert!(Observer::Snapshot { dir: "x".into() }
             .metric_names(&v)
             .is_empty());
-    }
-
-    #[test]
-    fn named_custom_observers_declare_their_columns() {
-        let o = Observer::custom_named(["alpha", "beta"], |_, _, _| {
-            vec![("alpha".into(), 1.0), ("beta".into(), 2.0)]
-        });
-        assert_eq!(
-            o.metric_names(&Variant::Paper),
-            vec!["alpha".to_string(), "beta".to_string()]
-        );
-        let spec = SweepSpec::builder()
-            .side(16)
-            .horizon(1)
-            .tau(0.42)
-            .max_events(100)
-            .master_seed(3)
-            .build();
-        let rec = run_replica(&spec.tasks()[0], &[o]);
-        assert_eq!(rec.metrics["alpha"], 1.0);
-        assert_eq!(rec.metrics["beta"], 2.0);
     }
 
     #[test]

@@ -1,8 +1,17 @@
 //! Execution of a single replica and its result record.
+//!
+//! `run_replica` is three generic calls, and their boundaries are where
+//! per-phase timers go: *setup* (`FinalState::build`), *dynamics*
+//! (`FinalState::run`) and *record* (`FinalState::record`, then the
+//! observers). What differs between variants is stated once each here:
+//! construction in `build`, the run in `run`, and metric names in the
+//! `columns` table, which every metric write and the column prediction
+//! ([`crate::sink::expected_metric_columns`]) both read.
 
 use crate::observe::Observer;
 use crate::spec::{ReplicaTask, Variant};
 use seg_core::interval::IntervalSim;
+use seg_core::metrics::Clusters;
 use seg_core::multi::MultiSim;
 use seg_core::ring::{RingKawasaki, RingSim};
 use seg_core::trace::trace_run;
@@ -13,7 +22,58 @@ use seg_grid::{Torus, TypeField};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// The final state of a replica's dynamics, handed to observers.
+/// The column every replica records: its effective events.
+pub(crate) const EVENTS: [&str; 1] = ["events"];
+
+// The metric columns, named after who writes them; `columns` says which
+// are whose.
+const NONE: [&str; 0] = [];
+const PAPER: [&str; 2] = ["sim_time", "terminated"];
+const KAWASAKI: [&str; 1] = ["failed_attempts"];
+const RING: [&str; 2] = ["mean_run", "terminated"];
+const RING_KAWASAKI: [&str; 1] = ["mean_run"];
+const TWO_SIDED: [&str; 2] = ["discontent", "terminated"];
+const MULTI: [&str; 1] = ["terminated"];
+const PAPER_STATS: [&str; 5] = [
+    "unhappy",
+    "happy_fraction",
+    "interface",
+    "largest_cluster",
+    "plus_fraction",
+];
+const FIELD_STATS: [&str; 3] = ["interface", "largest_cluster", "plus_fraction"];
+const UNHAPPY_FIELD_STATS: [&str; 4] = ["unhappy", "interface", "largest_cluster", "plus_fraction"];
+const MULTI_STATS: [&str; 2] = ["unhappy", "largest_cluster"];
+
+/// The table of metric columns: for each variant, the names its dynamics
+/// records besides [`EVENTS`], and the names [`Observer::TerminalStats`]
+/// adds for it. The writes in [`FinalState::record`] and
+/// [`FinalState::terminal_stats`] go through the same constants.
+pub(crate) fn columns(variant: &Variant) -> (&'static [&'static str], &'static [&'static str]) {
+    match variant {
+        Variant::Paper => (&PAPER, &PAPER_STATS),
+        Variant::FlipWhenUnhappy | Variant::Noise(_) => (&NONE, &UNHAPPY_FIELD_STATS),
+        Variant::Kawasaki => (&KAWASAKI, &FIELD_STATS),
+        Variant::RingGlauber => (&RING, &NONE),
+        Variant::RingKawasaki => (&RING_KAWASAKI, &NONE),
+        // TerminalStats counts the discontent agents as `unhappy`
+        Variant::TwoSided { .. } => (&TWO_SIDED, &UNHAPPY_FIELD_STATS),
+        Variant::MultiType { .. } => (&MULTI, &MULTI_STATS),
+        Variant::Probe => (&NONE, &NONE),
+    }
+}
+
+/// Records `values` under the declared `names`, pairwise. The arrays
+/// share their length, so a name added to a constant without its value
+/// (or the reverse) does not compile.
+fn put<const K: usize>(metrics: &mut BTreeMap<String, f64>, names: &[&str; K], values: [f64; K]) {
+    for (name, value) in names.iter().zip(values) {
+        metrics.insert((*name).to_string(), value);
+    }
+}
+
+/// The state of a replica's dynamics: built in setup, advanced by the
+/// run, and handed to observers in its final form.
 #[derive(Clone, Debug)]
 pub enum FinalState {
     /// The paper's process.
@@ -56,6 +116,154 @@ impl FinalState {
             _ => None,
         }
     }
+
+    /// Setup: the task's variant in its seeded initial state.
+    fn build(task: &ReplicaTask) -> FinalState {
+        let p = task.point;
+        let grid = || {
+            ModelConfig::new(p.side, p.horizon, p.tau)
+                .initial_density(p.density)
+                .seed(task.seed)
+                .build()
+        };
+        let variant_grid = |rule| {
+            let mut rng = Xoshiro256pp::seed_from_u64(task.seed);
+            let field = TypeField::random(Torus::new(p.side), p.density, &mut rng);
+            let nsize = (2 * p.horizon + 1) * (2 * p.horizon + 1);
+            let tau = Intolerance::new(nsize, p.tau);
+            FinalState::VariantGrid(VariantSim::from_field(field, p.horizon, tau, rule, rng))
+        };
+        let ring = || RingSim::random(p.side as usize, p.horizon, p.tau, p.density, task.seed);
+        match p.variant {
+            Variant::Paper => FinalState::Grid(grid()),
+            Variant::FlipWhenUnhappy => variant_grid(UpdateRule::FlipWhenUnhappy),
+            Variant::Noise(eps) => variant_grid(UpdateRule::Noise(eps)),
+            Variant::Kawasaki => FinalState::Kawasaki(KawasakiSim::new(grid())),
+            Variant::RingGlauber => FinalState::Ring(ring()),
+            Variant::RingKawasaki => FinalState::RingKawasaki(RingKawasaki::new(ring())),
+            Variant::TwoSided { tau_hi } => FinalState::TwoSided(IntervalSim::random(
+                p.side, p.horizon, p.tau, tau_hi, task.seed,
+            )),
+            Variant::MultiType { k } => {
+                FinalState::Multi(MultiSim::random(p.side, p.horizon, k, p.tau, task.seed))
+            }
+            Variant::Probe => FinalState::Probe,
+        }
+    }
+
+    /// Dynamics: runs to stability or the task's event budget. The paper
+    /// process is traced when an [`Observer::Trace`] asks for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace file cannot be written.
+    fn run(&mut self, task: &ReplicaTask, observers: &[Observer]) {
+        let budget = task.max_events;
+        // whether a run stopped stable is read back from the state in
+        // `record`, so the runs' own return values go unused
+        match self {
+            FinalState::Grid(sim) => {
+                let trace = observers.iter().find_map(|o| match o {
+                    Observer::Trace { sample_every, dir } => Some((*sample_every, dir)),
+                    _ => None,
+                });
+                if let Some((sample_every, dir)) = trace {
+                    let trace = trace_run(sim, sample_every, budget);
+                    crate::observe::write_trace(dir, task, &trace)
+                        .unwrap_or_else(|e| panic!("trace output failed: {e}"));
+                } else {
+                    sim.run_to_stable(budget);
+                }
+            }
+            FinalState::VariantGrid(sim) => _ = sim.run(budget),
+            FinalState::Kawasaki(sim) => _ = sim.run(budget),
+            FinalState::Ring(ring) => _ = ring.run_to_stable(budget),
+            FinalState::RingKawasaki(ring) => _ = ring.run(budget),
+            FinalState::TwoSided(sim) => _ = sim.run(budget),
+            FinalState::Multi(sim) => _ = sim.run(budget),
+            FinalState::Probe => {}
+        }
+    }
+
+    /// Effective events performed: flips, or swaps for Kawasaki runs.
+    fn events(&self) -> u64 {
+        match self {
+            FinalState::Grid(s) => s.flips(),
+            FinalState::VariantGrid(s) => s.flips(),
+            FinalState::Kawasaki(s) => s.swaps(),
+            FinalState::Ring(s) => s.flips(),
+            FinalState::RingKawasaki(s) => s.swaps(),
+            FinalState::TwoSided(s) => s.flips(),
+            FinalState::Multi(s) => s.flips(),
+            FinalState::Probe => 0,
+        }
+    }
+
+    /// Record: the dynamics' own metrics, under the names [`columns`]
+    /// declares for the variant.
+    fn record(&self, m: &mut BTreeMap<String, f64>) {
+        put(m, &EVENTS, [self.events() as f64]);
+        match self {
+            FinalState::Grid(s) => put(m, &PAPER, [s.time(), f64::from(s.is_stable())]),
+            FinalState::Kawasaki(s) => put(m, &KAWASAKI, [s.failed_attempts() as f64]),
+            FinalState::Ring(s) => put(m, &RING, [s.mean_run_length(), f64::from(s.is_stable())]),
+            FinalState::RingKawasaki(s) => put(m, &RING_KAWASAKI, [s.ring().mean_run_length()]),
+            FinalState::TwoSided(s) => put(
+                m,
+                &TWO_SIDED,
+                [
+                    s.discontent_count() as f64,
+                    f64::from(s.flippable_count() == 0),
+                ],
+            ),
+            FinalState::Multi(s) => put(m, &MULTI, [f64::from(s.flippable_count() == 0)]),
+            FinalState::VariantGrid(_) | FinalState::Probe => {}
+        }
+    }
+
+    /// [`Observer::TerminalStats`]' metrics, under the names [`columns`]
+    /// declares for the variant.
+    pub(crate) fn terminal_stats(&self, m: &mut BTreeMap<String, f64>) {
+        // interface length, largest cluster and plus fraction
+        fn field_stats(field: &TypeField) -> [f64; 3] {
+            let clusters = Clusters::of_field(field);
+            let n = field.torus().len() as f64;
+            [
+                clusters.interface_length() as f64,
+                clusters.largest() as f64,
+                field.plus_total() as f64 / n,
+            ]
+        }
+        fn with_unhappy(unhappy: usize, field: &TypeField) -> [f64; 4] {
+            let [interface, largest, plus] = field_stats(field);
+            [unhappy as f64, interface, largest, plus]
+        }
+        match self {
+            FinalState::Grid(s) => {
+                let [unhappy, interface, largest, plus] =
+                    with_unhappy(s.unhappy_count(), s.field());
+                let happy = 1.0 - unhappy / s.torus().len() as f64;
+                put(m, &PAPER_STATS, [unhappy, happy, interface, largest, plus]);
+            }
+            FinalState::VariantGrid(s) => put(
+                m,
+                &UNHAPPY_FIELD_STATS,
+                with_unhappy(s.unhappy_count(), s.field()),
+            ),
+            FinalState::Kawasaki(s) => put(m, &FIELD_STATS, field_stats(s.field())),
+            FinalState::TwoSided(s) => put(
+                m,
+                &UNHAPPY_FIELD_STATS,
+                with_unhappy(s.discontent_count(), s.field()),
+            ),
+            FinalState::Multi(s) => put(
+                m,
+                &MULTI_STATS,
+                [s.unhappy_count() as f64, s.largest_cluster() as f64],
+            ),
+            FinalState::Ring(_) | FinalState::RingKawasaki(_) | FinalState::Probe => {}
+        }
+    }
 }
 
 /// The result of one replica: its task, the effective events it
@@ -84,129 +292,26 @@ impl ReplicaRecord {
     }
 }
 
-/// The metric names [`run_replica`] itself records for a `variant`
-/// replica, before any observer runs — a pure function of the variant,
-/// kept in lockstep with `run_replica`'s inserts (enforced by a test).
-/// Together with [`Observer::metric_names`] this predicts a sweep's
-/// sink columns up front, which is what lets a streaming CSV write its
-/// header before any replica has run.
-pub fn variant_metric_names(variant: &Variant) -> Vec<&'static str> {
-    match variant {
-        Variant::Paper => vec!["events", "sim_time", "terminated"],
-        Variant::FlipWhenUnhappy | Variant::Noise(_) => vec!["events"],
-        Variant::Kawasaki => vec!["events", "failed_attempts"],
-        Variant::RingGlauber => vec!["events", "mean_run", "terminated"],
-        Variant::RingKawasaki => vec!["events", "mean_run"],
-        Variant::TwoSided { .. } => vec!["discontent", "events", "terminated"],
-        Variant::MultiType { .. } => vec!["events", "terminated"],
-        Variant::Probe => vec!["events"],
-    }
-}
-
-/// Runs one replica to completion (or its event budget), applies the
-/// observers, and returns the record.
+/// Runs one replica through setup, dynamics and record, and returns
+/// its record.
 ///
 /// # Panics
 ///
 /// Panics if an observer's file output fails — the sweep is an
 /// experiment run, and a missing output is a failed experiment.
-pub fn run_replica(task: &ReplicaTask, observers: &[Observer]) -> ReplicaRecord {
+pub(crate) fn run_replica(task: &ReplicaTask, observers: &[Observer]) -> ReplicaRecord {
     let t0 = Instant::now();
+    let mut state = FinalState::build(task);
+    state.run(task, observers);
     let mut metrics = BTreeMap::new();
-    let p = task.point;
-    let trace_req = observers.iter().find_map(|o| match o {
-        Observer::Trace { sample_every, dir } => Some((*sample_every, dir.clone())),
-        _ => None,
-    });
-
-    let (state, events) = match p.variant {
-        Variant::Paper => {
-            let mut sim = ModelConfig::new(p.side, p.horizon, p.tau)
-                .initial_density(p.density)
-                .seed(task.seed)
-                .build();
-            if let Some((sample_every, dir)) = trace_req {
-                let trace = trace_run(&mut sim, sample_every, task.max_events);
-                crate::observe::write_trace(&dir, task, &trace)
-                    .unwrap_or_else(|e| panic!("trace output failed: {e}"));
-            } else {
-                sim.run_to_stable(task.max_events);
-            }
-            metrics.insert("sim_time".into(), sim.time());
-            metrics.insert("terminated".into(), f64::from(sim.is_stable()));
-            let events = sim.flips();
-            (FinalState::Grid(sim), events)
-        }
-        Variant::FlipWhenUnhappy | Variant::Noise(_) => {
-            let rule = match p.variant {
-                Variant::FlipWhenUnhappy => UpdateRule::FlipWhenUnhappy,
-                Variant::Noise(eps) => UpdateRule::Noise(eps),
-                _ => unreachable!(),
-            };
-            let torus = Torus::new(p.side);
-            let mut rng = Xoshiro256pp::seed_from_u64(task.seed);
-            let field = TypeField::random(torus, p.density, &mut rng);
-            let nsize = (2 * p.horizon + 1) * (2 * p.horizon + 1);
-            let mut sim =
-                VariantSim::from_field(field, p.horizon, Intolerance::new(nsize, p.tau), rule, rng);
-            sim.run(task.max_events);
-            let events = sim.flips();
-            (FinalState::VariantGrid(sim), events)
-        }
-        Variant::Kawasaki => {
-            let sim = ModelConfig::new(p.side, p.horizon, p.tau)
-                .initial_density(p.density)
-                .seed(task.seed)
-                .build();
-            let mut k = KawasakiSim::new(sim);
-            k.run(task.max_events);
-            metrics.insert("failed_attempts".into(), k.failed_attempts() as f64);
-            let events = k.swaps();
-            (FinalState::Kawasaki(k), events)
-        }
-        Variant::RingGlauber => {
-            let mut ring = RingSim::random(p.side as usize, p.horizon, p.tau, p.density, task.seed);
-            let stable = ring.run_to_stable(task.max_events);
-            metrics.insert("terminated".into(), f64::from(stable));
-            metrics.insert("mean_run".into(), ring.mean_run_length());
-            let events = ring.flips();
-            (FinalState::Ring(ring), events)
-        }
-        Variant::RingKawasaki => {
-            let inner = RingSim::random(p.side as usize, p.horizon, p.tau, p.density, task.seed);
-            let mut k = RingKawasaki::new(inner);
-            k.run(task.max_events);
-            metrics.insert("mean_run".into(), k.ring().mean_run_length());
-            let events = k.swaps();
-            (FinalState::RingKawasaki(k), events)
-        }
-        Variant::TwoSided { tau_hi } => {
-            let mut sim = IntervalSim::random(p.side, p.horizon, p.tau, tau_hi, task.seed);
-            let stable = sim.run(task.max_events);
-            metrics.insert("terminated".into(), f64::from(stable));
-            metrics.insert("discontent".into(), sim.discontent_count() as f64);
-            let events = sim.flips();
-            (FinalState::TwoSided(sim), events)
-        }
-        Variant::MultiType { k } => {
-            let mut sim = MultiSim::random(p.side, p.horizon, k, p.tau, task.seed);
-            let stable = sim.run(task.max_events);
-            metrics.insert("terminated".into(), f64::from(stable));
-            let events = sim.flips();
-            (FinalState::Multi(sim), events)
-        }
-        Variant::Probe => (FinalState::Probe, 0),
-    };
-
-    metrics.insert("events".into(), events as f64);
+    state.record(&mut metrics);
     for o in observers {
         o.apply(task, &state, &mut metrics)
             .unwrap_or_else(|e| panic!("observer output failed: {e}"));
     }
-
     ReplicaRecord {
         task: *task,
-        events,
+        events: state.events(),
         wall_secs: t0.elapsed().as_secs_f64(),
         metrics,
     }
@@ -235,38 +340,6 @@ mod tests {
         assert_eq!(rec.metric("terminated"), Some(1.0));
         assert_eq!(rec.metric("events"), Some(rec.events as f64));
         assert!(rec.metric("sim_time").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn replica_is_a_pure_function_of_its_task() {
-        let t = task_for(Variant::Paper, 500);
-        let a = run_replica(&t, &[]);
-        let b = run_replica(&t, &[]);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn all_variants_execute() {
-        for v in [
-            Variant::Paper,
-            Variant::FlipWhenUnhappy,
-            Variant::Noise(0.05),
-            Variant::Kawasaki,
-            Variant::RingGlauber,
-            Variant::RingKawasaki,
-            Variant::TwoSided { tau_hi: 0.9 },
-            Variant::MultiType { k: 3 },
-            Variant::Probe,
-        ] {
-            let rec = run_replica(&task_for(v, 2_000), &[]);
-            assert!(rec.metrics.contains_key("events"), "{v}: missing events");
-            // the prediction matches what actually ran, exactly
-            let mut predicted: Vec<&str> = variant_metric_names(&v);
-            predicted.sort_unstable();
-            let actual: Vec<&str> = rec.metrics.keys().map(String::as_str).collect();
-            assert_eq!(predicted, actual, "{v}: predicted metrics diverged");
-        }
     }
 
     #[test]

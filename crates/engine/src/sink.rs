@@ -20,12 +20,13 @@
 //! All sinks create missing parent directories instead of erroring on
 //! first write.
 
-use crate::replica::ReplicaRecord;
+use crate::observe::Observer;
+use crate::replica::{columns, ReplicaRecord, EVENTS};
 use crate::run::SweepResult;
 use crate::spec::SweepSpec;
 use seg_analysis::csv::CsvWriter;
 use seg_obs::{json_number, json_string};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -33,7 +34,7 @@ use std::sync::Mutex;
 
 /// Creates the missing ancestors of `path`'s directory, so sweeps can
 /// write their first output into a directory that does not exist yet.
-fn create_parent_dirs(path: &Path) -> io::Result<()> {
+pub(crate) fn create_parent_dirs(path: &Path) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -105,29 +106,22 @@ const BASE_COLUMNS: [&str; 8] = [
 ];
 
 /// Predicts the metric columns a sweep will produce — the sorted union,
-/// over every point's variant, of the dynamics' own metrics
-/// ([`crate::replica::variant_metric_names`]) and each observer's
-/// ([`crate::observe::Observer::metric_names`]) — without running
-/// anything. Always `Some`: every observer declares its metric names
-/// up front (an [`Observer::Custom`](crate::Observer::Custom)
-/// contributes its declaration). The `Option` return type is kept for
-/// existing callers.
+/// over every point's variant, of the dynamics' own metrics (the column
+/// table in [`crate::replica`]) and each observer's
+/// ([`Observer::metric_names`]) — without running anything. Always
+/// `Some`: every observer declares its metric names up front (an
+/// [`Observer::Custom`] contributes its declaration). The `Option`
+/// return type is kept for existing callers.
 ///
 /// The prediction equals [`SweepResult::metric_names`] of the finished
-/// sweep (both sides are property-tested), which is what lets a
-/// streaming CSV sink write the buffered writer's exact header before
-/// the first replica runs.
-pub fn expected_metric_columns(
-    spec: &SweepSpec,
-    observers: &[crate::observe::Observer],
-) -> Option<Vec<String>> {
-    let mut names: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+/// sweep (tested for every variant), which is what lets a streaming CSV
+/// sink write the buffered writer's exact header before the first
+/// replica runs.
+pub fn expected_metric_columns(spec: &SweepSpec, observers: &[Observer]) -> Option<Vec<String>> {
+    let mut names = BTreeSet::new();
     for point in spec.points() {
-        names.extend(
-            crate::replica::variant_metric_names(&point.variant)
-                .into_iter()
-                .map(String::from),
-        );
+        let (own, _) = columns(&point.variant);
+        names.extend(EVENTS.iter().chain(own).map(|s| s.to_string()));
         for o in observers {
             names.extend(o.metric_names(&point.variant));
         }
@@ -345,15 +339,9 @@ impl StreamingSink {
                 None
             };
         let mut next = 0usize;
-        let out = match existing {
-            None => {
-                let mut out = BufWriter::new(File::create(path)?);
-                if let StreamFormat::Csv { metrics } = &format {
-                    out.write_all(&render_csv_row(&csv_header(metrics)))?;
-                    out.flush()?;
-                }
-                out
-            }
+        // the writer, and whether the file is empty and needs the header
+        let (mut out, empty) = match existing {
+            None => (BufWriter::new(File::create(path)?), true),
             Some(text) => {
                 // a torn trailing line (the previous run died mid-write)
                 // is dropped and overwritten, like a torn journal line
@@ -419,16 +407,14 @@ impl StreamingSink {
                 }
                 let file = OpenOptions::new().write(true).open(path)?;
                 file.set_len(complete_len as u64)?;
-                let mut out = BufWriter::new(OpenOptions::new().append(true).open(path)?);
-                if complete_len == 0 {
-                    if let StreamFormat::Csv { metrics } = &format {
-                        out.write_all(&render_csv_row(&csv_header(metrics)))?;
-                        out.flush()?;
-                    }
-                }
-                out
+                let out = BufWriter::new(OpenOptions::new().append(true).open(path)?);
+                (out, complete_len == 0)
             }
         };
+        if let (true, StreamFormat::Csv { metrics }) = (empty, &format) {
+            out.write_all(&render_csv_row(&csv_header(metrics)))?;
+            out.flush()?;
+        }
         Ok(StreamingSink {
             format,
             state: Mutex::new(StreamState {
@@ -487,7 +473,8 @@ impl StreamingSink {
     }
 
     /// How many rows are on disk (the in-order prefix released so far).
-    pub fn rows_written(&self) -> usize {
+    #[cfg(test)]
+    fn rows_written(&self) -> usize {
         self.state.lock().expect("streaming sink poisoned").next
     }
 
@@ -597,29 +584,6 @@ mod tests {
             assert!(line.contains("\"variant\":\"paper\""));
             assert!(line.contains("\"events\":"));
         }
-    }
-
-    #[test]
-    fn sink_output_is_thread_count_invariant() {
-        let spec = SweepSpec::builder()
-            .side(32)
-            .horizon(1)
-            .tau(0.42)
-            .replicas(4)
-            .master_seed(9)
-            .build();
-        let p1 = tmp("t1.csv");
-        let p4 = tmp("t4.csv");
-        Sink::Csv(p1.clone())
-            .write(&Engine::new().threads(1).run(&spec, &[]))
-            .unwrap();
-        Sink::Csv(p4.clone())
-            .write(&Engine::new().threads(4).run(&spec, &[]))
-            .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&p1).unwrap(),
-            std::fs::read_to_string(&p4).unwrap()
-        );
     }
 
     #[test]

@@ -200,29 +200,43 @@ fn all_variant_rows_and_journal_are_pinned() {
     );
 }
 
-/// The predicted metric columns are the columns the sweep produces,
-/// for every variant and observer mix, and a CSV streamed under the
-/// prediction is the buffered file byte for byte.
+/// The predicted metric columns are the columns the sweep produces, for
+/// the all-variant sweep under every observer mix and for each variant
+/// alone, and a CSV streamed under the prediction is the buffered file
+/// byte for byte.
 #[test]
 fn predicted_columns_match_what_every_variant_writes() {
-    let spec = all_variant_spec();
-    for (tag, observers) in [
-        ("none", vec![]),
-        ("stats", vec![Observer::TerminalStats]),
-        ("stats_custom", vec![Observer::TerminalStats, probe_draw()]),
-    ] {
-        let columns = expected_metric_columns(&spec, &observers).unwrap();
-        let streamed = scratch(&format!("{tag}.streamed.csv"));
+    let all = all_variant_spec();
+    let mut cases = vec![
+        (all.clone(), vec![]),
+        (all.clone(), vec![Observer::TerminalStats]),
+        (all.clone(), vec![Observer::TerminalStats, probe_draw()]),
+    ];
+    // alone, a variant's prediction must be exactly its own columns
+    for point in all.points() {
+        let one = SweepSpec::builder()
+            .point(*point)
+            .replicas(2)
+            .master_seed(all.master_seed())
+            .max_events(all.max_events())
+            .build();
+        cases.push((one.clone(), vec![]));
+        cases.push((one, vec![Observer::TerminalStats]));
+    }
+    for (k, (spec, observers)) in cases.iter().enumerate() {
+        let tag = format!("case {k} ({} points, {observers:?})", spec.points().len());
+        let columns = expected_metric_columns(spec, observers).unwrap();
+        let streamed = scratch(&format!("{k}.streamed.csv"));
         let _ = std::fs::remove_file(&streamed);
         let sink = Sink::Csv(streamed.clone())
-            .stream(&spec, &columns, false)
+            .stream(spec, &columns, false)
             .unwrap();
         let result = Engine::new()
             .threads(2)
-            .run_full(&spec, &observers, None, Some(&sink))
+            .run_full(spec, observers, None, Some(&sink))
             .unwrap();
         assert_eq!(columns, result.metric_names(), "{tag}: prediction");
-        let buffered = scratch(&format!("{tag}.buffered.csv"));
+        let buffered = scratch(&format!("{k}.buffered.csv"));
         Sink::Csv(buffered.clone()).write(&result).unwrap();
         assert_eq!(
             std::fs::read(&streamed).unwrap(),
