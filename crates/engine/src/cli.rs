@@ -372,6 +372,90 @@ mod tests {
     }
 
     #[test]
+    fn streamed_csv_is_byte_identical_to_buffered_csv() {
+        use crate::observe::Observer;
+        use crate::run::Engine;
+        use crate::spec::Variant;
+        let dir = std::env::temp_dir().join("seg_engine_cli_stream_csv");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // a mixed-variant sweep: the column union spans variants
+        let spec = SweepSpec::builder()
+            .side(24)
+            .horizon(1)
+            .tau(0.42)
+            .variants([Variant::Paper, Variant::RingGlauber, Variant::Kawasaki])
+            .replicas(2)
+            .max_events(500)
+            .master_seed(13)
+            .build();
+        let observers = [Observer::TerminalStats];
+        let streamed = dir.join("rows.csv");
+        let (a, _) = EngineArgs::parse(&[
+            "--out".to_string(),
+            streamed.to_string_lossy().into_owned(),
+            "--stream".to_string(),
+            "--threads".to_string(),
+            "2".to_string(),
+        ])
+        .unwrap();
+        a.run(&spec, &observers).unwrap();
+        let buffered = dir.join("buffered.csv");
+        let result = Engine::new().threads(1).run(&spec, &observers);
+        Sink::Csv(buffered.clone()).write(&result).unwrap();
+        assert_eq!(
+            std::fs::read(&buffered).unwrap(),
+            std::fs::read(&streamed).unwrap(),
+            "streamed CSV differs from buffered CSV"
+        );
+    }
+
+    #[test]
+    fn streamed_csv_works_with_a_named_custom_observer() {
+        use crate::observe::Observer;
+        use crate::run::Engine;
+        let dir = std::env::temp_dir().join("seg_engine_cli_stream_custom_named");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = SweepSpec::builder()
+            .side(24)
+            .horizon(1)
+            .tau(0.42)
+            .replicas(2)
+            .max_events(500)
+            .master_seed(13)
+            .build();
+        let make_observers = || {
+            [Observer::custom_named(["zeta_score"], |task, _, _| {
+                vec![("zeta_score".into(), task.replica as f64 * 0.5)]
+            })]
+        };
+        let streamed = dir.join("rows.csv");
+        let (a, _) = EngineArgs::parse(&[
+            "--out".to_string(),
+            streamed.to_string_lossy().into_owned(),
+            "--stream".to_string(),
+            "--threads".to_string(),
+            "2".to_string(),
+        ])
+        .unwrap();
+        a.run(&spec, &make_observers()).unwrap();
+        let buffered = dir.join("buffered.csv");
+        let result = Engine::new().threads(1).run(&spec, &make_observers());
+        Sink::Csv(buffered.clone()).write(&result).unwrap();
+        assert_eq!(
+            std::fs::read(&buffered).unwrap(),
+            std::fs::read(&streamed).unwrap(),
+            "streamed CSV differs from buffered CSV"
+        );
+        let header = std::fs::read_to_string(&streamed).unwrap();
+        assert!(
+            header.lines().next().unwrap().contains("zeta_score"),
+            "declared column missing from header"
+        );
+    }
+
+    #[test]
     fn run_named_writes_buffered_rows_where_it_streams_them() {
         use crate::observe::Observer;
         let dir = std::env::temp_dir().join("seg_engine_cli_named_rows");

@@ -209,6 +209,7 @@ pub(crate) fn write_trace(dir: &Path, task: &ReplicaTask, trace: &[TracePoint]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::run_replica;
     use crate::spec::{SweepSpec, Variant};
 
     #[test]
@@ -217,6 +218,27 @@ mod tests {
         assert!(Observer::Snapshot { dir: "x".into() }
             .metric_names(&v)
             .is_empty());
+    }
+
+    #[test]
+    fn named_custom_observers_declare_their_columns() {
+        let o = Observer::custom_named(["alpha", "beta"], |_, _, _| {
+            vec![("alpha".into(), 1.0), ("beta".into(), 2.0)]
+        });
+        assert_eq!(
+            o.metric_names(&Variant::Paper),
+            vec!["alpha".to_string(), "beta".to_string()]
+        );
+        let spec = SweepSpec::builder()
+            .side(16)
+            .horizon(1)
+            .tau(0.42)
+            .max_events(100)
+            .master_seed(3)
+            .build();
+        let rec = run_replica(&spec.tasks()[0], &[o]);
+        assert_eq!(rec.metrics["alpha"], 1.0);
+        assert_eq!(rec.metrics["beta"], 2.0);
     }
 
     #[test]

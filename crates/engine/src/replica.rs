@@ -5,8 +5,12 @@
 //! (`FinalState::run`) and *record* (`FinalState::record`, then the
 //! observers). What differs between variants is stated once each here:
 //! construction in `build`, the run in `run`, and metric names in the
-//! `columns` table, which every metric write and the column prediction
-//! ([`crate::sink::expected_metric_columns`]) both read.
+//! constants of the `columns` table, which every metric write and the
+//! column prediction ([`crate::sink::expected_metric_columns`]) both
+//! read. The writes pick their constant by the final state, not through
+//! `columns`; a write that picks another variant's constant is caught by
+//! `predicted_columns_match_what_every_variant_writes` in
+//! `tests/determinism.rs`, which checks each variant alone.
 
 use crate::observe::Observer;
 use crate::spec::{ReplicaTask, Variant};
@@ -48,7 +52,8 @@ const MULTI_STATS: [&str; 2] = ["unhappy", "largest_cluster"];
 /// The table of metric columns: for each variant, the names its dynamics
 /// records besides [`EVENTS`], and the names [`Observer::TerminalStats`]
 /// adds for it. The writes in [`FinalState::record`] and
-/// [`FinalState::terminal_stats`] go through the same constants.
+/// [`FinalState::terminal_stats`] name the same constants (see the
+/// module doc for what checks that they name the right ones).
 pub(crate) fn columns(variant: &Variant) -> (&'static [&'static str], &'static [&'static str]) {
     match variant {
         Variant::Paper => (&PAPER, &PAPER_STATS),
@@ -65,7 +70,8 @@ pub(crate) fn columns(variant: &Variant) -> (&'static [&'static str], &'static [
 
 /// Records `values` under the declared `names`, pairwise. The arrays
 /// share their length, so a name added to a constant without its value
-/// (or the reverse) does not compile.
+/// (or the reverse) does not compile; which constant is passed is not
+/// checked here.
 fn put<const K: usize>(metrics: &mut BTreeMap<String, f64>, names: &[&str; K], values: [f64; K]) {
     for (name, value) in names.iter().zip(values) {
         metrics.insert((*name).to_string(), value);
@@ -340,6 +346,33 @@ mod tests {
         assert_eq!(rec.metric("terminated"), Some(1.0));
         assert_eq!(rec.metric("events"), Some(rec.events as f64));
         assert!(rec.metric("sim_time").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn replica_is_a_pure_function_of_its_task() {
+        let t = task_for(Variant::Paper, 500);
+        let a = run_replica(&t, &[]);
+        let b = run_replica(&t, &[]);
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(a.events, b.events);
+    }
+
+    #[test]
+    fn all_variants_execute() {
+        for v in [
+            Variant::Paper,
+            Variant::FlipWhenUnhappy,
+            Variant::Noise(0.05),
+            Variant::Kawasaki,
+            Variant::RingGlauber,
+            Variant::RingKawasaki,
+            Variant::TwoSided { tau_hi: 0.9 },
+            Variant::MultiType { k: 3 },
+            Variant::Probe,
+        ] {
+            let rec = run_replica(&task_for(v, 2_000), &[]);
+            assert!(rec.metrics.contains_key("events"), "{v}: missing events");
+        }
     }
 
     #[test]

@@ -669,6 +669,7 @@ impl SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Variant;
 
     fn small_spec() -> SweepSpec {
         SweepSpec::builder()
@@ -687,6 +688,18 @@ mod tests {
         assert_eq!(result.records().len(), spec.task_count());
         for (i, r) in result.records().iter().enumerate() {
             assert_eq!(r.task.task_index, i);
+        }
+    }
+
+    #[test]
+    fn results_identical_across_thread_counts() {
+        let spec = small_spec();
+        let a = Engine::new().threads(1).run(&spec, &[]);
+        let b = Engine::new().threads(4).run(&spec, &[]);
+        for (x, y) in a.records().iter().zip(b.records()) {
+            assert_eq!(x.task.seed, y.task.seed);
+            assert_eq!(x.events, y.events);
+            assert_eq!(x.metrics, y.metrics);
         }
     }
 
@@ -983,5 +996,19 @@ mod tests {
             .run_with_checkpoint(&spec, &[], &dir.join("ck.jsonl"))
             .unwrap();
         assert!(writes.get() >= w0 + spec.task_count() as u64);
+    }
+
+    #[test]
+    fn ring_points_skip_grid_metrics() {
+        let spec = SweepSpec::builder()
+            .side(200)
+            .horizon(2)
+            .tau(0.3)
+            .variant(Variant::RingGlauber)
+            .max_events(10_000)
+            .build();
+        let result = Engine::new().threads(1).run(&spec, &[]);
+        assert!(result.summarize("mean_run").len() == 1);
+        assert!(result.summarize("interface").is_empty());
     }
 }

@@ -587,6 +587,29 @@ mod tests {
     }
 
     #[test]
+    fn sink_output_is_thread_count_invariant() {
+        let spec = SweepSpec::builder()
+            .side(32)
+            .horizon(1)
+            .tau(0.42)
+            .replicas(4)
+            .master_seed(9)
+            .build();
+        let p1 = tmp("t1.csv");
+        let p4 = tmp("t4.csv");
+        Sink::Csv(p1.clone())
+            .write(&Engine::new().threads(1).run(&spec, &[]))
+            .unwrap();
+        Sink::Csv(p4.clone())
+            .write(&Engine::new().threads(4).run(&spec, &[]))
+            .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&p1).unwrap(),
+            std::fs::read_to_string(&p4).unwrap()
+        );
+    }
+
+    #[test]
     fn summary_csv_aggregates_per_point() {
         let r = result();
         let path = tmp("summary.csv");

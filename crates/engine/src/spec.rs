@@ -62,31 +62,19 @@ pub enum Variant {
 }
 
 impl Variant {
-    /// Every variant a flag can name, each with a stand-in parameter.
-    const FLAGGED: [Variant; 8] = [
-        Variant::Paper,
-        Variant::FlipWhenUnhappy,
-        Variant::Noise(0.0),
-        Variant::Kawasaki,
-        Variant::RingGlauber,
-        Variant::RingKawasaki,
-        Variant::TwoSided { tau_hi: 0.0 },
-        Variant::MultiType { k: 2 },
-    ];
-
-    /// The variant's name and, when it has one, its parameter's
-    /// placeholder and value: the one spelling that [`Variant::label`],
-    /// [`Variant::flag`] and parsing share.
-    fn name_and_parameter(&self) -> (&'static str, Option<(&'static str, &dyn fmt::Display)>) {
+    /// The variant's name and, when it has one, its parameter: the one
+    /// spelling that [`Variant::label`] and [`Variant::flag`] share.
+    fn name_and_parameter(&self) -> (&'static str, Option<&dyn fmt::Display>) {
         match self {
             Variant::Paper => ("paper", None),
             Variant::FlipWhenUnhappy => ("flip-when-unhappy", None),
-            Variant::Noise(eps) => ("noise", Some(("EPS", eps))),
+            Variant::Noise(eps) => ("noise", Some(eps)),
             Variant::Kawasaki => ("kawasaki", None),
             Variant::RingGlauber => ("ring-glauber", None),
             Variant::RingKawasaki => ("ring-kawasaki", None),
-            Variant::TwoSided { tau_hi } => ("two-sided", Some(("TAU_HI", tau_hi))),
-            Variant::MultiType { k } => ("multi", Some(("K", k))),
+            Variant::TwoSided { tau_hi } => ("two-sided", Some(tau_hi)),
+            Variant::MultiType { k } => ("multi", Some(k)),
+            // not constructible from a flag, so never round-tripped
             Variant::Probe => ("probe", None),
         }
     }
@@ -95,19 +83,18 @@ impl Variant {
     pub fn label(&self) -> String {
         match self.name_and_parameter() {
             (name, None) => name.into(),
-            (name, Some((_, value))) => format!("{name}({value})"),
+            (name, Some(value)) => format!("{name}({value})"),
         }
     }
 
     /// The flag spelling that [parses](str::parse) back to this variant
     /// (`noise:EPS`, `two-sided:TAU_HI`, `multi:K`, plain names
     /// otherwise) — what `--variant` takes on the command line and the
-    /// serve API takes in request bodies. [`Variant::Probe`]'s flag does
-    /// not parse.
+    /// serve API takes in request bodies.
     pub fn flag(&self) -> String {
         match self.name_and_parameter() {
             (name, None) => name.into(),
-            (name, Some((_, value))) => format!("{name}:{value}"),
+            (name, Some(value)) => format!("{name}:{value}"),
         }
     }
 }
@@ -125,37 +112,33 @@ impl std::str::FromStr for Variant {
     /// is deliberately not parseable — it only makes sense with a
     /// programmatic [`Observer::Custom`](crate::Observer::Custom).
     fn from_str(raw: &str) -> Result<Self, String> {
-        let (name, value) = match raw.split_once(':') {
-            Some((name, value)) => (name, Some(value)),
-            None => (raw, None),
-        };
-        let kind = Variant::FLAGGED
-            .into_iter()
-            .find(|v| v.name_and_parameter().0 == name);
-        let bad = |e: &dyn fmt::Display| format!("{name}: {e}");
-        match (kind, value) {
-            (Some(Variant::Noise(_)), Some(eps)) => {
-                eps.parse().map(Variant::Noise).map_err(|e| bad(&e))
+        match raw {
+            "paper" => Ok(Variant::Paper),
+            "flip-when-unhappy" => Ok(Variant::FlipWhenUnhappy),
+            "kawasaki" => Ok(Variant::Kawasaki),
+            "ring-glauber" => Ok(Variant::RingGlauber),
+            "ring-kawasaki" => Ok(Variant::RingKawasaki),
+            other => {
+                if let Some(eps) = other.strip_prefix("noise:") {
+                    let eps: f64 = eps.parse().map_err(|e| format!("noise: {e}"))?;
+                    Ok(Variant::Noise(eps))
+                } else if let Some(hi) = other.strip_prefix("two-sided:") {
+                    let tau_hi: f64 = hi.parse().map_err(|e| format!("two-sided: {e}"))?;
+                    Ok(Variant::TwoSided { tau_hi })
+                } else if let Some(k) = other.strip_prefix("multi:") {
+                    let k: u8 = k.parse().map_err(|e| format!("multi: {e}"))?;
+                    if k < 2 {
+                        return Err("multi:K needs at least two types".into());
+                    }
+                    Ok(Variant::MultiType { k })
+                } else {
+                    Err(format!(
+                        "unknown variant {other} (expected paper, flip-when-unhappy, \
+                         noise:EPS, kawasaki, ring-glauber, ring-kawasaki, \
+                         two-sided:TAU_HI, multi:K)"
+                    ))
+                }
             }
-            (Some(Variant::TwoSided { .. }), Some(hi)) => hi
-                .parse()
-                .map(|tau_hi| Variant::TwoSided { tau_hi })
-                .map_err(|e| bad(&e)),
-            (Some(Variant::MultiType { .. }), Some(k)) => match k.parse() {
-                Ok(k) if k >= 2 => Ok(Variant::MultiType { k }),
-                Ok(_) => Err("multi:K needs at least two types".into()),
-                Err(e) => Err(bad(&e)),
-            },
-            (Some(v), None) if v.name_and_parameter().1.is_none() => Ok(v),
-            _ => Err(format!(
-                "unknown variant {raw} (expected {})",
-                Variant::FLAGGED
-                    .map(|v| match v.name_and_parameter() {
-                        (name, None) => name.to_string(),
-                        (name, Some((placeholder, _))) => format!("{name}:{placeholder}"),
-                    })
-                    .join(", ")
-            )),
         }
     }
 }
