@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 /// derivation for both their per-sweep checkpoint journals
 /// ([`EngineArgs::run_named`]) and their per-sweep sink files, so the
 /// two families of outputs always correspond.
-pub fn tag_path(path: &Path, name: &str, default_stem: &str, default_ext: &str) -> PathBuf {
+pub(crate) fn tag_path(path: &Path, name: &str, default_stem: &str, default_ext: &str) -> PathBuf {
     if name.is_empty() {
         return path.to_path_buf();
     }
@@ -65,11 +65,11 @@ pub struct EngineArgs {
     pub seed: Option<u64>,
     /// Per-replica output file (`.jsonl` selects JSON Lines, anything
     /// else CSV).
-    pub out: Option<PathBuf>,
+    pub(crate) out: Option<PathBuf>,
     /// Replicas per point, when given on the command line.
     pub replicas: Option<u32>,
     /// Checkpoint journal for resumable sweeps.
-    pub checkpoint: Option<PathBuf>,
+    pub(crate) checkpoint: Option<PathBuf>,
     /// Run only one shard of the task list (`--shard I/M`), journaling
     /// to a shard journal next to the `--checkpoint` path.
     pub shard: Option<ShardIndex>,
@@ -78,7 +78,7 @@ pub struct EngineArgs {
     /// predicted metric columns
     /// ([`expected_metric_columns`](crate::sink::expected_metric_columns)),
     /// so this works for both formats.
-    pub stream: bool,
+    pub(crate) stream: bool,
 }
 
 impl Default for EngineArgs {
@@ -182,7 +182,7 @@ impl EngineArgs {
     /// An [`Engine`] configured from these flags (progress on when a sink
     /// or checkpoint is requested, since those runs tend to be the long
     /// ones; sharded when `--shard` was given).
-    pub fn engine(&self) -> Engine {
+    pub(crate) fn engine(&self) -> Engine {
         let engine = Engine::new()
             .threads(self.threads)
             .progress(self.out.is_some() || self.checkpoint.is_some());
@@ -196,7 +196,7 @@ impl EngineArgs {
     /// selects JSON Lines, anything else CSV). A non-empty `name` tags the
     /// path the way [`EngineArgs::run_named`] tags the checkpoint
     /// (`rows.csv` → `rows-name.csv`).
-    pub fn sink(&self, name: &str) -> Option<Sink> {
+    pub(crate) fn sink(&self, name: &str) -> Option<Sink> {
         self.out.as_ref().map(|p| {
             if p.extension().is_some_and(|e| e == "jsonl") {
                 Sink::Jsonl(tag_path(p, name, "rows", "jsonl"))
@@ -227,7 +227,7 @@ impl EngineArgs {
     /// [`EngineArgs::run`] for binaries that run several sweeps: a
     /// non-empty `name` derives a per-sweep journal from the
     /// `--checkpoint` path (`ckpt.jsonl` → `ckpt-name.jsonl`) and a
-    /// per-sweep output from the `--out` path ([`EngineArgs::sink`]), so
+    /// per-sweep output from the `--out` path (`EngineArgs::sink`), so
     /// each sweep resumes independently and writes its own rows.
     ///
     /// Streamed or buffered, the rows land in the same file with the same

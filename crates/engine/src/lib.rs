@@ -15,9 +15,9 @@
 //!   splitting the master seed, so results are **bit-identical at any
 //!   thread count**;
 //! - [`Observer`] — pluggable per-replica measurements: terminal
-//!   statistics ([`seg_core::metrics`]), time-series traces
-//!   ([`seg_core::trace`]), snapshots ([`seg_analysis::ppm`]), or custom
-//!   closures with a replica-seeded RNG;
+//!   statistics ([`seg_core::metrics`]), snapshots
+//!   ([`seg_analysis::ppm`]), or custom closures with a replica-seeded
+//!   RNG;
 //! - [`Sink`] — structured CSV / JSON-Lines output plus aggregated
 //!   summaries through [`seg_analysis::stats`] and
 //!   [`seg_analysis::bootstrap`];
@@ -61,23 +61,25 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub mod checkpoint;
-pub mod cli;
-pub mod observe;
-pub mod replica;
-pub mod run;
-pub mod sink;
-pub mod spec;
+mod checkpoint;
+mod cli;
+mod observe;
+mod replica;
+mod run;
+mod sink;
+mod spec;
 
 pub use checkpoint::{
     find_shard_journals, header_line, read_journal, record_line, shard_journal_path,
     spec_fingerprint, Checkpoint, CheckpointError, Journal, JournalError,
 };
-pub use cli::{tag_path, EngineArgs, ENGINE_USAGE};
+pub use cli::{EngineArgs, ENGINE_USAGE};
 pub use observe::Observer;
 pub use replica::{FinalState, ReplicaRecord};
-pub use run::{Engine, PointSummary, ProgressFn, SweepProgress, SweepResult, ThroughputReport};
+pub use run::{Engine, PointSummary, SweepProgress, SweepResult, ThroughputReport};
 pub use sink::{expected_metric_columns, write_summary_csv, Sink, StreamingSink};
 pub use spec::{
     derive_replica_seed, ReplicaTask, SeedMode, ShardIndex, SweepPoint, SweepSpec,

@@ -7,9 +7,7 @@
 
 use crate::replica::{columns, FinalState};
 use crate::spec::ReplicaTask;
-use seg_analysis::csv::write_csv_file;
 use seg_analysis::ppm::{figure1_frame, type_frame};
-use seg_core::trace::TracePoint;
 use seg_grid::rng::Xoshiro256pp;
 use std::collections::BTreeMap;
 use std::io;
@@ -17,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A custom observer: maps a finished replica to named metric values.
-pub type CustomFn =
+pub(crate) type CustomFn =
     dyn Fn(&ReplicaTask, &FinalState, &mut Xoshiro256pp) -> Vec<(String, f64)> + Send + Sync;
 
 /// What to measure or save for every replica of a sweep.
@@ -26,18 +24,9 @@ pub enum Observer {
     /// Terminal configuration statistics via [`seg_core::metrics`]:
     /// some of `unhappy`, `happy_fraction`, `interface`,
     /// `largest_cluster` and `plus_fraction`, as the variant's row of the
-    /// column table in [`crate::replica`] declares (the paper variant
-    /// writes all five, the ring variants and `Probe` none).
+    /// column table in the engine's `replica` module declares (the paper
+    /// variant writes all five, the ring variants and `Probe` none).
     TerminalStats,
-    /// Time-series of the run via [`seg_core::trace`], written as
-    /// `trace_p{point}_r{replica}.csv` under `dir`. Only the paper
-    /// variant is traced; other variants run untraced.
-    Trace {
-        /// Sampling interval in flips.
-        sample_every: u64,
-        /// Output directory (created if absent).
-        dir: PathBuf,
-    },
     /// Final-configuration snapshot via [`seg_analysis::ppm`], written as
     /// `snap_p{point}_r{replica}.ppm` under `dir` (Figure 1 colors for
     /// the paper variant, plain type colors otherwise).
@@ -64,11 +53,6 @@ impl std::fmt::Debug for Observer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Observer::TerminalStats => f.write_str("TerminalStats"),
-            Observer::Trace { sample_every, dir } => f
-                .debug_struct("Trace")
-                .field("sample_every", sample_every)
-                .field("dir", dir)
-                .finish(),
             Observer::Snapshot { dir } => f.debug_struct("Snapshot").field("dir", dir).finish(),
             Observer::Custom { names, .. } => f
                 .debug_struct("Custom")
@@ -110,11 +94,11 @@ impl Observer {
     /// [`Observer::Custom`] returns its declaration); used to predict
     /// sink columns up front for streaming CSV output. TerminalStats'
     /// names come from the same table its writes go through.
-    pub fn metric_names(&self, variant: &crate::spec::Variant) -> Vec<String> {
+    pub(crate) fn metric_names(&self, variant: &crate::spec::Variant) -> Vec<String> {
         match self {
             Observer::TerminalStats => columns(variant).1.iter().map(|s| s.to_string()).collect(),
             // artifact-only observers add no metrics
-            Observer::Trace { .. } | Observer::Snapshot { .. } => vec![],
+            Observer::Snapshot { .. } => vec![],
             Observer::Custom { names, .. } => names.to_vec(),
         }
     }
@@ -137,8 +121,6 @@ impl Observer {
                 state.terminal_stats(metrics);
                 Ok(())
             }
-            // the trace is recorded during the run (see `FinalState::run`)
-            Observer::Trace { .. } => Ok(()),
             Observer::Snapshot { dir } => {
                 let image = match state {
                     FinalState::Grid(sim) => Some(figure1_frame(sim)),
@@ -178,32 +160,6 @@ fn artifact_path(dir: &Path, task: &ReplicaTask, stem: &str, ext: &str) -> PathB
         "{stem}_p{}_r{}.{ext}",
         task.point_index, task.replica
     ))
-}
-
-/// Writes one replica's trace as `trace_p{point}_r{replica}.csv`.
-///
-/// # Errors
-///
-/// I/O errors from creating the directory or writing the file.
-pub(crate) fn write_trace(dir: &Path, task: &ReplicaTask, trace: &[TracePoint]) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let mut rows: Vec<Vec<String>> = vec![vec![
-        "flips".into(),
-        "time".into(),
-        "unhappy".into(),
-        "interface".into(),
-        "largest_cluster".into(),
-    ]];
-    for p in trace {
-        rows.push(vec![
-            p.flips.to_string(),
-            format!("{:.6}", p.time),
-            p.stats.unhappy.to_string(),
-            p.stats.interface_length.to_string(),
-            p.stats.largest_cluster.to_string(),
-        ]);
-    }
-    write_csv_file(&artifact_path(dir, task, "trace", "csv"), &rows)
 }
 
 #[cfg(test)]

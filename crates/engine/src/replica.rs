@@ -18,7 +18,6 @@ use seg_core::interval::IntervalSim;
 use seg_core::metrics::Clusters;
 use seg_core::multi::MultiSim;
 use seg_core::ring::{RingKawasaki, RingSim};
-use seg_core::trace::trace_run;
 use seg_core::variants::{KawasakiSim, UpdateRule, VariantSim};
 use seg_core::{Intolerance, ModelConfig, Simulation};
 use seg_grid::rng::Xoshiro256pp;
@@ -157,30 +156,12 @@ impl FinalState {
         }
     }
 
-    /// Dynamics: runs to stability or the task's event budget. The paper
-    /// process is traced when an [`Observer::Trace`] asks for it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace file cannot be written.
-    fn run(&mut self, task: &ReplicaTask, observers: &[Observer]) {
-        let budget = task.max_events;
+    /// Dynamics: runs to stability or the task's event budget.
+    fn run(&mut self, budget: u64) {
         // whether a run stopped stable is read back from the state in
         // `record`, so the runs' own return values go unused
         match self {
-            FinalState::Grid(sim) => {
-                let trace = observers.iter().find_map(|o| match o {
-                    Observer::Trace { sample_every, dir } => Some((*sample_every, dir)),
-                    _ => None,
-                });
-                if let Some((sample_every, dir)) = trace {
-                    let trace = trace_run(sim, sample_every, budget);
-                    crate::observe::write_trace(dir, task, &trace)
-                        .unwrap_or_else(|e| panic!("trace output failed: {e}"));
-                } else {
-                    sim.run_to_stable(budget);
-                }
-            }
+            FinalState::Grid(sim) => _ = sim.run_to_stable(budget),
             FinalState::VariantGrid(sim) => _ = sim.run(budget),
             FinalState::Kawasaki(sim) => _ = sim.run(budget),
             FinalState::Ring(ring) => _ = ring.run_to_stable(budget),
@@ -308,7 +289,7 @@ impl ReplicaRecord {
 pub(crate) fn run_replica(task: &ReplicaTask, observers: &[Observer]) -> ReplicaRecord {
     let t0 = Instant::now();
     let mut state = FinalState::build(task);
-    state.run(task, observers);
+    state.run(task.max_events);
     let mut metrics = BTreeMap::new();
     state.record(&mut metrics);
     for o in observers {

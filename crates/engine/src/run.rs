@@ -43,7 +43,7 @@ impl SweepProgress {
     /// The stderr progress line for this sample — the single formatting
     /// path behind [`Engine::progress`], kept as a method so services
     /// rendering their own progress match the CLI byte for byte.
-    pub fn stderr_line(&self) -> String {
+    pub(crate) fn stderr_line(&self) -> String {
         format!(
             "sweep: {}/{} replicas  ({:.1} replicas/s, {:.2e} events/s)",
             self.done, self.total, self.replicas_per_sec, self.events_per_sec
@@ -53,7 +53,7 @@ impl SweepProgress {
 
 /// A progress callback: called on whichever worker thread finished the
 /// replica, so it must be cheap and thread-safe.
-pub type ProgressFn = dyn Fn(SweepProgress) + Send + Sync;
+pub(crate) type ProgressFn = dyn Fn(SweepProgress) + Send + Sync;
 
 /// Handles into the process-wide [`seg_obs`] registry, registered once
 /// per run and bumped from the per-replica completion hook. The hook
@@ -544,7 +544,7 @@ impl SweepResult {
 
     /// How many of the spec's tasks have no record yet (0 outside shard
     /// and cancelled runs).
-    pub fn missing_tasks(&self) -> usize {
+    pub(crate) fn missing_tasks(&self) -> usize {
         self.total_tasks - self.records.len()
     }
 
@@ -569,7 +569,7 @@ impl SweepResult {
 
     /// The available records of one point (all of them in a complete
     /// run; the shard's share otherwise).
-    pub fn point_records(&self, point_index: usize) -> &[ReplicaRecord] {
+    pub(crate) fn point_records(&self, point_index: usize) -> &[ReplicaRecord] {
         let lo = self
             .records
             .partition_point(|r| r.task.point_index < point_index);

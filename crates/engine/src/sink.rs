@@ -68,7 +68,7 @@ impl Sink {
     }
 
     /// The sink's output path.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         match self {
             Sink::Csv(p) | Sink::Jsonl(p) => p,
         }
@@ -107,8 +107,8 @@ const BASE_COLUMNS: [&str; 8] = [
 
 /// Predicts the metric columns a sweep will produce — the sorted union,
 /// over every point's variant, of the dynamics' own metrics (the column
-/// table in [`crate::replica`]) and each observer's
-/// ([`Observer::metric_names`]) — without running anything. Always
+/// table in the engine's `replica` module) and each observer's
+/// (`Observer::metric_names`) — without running anything. Always
 /// `Some`: every observer declares its metric names up front (an
 /// [`Observer::Custom`] contributes its declaration). The `Option`
 /// return type is kept for existing callers.

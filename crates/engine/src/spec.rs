@@ -161,7 +161,7 @@ pub struct SweepPoint {
     /// different depths of the *same* trajectory by combining budgets
     /// with [`SeedMode::CommonRandomNumbers`] (the staged-snapshot
     /// pattern of `fig1_snapshots`).
-    pub budget: Option<u64>,
+    pub(crate) budget: Option<u64>,
 }
 
 impl SweepPoint {
@@ -176,12 +176,6 @@ impl SweepPoint {
             variant: Variant::Paper,
             budget: None,
         }
-    }
-
-    /// Sets the initial `+1` density.
-    pub fn with_density(mut self, p: f64) -> Self {
-        self.density = p;
-        self
     }
 
     /// Sets the dynamics variant.
@@ -225,9 +219,9 @@ pub enum SeedMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardIndex {
     /// This worker's shard number, `0 ≤ index < count`.
-    pub index: u32,
+    pub(crate) index: u32,
     /// Total number of shards the sweep is split into.
-    pub count: u32,
+    pub(crate) count: u32,
 }
 
 impl ShardIndex {
@@ -242,7 +236,7 @@ impl ShardIndex {
     }
 
     /// Whether this shard owns the task at `task_index`.
-    pub fn owns(&self, task_index: usize) -> bool {
+    pub(crate) fn owns(&self, task_index: usize) -> bool {
         task_index as u64 % u64::from(self.count) == u64::from(self.index)
     }
 
@@ -308,7 +302,7 @@ pub struct ReplicaTask {
     /// Index of the point in [`SweepSpec::points`].
     pub point_index: usize,
     /// Replica number within the point, `0..replicas`.
-    pub replica: u32,
+    pub(crate) replica: u32,
     /// The parameters.
     pub point: SweepPoint,
     /// The derived RNG seed this replica runs under.
@@ -344,7 +338,7 @@ impl SweepSpec {
     }
 
     /// How replica seeds derive from the master seed.
-    pub fn seed_mode(&self) -> SeedMode {
+    pub(crate) fn seed_mode(&self) -> SeedMode {
         self.seed_mode
     }
 
@@ -447,11 +441,6 @@ impl SweepSpecBuilder {
     pub fn taus<I: IntoIterator<Item = f64>>(mut self, taus: I) -> Self {
         self.taus = taus.into_iter().collect();
         self
-    }
-
-    /// Sets a single initial density (default `0.5`).
-    pub fn density(self, p: f64) -> Self {
-        self.densities([p])
     }
 
     /// Sets the initial-density axis (default `[0.5]`).
@@ -741,7 +730,7 @@ mod tests {
             (grid().horizon(u32::MAX), "window diameter"),
             (grid().tau(f64::NAN), "tau"),
             (grid().tau(-0.1), "tau"),
-            (grid().density(1.5), "density"),
+            (grid().densities([1.5]), "density"),
             (grid().variant(Variant::Noise(2.0)), "noise"),
             (grid().variant(Variant::Noise(f64::NAN)), "noise"),
             (
@@ -761,7 +750,10 @@ mod tests {
                 "at least two types",
             ),
             (
-                SweepSpec::builder().point(SweepPoint::new(16, 1, 0.4).with_density(-1.0)),
+                SweepSpec::builder().point(SweepPoint {
+                    density: -1.0,
+                    ..SweepPoint::new(16, 1, 0.4)
+                }),
                 "density",
             ),
         ] {

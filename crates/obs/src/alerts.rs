@@ -44,7 +44,7 @@ use crate::history::{History, Sample, SeriesId, Value};
 
 /// A comparison operator in a threshold rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cmp {
+pub(crate) enum Cmp {
     /// `<`
     Lt,
     /// `<=`
@@ -86,7 +86,7 @@ impl Cmp {
 
 /// Which field of a sampled [`Value`] a threshold rule compares.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stat {
+pub(crate) enum Stat {
     /// A counter's derived per-second rate (counter default).
     Rate,
     /// A counter's cumulative total.
@@ -132,7 +132,7 @@ impl Stat {
 
 /// The lifecycle of one rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RuleState {
+pub(crate) enum RuleState {
     /// Condition false.
     Inactive,
     /// Condition true, but not yet for the `for` hold.
@@ -180,14 +180,14 @@ enum RuleKind {
 pub struct Rule {
     /// The trimmed source line — the rule's identity in labels, trace
     /// events, and `/alerts`.
-    pub id: String,
+    pub(crate) id: String,
     kind: RuleKind,
     /// Current state.
-    pub state: RuleState,
+    pub(crate) state: RuleState,
     /// The value the last evaluation compared (worst matching series
     /// for thresholds, burn rate for SLOs); `None` before any sample
     /// matched.
-    pub last_value: Option<f64>,
+    pub(crate) last_value: Option<f64>,
 }
 
 /// Parses `500ms` / `30s` / `5m` into microseconds.
@@ -353,7 +353,7 @@ impl AlertEngine {
     /// `alert.firing`/`alert.resolved` trace events and increment
     /// `obs_alerts_transitions_total{rule,state}`; SLO rules also
     /// refresh `obs_slo_burn_rate{rule}`.
-    pub fn evaluate(&mut self, history: &History, now_us: u64) {
+    pub(crate) fn evaluate(&mut self, history: &History, now_us: u64) {
         for rule in &mut self.rules {
             let (value, breach) = match &rule.kind {
                 RuleKind::Threshold {
@@ -441,7 +441,7 @@ impl AlertEngine {
 
     /// The `GET /alerts` document: every rule with its state, how long
     /// it has been in it, and the last evaluated value.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let rules: Vec<String> = self
             .rules
             .iter()

@@ -5,7 +5,7 @@
 //! `/metrics` is a point-in-time scrape; this module is the answer to
 //! "what was p99 over the last ten minutes". A scraper thread
 //! ([`History::start`]) snapshots the process [`Registry`] at a fixed
-//! cadence ([`Registry::snapshot`] is read-only, so the Prometheus
+//! cadence (`Registry::snapshot` is read-only, so the Prometheus
 //! exposition is byte-identical with or without the scraper) and
 //! records one [`Sample`] per series per tick:
 //!
@@ -13,8 +13,8 @@
 //!   `rate` (delta over the scrape interval) — the total makes tier
 //!   roll-up exactly conservative, the rate is what you plot;
 //! - **gauges** keep their last value;
-//! - **histograms** keep `p50`/`p99` (interpolated, see
-//!   [`HistogramSnapshot::quantile`](crate::metrics::HistogramSnapshot::quantile)) and the cumulative `count`.
+//! - **histograms** keep `p50`/`p99` (interpolated as Prometheus's
+//!   `histogram_quantile` does) and the cumulative `count`.
 //!
 //! # Tiers
 //!
@@ -77,7 +77,7 @@ pub fn history() -> &'static History {
 pub const TIERS: [(u64, usize); 3] = [(1, 300), (10, 360), (60, 360)];
 
 /// The resolution names `?res=` accepts, index-aligned with [`TIERS`].
-pub const TIER_NAMES: [&str; 3] = ["1s", "10s", "60s"];
+pub(crate) const TIER_NAMES: [&str; 3] = ["1s", "10s", "60s"];
 
 /// One recorded value, by series kind.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -132,7 +132,7 @@ impl SeriesId {
     /// Parses the [`SeriesId::render`] form back. `None` on malformed
     /// input (used by JSONL replay, which decodes the line's JSON string
     /// first, so every escaped label character comes back).
-    pub fn parse(text: &str) -> Option<SeriesId> {
+    pub(crate) fn parse(text: &str) -> Option<SeriesId> {
         let Some(brace) = text.find('{') else {
             return Some(SeriesId {
                 name: text.to_string(),
@@ -255,13 +255,13 @@ impl History {
 
     /// The present instant as anchor-derived UNIX microseconds
     /// (monotone within the process, like the tracer's `unix_us`).
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.unix_anchor_us + self.started.elapsed().as_micros() as u64
     }
 
     /// Seconds since this store was created (the process-uptime the
     /// scraper exports).
-    pub fn uptime_secs(&self) -> f64 {
+    pub(crate) fn uptime_secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
@@ -462,7 +462,11 @@ impl History {
 
     /// The latest tier-0 sample of every series matching the selector —
     /// what threshold alert rules evaluate.
-    pub fn latest(&self, name: &str, labels: &[(String, String)]) -> Vec<(SeriesId, Sample)> {
+    pub(crate) fn latest(
+        &self,
+        name: &str,
+        labels: &[(String, String)],
+    ) -> Vec<(SeriesId, Sample)> {
         let inner = self.inner.lock().expect("history poisoned");
         inner
             .series
@@ -480,7 +484,12 @@ impl History {
     /// The tier-0 samples of every matching series newer than
     /// `since_us`, merged and sorted by timestamp — what SLO windows
     /// evaluate.
-    pub fn window(&self, name: &str, labels: &[(String, String)], since_us: u64) -> Vec<Sample> {
+    pub(crate) fn window(
+        &self,
+        name: &str,
+        labels: &[(String, String)],
+        since_us: u64,
+    ) -> Vec<Sample> {
         let inner = self.inner.lock().expect("history poisoned");
         let mut out: Vec<Sample> = inner
             .series

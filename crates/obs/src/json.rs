@@ -26,7 +26,7 @@
 use std::fmt;
 
 /// How deep nested arrays/objects may go before the parser refuses.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -96,14 +96,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(xs) => Some(xs),
             _ => None,
         }
     }
@@ -416,10 +408,10 @@ mod tests {
         .unwrap();
         assert_eq!(v.get("tau").unwrap().as_f64(), Some(0.4));
         assert_eq!(v.get("replicas").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("side").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(v.get("side").unwrap().as_list().len(), 2);
         assert_eq!(v.get("tau").unwrap().as_list().len(), 1);
         assert_eq!(
-            v.get("variant").unwrap().as_arr().unwrap()[1].as_str(),
+            v.get("variant").unwrap().as_list()[1].as_str(),
             Some("noise:0.01")
         );
         assert_eq!(

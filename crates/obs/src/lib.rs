@@ -1,14 +1,14 @@
 //! The observability substrate shared by the engine and the serve
 //! front end (fleet coordinator and workers included).
 //!
-//! Two small, std-only pieces:
+//! Five std-only pieces:
 //!
-//! - [`mod@metrics`] — a process-wide [`Registry`] of [`Counter`]s,
+//! - *metrics* — a process-wide [`Registry`] of [`Counter`]s,
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s (p50/p99 readout),
 //!   rendered on demand in the Prometheus text exposition format
 //!   (`GET /metrics` in `segsim serve` is exactly
 //!   [`Registry::render`] of [`metrics()`]);
-//! - [`trace`] — a lock-cheap span/event [`Tracer`] writing into a
+//! - *trace* — a lock-cheap span/event [`Tracer`] writing into a
 //!   bounded in-memory ring, with optional JSONL export
 //!   (`segsim serve --trace-out FILE`, `segsim work --trace-out FILE`)
 //!   and cross-process correlation: bind a [`TraceContext`] around a
@@ -21,10 +21,10 @@
 //!   cadence), with optional append-only JSONL persistence that
 //!   replays on restart (`segsim serve --metrics-history-out FILE`,
 //!   `GET /v1/metrics/history`);
-//! - [`mod@json`] — the workspace's one JSON reader ([`Json`], a
+//! - *json* — the workspace's one JSON reader ([`Json`], a
 //!   bounded-depth parser) and the string escaper and number formatter
 //!   every hand-written JSON writer shares;
-//! - [`alerts`] — threshold and SLO rules (`segsim serve --alerts
+//! - [`AlertEngine`] — threshold and SLO rules (`segsim serve --alerts
 //!   FILE`, `GET /alerts`) evaluated against history after each
 //!   scrape, with `for`-duration hysteresis, firing/resolved trace
 //!   events, `obs_alerts_transitions_total{rule,state}`, and
@@ -58,18 +58,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub mod alerts;
+mod alerts;
 pub mod history;
-pub mod json;
-pub mod metrics;
-pub mod trace;
+mod json;
+mod metrics;
+mod trace;
 
-pub use alerts::AlertEngine;
+pub use alerts::{AlertEngine, Rule};
 pub use history::{history, History};
 pub use json::{json_number, json_string, parse_json_string, Json};
 pub use metrics::{
     metrics, register_process_metrics, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
-    SeriesSnapshot, SeriesValue,
 };
 pub use trace::{mint_trace_id, tracer, ContextGuard, Span, TraceContext, TraceEvent, Tracer};

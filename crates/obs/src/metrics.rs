@@ -6,7 +6,7 @@
 //! - [`Gauge`] — an `f64` that can move both ways (stored as bits in an
 //!   `AtomicU64`);
 //! - [`Histogram`] — fixed cumulative buckets plus sum and count, with
-//!   a prometheus-style interpolated [`quantile`](Histogram::quantile)
+//!   a prometheus-style interpolated [`quantile`](HistogramSnapshot::quantile)
 //!   readout for p50/p99.
 //!
 //! Instruments are identified by `(name, labels)`; registering the same
@@ -55,7 +55,7 @@ impl Counter {
 /// A gauge: an `f64` that can go up and down.
 ///
 /// Stored as IEEE-754 bits in an `AtomicU64`; [`set`](Gauge::set) is a
-/// plain store, [`add`](Gauge::add) a CAS loop.
+/// plain store, `add` a CAS loop.
 #[derive(Debug)]
 pub struct Gauge {
     bits: AtomicU64,
@@ -76,7 +76,7 @@ impl Gauge {
     }
 
     /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: f64) {
+    pub(crate) fn add(&self, delta: f64) {
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + delta).to_bits();
@@ -126,11 +126,11 @@ pub struct Histogram {
 #[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
     /// Upper bounds, one per finite bucket.
-    pub bounds: Vec<f64>,
+    pub(crate) bounds: Vec<f64>,
     /// Per-bucket (non-cumulative) counts; last slot is `+Inf`.
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// Sum of all observed values.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Number of observations.
     pub count: u64,
 }
@@ -164,7 +164,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn new(bounds: &'static [f64]) -> Self {
+    pub(crate) fn new(bounds: &'static [f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -220,7 +220,9 @@ impl Histogram {
             count: self.count.load(Ordering::Relaxed),
         }
     }
+}
 
+impl HistogramSnapshot {
     /// The `q`-quantile (`0.0..=1.0`) estimated from the buckets with
     /// linear interpolation inside the containing bucket — the same
     /// estimate Prometheus's `histogram_quantile` computes.
@@ -228,14 +230,7 @@ impl Histogram {
     /// Returns `None` when nothing has been observed. When the quantile
     /// lands in the `+Inf` bucket the highest finite bound is returned
     /// (again matching Prometheus).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.snapshot().quantile(q)
-    }
-}
-
-impl HistogramSnapshot {
-    /// See [`Histogram::quantile`].
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -267,7 +262,7 @@ type LabelSet = Vec<(String, String)>;
 /// A point-in-time value of one series, by instrument kind — what
 /// [`Registry::snapshot`] hands the history scraper.
 #[derive(Clone, Debug)]
-pub enum SeriesValue {
+pub(crate) enum SeriesValue {
     /// A counter's cumulative total.
     Counter(u64),
     /// A gauge's current value.
@@ -279,13 +274,13 @@ pub enum SeriesValue {
 /// One `(name, labels)` series with its current value — the read-only
 /// unit [`Registry::snapshot`] returns.
 #[derive(Clone, Debug)]
-pub struct SeriesSnapshot {
+pub(crate) struct SeriesSnapshot {
     /// The family name (`serve_queue_depth`, ...).
-    pub name: String,
+    pub(crate) name: String,
     /// The sorted label pairs identifying the series within its family.
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     /// The value at snapshot time.
-    pub value: SeriesValue,
+    pub(crate) value: SeriesValue,
 }
 
 enum Instrument {
@@ -316,7 +311,7 @@ impl Default for Registry {
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry {
             families: Mutex::new(BTreeMap::new()),
         }
@@ -403,8 +398,8 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if `name{labels}` is already registered as a different
-    /// instrument kind, or if `bounds` is invalid (see
-    /// [`Histogram::new`]).
+    /// instrument kind, or if `bounds` is empty or not strictly
+    /// increasing.
     pub fn histogram(
         &self,
         name: &str,
@@ -430,7 +425,7 @@ impl Registry {
     /// snapshots. This is what the [`history`](mod@crate::history) scraper
     /// consumes each tick; it never mutates any instrument, so the
     /// [`Registry::render`] exposition is unaffected by scraping.
-    pub fn snapshot(&self) -> Vec<SeriesSnapshot> {
+    pub(crate) fn snapshot(&self) -> Vec<SeriesSnapshot> {
         let families = self.families.lock().unwrap();
         let mut out = Vec::new();
         for (name, family) in families.iter() {
@@ -646,9 +641,9 @@ mod tests {
         for i in 1..=100 {
             h.observe(i as f64 / 100.0);
         }
-        let p50 = h.quantile(0.5).unwrap();
+        let p50 = h.snapshot().quantile(0.5).unwrap();
         assert!((p50 - 0.5).abs() < 1e-9, "p50 = {p50}");
-        let p99 = h.quantile(0.99).unwrap();
+        let p99 = h.snapshot().quantile(0.99).unwrap();
         assert!((p99 - 0.99).abs() < 1e-9, "p99 = {p99}");
     }
 
@@ -664,9 +659,9 @@ mod tests {
         for _ in 0..10 {
             h.observe(0.5);
         }
-        let p50 = h.quantile(0.5).unwrap();
+        let p50 = h.snapshot().quantile(0.5).unwrap();
         assert!((p50 - 0.1 * (50.0 / 90.0)).abs() < 1e-9, "p50 = {p50}");
-        let p99 = h.quantile(0.99).unwrap();
+        let p99 = h.snapshot().quantile(0.99).unwrap();
         let expect = 0.1 + 0.9 * ((99.0 - 90.0) / 10.0);
         assert!(
             (p99 - expect).abs() < 1e-9,
@@ -680,13 +675,13 @@ mod tests {
         for _ in 0..10 {
             h.observe(100.0);
         }
-        assert_eq!(h.quantile(0.99), Some(1.0));
+        assert_eq!(h.snapshot().quantile(0.99), Some(1.0));
     }
 
     #[test]
     fn empty_histogram_has_no_quantile() {
         let h = Histogram::new(&[1.0]);
-        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.snapshot().quantile(0.5), None);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub fn tracer() -> &'static Tracer {
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// Microseconds since the tracer was created (monotonic clock).
-    pub t_us: u64,
+    pub(crate) t_us: u64,
     /// The same instant as microseconds since the UNIX epoch, derived
     /// from a wall-clock anchor sampled once at tracer creation — so
     /// records from several processes merge into one wall-clock
@@ -65,19 +65,19 @@ pub struct TraceEvent {
     pub unix_us: u64,
     /// Static name, dot-namespaced by subsystem (`serve.request`,
     /// `engine.sweep`, `work.claim`).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Free-form detail (a path, a job id, a count).
-    pub detail: String,
+    pub(crate) detail: String,
     /// Span duration in microseconds; `None` for instantaneous events.
-    pub dur_us: Option<u64>,
+    pub(crate) dur_us: Option<u64>,
     /// The distributed trace this record belongs to, from the thread's
     /// bound [`TraceContext`] at recording time.
-    pub trace_id: Option<String>,
+    pub(crate) trace_id: Option<String>,
     /// This span's own minted id (`None` for events).
-    pub span_id: Option<String>,
+    pub(crate) span_id: Option<String>,
     /// The bound context's parent span — for a fleet worker, the
     /// coordinator's job span on the other side of the wire.
-    pub parent_span_id: Option<String>,
+    pub(crate) parent_span_id: Option<String>,
 }
 
 impl TraceEvent {
@@ -124,7 +124,7 @@ pub struct TraceContext {
     /// The trace every record under this binding belongs to — minted by
     /// [`mint_trace_id`] at the trace root, propagated verbatim
     /// everywhere else.
-    pub trace_id: String,
+    pub(crate) trace_id: String,
     /// The span the bound work nests under (often one minted by the
     /// *other* process in the trace).
     pub parent_span_id: Option<String>,
@@ -248,10 +248,10 @@ impl Default for Tracer {
 
 impl Tracer {
     /// How many records the in-memory ring retains.
-    pub const CAPACITY: usize = 4096;
+    pub(crate) const CAPACITY: usize = 4096;
 
     /// A fresh tracer with an empty ring and no output file.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Tracer {
             started: Instant::now(),
             unix_anchor_us: SystemTime::now()
@@ -263,12 +263,6 @@ impl Tracer {
                 out: None,
             }),
         }
-    }
-
-    /// The wall-clock anchor: UNIX-epoch microseconds when this tracer
-    /// was created. Every record's `unix_us` is `anchor + t_us`.
-    pub fn unix_anchor_us(&self) -> u64 {
-        self.unix_anchor_us
     }
 
     /// Attaches a JSONL output file; every subsequent record is
@@ -348,7 +342,8 @@ impl Tracer {
     }
 
     /// The current ring contents, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Vec<TraceEvent> {
         self.inner.lock().unwrap().ring.iter().cloned().collect()
     }
 
@@ -364,17 +359,6 @@ impl Tracer {
             .filter(|ev| ev.trace_id.as_deref() == Some(trace_id))
             .cloned()
             .collect()
-    }
-
-    /// How many records the ring currently holds.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().ring.len()
-    }
-
-    /// Whether nothing has been recorded (or everything has been
-    /// evicted — the ring is bounded).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -448,8 +432,8 @@ mod tests {
         for i in 0..(Tracer::CAPACITY + 10) {
             t.event("test.flood", format!("{i}"));
         }
-        assert_eq!(t.len(), Tracer::CAPACITY);
         let snap = t.snapshot();
+        assert_eq!(snap.len(), Tracer::CAPACITY);
         // Oldest 10 evicted: the first surviving record is #10.
         assert_eq!(snap[0].detail, "10");
         // every overwrite was counted (the counter is process-global,
@@ -470,10 +454,10 @@ mod tests {
             snap[1].unix_us - snap[0].unix_us,
             snap[1].t_us - snap[0].t_us
         );
-        assert_eq!(snap[0].unix_us, t.unix_anchor_us() + snap[0].t_us);
+        assert_eq!(snap[0].unix_us, t.unix_anchor_us + snap[0].t_us);
         assert!(snap[1].unix_us > snap[0].unix_us);
         // and the anchor is a plausible wall time (after 2020-01-01)
-        assert!(t.unix_anchor_us() > 1_577_000_000_000_000);
+        assert!(t.unix_anchor_us > 1_577_000_000_000_000);
     }
 
     #[test]
@@ -572,13 +556,5 @@ mod tests {
         assert!(text.contains("test.after_restart"));
         assert_eq!(text.lines().count(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn empty_tracer_reports_empty() {
-        let t = Tracer::new();
-        assert!(t.is_empty());
-        t.event("test.one", "");
-        assert!(!t.is_empty());
     }
 }

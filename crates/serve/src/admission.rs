@@ -30,13 +30,13 @@ use std::sync::{Arc, Mutex};
 
 /// The keyless tier's in-flight quota when a key file is present but
 /// does not spell out an `anonymous` line.
-pub const DEFAULT_ANONYMOUS_QUOTA: u32 = 2;
+pub(crate) const DEFAULT_ANONYMOUS_QUOTA: u32 = 2;
 
 /// The default queue-depth backpressure threshold (`--max-queue`).
-pub const DEFAULT_MAX_QUEUE: usize = 256;
+pub(crate) const DEFAULT_MAX_QUEUE: usize = 256;
 
 /// The client label used for requests that carry no `X-Api-Key`.
-pub const ANONYMOUS: &str = "anonymous";
+pub(crate) const ANONYMOUS: &str = "anonymous";
 
 /// The `X-Api-Key` header named a key the key file does not list
 /// (the 401 path).
@@ -64,7 +64,7 @@ pub enum Rejection {
 
 impl Rejection {
     /// The `Retry-After` header value, seconds.
-    pub fn retry_after(&self) -> u64 {
+    pub(crate) fn retry_after(&self) -> u64 {
         match self {
             Rejection::Quota { retry_after, .. } | Rejection::QueueFull { retry_after, .. } => {
                 *retry_after
@@ -73,7 +73,7 @@ impl Rejection {
     }
 
     /// The human-readable 429 body message.
-    pub fn message(&self) -> String {
+    pub(crate) fn message(&self) -> String {
         match self {
             Rejection::Quota { limit, .. } => {
                 format!("quota exceeded: at most {limit} in-flight job(s) per client")
@@ -86,7 +86,7 @@ impl Rejection {
 }
 
 /// Per-client quotas plus the queue-depth gate, shared by every
-/// connection handler through the [`crate::jobs::JobManager`].
+/// connection handler through the job manager.
 #[derive(Debug)]
 pub struct AdmissionControl {
     /// `key -> max in-flight`; `None` per key means unlimited.
@@ -135,7 +135,7 @@ impl AdmissionMetrics {
 
 impl Default for AdmissionControl {
     /// The open default: one unlimited anonymous tier,
-    /// [`DEFAULT_MAX_QUEUE`] backpressure.
+    /// `DEFAULT_MAX_QUEUE` backpressure.
     fn default() -> Self {
         AdmissionControl {
             tiers: BTreeMap::new(),
@@ -239,7 +239,7 @@ impl AdmissionControl {
 
     /// Runs both gates for a would-be-fresh job. On success the
     /// client's in-flight count is incremented; the caller must
-    /// [`AdmissionControl::release`] it when the job leaves the
+    /// `AdmissionControl::release` it when the job leaves the
     /// queued/running states.
     ///
     /// # Errors
@@ -270,7 +270,7 @@ impl AdmissionControl {
 
     /// Returns a client's admission slot once its job finishes (or
     /// fails, or is drained).
-    pub fn release(&self, client: &str) {
+    pub(crate) fn release(&self, client: &str) {
         let mut inflight = self.inflight.lock().expect("inflight poisoned");
         match inflight.get_mut(client) {
             Some(n) if *n > 1 => *n -= 1,
@@ -279,16 +279,6 @@ impl AdmissionControl {
             }
             None => {}
         }
-    }
-
-    /// A client's current in-flight count (tests and the dashboard).
-    pub fn held(&self, client: &str) -> u32 {
-        self.inflight
-            .lock()
-            .expect("inflight poisoned")
-            .get(client)
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -307,6 +297,16 @@ mod tests {
         }));
         std::fs::write(&path, contents).unwrap();
         path
+    }
+
+    /// A client's current in-flight count.
+    fn held(ctl: &AdmissionControl, client: &str) -> u32 {
+        ctl.inflight
+            .lock()
+            .unwrap()
+            .get(client)
+            .copied()
+            .unwrap_or(0)
     }
 
     #[test]
@@ -346,7 +346,7 @@ mod tests {
         assert!(ctl.admit_fresh("gamma", 0).is_err());
         ctl.admit_fresh(ANONYMOUS, 0).unwrap();
         assert!(ctl.admit_fresh(ANONYMOUS, 0).is_err());
-        assert_eq!(ctl.held("beta"), 50);
+        assert_eq!(held(&ctl, "beta"), 50);
     }
 
     #[test]
@@ -374,6 +374,6 @@ mod tests {
         ctl.admit_fresh("x", 0).unwrap();
         ctl.release("x");
         ctl.release("x");
-        assert_eq!(ctl.held("x"), 0);
+        assert_eq!(held(&ctl, "x"), 0);
     }
 }

@@ -59,19 +59,19 @@ use std::time::{Duration, Instant};
 const ROWS_WAIT_MAX: Duration = Duration::from_secs(2);
 
 /// Shared state every connection handler routes against.
-pub struct ApiContext {
+pub(crate) struct ApiContext {
     /// The job store/queue/worker pool.
-    pub manager: Arc<JobManager>,
+    pub(crate) manager: Arc<JobManager>,
     /// The fleet worker registry when the server runs with `--fleet`;
     /// `None` turns every `/v1/workers*` endpoint into a 404.
-    pub fleet: Option<Arc<crate::fleet::FleetRegistry>>,
+    pub(crate) fleet: Option<Arc<crate::fleet::FleetRegistry>>,
     /// Set by `/v1/shutdown`; the accept loop watches it.
-    pub shutdown: Arc<AtomicBool>,
+    pub(crate) shutdown: Arc<AtomicBool>,
     /// The bound address (the shutdown handler pokes it to unblock
     /// `accept`).
-    pub local_addr: SocketAddr,
+    pub(crate) local_addr: SocketAddr,
     /// When the server started, for `/healthz` uptime.
-    pub started: Instant,
+    pub(crate) started: Instant,
 }
 
 fn error_body(msg: &str) -> String {
@@ -150,6 +150,18 @@ fn endpoint_label(segments: &[&str]) -> &'static str {
     }
 }
 
+/// The request method as the `method` label of the request metrics: the
+/// methods the router answers, and `other` for any token a client sends,
+/// so the label stays bounded.
+fn method_label(method: &str) -> &'static str {
+    match method {
+        "GET" => "GET",
+        "POST" => "POST",
+        "DELETE" => "DELETE",
+        _ => "other",
+    }
+}
+
 /// Handles one request, writing the full response to `out`. Returns
 /// whether the connection may be kept alive.
 ///
@@ -161,7 +173,7 @@ fn endpoint_label(segments: &[&str]) -> &'static str {
 ///
 /// Only socket-level failures; application-level problems become 4xx/5xx
 /// responses.
-pub fn handle<W: Write>(req: &Request, out: &mut W, ctx: &ApiContext) -> io::Result<bool> {
+pub(crate) fn handle<W: Write>(req: &Request, out: &mut W, ctx: &ApiContext) -> io::Result<bool> {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     let endpoint = endpoint_label(&segments);
     let started = Instant::now();
@@ -174,7 +186,7 @@ pub fn handle<W: Write>(req: &Request, out: &mut W, ctx: &ApiContext) -> io::Res
         "HTTP requests handled, by route pattern, method and status",
         &[
             ("endpoint", endpoint),
-            ("method", &req.method),
+            ("method", method_label(&req.method)),
             ("status", &status.get().to_string()),
         ],
     )
@@ -740,7 +752,10 @@ mod tests {
     #[test]
     fn a_live_stream_keeps_up_with_the_job_and_serves_the_sink_bytes() {
         let mgr = JobManager::new(tmp("live"), 1).unwrap();
-        let (job, _) = mgr.submit(request(41, 300), None).unwrap();
+        let (job, _) = mgr
+            .submit_as(request(41, 300), None, None)
+            .unwrap()
+            .unwrap();
         // the stream starts while the job is queued and has no file
         let (out, stream) = follow(&job, Arc::new(AtomicBool::new(false)));
         std::thread::scope(|s| {
@@ -769,7 +784,7 @@ mod tests {
     #[test]
     fn a_stream_ends_when_its_job_fails() {
         let mgr = JobManager::new(tmp("fail"), 1).unwrap();
-        let (job, _) = mgr.submit(request(43, 24), None).unwrap();
+        let (job, _) = mgr.submit_as(request(43, 24), None, None).unwrap().unwrap();
         // a row of some other sweep makes the job's sink refuse the file
         std::fs::write(job.rows_path(), "{\"foreign\":1}\n").unwrap();
         let (out, stream) = follow(&job, Arc::new(AtomicBool::new(false)));
@@ -782,10 +797,13 @@ mod tests {
     #[test]
     fn drain_ends_a_stream_waiting_on_a_job_that_never_writes() {
         let mgr = JobManager::new(tmp("drain"), 1).unwrap();
-        let (job, _) = mgr.submit(request(42, 24), None).unwrap();
-        let (out, stream) = follow(&job, mgr.drain_flag());
+        let (job, _) = mgr.submit_as(request(42, 24), None, None).unwrap().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (out, stream) = follow(&job, shutdown.clone());
         std::thread::sleep(Duration::from_millis(50));
         assert!(!stream.is_finished(), "stream ended on a queued job");
+        // what `POST /v1/shutdown` does
+        shutdown.store(true, Ordering::Relaxed);
         mgr.drain();
         ended(stream, ROWS_WAIT_MAX / 2, "drain").unwrap();
         assert!(dechunk(&out.bytes()).is_empty());
@@ -824,6 +842,36 @@ mod tests {
         );
     }
 
+    #[test]
+    fn arbitrary_method_tokens_share_one_metrics_series() {
+        let ctx = ApiContext {
+            manager: Arc::new(JobManager::new(tmp("methods"), 1).unwrap()),
+            fleet: None,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            local_addr: "127.0.0.1:9".parse().unwrap(),
+            started: Instant::now(),
+        };
+        for i in 0..200 {
+            let req = Request {
+                method: format!("M{i}"),
+                path: "/healthz".into(),
+                query: Vec::new(),
+                headers: Vec::new(),
+                body: Vec::new(),
+                keep_alive: false,
+            };
+            handle(&req, &mut Vec::new(), &ctx).unwrap();
+        }
+        let text = seg_obs::metrics().render();
+        let methods: std::collections::BTreeSet<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("serve_http_requests_total{"))
+            .filter_map(|l| l.split("method=\"").nth(1)?.split('"').next())
+            .collect();
+        assert!(methods.len() <= 4, "unbounded method label: {methods:?}");
+        assert!(methods.contains("other"), "{methods:?}");
+    }
+
     /// Sends `body` to the upload route as worker `w1`; returns the raw
     /// response.
     fn upload(ctx: &ApiContext, job: &str, body: &str) -> String {
@@ -856,7 +904,10 @@ mod tests {
             local_addr: "127.0.0.1:9".parse().unwrap(),
             started: Instant::now(),
         };
-        let (job, _) = manager.submit(request(51, 2), None).unwrap();
+        let (job, _) = manager
+            .submit_as(request(51, 2), None, None)
+            .unwrap()
+            .unwrap();
         let spec = &job.spec;
         let total = spec.task_count();
         let header = |spec: &seg_engine::SweepSpec| {

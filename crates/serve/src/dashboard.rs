@@ -21,7 +21,7 @@ use seg_obs::history::{Sample, Value};
 use std::fmt::Write as _;
 
 /// The meta-refresh cadence when `?refresh=` is absent.
-pub const DEFAULT_REFRESH_SECS: u64 = 2;
+pub(crate) const DEFAULT_REFRESH_SECS: u64 = 2;
 
 /// Projects a history series onto chart points: seconds relative to
 /// `t0_us` on the x axis, the gauge value on the y axis (non-gauge
@@ -64,7 +64,7 @@ fn escape_html(v: &str) -> String {
 /// Renders the dashboard document for the server's current state,
 /// meta-refreshing every `refresh_secs` (the route clamps it to
 /// 1–300).
-pub fn render(ctx: &ApiContext, refresh_secs: u64) -> String {
+pub(crate) fn render(ctx: &ApiContext, refresh_secs: u64) -> String {
     let counts = ctx.manager.counts();
     let sched = ctx.manager.scheduling();
     let mut page = String::with_capacity(16 * 1024);

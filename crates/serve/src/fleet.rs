@@ -30,42 +30,42 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How often the coordinator's scheduling loop polls the registry.
-pub const FLEET_POLL: Duration = Duration::from_millis(50);
+pub(crate) const FLEET_POLL: Duration = Duration::from_millis(50);
 
 /// One share of a job's missing tasks, offered to (or claimed by) a
 /// worker.
 #[derive(Clone, Debug)]
-pub struct Assignment {
+pub(crate) struct Assignment {
     /// The job the tasks belong to.
-    pub job_id: String,
+    pub(crate) job_id: String,
     /// The re-partition round that produced this share.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// The job's normalized request document — everything a worker
     /// needs to rebuild the identical [`SweepSpec`](seg_engine::SweepSpec).
-    pub request_json: String,
+    pub(crate) request_json: String,
     /// The task indices to run.
-    pub tasks: Vec<usize>,
+    pub(crate) tasks: Vec<usize>,
     /// The job's distributed trace id — carried to the worker in the
     /// claim response so its spans correlate with the coordinator's.
-    pub trace_id: String,
+    pub(crate) trace_id: String,
     /// The coordinator-side span the worker's spans should parent
     /// under (the job's `serve.job` span).
-    pub parent_span_id: Option<String>,
+    pub(crate) parent_span_id: Option<String>,
 }
 
 /// A point-in-time row about one worker — the dashboard's fleet table.
 #[derive(Clone, Debug)]
-pub struct WorkerSummary {
+pub(crate) struct WorkerSummary {
     /// The worker id the coordinator minted at registration.
-    pub id: String,
+    pub(crate) id: String,
     /// Seconds since the worker's last heartbeat.
-    pub age_secs: f64,
+    pub(crate) age_secs: f64,
     /// Whether the worker currently holds an assignment.
-    pub busy: bool,
+    pub(crate) busy: bool,
     /// The worker's last reported engine replicas/s.
-    pub replicas_per_sec: f64,
+    pub(crate) replicas_per_sec: f64,
     /// The worker's last reported engine events/s.
-    pub events_per_sec: f64,
+    pub(crate) events_per_sec: f64,
 }
 
 #[derive(Debug)]
@@ -106,7 +106,7 @@ struct FleetState {
 
 /// Where one re-partition epoch of a job stands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EpochHealth {
+pub(crate) enum EpochHealth {
     /// Every share was claimed and uploaded; recompute the missing set.
     Complete,
     /// Shares are offered or being worked by live workers.
@@ -158,7 +158,7 @@ impl FleetMetrics {
 /// The shared worker/assignment/upload state behind the
 /// `/v1/workers/*` and `/v1/jobs/:id/journal` endpoints.
 #[derive(Debug)]
-pub struct FleetRegistry {
+pub(crate) struct FleetRegistry {
     timeout: Duration,
     state: Mutex<FleetState>,
     obs: FleetMetrics,
@@ -167,7 +167,7 @@ pub struct FleetRegistry {
 impl FleetRegistry {
     /// A registry declaring workers stale after `timeout` without a
     /// heartbeat.
-    pub fn new(timeout: Duration) -> FleetRegistry {
+    pub(crate) fn new(timeout: Duration) -> FleetRegistry {
         FleetRegistry {
             timeout,
             state: Mutex::new(FleetState::default()),
@@ -176,7 +176,7 @@ impl FleetRegistry {
     }
 
     /// The staleness window workers must heartbeat within.
-    pub fn timeout(&self) -> Duration {
+    pub(crate) fn timeout(&self) -> Duration {
         self.timeout
     }
 
@@ -185,7 +185,7 @@ impl FleetRegistry {
     }
 
     /// Registers a new worker and returns its id (`w1`, `w2`, ...).
-    pub fn register(&self) -> String {
+    pub(crate) fn register(&self) -> String {
         let mut st = self.lock();
         st.next_id += 1;
         let id = format!("w{}", st.next_id);
@@ -195,7 +195,7 @@ impl FleetRegistry {
 
     /// Refreshes a worker's heartbeat; `false` when the id is unknown
     /// (the worker should re-register).
-    pub fn heartbeat(&self, id: &str) -> bool {
+    pub(crate) fn heartbeat(&self, id: &str) -> bool {
         match self.lock().workers.get_mut(id) {
             Some(w) => {
                 w.last_seen = Instant::now();
@@ -217,7 +217,7 @@ impl FleetRegistry {
     /// went stale too (they don't — heartbeats keep flowing), wedging
     /// the job. Re-running a share a second time is harmless: uploaded
     /// records dedupe by task index.
-    pub fn claim(&self, id: &str) -> Option<Option<Assignment>> {
+    pub(crate) fn claim(&self, id: &str) -> Option<Option<Assignment>> {
         let mut st = self.lock();
         match st.workers.get_mut(id) {
             None => return None,
@@ -248,7 +248,7 @@ impl FleetRegistry {
     /// bounded by the number of worker registrations in the process
     /// lifetime (worker ids are coordinator-minted, never
     /// client-chosen). `false` when the id is unknown.
-    pub fn note_stats(&self, id: &str, replicas_per_sec: f64, events_per_sec: f64) -> bool {
+    pub(crate) fn note_stats(&self, id: &str, replicas_per_sec: f64, events_per_sec: f64) -> bool {
         {
             let mut st = self.lock();
             match st.workers.get_mut(id) {
@@ -278,7 +278,12 @@ impl FleetRegistry {
     /// Accepts a worker's uploaded records for a job (already parsed and
     /// spec-validated by the caller), clears the worker's claim, and
     /// returns how many records were queued for the scheduling loop.
-    pub fn accept_upload(&self, worker: &str, job_id: &str, records: Vec<ReplicaRecord>) -> usize {
+    pub(crate) fn accept_upload(
+        &self,
+        worker: &str,
+        job_id: &str,
+        records: Vec<ReplicaRecord>,
+    ) -> usize {
         let n = records.len();
         let mut st = self.lock();
         if let Some(w) = st.workers.get_mut(worker) {
@@ -294,7 +299,7 @@ impl FleetRegistry {
     }
 
     /// Drains the records uploaded for a job since the last call.
-    pub fn take_uploads(&self, job_id: &str) -> Vec<ReplicaRecord> {
+    pub(crate) fn take_uploads(&self, job_id: &str) -> Vec<ReplicaRecord> {
         self.lock().uploads.remove(job_id).unwrap_or_default()
     }
 
@@ -304,7 +309,7 @@ impl FleetRegistry {
     /// up — the dashboard's fleet sparklines read them back from the
     /// unified history store), and forgets workers dead for over ten
     /// timeouts.
-    pub fn live_workers(&self) -> Vec<String> {
+    pub(crate) fn live_workers(&self) -> Vec<String> {
         let mut st = self.lock();
         let now = Instant::now();
         let forget = self.timeout * 10;
@@ -329,7 +334,7 @@ impl FleetRegistry {
     }
 
     /// One row per known worker for the dashboard's fleet table.
-    pub fn worker_summaries(&self) -> Vec<WorkerSummary> {
+    pub(crate) fn worker_summaries(&self) -> Vec<WorkerSummary> {
         let st = self.lock();
         let now = Instant::now();
         st.workers
@@ -345,14 +350,14 @@ impl FleetRegistry {
     }
 
     /// Whether any worker has ever registered and not been forgotten.
-    pub fn has_worker(&self) -> bool {
+    pub(crate) fn has_worker(&self) -> bool {
         !self.lock().workers.is_empty()
     }
 
     /// Waits up to the fleet timeout for a first worker to register
     /// (checking `drain` so a shutdown is not held up). Returns whether
     /// a worker is present.
-    pub fn wait_for_worker(&self, drain: &AtomicBool) -> bool {
+    pub(crate) fn wait_for_worker(&self, drain: &AtomicBool) -> bool {
         let deadline = Instant::now() + self.timeout;
         loop {
             if self.has_worker() {
@@ -371,7 +376,7 @@ impl FleetRegistry {
     /// Empty shares are skipped. `trace_id` (and the coordinator-side
     /// parent span, when known) ride on every share so workers bind the
     /// job's distributed trace.
-    pub fn dispatch(
+    pub(crate) fn dispatch(
         &self,
         job_id: &str,
         epoch: u64,
@@ -402,7 +407,7 @@ impl FleetRegistry {
     }
 
     /// Where the job's current epoch stands (see [`EpochHealth`]).
-    pub fn epoch_health(&self, job_id: &str, epoch: u64) -> EpochHealth {
+    pub(crate) fn epoch_health(&self, job_id: &str, epoch: u64) -> EpochHealth {
         let st = self.lock();
         let now = Instant::now();
         let offered: Vec<&Offered> = st
@@ -436,13 +441,13 @@ impl FleetRegistry {
     }
 
     /// Counts one re-dispatch in `fleet_shard_redispatch_total`.
-    pub fn note_redispatch(&self) {
+    pub(crate) fn note_redispatch(&self) {
         self.obs.redispatch.inc();
     }
 
     /// The `GET /v1/workers` document: every known worker with its
     /// heartbeat age and claim state.
-    pub fn workers_json(&self) -> String {
+    pub(crate) fn workers_json(&self) -> String {
         let st = self.lock();
         let now = Instant::now();
         let entries: Vec<String> = st

@@ -10,8 +10,8 @@
 //! for streams whose length is unknown up front (the NDJSON row
 //! streams).
 //!
-//! Everything here is transport; routing and semantics live in
-//! [`crate::api`].
+//! Everything here is transport; routing and semantics live in the
+//! crate's `api` module.
 
 use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
@@ -25,7 +25,7 @@ pub const MAX_HEADERS: usize = 64;
 /// The body cap the platform's HTTP clients pass to [`read_response`].
 ///
 /// The largest response the service sends such a client is a fleet
-/// claim: up to [`MAX_TASKS`](crate::jobs::MAX_TASKS) task indices, at
+/// claim: up to `MAX_TASKS` (1 M) task indices, at
 /// most 7 bytes each with their comma (7 MB), plus the job's normalized
 /// request document. That document lists each axis value of a request
 /// body the coordinator accepted under its `--max-body` cap (1 MiB by
@@ -41,28 +41,28 @@ pub const MAX_RESPONSE_BODY: usize = 64 << 20;
 #[derive(Clone, Debug)]
 pub struct Request {
     /// Upper-cased method (`GET`, `POST`, …).
-    pub method: String,
+    pub(crate) method: String,
     /// The path part of the target, query string removed.
-    pub path: String,
+    pub(crate) path: String,
     /// Query parameters in order of appearance (no percent-decoding —
     /// the API's values are plain integers and hex ids).
-    pub query: Vec<(String, String)>,
+    pub(crate) query: Vec<(String, String)>,
     /// Headers with lower-cased names, in order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// The body (empty unless `Content-Length` said otherwise).
     pub body: Vec<u8>,
     /// Whether the connection should stay open after the response.
-    pub keep_alive: bool,
+    pub(crate) keep_alive: bool,
 }
 
 impl Request {
     /// The first value of a (lower-case) header name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         find_header(&self.headers, name)
     }
 
     /// The first value of a query parameter.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == name)
@@ -83,7 +83,7 @@ pub struct Response {
 
 impl Response {
     /// The first value of a (lower-case) header name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         find_header(&self.headers, name)
     }
 }
@@ -372,7 +372,7 @@ pub fn read_response<R: BufRead>(r: &mut R, max_body: usize) -> Result<Response,
 }
 
 /// The standard reason phrase for the status codes the service uses.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -394,7 +394,7 @@ pub fn reason(status: u16) -> &'static str {
 /// # Errors
 ///
 /// Any I/O error from the socket.
-pub fn write_response<W: Write>(
+pub(crate) fn write_response<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,
@@ -410,7 +410,7 @@ pub fn write_response<W: Write>(
 /// # Errors
 ///
 /// Any I/O error from the socket.
-pub fn write_response_with<W: Write>(
+pub(crate) fn write_response_with<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,
@@ -438,7 +438,7 @@ pub fn write_response_with<W: Write>(
 /// # Errors
 ///
 /// Any I/O error from the socket.
-pub fn write_json<W: Write>(
+pub(crate) fn write_json<W: Write>(
     w: &mut W,
     status: u16,
     body: &str,
@@ -456,14 +456,14 @@ pub fn write_json<W: Write>(
 /// re-derives its socket timeout from the time remaining. Once the
 /// budget is spent, reads fail with `TimedOut` and the connection is
 /// dropped.
-pub struct DeadlineStream {
+pub(crate) struct DeadlineStream {
     inner: TcpStream,
     deadline: Option<Instant>,
 }
 
 impl DeadlineStream {
     /// Wraps a stream with no deadline armed yet.
-    pub fn new(inner: TcpStream) -> Self {
+    pub(crate) fn new(inner: TcpStream) -> Self {
         DeadlineStream {
             inner,
             deadline: None,
@@ -472,7 +472,7 @@ impl DeadlineStream {
 
     /// Starts a fresh per-request budget: all reads must complete
     /// within `timeout` from now.
-    pub fn arm(&mut self, timeout: Duration) {
+    pub(crate) fn arm(&mut self, timeout: Duration) {
         self.deadline = Some(Instant::now() + timeout);
     }
 }
@@ -496,7 +496,7 @@ impl Read for DeadlineStream {
 /// A chunked-transfer response body: call [`ChunkedBody::chunk`] any
 /// number of times, then [`ChunkedBody::finish`]. The constructor
 /// writes the response head, so the status is committed up front.
-pub struct ChunkedBody<'w, W: Write> {
+pub(crate) struct ChunkedBody<'w, W: Write> {
     w: &'w mut W,
     finished: bool,
 }
@@ -507,7 +507,7 @@ impl<'w, W: Write> ChunkedBody<'w, W> {
     /// # Errors
     ///
     /// Any I/O error from writing the head.
-    pub fn start(
+    pub(crate) fn start(
         w: &'w mut W,
         status: u16,
         content_type: &str,
@@ -529,7 +529,7 @@ impl<'w, W: Write> ChunkedBody<'w, W> {
     /// # Errors
     ///
     /// Any I/O error from the socket.
-    pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
+    pub(crate) fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
@@ -544,7 +544,7 @@ impl<'w, W: Write> ChunkedBody<'w, W> {
     /// # Errors
     ///
     /// Any I/O error from the socket.
-    pub fn finish(mut self) -> io::Result<()> {
+    pub(crate) fn finish(mut self) -> io::Result<()> {
         self.finished = true;
         self.w.write_all(b"0\r\n\r\n")?;
         self.w.flush()

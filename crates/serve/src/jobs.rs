@@ -42,13 +42,13 @@ use std::time::{Duration, Instant};
 
 /// Caps on a single request, so one client cannot park the service on a
 /// sweep that never finishes (documented in `docs/SERVING.md`).
-pub const MAX_SIDE: u32 = 4096;
+pub(crate) const MAX_SIDE: u32 = 4096;
 /// Maximum points × replicas of one request.
-pub const MAX_TASKS: usize = 1_000_000;
+pub(crate) const MAX_TASKS: usize = 1_000_000;
 /// Maximum `k · side²` of a `multi:k` point: one replica keeps `k` window
 /// counts per cell, so this caps its count table at four `MAX_SIDE`²
 /// planes (`multi:4` at side 4096, 1 GiB of `u32`).
-pub const MAX_MULTI_COUNTS: u64 = 4 * (MAX_SIDE as u64) * (MAX_SIDE as u64);
+pub(crate) const MAX_MULTI_COUNTS: u64 = 4 * (MAX_SIDE as u64) * (MAX_SIDE as u64);
 /// The spacing of a job's pushed history samples — the "1s" tier's
 /// resolution. A job records its first progress sample, then at most one
 /// per this interval, then always its final one.
@@ -56,7 +56,7 @@ const JOB_HISTORY_CADENCE: Duration = Duration::from_secs(1);
 /// Worker-reported trace lines each job retains for
 /// `GET /v1/jobs/:id/trace` (oldest kept — the claim/run/upload shape
 /// of a job is in its first spans).
-pub const WORKER_SPANS_CAP: usize = 2048;
+pub(crate) const WORKER_SPANS_CAP: usize = 2048;
 
 /// A normalized sweep request: the parameters of `segsim sweep`'s axis
 /// flags, or of a `POST /v1/sweeps` JSON body.
@@ -67,8 +67,8 @@ pub const WORKER_SPANS_CAP: usize = 2048;
 /// Which sweeps are legal is decided by
 /// [`SweepSpecBuilder::try_build`](seg_engine::SweepSpecBuilder::try_build)
 /// alone; [`SweepRequest::from_json`] adds only the service's policy on
-/// top: its JSON schema and the per-request caps [`MAX_SIDE`],
-/// [`MAX_TASKS`] and [`MAX_MULTI_COUNTS`].
+/// top: its JSON schema and the per-request caps `MAX_SIDE`,
+/// `MAX_TASKS` and `MAX_MULTI_COUNTS`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepRequest {
     /// Grid sides (`side`, scalar or array).
@@ -254,7 +254,7 @@ impl SweepRequest {
 
     /// The normalized request as JSON — what `request.json` holds, and
     /// what [`SweepRequest::from_json`] parses back on recovery.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let num = |x: f64| Json::Num(x);
         let mut pairs: Vec<(String, Json)> = vec![
             (
@@ -293,7 +293,7 @@ impl SweepRequest {
 
 /// Where a job stands.
 #[derive(Clone, Debug, PartialEq)]
-pub enum JobState {
+pub(crate) enum JobState {
     /// Waiting for a job worker.
     Queued,
     /// A worker is running its sweep.
@@ -307,7 +307,7 @@ pub enum JobState {
 
 impl JobState {
     /// The wire spelling used in status responses.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
@@ -319,19 +319,19 @@ impl JobState {
 
 /// One submitted sweep.
 #[derive(Debug)]
-pub struct Job {
+pub(crate) struct Job {
     /// The fingerprint id (16 hex digits).
-    pub id: String,
+    pub(crate) id: String,
     /// The normalized request.
-    pub request: SweepRequest,
+    pub(crate) request: SweepRequest,
     /// The spec the request builds.
-    pub spec: SweepSpec,
+    pub(crate) spec: SweepSpec,
     /// The job's directory under `data_dir/jobs/`.
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// The distributed trace id every span of this job carries —
     /// accepted from the submitter's `X-Seg-Trace` header or minted at
     /// submission, and propagated to fleet workers on every claim.
-    pub trace_id: String,
+    pub(crate) trace_id: String,
     pub(crate) state: Mutex<JobState>,
     progress: Mutex<SweepProgress>,
     /// Trace lines uploaded by fleet workers (already tagged with their
@@ -398,7 +398,7 @@ impl Job {
     }
 
     /// The job's current state.
-    pub fn state(&self) -> JobState {
+    pub(crate) fn state(&self) -> JobState {
         self.state.lock().expect("job state poisoned").clone()
     }
 
@@ -437,22 +437,22 @@ impl Job {
     }
 
     /// The latest progress sample.
-    pub fn progress(&self) -> SweepProgress {
+    pub(crate) fn progress(&self) -> SweepProgress {
         *self.progress.lock().expect("job progress poisoned")
     }
 
     /// The path row streams read from.
-    pub fn rows_path(&self) -> PathBuf {
+    pub(crate) fn rows_path(&self) -> PathBuf {
         self.dir.join("rows.jsonl")
     }
 
     /// Marks the job recently used, deferring its LRU eviction.
-    pub fn touch(&self) {
+    pub(crate) fn touch(&self) {
         *self.last_used.lock().expect("job last_used poisoned") = Instant::now();
     }
 
     /// How long ago the job was last touched.
-    pub fn idle_for(&self) -> Duration {
+    pub(crate) fn idle_for(&self) -> Duration {
         self.last_used
             .lock()
             .expect("job last_used poisoned")
@@ -500,7 +500,7 @@ impl Job {
     /// as JSON objects are kept, so one bad upload cannot break the
     /// trace document. Bounded at [`WORKER_SPANS_CAP`]; excess lines are
     /// dropped.
-    pub fn add_worker_spans(&self, proc_tag: &str, lines: &[String]) {
+    pub(crate) fn add_worker_spans(&self, proc_tag: &str, lines: &[String]) {
         let mut spans = self.worker_spans.lock().expect("worker spans poisoned");
         for line in lines {
             if spans.len() >= WORKER_SPANS_CAP {
@@ -518,7 +518,7 @@ impl Job {
     /// worker-uploaded line, sorted by `unix_us` — one cross-process
     /// timeline. Bounded by the tracer ring ([`seg_obs::Tracer::CAPACITY`])
     /// plus [`WORKER_SPANS_CAP`].
-    pub fn trace_json(&self) -> String {
+    pub(crate) fn trace_json(&self) -> String {
         let mut entries: Vec<(u64, String)> = seg_obs::tracer()
             .snapshot_trace(&self.trace_id)
             .iter()
@@ -538,7 +538,7 @@ impl Job {
     /// The status document `GET /v1/jobs/:id` returns. `cached` is set
     /// on submit responses to say whether the finished artifact was
     /// served from the fingerprint cache.
-    pub fn status_json(&self, cached: Option<bool>) -> String {
+    pub(crate) fn status_json(&self, cached: Option<bool>) -> String {
         let state = self.state();
         let p = self.progress();
         let mut s = format!(
@@ -573,7 +573,7 @@ impl Job {
     /// fingerprint cache's hit/miss counters — so clients can make
     /// scheduling decisions from the status response alone instead of
     /// scraping `/metrics`.
-    pub fn status_json_with_scheduling(
+    pub(crate) fn status_json_with_scheduling(
         &self,
         cached: Option<bool>,
         s: &SchedulingSnapshot,
@@ -621,20 +621,20 @@ fn accept_trace_hint(hint: Option<&str>) -> String {
 /// A point-in-time copy of the manager's scheduling figures, read from
 /// the [`seg_obs`] registry (the same numbers `GET /metrics` exports).
 #[derive(Clone, Copy, Debug)]
-pub struct SchedulingSnapshot {
+pub(crate) struct SchedulingSnapshot {
     /// Jobs waiting for a worker.
-    pub queue_depth: u64,
+    pub(crate) queue_depth: u64,
     /// Jobs a worker is currently running.
-    pub active_jobs: u64,
+    pub(crate) active_jobs: u64,
     /// Submissions answered from the fingerprint cache.
-    pub cache_hits: u64,
+    pub(crate) cache_hits: u64,
     /// Submissions that created a fresh job.
-    pub cache_misses: u64,
+    pub(crate) cache_misses: u64,
 }
 
-/// What [`JobManager::submit`] found.
+/// What [`JobManager::submit_as`] found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubmitOutcome {
+pub(crate) enum SubmitOutcome {
     /// A new job was created and enqueued.
     Fresh,
     /// The identical spec is already queued or running — the caller
@@ -648,7 +648,7 @@ pub enum SubmitOutcome {
 /// The job store + queue + worker pool, shared across connection
 /// handlers.
 #[derive(Debug)]
-pub struct JobManager {
+pub(crate) struct JobManager {
     pub(crate) data_dir: PathBuf,
     engine_threads: usize,
     drain: Arc<AtomicBool>,
@@ -723,7 +723,7 @@ impl JobManager {
     /// # Errors
     ///
     /// Any I/O error creating the data directory.
-    pub fn new(data_dir: PathBuf, engine_threads: usize) -> io::Result<JobManager> {
+    pub(crate) fn new(data_dir: PathBuf, engine_threads: usize) -> io::Result<JobManager> {
         std::fs::create_dir_all(data_dir.join("jobs"))?;
         Ok(JobManager {
             data_dir,
@@ -744,14 +744,14 @@ impl JobManager {
     /// locally, its missing tasks are dispatched to the registry's live
     /// workers (see `JobManager::execute_fleet`).
     #[must_use]
-    pub fn with_fleet(mut self, fleet: Arc<FleetRegistry>) -> JobManager {
+    pub(crate) fn with_fleet(mut self, fleet: Arc<FleetRegistry>) -> JobManager {
         self.fleet = Some(fleet);
         self
     }
 
     /// Replaces the default (open) admission policy.
     #[must_use]
-    pub fn with_admission(mut self, admission: Arc<AdmissionControl>) -> JobManager {
+    pub(crate) fn with_admission(mut self, admission: Arc<AdmissionControl>) -> JobManager {
         self.admission = admission;
         self
     }
@@ -759,7 +759,7 @@ impl JobManager {
     /// Sets the cache lifecycle bounds enforced by
     /// [`JobManager::enforce_lifecycle`].
     #[must_use]
-    pub fn with_lifecycle(
+    pub(crate) fn with_lifecycle(
         mut self,
         job_ttl: Option<Duration>,
         data_max_bytes: Option<u64>,
@@ -770,7 +770,7 @@ impl JobManager {
     }
 
     /// The admission policy, for the API layer's key resolution.
-    pub fn admission(&self) -> &Arc<AdmissionControl> {
+    pub(crate) fn admission(&self) -> &Arc<AdmissionControl> {
         &self.admission
     }
 
@@ -778,19 +778,13 @@ impl JobManager {
     /// and active jobs from the gauges, cache traffic from the counters.
     /// Counters are process-wide and cumulative (a second manager in the
     /// same process shares them).
-    pub fn scheduling(&self) -> SchedulingSnapshot {
+    pub(crate) fn scheduling(&self) -> SchedulingSnapshot {
         SchedulingSnapshot {
             queue_depth: self.obs.queue_depth.get().max(0.0) as u64,
             active_jobs: self.obs.active_jobs.get().max(0.0) as u64,
             cache_hits: self.obs.cache_hits.get(),
             cache_misses: self.obs.cache_misses.get(),
         }
-    }
-
-    /// The flag the server's drain sets; jobs pass it to
-    /// [`Engine::cancel_flag`] so a shutdown stops replica claiming.
-    pub fn drain_flag(&self) -> Arc<AtomicBool> {
-        self.drain.clone()
     }
 
     /// Re-registers every job found on disk: finished jobs become cache
@@ -802,7 +796,7 @@ impl JobManager {
     ///
     /// Any I/O error from scanning the jobs directory; a single
     /// unreadable job directory is skipped with a stderr note instead.
-    pub fn recover(&self) -> io::Result<(usize, usize)> {
+    pub(crate) fn recover(&self) -> io::Result<(usize, usize)> {
         let (mut finished, mut requeued) = (0, 0);
         for entry in std::fs::read_dir(self.data_dir.join("jobs"))? {
             let dir = entry?.path();
@@ -865,33 +859,19 @@ impl JobManager {
     /// the whole fleet), a pre-existing job keeps the id it already
     /// runs under.
     ///
-    /// # Errors
-    ///
-    /// Any I/O error creating the job directory or writing
-    /// `request.json`.
-    pub fn submit(
-        &self,
-        request: SweepRequest,
-        trace_hint: Option<&str>,
-    ) -> io::Result<(Arc<Job>, SubmitOutcome)> {
-        match self.submit_as(request, trace_hint, None)? {
-            Ok(pair) => Ok(pair),
-            Err(_) => unreachable!("admission gates only apply to attributed clients"),
-        }
-    }
-
-    /// [`JobManager::submit`] with admission control: when `client` is
-    /// set, a submission that would create fresh work (a new job, or a
-    /// failed job's retry) runs through the quota and queue-depth gates
-    /// first — atomically with the job-table check, so a rejected
-    /// client cannot slip a job in between the two. Cache hits and
-    /// joins of in-flight jobs are always admitted.
+    /// When `client` is set, a submission that would create fresh work
+    /// (a new job, or a failed job's retry) runs through the quota and
+    /// queue-depth gates first — atomically with the job-table check,
+    /// so a rejected client cannot slip a job in between the two. Cache
+    /// hits and joins of in-flight jobs are always admitted, and so is
+    /// every submission without a client.
     ///
     /// # Errors
     ///
-    /// The outer `io::Result` is disk failure; the inner `Result` is
-    /// the admission verdict (`Err` becomes the API's 429).
-    pub fn submit_as(
+    /// The outer `io::Result` is disk failure (creating the job
+    /// directory or writing `request.json`); the inner `Result` is the
+    /// admission verdict (`Err` becomes the API's 429).
+    pub(crate) fn submit_as(
         &self,
         request: SweepRequest,
         trace_hint: Option<&str>,
@@ -973,12 +953,12 @@ impl JobManager {
     }
 
     /// Looks a job up by id.
-    pub fn get(&self, id: &str) -> Option<Arc<Job>> {
+    pub(crate) fn get(&self, id: &str) -> Option<Arc<Job>> {
         self.jobs.lock().expect("jobs poisoned").get(id).cloned()
     }
 
     /// Every registered job, ordered by id — the dashboard's job list.
-    pub fn jobs_snapshot(&self) -> Vec<Arc<Job>> {
+    pub(crate) fn jobs_snapshot(&self) -> Vec<Arc<Job>> {
         self.jobs
             .lock()
             .expect("jobs poisoned")
@@ -988,7 +968,7 @@ impl JobManager {
     }
 
     /// Per-state job counts, for `/healthz`.
-    pub fn counts(&self) -> BTreeMap<&'static str, usize> {
+    pub(crate) fn counts(&self) -> BTreeMap<&'static str, usize> {
         let mut out = BTreeMap::from([("queued", 0), ("running", 0), ("done", 0), ("failed", 0)]);
         for job in self.jobs.lock().expect("jobs poisoned").values() {
             *out.get_mut(job.state().label()).expect("known label") += 1;
@@ -1000,7 +980,7 @@ impl JobManager {
     /// and journaling the ones in flight), queued jobs stay on disk for
     /// the next start, and every waiting worker and row stream wakes up
     /// to exit.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         self.drain.store(true, Ordering::Relaxed);
         self.cvar.notify_all();
         for job in self.jobs.lock().expect("jobs poisoned").values() {
@@ -1010,7 +990,7 @@ impl JobManager {
 
     /// One job worker: pops jobs until drained. Run this on N threads
     /// for N-way job parallelism.
-    pub fn worker_loop(&self) {
+    pub(crate) fn worker_loop(&self) {
         loop {
             let job = {
                 let mut q = self.queue.lock().expect("queue poisoned");
@@ -1360,15 +1340,15 @@ mod tests {
     fn submit_deduplicates_by_fingerprint() {
         let mgr = JobManager::new(tmp("dedup"), 1).unwrap();
         let req = SweepRequest::from_json(&request_json(r#", "max_events": 100"#)).unwrap();
-        let (a, outcome_a) = mgr.submit(req.clone(), None).unwrap();
+        let (a, outcome_a) = mgr.submit_as(req.clone(), None, None).unwrap().unwrap();
         assert_eq!(outcome_a, SubmitOutcome::Fresh);
-        let (b, outcome_b) = mgr.submit(req.clone(), None).unwrap();
+        let (b, outcome_b) = mgr.submit_as(req.clone(), None, None).unwrap().unwrap();
         assert_eq!(outcome_b, SubmitOutcome::InFlight);
         assert_eq!(a.id, b.id);
         // a different seed is a different job
         let mut other = req;
         other.seed = 1;
-        let (c, _) = mgr.submit(other, None).unwrap();
+        let (c, _) = mgr.submit_as(other, None, None).unwrap().unwrap();
         assert_ne!(a.id, c.id);
         assert!(a.dir.join("request.json").exists());
     }
@@ -1381,7 +1361,7 @@ mod tests {
         let id;
         {
             let mgr = JobManager::new(dir.clone(), 2).unwrap();
-            let (job, _) = mgr.submit(req.clone(), None).unwrap();
+            let (job, _) = mgr.submit_as(req.clone(), None, None).unwrap().unwrap();
             id = job.id.clone();
             // run the queue inline: drain first so the loop exits once idle
             mgr.run_job(&job);
@@ -1394,7 +1374,7 @@ mod tests {
         let mgr = JobManager::new(dir, 2).unwrap();
         let (finished, requeued) = mgr.recover().unwrap();
         assert_eq!((finished, requeued), (1, 0));
-        let (job, outcome) = mgr.submit(req, None).unwrap();
+        let (job, outcome) = mgr.submit_as(req, None, None).unwrap().unwrap();
         assert_eq!(job.id, id);
         assert_eq!(outcome, SubmitOutcome::Cached);
         assert!(job.status_json(Some(true)).contains("\"cached\":true"));
@@ -1407,7 +1387,7 @@ mod tests {
         {
             let mgr = JobManager::new(dir.clone(), 1).unwrap();
             // drain before running: the worker claims nothing
-            let (job, _) = mgr.submit(req.clone(), None).unwrap();
+            let (job, _) = mgr.submit_as(req.clone(), None, None).unwrap().unwrap();
             mgr.drain();
             mgr.run_job(&job);
             assert_eq!(job.state(), JobState::Queued);
@@ -1424,15 +1404,18 @@ mod tests {
     fn trace_hints_are_adopted_only_when_plausible() {
         let mgr = JobManager::new(tmp("trace_hint"), 1).unwrap();
         let req = SweepRequest::from_json(&request_json("")).unwrap();
-        let (job, _) = mgr.submit(req.clone(), Some("client-trace_7")).unwrap();
+        let (job, _) = mgr
+            .submit_as(req.clone(), Some("client-trace_7"), None)
+            .unwrap()
+            .unwrap();
         assert_eq!(job.trace_id, "client-trace_7");
         // resubmission keeps the id the job already runs under
-        let (again, _) = mgr.submit(req, Some("other")).unwrap();
+        let (again, _) = mgr.submit_as(req, Some("other"), None).unwrap().unwrap();
         assert_eq!(again.trace_id, "client-trace_7");
         for bad in ["", "has space", "x\"y", &"a".repeat(65)] {
             let mut other = SweepRequest::from_json(&request_json("")).unwrap();
             other.seed = 1 + bad.len() as u64;
-            let (job, _) = mgr.submit(other, Some(bad)).unwrap();
+            let (job, _) = mgr.submit_as(other, Some(bad), None).unwrap().unwrap();
             assert_ne!(job.trace_id, bad, "implausible hint {bad:?} adopted");
             assert_eq!(job.trace_id.len(), 16, "expected a minted id");
         }
@@ -1442,7 +1425,10 @@ mod tests {
     fn trace_json_merges_worker_spans_in_unix_us_order() {
         let mgr = JobManager::new(tmp("trace_json"), 1).unwrap();
         let req = SweepRequest::from_json(&request_json("")).unwrap();
-        let (job, _) = mgr.submit(req, Some("merge-test-trace")).unwrap();
+        let (job, _) = mgr
+            .submit_as(req, Some("merge-test-trace"), None)
+            .unwrap()
+            .unwrap();
         job.add_worker_spans(
             "w1",
             &[
@@ -1478,7 +1464,7 @@ mod tests {
     fn status_json_is_wellformed() {
         let mgr = JobManager::new(tmp("status"), 1).unwrap();
         let req = SweepRequest::from_json(&request_json("")).unwrap();
-        let (job, _) = mgr.submit(req, None).unwrap();
+        let (job, _) = mgr.submit_as(req, None, None).unwrap().unwrap();
         let doc = Json::parse(&job.status_json(None)).unwrap();
         assert_eq!(doc.get("state").unwrap().as_str(), Some("queued"));
         assert_eq!(doc.get("tasks").unwrap().as_u64(), Some(2));
@@ -1506,7 +1492,7 @@ mod tests {
         // progress reported every 25 ms for ~1.5 s
         let req =
             SweepRequest::from_json(&request_json(r#", "replicas": 30, "seed": 77"#)).unwrap();
-        let (job, _) = mgr.submit(req, None).unwrap();
+        let (job, _) = mgr.submit_as(req, None, None).unwrap().unwrap();
         let total = job.spec.task_count();
         let started = Instant::now();
         for done in 1..=total {
@@ -1547,7 +1533,7 @@ mod tests {
         // a real run records its final progress sample last
         let req =
             SweepRequest::from_json(&request_json(r#", "replicas": 30, "seed": 78"#)).unwrap();
-        let (job, _) = mgr.submit(req, None).unwrap();
+        let (job, _) = mgr.submit_as(req, None, None).unwrap().unwrap();
         let started = Instant::now();
         mgr.run_job(&job);
         let p = job.progress();

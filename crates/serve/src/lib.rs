@@ -48,23 +48,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub mod admission;
-pub mod api;
-pub mod dashboard;
-pub mod fleet;
+mod admission;
+mod api;
+mod dashboard;
+mod fleet;
 pub mod http;
-pub mod jobs;
-pub mod lifecycle;
-pub mod server;
-pub mod worker;
+mod jobs;
+mod lifecycle;
+mod server;
+mod worker;
 
-pub use admission::{AdmissionControl, Rejection};
-pub use api::ApiContext;
-pub use fleet::{Assignment, EpochHealth, FleetRegistry};
-pub use http::{ChunkedBody, DeadlineStream, HttpError, Request};
-pub use jobs::{Job, JobManager, JobState, SchedulingSnapshot, SubmitOutcome, SweepRequest};
-pub use lifecycle::DeleteOutcome;
+pub use admission::{AdmissionControl, Rejection, UnknownKey};
+pub use jobs::SweepRequest;
 pub use seg_obs::Json;
 pub use server::{serve, ServeConfig, Server};
 pub use worker::{run_worker, WorkerConfig};

@@ -31,7 +31,7 @@ use std::time::Duration;
 
 /// What `DELETE /v1/jobs/:id` found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeleteOutcome {
+pub(crate) enum DeleteOutcome {
     /// The job and its directory are gone (200).
     Deleted,
     /// No such job (404).
@@ -81,7 +81,7 @@ impl JobManager {
     /// Removes a finished job and its directory. Queued/running jobs
     /// are refused ([`DeleteOutcome::Busy`]) — they hold admission
     /// slots and live file handles.
-    pub fn delete(&self, id: &str) -> DeleteOutcome {
+    pub(crate) fn delete(&self, id: &str) -> DeleteOutcome {
         let mut jobs = self.jobs.lock().expect("jobs poisoned");
         let Some(job) = jobs.get(id).cloned() else {
             return DeleteOutcome::NotFound;
@@ -106,7 +106,7 @@ impl JobManager {
     /// `serve_data_bytes` gauge, and returns the value it published.
     /// Called after every job completion and periodically from the
     /// server's sweeper thread; walks only the live jobs' directories.
-    pub fn enforce_lifecycle(&self) -> u64 {
+    pub(crate) fn enforce_lifecycle(&self) -> u64 {
         let mut jobs = self.jobs.lock().expect("jobs poisoned");
         let mut sized: Vec<(Arc<Job>, u64)> =
             jobs.values().map(|j| (j.clone(), job_bytes(j))).collect();
@@ -181,7 +181,7 @@ mod tests {
 
     /// Submit + run one job to completion, returning its id and rows.
     fn run_one(mgr: &JobManager, seed: u64) -> (String, Vec<u8>) {
-        let (job, outcome) = mgr.submit(request(seed), None).unwrap();
+        let (job, outcome) = mgr.submit_as(request(seed), None, None).unwrap().unwrap();
         assert_eq!(outcome, SubmitOutcome::Fresh);
         mgr.run_job_for_test(&job);
         assert_eq!(job.state(), JobState::Done);
@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn delete_refuses_live_jobs_and_removes_finished_ones() {
         let mgr = JobManager::new(tmp("delete"), 1).unwrap();
-        let (queued, _) = mgr.submit(request(1), None).unwrap();
+        let (queued, _) = mgr.submit_as(request(1), None, None).unwrap().unwrap();
         assert_eq!(mgr.delete(&queued.id), DeleteOutcome::Busy);
         assert_eq!(mgr.delete("ffffffffffffffff"), DeleteOutcome::NotFound);
 
@@ -202,7 +202,7 @@ mod tests {
         assert!(!dir.exists());
 
         // a resubmit is a plain cache miss that recomputes identically
-        let (job, outcome) = mgr.submit(request(2), None).unwrap();
+        let (job, outcome) = mgr.submit_as(request(2), None, None).unwrap().unwrap();
         assert_eq!(outcome, SubmitOutcome::Fresh);
         mgr.run_job_for_test(&job);
         assert_eq!(std::fs::read(job.rows_path()).unwrap(), rows);
@@ -225,7 +225,7 @@ mod tests {
         mgr.recover().unwrap();
 
         // a queued job sits in the dir the whole time and must survive
-        let (queued, _) = mgr.submit(request(100), None).unwrap();
+        let (queued, _) = mgr.submit_as(request(100), None, None).unwrap().unwrap();
 
         for seed in 1..6 {
             // touch order = seed order, so eviction order is too
@@ -258,7 +258,7 @@ mod tests {
         *running.state.lock().unwrap() = JobState::Done;
 
         // the evicted first job recomputes byte-identically
-        let (job, outcome) = mgr.submit(request(0), None).unwrap();
+        let (job, outcome) = mgr.submit_as(request(0), None, None).unwrap().unwrap();
         assert_eq!(outcome, SubmitOutcome::Fresh, "evicted job still cached");
         mgr.run_job_for_test(&job);
         assert_eq!(
@@ -274,7 +274,7 @@ mod tests {
             .unwrap()
             .with_lifecycle(Some(Duration::from_millis(30)), None);
         let (id, _) = run_one(&mgr, 7);
-        let (fresh_queued, _) = mgr.submit(request(8), None).unwrap();
+        let (fresh_queued, _) = mgr.submit_as(request(8), None, None).unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(60));
         mgr.enforce_lifecycle();
         assert!(mgr.get(&id).is_none(), "idle done job survived its TTL");
@@ -300,11 +300,11 @@ mod tests {
         let (first, _) = run_one(&mgr, 200);
         let (second, _) = run_one(&mgr, 201);
         run_one(&mgr, 202);
-        mgr.submit(request(203), None).unwrap();
+        mgr.submit_as(request(203), None, None).unwrap().unwrap();
         assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
 
         // a running job is walked on every pass while its journal grows
-        let (live, _) = mgr.submit(request(205), None).unwrap();
+        let (live, _) = mgr.submit_as(request(205), None, None).unwrap().unwrap();
         live.set_state(JobState::Running);
         assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
         std::fs::write(live.dir.join("ck.jsonl"), "grown\n").unwrap();
@@ -323,14 +323,14 @@ mod tests {
         assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
 
         // a job fails on a foreign rows file and is sized as finished...
-        let (job, _) = mgr.submit(request(204), None).unwrap();
+        let (job, _) = mgr.submit_as(request(204), None, None).unwrap().unwrap();
         std::fs::write(job.rows_path(), "{\"not\":\"this sweep\"}\n").unwrap();
         mgr.run_job_for_test(&job);
         assert!(matches!(job.state(), JobState::Failed(_)));
         assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
         // ...then its retry goes live and grows: no stale size survives
         std::fs::remove_file(job.rows_path()).unwrap();
-        let (retry, outcome) = mgr.submit(request(204), None).unwrap();
+        let (retry, outcome) = mgr.submit_as(request(204), None, None).unwrap().unwrap();
         assert_eq!(outcome, SubmitOutcome::Fresh);
         assert_eq!(mgr.enforce_lifecycle(), walk(&dir));
         mgr.run_job_for_test(&retry);

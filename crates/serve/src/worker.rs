@@ -58,7 +58,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// Upload bodies are flushed at this size so a big share never trips
 /// the server's `--max-body` cap (default 1 MiB). Each batch is a
 /// complete journal; the coordinator deduplicates by task index.
-pub const UPLOAD_BATCH_BYTES: usize = 512 * 1024;
+pub(crate) const UPLOAD_BATCH_BYTES: usize = 512 * 1024;
 
 /// How often the heartbeat thread stamps while an assignment runs.
 /// Each sleep is jittered ±10% so a fleet of workers started together

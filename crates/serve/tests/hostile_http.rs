@@ -10,8 +10,8 @@
 //! the message declares.
 
 use proptest::prelude::*;
+use seg_serve::http::HttpError;
 use seg_serve::http::{read_request, read_response, MAX_HEADERS, MAX_HEAD_BYTES};
-use seg_serve::HttpError;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{BufReader, Read};

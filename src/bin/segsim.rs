@@ -45,7 +45,7 @@
 //! server resumes unfinished jobs from their checkpoint journals on the
 //! next start. See `docs/SERVING.md`.
 //!
-//! Distributed serve fleet (the [`seg_serve::fleet`] mode):
+//! Distributed serve fleet (`segsim serve --fleet`):
 //!
 //! ```text
 //! segsim serve --fleet [--fleet-timeout SECS] ...
