@@ -6,7 +6,7 @@
 //! binary to the theorem/figure/claim it reproduces, its flags, expected
 //! runtime and outputs. All binaries run on `seg_engine` (a `SweepSpec`
 //! plus observers; no hand-rolled parameter/seed loops) and share the
-//! unified `--threads/--seed/--out/--replicas/--checkpoint/--shard/--stream`
+//! unified `--threads/--seed/--out/--replicas/--checkpoint/--shard`
 //! interface — which also means every one of them can run as one worker
 //! of a multi-process sharded sweep (`--shard I/M`, merged by rerunning
 //! without the flag).
@@ -34,7 +34,7 @@ pub fn banner(id: &str, paper_artifact: &str, params: &str) {
 }
 
 /// Parses the engine's unified flags (`--threads`, `--seed`, `--out`,
-/// `--replicas`, `--checkpoint`, `--shard`, `--stream`) for a harness
+/// `--replicas`, `--checkpoint`, `--shard`) for a harness
 /// binary, printing usage and exiting on `--help`, on an unknown flag,
 /// or on a malformed value. Every engine-backed binary accepts exactly
 /// this interface.

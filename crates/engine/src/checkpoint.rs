@@ -62,9 +62,8 @@ pub enum CheckpointError {
         /// The journal path.
         path: PathBuf,
     },
-    /// The `--out` sink could not be used: a streaming sink's existing
-    /// output was written by a different sweep or could not be opened,
-    /// or the buffered file could not be written.
+    /// The `--out` sink could not be used: its existing output was
+    /// written by a different sweep, or it could not be opened.
     Sink {
         /// The sink path.
         path: PathBuf,

@@ -1,8 +1,8 @@
 //! Shared command-line flags for engine-backed binaries.
 //!
-//! Every harness binary that runs sweeps accepts the same quartet of
-//! flags with the same defaults, so moving between experiments never
-//! means relearning the interface:
+//! Every harness binary that runs sweeps accepts the same flags with
+//! the same defaults, so moving between experiments never means
+//! relearning the interface:
 //!
 //! ```text
 //! --threads N        worker threads        (default: all cores, capped at 8)
@@ -11,8 +11,11 @@
 //! --replicas K       replicas per point    (default: experiment-specific)
 //! --checkpoint FILE  journal completed replicas to FILE and resume from it
 //! --shard I/M        run only shard I of M (requires --checkpoint)
-//! --stream           append --out rows as replicas finish (CSV or .jsonl)
 //! ```
+//!
+//! `--out` rows append in task order as replicas finish, so the file on
+//! disk is always a prefix of the finished one (see
+//! [`StreamingSink`](crate::StreamingSink)).
 //!
 //! With `--checkpoint`, a killed sweep rerun under the same flags skips
 //! every replica already journaled (see [`crate::checkpoint`]); binaries
@@ -32,7 +35,7 @@
 use crate::checkpoint::CheckpointError;
 use crate::observe::Observer;
 use crate::run::{Engine, SweepResult};
-use crate::sink::{Sink, StreamingSink};
+use crate::sink::{expected_metric_columns, Sink};
 use crate::spec::{ShardIndex, SweepSpec};
 use seg_analysis::parallel::default_threads;
 use std::path::{Path, PathBuf};
@@ -73,12 +76,6 @@ pub struct EngineArgs {
     /// Run only one shard of the task list (`--shard I/M`), journaling
     /// to a shard journal next to the `--checkpoint` path.
     pub shard: Option<ShardIndex>,
-    /// Stream `--out` rows as replicas finish instead of buffering to
-    /// the end. CSV sinks write their header up front from the
-    /// predicted metric columns
-    /// ([`expected_metric_columns`](crate::sink::expected_metric_columns)),
-    /// so this works for both formats.
-    pub(crate) stream: bool,
 }
 
 impl Default for EngineArgs {
@@ -90,7 +87,6 @@ impl Default for EngineArgs {
             replicas: None,
             checkpoint: None,
             shard: None,
-            stream: false,
         }
     }
 }
@@ -98,7 +94,7 @@ impl Default for EngineArgs {
 /// Help-text fragment describing the common flags (append to a binary's
 /// usage line).
 pub const ENGINE_USAGE: &str = "[--threads N] [--seed S] [--out FILE.csv|FILE.jsonl] \
-[--replicas K] [--checkpoint FILE.jsonl] [--shard I/M] [--stream]";
+[--replicas K] [--checkpoint FILE.jsonl] [--shard I/M]";
 
 impl EngineArgs {
     /// Parses the common flags out of `args`, returning the parsed flags
@@ -144,7 +140,6 @@ impl EngineArgs {
                             .map_err(|e| format!("--shard I/M: {e}"))?,
                     )
                 }
-                "--stream" => out.stream = true,
                 "--replicas" => {
                     let k: u32 = value("--replicas")?
                         .parse()
@@ -163,18 +158,6 @@ impl EngineArgs {
                  how the shards get merged"
                     .into(),
             );
-        }
-        if out.stream {
-            if out.shard.is_some() {
-                return Err(
-                    "--stream cannot be combined with --shard (rows release in task order, \
-                     which a single shard never completes); stream the merge run instead"
-                        .into(),
-                );
-            }
-            if out.out.is_none() {
-                return Err("--stream needs --out".into());
-            }
         }
         Ok((out, rest))
     }
@@ -209,8 +192,7 @@ impl EngineArgs {
     /// Runs one sweep under these flags: builds the engine; journals
     /// to/resumes from `--checkpoint`; restricts to `--shard`'s tasks
     /// (the result is then partial — see [`SweepResult::is_complete`]);
-    /// writes the `--out` rows, streamed as replicas finish under
-    /// `--stream`, buffered at the end otherwise.
+    /// appends the `--out` rows as replicas finish.
     ///
     /// # Errors
     ///
@@ -230,10 +212,13 @@ impl EngineArgs {
     /// per-sweep output from the `--out` path (`EngineArgs::sink`), so
     /// each sweep resumes independently and writes its own rows.
     ///
-    /// Streamed or buffered, the rows land in the same file with the same
-    /// bytes. A partial (`--shard`) result writes no rows: the canonical
-    /// rows come from the merge run, and a partial file at the same path
-    /// would only masquerade as them.
+    /// The CSV header is the sweep's declared metric columns
+    /// ([`expected_metric_columns`]), whatever the replicas produce. A
+    /// run that finds no journal at the `--checkpoint` path writes
+    /// `--out` afresh; one that resumes a journal appends after the
+    /// file's last complete row. A partial (`--shard`) run writes no
+    /// rows: the canonical rows come from the merge run, and a partial
+    /// file at the same path would only masquerade as them.
     ///
     /// # Errors
     ///
@@ -249,42 +234,25 @@ impl EngineArgs {
             .checkpoint
             .as_ref()
             .map(|p| tag_path(p, name, "checkpoint", "jsonl"));
-        let sink = self.sink(name);
-        let sink_error = |sink: &Sink, source| CheckpointError::Sink {
-            path: sink.path().to_path_buf(),
-            source,
-        };
-        let stream: Option<StreamingSink> = match (&sink, self.stream) {
-            (Some(sink), true) => {
-                // a streaming CSV needs its metric columns up front; they
-                // are predicted from the spec + observers (JSONL rows are
-                // self-describing and need no prediction)
-                let columns = match sink {
-                    Sink::Jsonl(_) => Vec::new(),
-                    Sink::Csv(_) => crate::sink::expected_metric_columns(spec, observers)
-                        .expect("every observer declares its metric columns"),
-                };
-                let resume = checkpoint.is_some();
-                Some(
-                    sink.stream(spec, &columns, resume)
-                        .map_err(|source| sink_error(sink, source))?,
-                )
-            }
-            _ => None,
-        };
+        let stream = self
+            .sink(name)
+            .filter(|_| self.shard.is_none())
+            .map(|sink| {
+                let columns = expected_metric_columns(spec, observers)
+                    .expect("every observer declares its metric columns");
+                let resume = checkpoint.as_deref().is_some_and(Path::exists);
+                sink.stream(spec, &columns, resume)
+                    .map_err(|source| CheckpointError::Sink {
+                        path: sink.path().to_path_buf(),
+                        source,
+                    })
+            })
+            .transpose()?;
         let result =
             self.engine()
                 .run_full(spec, observers, checkpoint.as_deref(), stream.as_ref())?;
-        if let Some(sink) = sink.filter(|_| result.is_complete()) {
-            if stream.is_some() {
-                // rewriting the identical bytes would only blank the file
-                // under anyone tailing it
-                println!("per-replica rows streamed to {}", sink.path().display());
-            } else {
-                sink.write(&result)
-                    .map_err(|source| sink_error(&sink, source))?;
-                println!("per-replica rows written to {}", sink.path().display());
-            }
+        if let Some(stream) = stream {
+            println!("per-replica rows written to {}", stream.path().display());
         }
         Ok(result)
     }
@@ -354,10 +322,13 @@ mod tests {
         let (a, _) = EngineArgs::parse(&args("--checkpoint ck.jsonl --shard 1/3")).unwrap();
         assert_eq!(a.shard, Some(ShardIndex::new(1, 3)));
         assert!(EngineArgs::parse(&args("--shard 1/3")).is_err());
-        assert!(EngineArgs::parse(&args(
-            "--checkpoint ck.jsonl --shard 0/2 --stream --out r.jsonl"
+        // `--stream` is no flag of ours: it falls through to the caller,
+        // whose usage error refuses it
+        let (_, rest) = EngineArgs::parse(&args(
+            "--checkpoint ck.jsonl --shard 0/2 --stream --out r.jsonl",
         ))
-        .is_err());
+        .unwrap();
+        assert_eq!(rest, args("--stream"));
         // `auto/M` is not a shard index; the error names the syntax
         let err = EngineArgs::parse(&args("--checkpoint ck.jsonl --shard auto/2")).unwrap_err();
         assert!(err.contains("--shard I/M"), "got: {err}");
@@ -394,7 +365,6 @@ mod tests {
         let (a, _) = EngineArgs::parse(&[
             "--out".to_string(),
             streamed.to_string_lossy().into_owned(),
-            "--stream".to_string(),
             "--threads".to_string(),
             "2".to_string(),
         ])
@@ -434,7 +404,6 @@ mod tests {
         let (a, _) = EngineArgs::parse(&[
             "--out".to_string(),
             streamed.to_string_lossy().into_owned(),
-            "--stream".to_string(),
             "--threads".to_string(),
             "2".to_string(),
         ])
@@ -456,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn run_named_writes_buffered_rows_where_it_streams_them() {
+    fn run_named_rows_match_across_shard_merge_and_torn_resume() {
         use crate::observe::Observer;
         let dir = std::env::temp_dir().join("seg_engine_cli_named_rows");
         let _ = std::fs::remove_dir_all(&dir);
@@ -469,25 +438,37 @@ mod tests {
             .master_seed(21)
             .build();
         for ext in ["csv", "jsonl"] {
-            let run = |mode: &str, stream: bool| -> Vec<u8> {
-                let out = dir.join(mode).join(format!("rows.{ext}"));
-                let mut flags = args("--threads 2 --out");
+            let mode_dir = |mode: &str| dir.join(format!("{mode}-{ext}"));
+            let run = |mode: &str, extra: &str| -> Option<Vec<u8>> {
+                let out = mode_dir(mode).join(format!("rows.{ext}"));
+                let mut flags = args(&format!("--threads 2 {extra} --out"));
                 flags.push(out.to_string_lossy().into_owned());
-                if stream {
-                    flags.push("--stream".into());
-                }
                 let (a, _) = EngineArgs::parse(&flags).unwrap();
                 a.run_named("alpha", &spec, &[Observer::TerminalStats])
                     .unwrap();
                 assert!(!out.exists(), "{mode} run wrote the untagged path");
-                let tagged = dir.join(mode).join(format!("rows-alpha.{ext}"));
-                std::fs::read(&tagged)
-                    .unwrap_or_else(|e| panic!("{mode} run wrote no {}: {e}", tagged.display()))
+                std::fs::read(mode_dir(mode).join(format!("rows-alpha.{ext}"))).ok()
             };
+            let fresh = run("fresh", "").expect("a fresh run writes its tagged rows");
+            let ck = format!(
+                "--checkpoint {}",
+                mode_dir("resumed").join("ck.jsonl").display()
+            );
+            // a shard's rows are partial: it writes none
+            let shard = format!("{ck} --shard 0/2");
+            assert_eq!(run("resumed", &shard), None, "a --shard run wrote rows");
+            // with no journal at the checkpoint path the merge run writes
+            // --out afresh, over whatever stale file is there
+            let tagged = mode_dir("resumed").join(format!("rows-alpha.{ext}"));
+            std::fs::write(&tagged, "stale\n").unwrap();
+            assert_eq!(run("resumed", &ck), Some(fresh.clone()));
+            // tear the last row, as a kill mid-append would: resuming the
+            // journal appends after the last complete row
+            std::fs::write(&tagged, &fresh[..fresh.len() - 5]).unwrap();
             assert_eq!(
-                run("buffered", false),
-                run("streamed", true),
-                "buffered and streamed .{ext} rows differ"
+                run("resumed", &ck),
+                Some(fresh),
+                "fresh and resumed .{ext} rows differ"
             );
         }
     }
@@ -520,5 +501,41 @@ mod tests {
             assert_eq!(x.events, y.events);
             assert_eq!(x.metrics, y.metrics);
         }
+    }
+
+    #[test]
+    fn csv_header_is_the_declared_column_set() {
+        use crate::observe::Observer;
+        let dir = std::env::temp_dir().join("seg_engine_cli_declared_header");
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = SweepSpec::builder()
+            .side(24)
+            .horizon(1)
+            .tau(0.42)
+            .replicas(2)
+            .max_events(500)
+            .master_seed(13)
+            .build();
+        // no replica produces the declared `never`, and its column is
+        // there all the same: the header depends on the flags alone
+        let observers = [Observer::custom_named(
+            ["never", "zeta_score"],
+            |task, _, _| vec![("zeta_score".into(), task.replica as f64)],
+        )];
+        let out = dir.join("rows.csv");
+        let mut flags = args("--threads 2 --out");
+        flags.push(out.to_string_lossy().into_owned());
+        let (a, _) = EngineArgs::parse(&flags).unwrap();
+        a.run(&spec, &observers).unwrap();
+        let columns = expected_metric_columns(&spec, &observers).unwrap();
+        assert!(columns.iter().any(|c| c == "never"));
+        let text = std::fs::read_to_string(&out).unwrap();
+        assert_eq!(
+            text.lines().next().unwrap(),
+            format!(
+                "point,replica,seed,side,horizon,tau,density,variant,{}",
+                columns.join(",")
+            )
+        );
     }
 }

@@ -65,16 +65,14 @@ impl std::fmt::Debug for Observer {
 impl Observer {
     /// Wraps a closure as a [`Observer::Custom`] that declares its
     /// metric names up front, which makes it streamable to CSV
-    /// (`--stream` with a `.csv --out` works because
-    /// [`crate::sink::expected_metric_columns`] can include `names` in
-    /// the predicted header).
+    /// ([`crate::sink::expected_metric_columns`] includes `names` in the
+    /// predicted header).
     ///
     /// The declaration is a contract: [`Observer::apply`] fails with
     /// [`io::ErrorKind::InvalidData`] if the closure ever returns a
     /// metric outside `names`, so the streamed header can never silently
-    /// drop a column. Declared-but-unproduced names are allowed (their
-    /// cells render empty), but for byte-identical streamed and buffered
-    /// files each declared name should show up in at least one replica.
+    /// drop a column. Declared-but-unproduced names are allowed: their
+    /// cells render empty.
     pub fn custom_named<I, F>(names: I, f: F) -> Self
     where
         I: IntoIterator,

@@ -12,7 +12,7 @@ use seg_analysis::stats::Summary;
 use seg_grid::rng::Xoshiro256pp;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// A live progress sample of a running sweep, delivered to
@@ -285,6 +285,7 @@ impl Engine {
     /// Runs every replica of the sweep, applying `observers` to each.
     pub fn run(&self, spec: &SweepSpec, observers: &[Observer]) -> SweepResult {
         self.run_inner(spec, observers, Vec::new(), None, None)
+            .expect("a run without a journal or a sink writes nothing that can fail")
     }
 
     /// Like [`Engine::run`], journaling every completed replica to the
@@ -334,12 +335,12 @@ impl Engine {
     ///
     /// [`CheckpointError`] when a journal cannot be used (see
     /// [`Engine::run_with_checkpoint`]), or [`CheckpointError::Sink`]
-    /// for the partial run + stream combination.
+    /// for the partial run + stream combination and when appending to
+    /// the streaming sink fails (no further replicas start then).
     ///
     /// # Panics
     ///
-    /// Panics if appending to the journal or the streaming sink fails
-    /// mid-sweep.
+    /// Panics if appending to the journal fails mid-sweep.
     pub fn run_full(
         &self,
         spec: &SweepSpec,
@@ -364,7 +365,7 @@ impl Engine {
             }
         }
         match checkpoint {
-            None => Ok(self.run_inner(spec, observers, Vec::new(), None, stream)),
+            None => self.run_inner(spec, observers, Vec::new(), None, stream),
             Some(path) => {
                 let (completed, journal) =
                     Checkpoint::resume_sharded(path, spec, self.static_shard())?;
@@ -376,7 +377,7 @@ impl Engine {
                         spec.task_count()
                     );
                 }
-                Ok(self.run_inner(spec, observers, completed, Some(&journal), stream))
+                self.run_inner(spec, observers, completed, Some(&journal), stream)
             }
         }
     }
@@ -388,7 +389,11 @@ impl Engine {
         completed: Vec<Option<ReplicaRecord>>,
         journal: Option<&Checkpoint>,
         stream: Option<&StreamingSink>,
-    ) -> SweepResult {
+    ) -> Result<SweepResult, CheckpointError> {
+        let sink_error = |stream: &StreamingSink, source| CheckpointError::Sink {
+            path: stream.path().to_path_buf(),
+            source,
+        };
         let tasks = spec.tasks();
         let total = tasks.len();
         let mut slots = if completed.is_empty() {
@@ -400,9 +405,7 @@ impl Engine {
             // resumed records stream out immediately (in task order; the
             // sink skips whatever an earlier run already wrote)
             for rec in slots.iter().flatten() {
-                stream
-                    .append(rec)
-                    .unwrap_or_else(|e| panic!("streaming sink append failed: {e}"));
+                stream.append(rec).map_err(|e| sink_error(stream, e))?;
             }
         }
         let pending: Vec<usize> = (0..total)
@@ -424,6 +427,7 @@ impl Engine {
         let events = AtomicU64::new(0);
         let last_print = Mutex::new(Instant::now());
         let obs = EngineMetrics::register();
+        let failed = OnceLock::new();
         let fresh = parallel_map_halting(
             pending.len(),
             self.threads,
@@ -436,9 +440,9 @@ impl Engine {
                     obs.checkpoint_writes.inc();
                 }
                 if let Some(stream) = stream {
-                    stream
-                        .append(rec)
-                        .unwrap_or_else(|e| panic!("streaming sink append failed: {e}"));
+                    if let Err(e) = stream.append(rec) {
+                        let _ = failed.set(sink_error(stream, e));
+                    }
                 }
                 let d = done.fetch_add(1, Ordering::Relaxed) + 1;
                 let e = events.fetch_add(rec.events, Ordering::Relaxed) + rec.events;
@@ -464,21 +468,26 @@ impl Engine {
                 }
             },
             || {
-                self.cancel
-                    .as_ref()
-                    .is_some_and(|c| c.load(Ordering::Relaxed))
+                failed.get().is_some()
+                    || self
+                        .cancel
+                        .as_ref()
+                        .is_some_and(|c| c.load(Ordering::Relaxed))
             },
         );
+        if let Some(e) = failed.into_inner() {
+            return Err(e);
+        }
         for (slot, rec) in pending.into_iter().zip(fresh) {
             slots[slot] = rec;
         }
-        SweepResult {
+        Ok(SweepResult {
             spec: spec.clone(),
             records: slots.into_iter().flatten().collect(),
             total_tasks: total,
             threads: self.threads,
             wall_secs: started.elapsed().as_secs_f64(),
-        }
+        })
     }
 }
 
@@ -679,6 +688,20 @@ mod tests {
             .replicas(3)
             .master_seed(11)
             .build()
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_failing_sink_append_is_an_error_not_a_panic() {
+        // every write to /dev/full fails, and a JSONL sink writes nothing
+        // before its first row
+        let spec = small_spec();
+        let sink = StreamingSink::jsonl(Path::new("/dev/full"), &spec, false).unwrap();
+        let err = Engine::new()
+            .threads(2)
+            .run_full(&spec, &[], None, Some(&sink))
+            .unwrap_err();
+        assert!(matches!(err, CheckpointError::Sink { .. }), "got: {err}");
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //!
 //! - [`Sink::write`] buffers until the sweep finishes and writes the
 //!   whole file at once;
-//! - [`StreamingSink`] appends each row the moment its replica
-//!   completes, releasing rows strictly in task order (out-of-order
-//!   completions are parked) so the file on disk is always a prefix of
-//!   the final one — `tail -f` a multi-hour sweep, or kill it and let
-//!   the resumed run append from where the file stops. The final bytes
-//!   are identical to the buffered writer's.
+//! - [`StreamingSink`], which every `--out` uses, appends each row the
+//!   moment its replica completes, releasing rows strictly in task
+//!   order (out-of-order completions are parked) so the file on disk
+//!   is always a prefix of the final one — `tail -f` a multi-hour
+//!   sweep, or kill it and let the resumed run append from where the
+//!   file stops. The final bytes are the buffered writer's, except
+//!   that a CSV header keeps a declared metric no replica produced.
 //!
 //! All sinks create missing parent directories instead of erroring on
 //! first write.
@@ -113,10 +114,11 @@ const BASE_COLUMNS: [&str; 8] = [
 /// [`Observer::Custom`] contributes its declaration). The `Option`
 /// return type is kept for existing callers.
 ///
-/// The prediction equals [`SweepResult::metric_names`] of the finished
-/// sweep (tested for every variant), which is what lets a streaming CSV
-/// sink write the buffered writer's exact header before the first
-/// replica runs.
+/// A streaming CSV sink writes this as its header before the first
+/// replica runs. It equals [`SweepResult::metric_names`] of the finished
+/// sweep (tested for every variant), which the buffered writer uses,
+/// unless no replica produced some declared custom metric: the buffered
+/// header then lacks that column.
 pub fn expected_metric_columns(spec: &SweepSpec, observers: &[Observer]) -> Option<Vec<String>> {
     let mut names = BTreeSet::new();
     for point in spec.points() {

@@ -35,7 +35,7 @@
 //!
 //! The row stream serves the bytes of the job's streaming-sink file
 //! verbatim, so a finished job's stream is byte-identical to
-//! `segsim sweep --stream --out rows.jsonl` under the same parameters.
+//! `segsim sweep --out rows.jsonl` under the same parameters.
 //! Streaming follows a *live* job: rows are pushed as replicas finish
 //! (the job wakes its streams each time its sink appends a row), and
 //! the stream terminates when the job completes (or fails — check the

@@ -16,7 +16,7 @@
 //! - `rows.jsonl` — the [`StreamingSink`](seg_engine::StreamingSink)
 //!   output, appended in task order; `GET /v1/jobs/:id/rows` streams
 //!   these bytes verbatim, so they are byte-identical to
-//!   `segsim sweep --stream --out rows.jsonl` under the same
+//!   `segsim sweep --out rows.jsonl` under the same
 //!   parameters;
 //! - `done.json` — written only when every task has a record; its
 //!   presence is what makes a resubmitted identical spec a cache hit
@@ -1079,7 +1079,7 @@ impl JobManager {
     /// from remote workers; the local engine pass below then *resumes*
     /// that journal, re-runs only what no worker delivered, and streams
     /// the rows — so the fleet path reuses the exact code path whose
-    /// output is proven byte-identical to `segsim sweep --stream`.
+    /// output is proven byte-identical to `segsim sweep --out`.
     fn execute(&self, job: &Arc<Job>) -> Result<bool, String> {
         if let Some(fleet) = &self.fleet {
             self.execute_fleet(job, fleet)?;

@@ -19,7 +19,7 @@
 //!   spec *is* the cache lookup, and nothing ever recomputes a finished
 //!   sweep;
 //! - **results are the engine's streaming-sink bytes** — a job's row
-//!   stream is byte-identical to `segsim sweep --stream --out` under the
+//!   stream is byte-identical to `segsim sweep --out` under the
 //!   same parameters (asserted in `tests/serve_integration.rs`);
 //! - **crash recovery is checkpoint resume** — a killed server finds its
 //!   unfinished jobs on disk at the next start and resumes them from

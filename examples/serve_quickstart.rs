@@ -55,7 +55,7 @@ fn main() {
     let id = doc.get("id").and_then(Json::as_str).expect("job id");
 
     // the rows endpoint follows the live job and ends when it completes;
-    // rows are byte-identical to `segsim sweep --stream --out rows.jsonl`
+    // rows are byte-identical to `segsim sweep --out rows.jsonl`
     let rows = http(&addr, "GET", &format!("/v1/jobs/{id}/rows"), "");
     let ndjson: Vec<&str> = rows.lines().collect();
     println!("streamed {} result rows; first:", ndjson.len());

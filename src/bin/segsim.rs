@@ -41,7 +41,7 @@
 //! A long-lived HTTP service over the same engine: `POST /v1/sweeps`
 //! submits the JSON equivalent of `segsim sweep`'s flags, jobs are
 //! cached by spec fingerprint, `GET /v1/jobs/:id/rows` streams result
-//! rows (byte-identical to `segsim sweep --stream --out`), and a killed
+//! rows (byte-identical to `segsim sweep --out`), and a killed
 //! server resumes unfinished jobs from their checkpoint journals on the
 //! next start. See `docs/SERVING.md`.
 //!
@@ -186,7 +186,7 @@ T > TAU_HI, K < 2) is refused before any replica runs.\n\
 POST /v1/sweeps submits the JSON equivalent of `sweep` flags (the same \
 sweeps are legal, capped at side 4096 and 1M tasks), jobs are \
 cached by spec fingerprint under --data, GET /v1/jobs/ID/rows streams rows \
-byte-identical to `sweep --stream --out`, POST /v1/shutdown drains. \
+byte-identical to `sweep --out`, POST /v1/shutdown drains. \
 --api-keys/--max-queue gate admission (429 + Retry-After when over quota \
 or queue), --job-ttl/--data-max-bytes bound the cache (finished jobs are \
 evicted oldest-idle first, never a running one). GET /v1/metrics/history \

@@ -3,7 +3,7 @@
 //! whose every coordinator exchange rides a fault-injection proxy
 //! ([`support::chaos::ChaosProxy`]) that drops, delays, and truncates
 //! connections on a seeded schedule. The job must still finish with
-//! result rows **byte-identical** to `segsim sweep --stream --out`, no
+//! result rows **byte-identical** to `segsim sweep --out`, no
 //! duplicate `(point, replica)` row, the workers' retry loop visible as
 //! `work_retries_total > 0` on a worker's own `/metrics` listener, and
 //! the coordinator must still drain cleanly on `POST /v1/shutdown`.
@@ -42,7 +42,6 @@ fn job_sweep_flags(out: &std::path::Path) -> Vec<String> {
         "11",
         "--max-events",
         "1500",
-        "--stream",
     ]
     .into_iter()
     .map(String::from)

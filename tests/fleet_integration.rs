@@ -2,7 +2,7 @@
 //! injection: a coordinator (`segsim serve --fleet`) plus three
 //! `segsim work` workers — one killed with SIGKILL mid-job, one hanging
 //! after its claim without heartbeats — must still finish the job with
-//! result rows **byte-identical** to `segsim sweep --stream --out`,
+//! result rows **byte-identical** to `segsim sweep --out`,
 //! re-dispatching the dead workers' shares to the survivor
 //! (`fleet_shard_redispatch_total ≥ 1`), with no duplicate
 //! (point, replica) row.
@@ -48,7 +48,6 @@ fn job_sweep_flags(out: &std::path::Path) -> Vec<String> {
         "7",
         "--max-events",
         "1500",
-        "--stream",
     ]
     .into_iter()
     .map(String::from)

@@ -40,7 +40,6 @@ fn small_sweep_flags(out: &Path) -> Vec<String> {
         "11",
         "--max-events",
         "400",
-        "--stream",
     ]
     .into_iter()
     .map(String::from)
@@ -68,7 +67,7 @@ fn round_trip_streams_cli_identical_rows_and_caches_resubmits() {
     let id = json_str_field(&body, "id").expect("job id");
 
     // the row stream follows the live job and ends when it completes —
-    // byte-identical to `segsim sweep --stream --out`
+    // byte-identical to `segsim sweep --out`
     let (status, head, rows) = http(&addr, "GET", &format!("/v1/jobs/{id}/rows"), "");
     assert_eq!(status, 200);
     assert!(head
@@ -127,7 +126,6 @@ fn killed_server_resumes_the_job_from_its_journal() {
         "7",
         "--max-events",
         "300",
-        "--stream",
     ]
     .into_iter()
     .map(String::from)
@@ -227,7 +225,6 @@ fn eight_concurrent_clients_stream_identical_rows_live() {
         "3",
         "--max-events",
         "300",
-        "--stream",
     ]
     .into_iter()
     .map(String::from)

@@ -142,27 +142,26 @@ fn removed_shard_mode_is_a_usage_error() {
 #[test]
 fn streamed_jsonl_matches_buffered_and_survives_kills() {
     let dir = tmp_dir("stream");
-    let buffered = dir.join("buffered.jsonl");
-    let streamed = dir.join("streamed.jsonl");
-    run("sweep", &sweep_flags(&buffered));
-    // --stream appends rows as replicas finish; with a checkpoint it
-    // resumes mid-file, so a second run only confirms the prefix
-    let mut flags = sweep_flags(&streamed);
+    let fresh = dir.join("fresh.jsonl");
+    let resumed = dir.join("resumed.jsonl");
+    run("sweep", &sweep_flags(&fresh));
+    // a fresh run against a checkpointed one, whose rerun resumes the
+    // journal and so appends to --out after its last complete row
+    let mut flags = sweep_flags(&resumed);
     flags.extend([
-        "--stream".to_string(),
         "--checkpoint".to_string(),
         dir.join("stream-ck.jsonl").display().to_string(),
     ]);
     run("sweep", &flags);
-    assert_eq!(fs::read(&buffered).unwrap(), fs::read(&streamed).unwrap());
-    // tear the streamed file the way a kill mid-append would and resume
-    let text = fs::read_to_string(&streamed).unwrap();
+    assert_eq!(fs::read(&fresh).unwrap(), fs::read(&resumed).unwrap());
+    // tear the file the way a kill mid-append would, and resume
+    let text = fs::read_to_string(&resumed).unwrap();
     let cut = text.len() - 17;
-    fs::write(&streamed, &text[..cut]).unwrap();
+    fs::write(&resumed, &text[..cut]).unwrap();
     run("sweep", &flags);
     assert_eq!(
-        fs::read(&buffered).unwrap(),
-        fs::read(&streamed).unwrap(),
-        "resumed streamed JSONL differs from buffered JSONL"
+        fs::read(&fresh).unwrap(),
+        fs::read(&resumed).unwrap(),
+        "resumed JSONL differs from the fresh run's"
     );
 }
