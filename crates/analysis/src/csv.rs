@@ -41,13 +41,7 @@ impl<W: Write> CsvWriter<W> {
                 self.out.write_all(b",")?;
             }
             first = false;
-            let c = cell.as_ref();
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
-                let escaped = c.replace('"', "\"\"");
-                write!(self.out, "\"{escaped}\"")?;
-            } else {
-                self.out.write_all(c.as_bytes())?;
-            }
+            write_cell(&mut self.out, cell.as_ref())?;
         }
         self.out.write_all(b"\n")
     }
@@ -55,6 +49,22 @@ impl<W: Write> CsvWriter<W> {
     /// Finishes, returning the writer.
     pub fn into_inner(self) -> W {
         self.out
+    }
+}
+
+/// Writes one cell as [`CsvWriter::write_row`] does: quoted, with its
+/// quotes doubled, when it holds a comma, a quote or a newline, and
+/// verbatim otherwise.
+///
+/// # Errors
+///
+/// Any I/O error from `out`.
+pub fn write_cell(out: &mut impl Write, c: &str) -> io::Result<()> {
+    if c.contains(',') || c.contains('"') || c.contains('\n') {
+        let escaped = c.replace('"', "\"\"");
+        write!(out, "\"{escaped}\"")
+    } else {
+        out.write_all(c.as_bytes())
     }
 }
 

@@ -61,7 +61,9 @@ impl<T: TrackedSet> GridDynamics<T> {
         Self::from_counts(field, counts, n_size, classify, rng, 0)
     }
 
-    /// The core over `counts`, which must count `field`'s windows.
+    /// The core over `counts`, which must count `field`'s windows: one
+    /// pass over the torus classifies every agent from the class table
+    /// and fills the tracked set in bulk ([`TrackedSet::collect`]).
     fn from_counts(
         field: TypeField,
         counts: WindowCounts,
@@ -70,17 +72,23 @@ impl<T: TrackedSet> GridDynamics<T> {
         rng: Xoshiro256pp,
         flips: u64,
     ) -> Self {
-        let mut core = GridDynamics {
-            classes: class_table(&counts, n_size, classify),
-            tracked: T::empty(field.torus().len()),
-            unhappy: 0,
+        let classes = class_table(&counts, n_size, classify);
+        let mut unhappy = 0;
+        let types = field.as_slice();
+        let tracked = T::collect(types, |i| {
+            let c = classes.class(types[i], counts.plus_count_index(i));
+            unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
+            c & ClassTable::TRACKED != 0
+        });
+        GridDynamics {
+            classes,
+            tracked,
+            unhappy,
             field,
             counts,
             rng,
             flips,
-        };
-        core.classify_all();
-        core
+        }
     }
 
     /// The same configuration, counts, RNG state and flip count under
@@ -104,19 +112,15 @@ impl<T: TrackedSet> GridDynamics<T> {
         )
     }
 
-    /// Replaces the rule and reclassifies every agent.
+    /// Replaces the rule and reclassifies every agent, in index order and
+    /// one by one, so the tracked set keeps the order of the members that
+    /// stay.
     ///
     /// # Panics
     ///
     /// Panics if the rule is sized for another `N`.
     pub(crate) fn reclassify(&mut self, n_size: u32, classify: impl FnMut(u32) -> (bool, bool)) {
         self.classes = class_table(&self.counts, n_size, classify);
-        self.classify_all();
-    }
-
-    /// The classify pass over the torus, in index order: tracked
-    /// membership and the unhappy total, from the class table.
-    fn classify_all(&mut self) {
         self.unhappy = 0;
         for i in 0..self.field.torus().len() {
             let ty = self.field.get_index(i);

@@ -11,7 +11,7 @@
 use crate::dynamics::GridDynamics;
 use crate::intolerance::scaled_count;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{Point, Torus, TypeField};
+use seg_grid::{IndexedSet, Point, Torus, TypeField};
 
 /// Integer two-sided comfort thresholds over a neighborhood of size `N`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -131,6 +131,12 @@ impl IntervalSim {
     /// Number of currently flippable (discontent-and-fixable) agents.
     pub fn flippable_count(&self) -> usize {
         self.core.tracked.len()
+    }
+
+    /// The flippable agents, by cell index, in the order a step samples
+    /// them.
+    pub fn flippable_set(&self) -> &IndexedSet {
+        &self.core.tracked
     }
 
     /// Number of discontent agents (either side of the band). Maintained

@@ -68,9 +68,14 @@ pub fn cluster_sizes_of_type(field: &TypeField, ty: AgentType) -> Vec<usize> {
 /// across the seam when their labels match, and each row's runs are
 /// unioned with the previous row's (the last row's with row 0's) by a
 /// two-pointer merge over overlapping runs. The seam and the last row
-/// are joined explicitly, so no index is wrapped with a division, and
-/// the largest cluster is read from the root runs, with no `find` per
-/// cell.
+/// are joined explicitly, so no index is wrapped with a division.
+///
+/// The cut has no branch per cell: a stretch of [`CUT_CHUNK`] cells with
+/// no label change is passed over whole, and inside the others every
+/// cell writes a candidate run end that only a change keeps. Unions link
+/// roots by index and carry no sizes; one pass after the last union adds
+/// each run's length to its root, so the largest cluster is read from
+/// the root runs, with no `find` per cell.
 ///
 /// The interface length counts, for every cell, its right and down
 /// neighbors of another label (wrapping), so each adjacent pair once on
@@ -90,11 +95,17 @@ pub struct Clusters<T> {
     interface_length: usize,
     /// Label of each run.
     labels: Vec<T>,
-    /// Union-find forest over runs (path halving, union by size).
+    /// Union-find forest over runs (path halving, the lower index as
+    /// root).
     parent: Vec<u32>,
-    /// Cells in the run's cluster; meaningful at roots only.
+    /// Each run's length while scanning; after it, the cells of the
+    /// run's cluster at roots (other runs keep their lengths).
     size: Vec<u32>,
 }
+
+/// The cells [`Clusters::scan`] checks for a label change at once
+/// before cutting them one by one.
+const CUT_CHUNK: usize = 16;
 
 impl Clusters<AgentType> {
     /// Scans a two-type field.
@@ -127,20 +138,22 @@ impl<T: Copy + Eq> Clusters<T> {
         };
         // one past the last column of each run; a row's runs partition it
         let mut run_end: Vec<u32> = Vec::with_capacity(cells.len());
+        // one row's run ends, reused from row to row
+        let mut cut = vec![0u32; side];
         let mut first_row = 0..0;
         let mut prev_row = 0..0;
         for (y, row) in cells.chunks_exact(side).enumerate() {
             let first = c.labels.len();
+            let n = cut_runs(row, &mut cut);
+            let ends = &cut[..n];
             let mut start = 0;
-            for x in 1..side {
-                if row[x] != row[x - 1] {
-                    c.push_run(row[start], x - start);
-                    run_end.push(x as u32);
-                    start = x;
-                }
+            for &end in ends {
+                c.parent.push(c.labels.len() as u32);
+                c.labels.push(row[start]);
+                c.size.push(end - start as u32);
+                start = end as usize;
             }
-            c.push_run(row[start], side - start);
-            run_end.push(side as u32);
+            run_end.extend_from_slice(ends);
             let runs = first..c.labels.len();
             // one interface edge per run boundary, plus the seam
             c.interface_length += runs.len() - 1 + usize::from(row[side - 1] != row[0]);
@@ -162,13 +175,12 @@ impl<T: Copy + Eq> Clusters<T> {
         }
         let last = &cells[(side - 1) * side..];
         c.join_rows(last, &cells[..side], prev_row, first_row, &run_end);
+        // every union is done: each run's length goes to its root once
+        for k in 0..c.labels.len() {
+            let root = c.find(k);
+            c.size[root] += c.size[k] * u32::from(root != k);
+        }
         c
-    }
-
-    fn push_run(&mut self, label: T, len: usize) {
-        self.parent.push(self.labels.len() as u32);
-        self.labels.push(label);
-        self.size.push(len as u32);
     }
 
     /// Adds the vertical edges between `top` and the row `bottom` below
@@ -208,18 +220,11 @@ impl<T: Copy + Eq> Clusters<T> {
         k
     }
 
+    /// Links the roots of `a` and `b`, the higher index under the lower;
+    /// sizes are added up after the last union.
     fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        let (big, small) = if self.size[ra] >= self.size[rb] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.parent[small] = big as u32;
-        self.size[big] += self.size[small];
+        self.parent[ra.max(rb)] = ra.min(rb) as u32;
     }
 
     /// Root runs with their labels and cluster sizes.
@@ -249,6 +254,35 @@ impl<T: Copy + Eq> Clusters<T> {
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         sizes
     }
+}
+
+/// Cuts `row` into runs of equal labels: writes each run's end (one
+/// past its last column) to `ends`, which has a slot per cell, and
+/// returns the number of runs. A chunk of [`CUT_CHUNK`] neighbor pairs
+/// with no change is passed over; in the others each cell writes its
+/// column as the next end, and the count moves past it only at a
+/// change.
+fn cut_runs<T: Copy + Eq>(row: &[T], ends: &mut [u32]) -> usize {
+    let side = row.len();
+    let ends = &mut ends[..side];
+    let mut n = 0;
+    let mut x = 1;
+    while x < side {
+        let stop = (x + CUT_CHUNK).min(side);
+        let changed = row[x..stop]
+            .iter()
+            .zip(&row[x - 1..stop - 1])
+            .fold(false, |any, (a, b)| any | (a != b));
+        if changed {
+            for (col, pair) in (x..stop).zip(row[x - 1..stop].windows(2)) {
+                ends[n] = col as u32;
+                n += usize::from(pair[0] != pair[1]);
+            }
+        }
+        x = stop;
+    }
+    ends[n] = side as u32;
+    n + 1
 }
 
 /// Whether the configuration is completely segregated: one type covers the

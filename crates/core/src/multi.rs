@@ -63,8 +63,8 @@ impl MultiSim {
             counts: Vec::with_capacity(torus.len() * k as usize),
             types,
             intol,
-            flippable: IndexedSet::new(torus.len()),
-            class: vec![HAPPY; torus.len()],
+            flippable: IndexedSet::new(0),
+            class: Vec::new(),
             unhappy: 0,
             rng,
             flips: 0,
@@ -73,28 +73,33 @@ impl MultiSim {
         sim
     }
 
-    /// Recounts every type's plane with the box filter and reclassifies
-    /// every agent in index order, from a state with every cell happy.
+    /// Recounts every type's plane with the box filter, then classifies
+    /// every agent in one pass that fills the flippable set in bulk, in
+    /// index order ([`IndexedSet::from_predicate`]).
     fn rebuild(&mut self) {
         let (torus, w) = (self.torus, self.horizon);
         self.counts.clear();
         for t in 0..self.k {
             box_filter(torus, w, &self.types, |&ty| ty == t, &mut self.counts);
         }
-        self.class.fill(HAPPY);
-        self.unhappy = 0;
-        self.flippable.clear();
-        for i in 0..self.torus.len() {
-            self.reclassify(i);
-        }
+        let mut class = vec![0; torus.len()];
+        let mut unhappy = 0;
+        let flippable = IndexedSet::from_predicate(torus.len(), |i| {
+            let c = self.class_of(i);
+            class[i] = c;
+            unhappy += usize::from(c & HAPPY == 0);
+            c & ELIGIBLE != 0
+        });
+        self.class = class;
+        self.unhappy = unhappy;
+        self.flippable = flippable;
     }
 
-    /// Classifies cell `i` with no data-dependent branch: happy at `thr`
-    /// own-type agents, eligible if unhappy and some other type plus the
-    /// agent reaches `thr`. Moves the unhappy total by the happy bit's
-    /// change and writes `flippable` only where eligibility changed.
+    /// The class bits of cell `i`, with no data-dependent branch: happy
+    /// at `thr` own-type agents, eligible if unhappy and some other type
+    /// plus the agent reaches `thr`.
     #[inline(always)]
-    fn reclassify(&mut self, i: usize) {
+    fn class_of(&self, i: usize) -> u8 {
         let (me, plane) = (usize::from(self.types[i]), self.torus.len());
         let thr = self.intol.threshold();
         let happy = self.counts[me * plane + i] >= thr;
@@ -102,10 +107,18 @@ impl MultiSim {
         for t in 0..usize::from(self.k) {
             viable |= (t != me) & (self.counts[t * plane + i] + 1 >= thr);
         }
+        u8::from(happy) * HAPPY + u8::from(!happy & viable) * ELIGIBLE
+    }
+
+    /// Reclassifies cell `i` ([`MultiSim::class_of`]). Moves the unhappy
+    /// total by the happy bit's change and writes `flippable` only where
+    /// eligibility changed.
+    #[inline(always)]
+    fn reclassify(&mut self, i: usize) {
+        let now = self.class_of(i);
         let was = self.class[i];
-        let now = u8::from(happy) * HAPPY + u8::from(!happy & viable) * ELIGIBLE;
         debug_assert_eq!(self.flippable.contains(i), was & ELIGIBLE != 0, "cell {i}");
-        self.unhappy = self.unhappy + usize::from(was & HAPPY) - usize::from(happy);
+        self.unhappy = self.unhappy + usize::from(was & HAPPY) - usize::from(now & HAPPY);
         self.class[i] = now;
         match ((was ^ now) & ELIGIBLE != 0, now & ELIGIBLE != 0) {
             (true, true) => self.flippable.insert(i),
@@ -159,6 +172,19 @@ impl MultiSim {
     /// [`MultiSim::step`] instead of rescanning every cell.
     pub fn unhappy_count(&self) -> usize {
         self.unhappy
+    }
+
+    /// The agents eligible to act, by cell index, in the order a step
+    /// samples them.
+    pub fn flippable_set(&self) -> &IndexedSet {
+        &self.flippable
+    }
+
+    /// Each cell's class: bit 0 set when the agent is happy, bit 1 when
+    /// it is eligible to act (unhappy, with a type that would make it
+    /// happy).
+    pub fn class_bits(&self) -> &[u8] {
+        &self.class
     }
 
     /// Number of agents eligible to act.

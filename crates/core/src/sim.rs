@@ -3,7 +3,7 @@
 use crate::dynamics::GridDynamics;
 use crate::intolerance::Intolerance;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{AgentType, Point, Torus, TypeField, WindowCounts};
+use seg_grid::{AgentType, IndexedSet, Point, Torus, TypeField, WindowCounts};
 
 /// Summary of a [`Simulation::run_to_stable`] call.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -146,6 +146,12 @@ impl Simulation {
     #[inline]
     pub fn flippable_count(&self) -> usize {
         self.core.tracked.len()
+    }
+
+    /// The flippable agents, by cell index, in the order a step samples
+    /// them.
+    pub fn flippable_set(&self) -> &IndexedSet {
+        &self.core.tracked
     }
 
     /// Whether the process has reached a stable state.

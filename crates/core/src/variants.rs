@@ -20,7 +20,7 @@ use crate::dynamics::GridDynamics;
 use crate::intolerance::Intolerance;
 use crate::sim::Simulation;
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{AgentType, Point, RankedSet, TypeField};
+use seg_grid::{AgentType, IndexedSet, Point, RankedSet, TypeField};
 
 /// The local update rule of a [`VariantSim`].
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -80,6 +80,11 @@ impl VariantSim {
     /// The current configuration.
     pub fn field(&self) -> &TypeField {
         &self.core.field
+    }
+
+    /// The unhappy agents, in the order a step samples them.
+    pub fn unhappy_set(&self) -> &IndexedSet {
+        &self.core.tracked
     }
 
     /// Total flips so far.
@@ -155,6 +160,29 @@ pub struct KawasakiSim {
 }
 
 impl KawasakiSim {
+    /// The swap dynamics over an explicit field: the state
+    /// [`KawasakiSim::new`] takes over from a [`Simulation`] built from
+    /// the same field, intolerance and RNG, without classifying the
+    /// paper's flippable set first.
+    ///
+    /// # Panics
+    ///
+    /// On window/intolerance mismatches as in [`Simulation::from_field`].
+    pub fn from_field(
+        field: TypeField,
+        horizon: u32,
+        intol: Intolerance,
+        rng: Xoshiro256pp,
+    ) -> Self {
+        let n_size = intol.neighborhood_size();
+        KawasakiSim {
+            core: GridDynamics::new(field, horizon, n_size, unhappy_class(intol), rng),
+            intol,
+            swaps: 0,
+            failed_attempts: 0,
+        }
+    }
+
     /// Takes over a [`Simulation`]'s configuration, counts and RNG state
     /// (its Glauber stepper is not used).
     pub fn new(sim: Simulation) -> Self {
@@ -172,6 +200,11 @@ impl KawasakiSim {
     /// The current configuration.
     pub fn field(&self) -> &TypeField {
         &self.core.field
+    }
+
+    /// The unhappy agents, `[Minus, Plus]`, each in scan order.
+    pub fn unhappy_sets(&self) -> &[RankedSet; 2] {
+        &self.core.tracked
     }
 
     /// Completed swaps.

@@ -19,7 +19,9 @@ use seg_core::ring::{RingKawasaki, RingSim};
 use seg_core::variants::{KawasakiSim, UpdateRule, VariantSim};
 use seg_core::{Intolerance, ModelConfig};
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{AgentType, ClassTable, Point, Torus, Transition, TypeField};
+use seg_grid::{
+    AgentType, ClassTable, IndexedSet, Point, RankedSet, Torus, Transition, TypeField, WindowCounts,
+};
 
 /// `(n, w, tau, seed, terminated, flips, plus_total)` recorded from the
 /// pre-PR implementation with `run_to_stable(2_000_000)`.
@@ -691,4 +693,141 @@ proptest! {
         // the inner Glauber set stayed consistent through Kawasaki moves
         prop_assert_eq!(k.ring().flippable(), ring_flippable_brute(k.ring()));
     }
+}
+
+/// A fresh core's tracked set as the per-cell classify pass built it
+/// before the bulk fill: every tracked cell inserted in index order into
+/// an empty set, and the unhappy total counted alongside.
+fn per_cell_reference(
+    field: &TypeField,
+    w: u32,
+    classify: impl Fn(u32) -> (bool, bool),
+) -> (IndexedSet, [RankedSet; 2], usize) {
+    let counts = WindowCounts::new(field, w);
+    let n = field.torus().len();
+    let (mut flat, mut by_type) = (IndexedSet::new(n), [RankedSet::new(n), RankedSet::new(n)]);
+    let mut unhappy = 0;
+    for i in 0..n {
+        let ty = field.get_index(i);
+        let (tracked, is_unhappy) = classify(counts.same_count_index(i, ty));
+        if tracked {
+            flat.insert(i);
+            by_type[ty as usize].insert(i);
+        }
+        unhappy += usize::from(is_unhappy);
+    }
+    (flat, by_type, unhappy)
+}
+
+/// Two sets that sample the same cells from the same RNG stream.
+fn assert_same_samples(a: &IndexedSet, b: &IndexedSet, what: &str) {
+    let (mut ra, mut rb) = (
+        Xoshiro256pp::seed_from_u64(99),
+        Xoshiro256pp::seed_from_u64(99),
+    );
+    for _ in 0..64 {
+        assert_eq!(a.sample(&mut ra), b.sample(&mut rb), "{what}: sample");
+    }
+}
+
+/// Sides that are not multiples of 8 or 64, so the bulk fills end on a
+/// partial byte and a partial word.
+const ODD_SIDES: [u32; 5] = [5, 9, 13, 23, 67];
+
+#[test]
+fn bulk_built_cores_equal_the_per_cell_reference() {
+    for side in ODD_SIDES {
+        for w in (1..=3).filter(|&w| 2 * w < side) {
+            for (seed, tau) in [(1u64, 0.3), (2, 0.42), (3, 0.55), (4, 0.7)] {
+                let what = format!("side {side}, w {w}, τ {tau}, seed {seed}");
+                let nsize = (2 * w + 1) * (2 * w + 1);
+                let intol = Intolerance::new(nsize, tau);
+                let seeded = || {
+                    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                    let field = TypeField::random(Torus::new(side), 0.5, &mut rng);
+                    (field, rng)
+                };
+                let (field, _) = seeded();
+                let unhappy_rule = |s| (!intol.is_happy(s), !intol.is_happy(s));
+
+                // the paper's rule: tracked = flippable
+                let sim = ModelConfig::new(side, w, tau).seed(seed).build();
+                let (flat, _, unhappy) = per_cell_reference(&field, w, |s| intol.classify(s));
+                assert_eq!(sim.flippable_set(), &flat, "paper {what}");
+                assert_same_samples(sim.flippable_set(), &flat, &what);
+                assert_eq!(sim.unhappy_count(), unhappy, "paper {what}");
+                assert!(sim.audit(), "paper {what}");
+
+                // flip-when-unhappy (noise tracks the same set)
+                let (f, rng) = seeded();
+                let rule = UpdateRule::FlipWhenUnhappy;
+                let v = VariantSim::from_field(f, w, intol, rule, rng);
+                let (flat, by_type, unhappy) = per_cell_reference(&field, w, unhappy_rule);
+                assert_eq!(v.unhappy_set(), &flat, "flip-when-unhappy {what}");
+                assert_eq!(v.unhappy_count(), unhappy, "flip-when-unhappy {what}");
+                assert!(v.audit(), "flip-when-unhappy {what}");
+
+                // Kawasaki, built straight from the field and taken over
+                // from the paper's simulation
+                let (f, rng) = seeded();
+                let direct = KawasakiSim::from_field(f, w, intol, rng);
+                let taken_over =
+                    KawasakiSim::new(ModelConfig::new(side, w, tau).seed(seed).build());
+                for (k, how) in [(&direct, "direct"), (&taken_over, "taken over")] {
+                    assert_eq!(k.unhappy_sets(), &by_type, "kawasaki {how} {what}");
+                    let len = k.unhappy_sets().iter().map(RankedSet::len).sum::<usize>();
+                    assert_eq!(len, unhappy, "kawasaki {how} {what}");
+                    assert!(k.audit(), "kawasaki {how} {what}");
+                }
+
+                // the two-sided comfort band
+                let tau_hi = (tau + 0.3).min(1.0);
+                let band = ComfortBand::new(nsize, tau, tau_hi);
+                let i = IntervalSim::random(side, w, tau, tau_hi, seed);
+                let (flat, _, discontent) = per_cell_reference(i.field(), w, |s| band.classify(s));
+                assert_eq!(i.flippable_set(), &flat, "two-sided {what}");
+                assert_eq!(i.discontent_count(), discontent, "two-sided {what}");
+                assert!(i.audit(), "two-sided {what}");
+
+                for k in 2..=4u8 {
+                    assert_multi_matches_reference(side, w, k, tau, seed);
+                }
+            }
+        }
+    }
+}
+
+/// The multi-type model's class bytes, unhappy total and flippable order
+/// against a per-cell classification from brute-force window counts.
+fn assert_multi_matches_reference(side: u32, w: u32, k: u8, tau: f64, seed: u64) {
+    let what = format!("multi k {k}, side {side}, w {w}, τ {tau}, seed {seed}");
+    let sim = MultiSim::random(side, w, k, tau, seed);
+    let torus = Torus::new(side);
+    let nsize = (2 * w + 1) * (2 * w + 1);
+    let thr = Intolerance::new(nsize, tau).threshold();
+    let (mut class, mut flippable, mut unhappy) = (Vec::new(), IndexedSet::new(torus.len()), 0);
+    for i in 0..torus.len() {
+        let u = torus.from_index(i);
+        let mut count = vec![0u32; usize::from(k)];
+        let r = w as i64;
+        for dy in -r..=r {
+            for dx in -r..=r {
+                count[usize::from(sim.type_at(torus.offset(u, dx, dy)))] += 1;
+            }
+        }
+        let me = usize::from(sim.type_at(u));
+        let happy = count[me] >= thr;
+        let viable = (0..usize::from(k)).any(|t| t != me && count[t] + 1 >= thr);
+        let eligible = !happy && viable;
+        class.push(u8::from(happy) | u8::from(eligible) << 1);
+        if eligible {
+            flippable.insert(i);
+        }
+        unhappy += usize::from(!happy);
+    }
+    assert_eq!(sim.class_bits(), class.as_slice(), "{what}: class bytes");
+    assert_eq!(sim.flippable_set(), &flippable, "{what}: flippable order");
+    assert_same_samples(sim.flippable_set(), &flippable, &what);
+    assert_eq!(sim.unhappy_count(), unhappy, "{what}: unhappy");
+    assert!(sim.audit(), "{what}: audit");
 }

@@ -32,9 +32,9 @@
 //! [`read_journal`], so a file and an upload body pass one validator.
 
 use crate::replica::ReplicaRecord;
-use crate::sink::{create_parent_dirs, format_f64};
+use crate::sink::{create_parent_dirs, push_f64, push_json_string};
 use crate::spec::{ShardIndex, SweepSpec};
-use seg_obs::{json_string, parse_json_string};
+use seg_obs::parse_json_string;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -364,9 +364,11 @@ impl Checkpoint {
     ///
     /// Any I/O error from the append.
     pub fn append(&self, rec: &ReplicaRecord) -> io::Result<()> {
-        let line = record_line(rec);
+        let mut line = Vec::with_capacity(256);
+        push_record_line(&mut line, rec);
+        line.push(b'\n');
         let mut w = self.writer.lock().expect("checkpoint writer poisoned");
-        writeln!(w, "{line}")?;
+        w.write_all(&line)?;
         w.flush()
     }
 }
@@ -385,20 +387,28 @@ pub fn header_line(fingerprint: u64, tasks: usize) -> String {
 /// shortest-round-trip formatting as the sinks, so journals built from
 /// this merge bit-identically.
 pub fn record_line(rec: &ReplicaRecord) -> String {
-    let mut line = format!(
+    let mut line = Vec::with_capacity(256);
+    push_record_line(&mut line, rec);
+    String::from_utf8(line).expect("a journal line is UTF-8")
+}
+
+/// Appends [`record_line`]'s bytes to `buf`.
+fn push_record_line(buf: &mut Vec<u8>, rec: &ReplicaRecord) {
+    write!(
+        buf,
         "{{\"kind\":\"record\",\"task\":{},\"events\":{},\"metrics\":{{",
         rec.task.task_index, rec.events
-    );
+    )
+    .expect("writing to a Vec cannot fail");
     for (i, (k, v)) in rec.metrics.iter().enumerate() {
         if i > 0 {
-            line.push(',');
+            buf.push(b',');
         }
-        line.push_str(&json_string(k));
-        line.push(':');
-        line.push_str(&format_f64(*v));
+        push_json_string(buf, k);
+        buf.push(b':');
+        push_f64(buf, *v);
     }
-    line.push_str("}}");
-    line
+    buf.extend_from_slice(b"}}");
 }
 
 /// Why [`read_journal`] refused a journal.

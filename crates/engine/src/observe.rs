@@ -190,7 +190,7 @@ mod tests {
             .max_events(100)
             .master_seed(3)
             .build();
-        let rec = run_replica(&spec.tasks()[0], &[o]);
+        let (rec, _) = run_replica(&spec.tasks()[0], &[o]);
         assert_eq!(rec.metrics["alpha"], 1.0);
         assert_eq!(rec.metrics["beta"], 2.0);
     }

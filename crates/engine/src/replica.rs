@@ -125,25 +125,31 @@ impl FinalState {
     /// Setup: the task's variant in its seeded initial state.
     fn build(task: &ReplicaTask) -> FinalState {
         let p = task.point;
-        let grid = || {
-            ModelConfig::new(p.side, p.horizon, p.tau)
-                .initial_density(p.density)
-                .seed(task.seed)
-                .build()
-        };
-        let variant_grid = |rule| {
+        // the seeded field, the RNG after drawing it, and the intolerance
+        let seeded = || {
             let mut rng = Xoshiro256pp::seed_from_u64(task.seed);
             let field = TypeField::random(Torus::new(p.side), p.density, &mut rng);
             let nsize = (2 * p.horizon + 1) * (2 * p.horizon + 1);
-            let tau = Intolerance::new(nsize, p.tau);
+            (field, rng, Intolerance::new(nsize, p.tau))
+        };
+        let variant_grid = |rule| {
+            let (field, rng, tau) = seeded();
             FinalState::VariantGrid(VariantSim::from_field(field, p.horizon, tau, rule, rng))
         };
         let ring = || RingSim::random(p.side as usize, p.horizon, p.tau, p.density, task.seed);
         match p.variant {
-            Variant::Paper => FinalState::Grid(grid()),
+            Variant::Paper => FinalState::Grid(
+                ModelConfig::new(p.side, p.horizon, p.tau)
+                    .initial_density(p.density)
+                    .seed(task.seed)
+                    .build(),
+            ),
             Variant::FlipWhenUnhappy => variant_grid(UpdateRule::FlipWhenUnhappy),
             Variant::Noise(eps) => variant_grid(UpdateRule::Noise(eps)),
-            Variant::Kawasaki => FinalState::Kawasaki(KawasakiSim::new(grid())),
+            Variant::Kawasaki => {
+                let (field, rng, tau) = seeded();
+                FinalState::Kawasaki(KawasakiSim::from_field(field, p.horizon, tau, rng))
+            }
             Variant::RingGlauber => FinalState::Ring(ring()),
             Variant::RingKawasaki => FinalState::RingKawasaki(RingKawasaki::new(ring())),
             Variant::TwoSided { tau_hi } => FinalState::TwoSided(IntervalSim::random(
@@ -279,29 +285,55 @@ impl ReplicaRecord {
     }
 }
 
+/// Nanoseconds one replica spent in each phase of [`run_replica`], for
+/// the engine's phase counters; like `wall_secs`, never written to
+/// sinks or journals.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PhaseTimes {
+    /// Building the seeded initial state.
+    pub(crate) setup: u64,
+    /// Running the dynamics.
+    pub(crate) dynamics: u64,
+    /// The dynamics' own metrics plus every observer.
+    pub(crate) observers: u64,
+}
+
 /// Runs one replica through setup, dynamics and record, and returns
-/// its record.
+/// its record and the time each phase took.
 ///
 /// # Panics
 ///
 /// Panics if an observer's file output fails — the sweep is an
 /// experiment run, and a missing output is a failed experiment.
-pub(crate) fn run_replica(task: &ReplicaTask, observers: &[Observer]) -> ReplicaRecord {
+pub(crate) fn run_replica(
+    task: &ReplicaTask,
+    observers: &[Observer],
+) -> (ReplicaRecord, PhaseTimes) {
     let t0 = Instant::now();
     let mut state = FinalState::build(task);
+    let t1 = Instant::now();
     state.run(task.max_events);
+    let t2 = Instant::now();
     let mut metrics = BTreeMap::new();
     state.record(&mut metrics);
     for o in observers {
         o.apply(task, &state, &mut metrics)
             .unwrap_or_else(|e| panic!("observer output failed: {e}"));
     }
-    ReplicaRecord {
+    let t3 = Instant::now();
+    let nanos = |from: Instant, to: Instant| (to - from).as_nanos() as u64;
+    let record = ReplicaRecord {
         task: *task,
         events: state.events(),
-        wall_secs: t0.elapsed().as_secs_f64(),
+        wall_secs: (t3 - t0).as_secs_f64(),
         metrics,
-    }
+    };
+    let times = PhaseTimes {
+        setup: nanos(t0, t1),
+        dynamics: nanos(t1, t2),
+        observers: nanos(t2, t3),
+    };
+    (record, times)
 }
 
 #[cfg(test)]
@@ -323,7 +355,7 @@ mod tests {
 
     #[test]
     fn paper_replica_terminates_and_reports() {
-        let rec = run_replica(&task_for(Variant::Paper, u64::MAX), &[]);
+        let (rec, _) = run_replica(&task_for(Variant::Paper, u64::MAX), &[]);
         assert_eq!(rec.metric("terminated"), Some(1.0));
         assert_eq!(rec.metric("events"), Some(rec.events as f64));
         assert!(rec.metric("sim_time").unwrap() > 0.0);
@@ -332,8 +364,8 @@ mod tests {
     #[test]
     fn replica_is_a_pure_function_of_its_task() {
         let t = task_for(Variant::Paper, 500);
-        let a = run_replica(&t, &[]);
-        let b = run_replica(&t, &[]);
+        let (a, _) = run_replica(&t, &[]);
+        let (b, _) = run_replica(&t, &[]);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.events, b.events);
     }
@@ -351,7 +383,7 @@ mod tests {
             Variant::MultiType { k: 3 },
             Variant::Probe,
         ] {
-            let rec = run_replica(&task_for(v, 2_000), &[]);
+            let (rec, _) = run_replica(&task_for(v, 2_000), &[]);
             assert!(rec.metrics.contains_key("events"), "{v}: missing events");
         }
     }

@@ -3,7 +3,7 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::observe::Observer;
-use crate::replica::{run_replica, ReplicaRecord};
+use crate::replica::{run_replica, PhaseTimes, ReplicaRecord};
 use crate::sink::StreamingSink;
 use crate::spec::{ShardIndex, SweepPoint, SweepSpec};
 use seg_analysis::bootstrap::{bootstrap_mean_ci, BootstrapCi};
@@ -13,7 +13,7 @@ use seg_grid::rng::Xoshiro256pp;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A live progress sample of a running sweep, delivered to
 /// [`Engine::on_progress`] each time a replica completes.
@@ -65,6 +65,9 @@ struct EngineMetrics {
     checkpoint_writes: Arc<seg_obs::Counter>,
     replicas_per_sec: Arc<seg_obs::Gauge>,
     events_per_sec: Arc<seg_obs::Gauge>,
+    /// `engine_phase_nanoseconds_total{phase}` for setup, dynamics,
+    /// observers and persist, in that order.
+    phases: [Arc<seg_obs::Counter>; 4],
 }
 
 impl EngineMetrics {
@@ -102,6 +105,27 @@ impl EngineMetrics {
                 "dynamics events per second of the most recent progress sample",
                 &[],
             ),
+            phases: ["setup", "dynamics", "observers", "persist"].map(|phase| {
+                m.counter(
+                    "engine_phase_nanoseconds_total",
+                    "wall time replicas spent per phase, summed over worker threads",
+                    &[("phase", phase)],
+                )
+            }),
+        }
+    }
+
+    /// Adds one replica's phase times, and the time its journal line
+    /// and row took to persist.
+    fn add_phases(&self, times: &PhaseTimes, persist: Duration) {
+        let nanos = [
+            times.setup,
+            times.dynamics,
+            times.observers,
+            persist.as_nanos() as u64,
+        ];
+        for (counter, n) in self.phases.iter().zip(nanos) {
+            counter.add(n);
         }
     }
 
@@ -432,7 +456,8 @@ impl Engine {
             pending.len(),
             self.threads,
             |i| run_replica(&tasks[pending[i]], observers),
-            |_, rec: &ReplicaRecord| {
+            |_, (rec, times): &(ReplicaRecord, PhaseTimes)| {
+                let persist = Instant::now();
                 if let Some(journal) = journal {
                     journal
                         .append(rec)
@@ -444,6 +469,7 @@ impl Engine {
                         let _ = failed.set(sink_error(stream, e));
                     }
                 }
+                obs.add_phases(times, persist.elapsed());
                 let d = done.fetch_add(1, Ordering::Relaxed) + 1;
                 let e = events.fetch_add(rec.events, Ordering::Relaxed) + rec.events;
                 let secs = started.elapsed().as_secs_f64().max(1e-9);
@@ -478,8 +504,8 @@ impl Engine {
         if let Some(e) = failed.into_inner() {
             return Err(e);
         }
-        for (slot, rec) in pending.into_iter().zip(fresh) {
-            slots[slot] = rec;
+        for (slot, done) in pending.into_iter().zip(fresh) {
+            slots[slot] = done.map(|(rec, _)| rec);
         }
         Ok(SweepResult {
             spec: spec.clone(),

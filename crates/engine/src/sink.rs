@@ -24,9 +24,10 @@
 use crate::observe::Observer;
 use crate::replica::{columns, ReplicaRecord, EVENTS};
 use crate::run::SweepResult;
+use crate::spec::ReplicaTask;
 use crate::spec::SweepSpec;
-use seg_analysis::csv::CsvWriter;
-use seg_obs::{json_number, json_string};
+use seg_analysis::csv::{write_cell, CsvWriter};
+use seg_obs::json_string;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -131,28 +132,38 @@ pub fn expected_metric_columns(spec: &SweepSpec, observers: &[Observer]) -> Opti
     Some(names.into_iter().collect())
 }
 
-fn base_cells(task: &crate::spec::ReplicaTask) -> Vec<String> {
-    let p = task.point;
-    vec![
-        task.point_index.to_string(),
-        task.replica.to_string(),
-        task.seed.to_string(),
-        p.side.to_string(),
-        p.horizon.to_string(),
-        format_f64(p.tau),
-        format_f64(p.density),
-        p.variant.label(),
-    ]
+/// Appends the shortest round-trip decimal of `x` (serde-style) to
+/// `buf`: its `Display`, with `.0` after an integral value (`3` renders
+/// `3.0`) and `inf`, `-inf` and `NaN` spelled out, so output is compact
+/// and bit-faithful.
+pub(crate) fn push_f64(buf: &mut Vec<u8>, x: f64) {
+    let start = buf.len();
+    write!(buf, "{x}").expect("writing to a Vec cannot fail");
+    // a finite value's `Display` is integral unless it holds a `.`
+    if !buf[start..]
+        .iter()
+        .any(|&b| matches!(b, b'.' | b'e' | b'i' | b'N'))
+    {
+        buf.extend_from_slice(b".0");
+    }
 }
 
-/// Shortest round-trip decimal for a float (serde-style), so output is
-/// compact and bit-faithful.
+/// [`push_f64`] as a string.
 pub(crate) fn format_f64(x: f64) -> String {
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
+    let mut buf = Vec::with_capacity(24);
+    push_f64(&mut buf, x);
+    String::from_utf8(buf).expect("a float renders as ASCII")
+}
+
+/// Appends `s` as a JSON string literal ([`json_string`]'s bytes),
+/// copied straight through when it holds nothing to escape.
+pub(crate) fn push_json_string(buf: &mut Vec<u8>, s: &str) {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        buf.extend_from_slice(json_string(s).as_bytes());
     } else {
-        format!("{s}.0")
+        buf.push(b'"');
+        buf.extend_from_slice(s.as_bytes());
+        buf.push(b'"');
     }
 }
 
@@ -165,16 +176,6 @@ fn csv_header(metrics: &[String]) -> Vec<String> {
         .collect()
 }
 
-/// The CSV cells of one record under a fixed metric-column set (metrics
-/// the record lacks render as empty cells).
-fn csv_cells(rec: &ReplicaRecord, metrics: &[String]) -> Vec<String> {
-    let mut row = base_cells(&rec.task);
-    for m in metrics {
-        row.push(rec.metric(m).map(format_f64).unwrap_or_default());
-    }
-    row
-}
-
 /// One CSV row (quoting included, trailing newline included) as bytes.
 fn render_csv_row<S: AsRef<str>>(cells: &[S]) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -184,34 +185,83 @@ fn render_csv_row<S: AsRef<str>>(cells: &[S]) -> Vec<u8> {
     buf
 }
 
-/// The parameter prefix of a JSONL row — everything before the metrics
-/// — which is a pure function of the task.
-fn jsonl_base(task: &crate::spec::ReplicaTask) -> String {
+/// Appends the CSV cells of a task's parameters, the columns of
+/// [`BASE_COLUMNS`], without a trailing separator.
+fn push_csv_base(buf: &mut Vec<u8>, task: &ReplicaTask) {
     let p = task.point;
-    format!(
-        "{{\"point\":{},\"replica\":{},\"seed\":{},\"side\":{},\"horizon\":{},\"tau\":{},\"density\":{},\"variant\":{}",
-        task.point_index,
-        task.replica,
-        task.seed,
-        p.side,
-        p.horizon,
-        format_f64(p.tau),
-        format_f64(p.density),
-        json_string(&p.variant.label()),
+    write!(
+        buf,
+        "{},{},{},{},{},",
+        task.point_index, task.replica, task.seed, p.side, p.horizon
     )
+    .expect("writing to a Vec cannot fail");
+    push_f64(buf, p.tau);
+    buf.push(b',');
+    push_f64(buf, p.density);
+    buf.push(b',');
+    write_cell(buf, &p.variant.label()).expect("writing to a Vec cannot fail");
 }
 
-/// One JSONL object for a record, without the trailing newline.
-fn jsonl_row(rec: &ReplicaRecord) -> String {
-    let mut s = jsonl_base(&rec.task);
-    for (k, v) in &rec.metrics {
-        s.push(',');
-        s.push_str(&json_string(k));
-        s.push(':');
-        s.push_str(&json_number(*v));
+/// Appends one CSV row of a record under a fixed metric-column set
+/// (metrics the record lacks render as empty cells), newline included.
+/// With `sorted` columns the cells come from one walk of the sorted
+/// metric map alongside them; otherwise each column is looked up.
+fn push_csv_row(buf: &mut Vec<u8>, rec: &ReplicaRecord, metrics: &[String], sorted: bool) {
+    push_csv_base(buf, &rec.task);
+    let mut have = rec.metrics.iter().peekable();
+    for m in metrics {
+        buf.push(b',');
+        let value = if sorted {
+            while have.next_if(|(k, _)| *k < m).is_some() {}
+            have.next_if(|(k, _)| *k == m).map(|(_, v)| *v)
+        } else {
+            rec.metric(m)
+        };
+        if let Some(v) = value {
+            push_f64(buf, v);
+        }
     }
-    s.push('}');
-    s
+    buf.push(b'\n');
+}
+
+/// Whether `columns` ascend strictly, as a sorted union of metric names
+/// does.
+fn ascending(columns: &[String]) -> bool {
+    columns.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Appends the parameter prefix of a JSONL row — everything before the
+/// metrics — which is a pure function of the task.
+fn push_jsonl_base(buf: &mut Vec<u8>, task: &ReplicaTask) {
+    let p = task.point;
+    write!(
+        buf,
+        "{{\"point\":{},\"replica\":{},\"seed\":{},\"side\":{},\"horizon\":{},\"tau\":",
+        task.point_index, task.replica, task.seed, p.side, p.horizon
+    )
+    .expect("writing to a Vec cannot fail");
+    push_f64(buf, p.tau);
+    buf.extend_from_slice(b",\"density\":");
+    push_f64(buf, p.density);
+    buf.extend_from_slice(b",\"variant\":");
+    push_json_string(buf, &p.variant.label());
+}
+
+/// Appends one JSONL object for a record, newline included. Metric
+/// values are JSON numbers, so a non-finite one renders as `null`.
+fn push_jsonl_row(buf: &mut Vec<u8>, rec: &ReplicaRecord) {
+    push_jsonl_base(buf, &rec.task);
+    for (k, v) in &rec.metrics {
+        buf.push(b',');
+        push_json_string(buf, k);
+        buf.push(b':');
+        if v.is_finite() {
+            push_f64(buf, *v);
+        } else {
+            buf.extend_from_slice(b"null");
+        }
+    }
+    buf.extend_from_slice(b"}\n");
 }
 
 fn write_records_csv(path: &Path, result: &SweepResult) -> io::Result<()> {
@@ -219,8 +269,11 @@ fn write_records_csv(path: &Path, result: &SweepResult) -> io::Result<()> {
     let f = std::fs::File::create(path)?;
     let mut out = BufWriter::new(f);
     out.write_all(&render_csv_row(&csv_header(&metrics)))?;
+    let mut row = Vec::new();
     for rec in result.records() {
-        out.write_all(&render_csv_row(&csv_cells(rec, &metrics)))?;
+        row.clear();
+        push_csv_row(&mut row, rec, &metrics, true);
+        out.write_all(&row)?;
     }
     out.flush()
 }
@@ -228,17 +281,19 @@ fn write_records_csv(path: &Path, result: &SweepResult) -> io::Result<()> {
 fn write_records_jsonl(path: &Path, result: &SweepResult) -> io::Result<()> {
     let f = std::fs::File::create(path)?;
     let mut out = BufWriter::new(f);
+    let mut row = Vec::new();
     for rec in result.records() {
-        out.write_all(jsonl_row(rec).as_bytes())?;
-        out.write_all(b"\n")?;
+        row.clear();
+        push_jsonl_row(&mut row, rec);
+        out.write_all(&row)?;
     }
     out.flush()
 }
 
 /// Which row format a [`StreamingSink`] emits.
 enum StreamFormat {
-    /// CSV under a fixed metric-column set.
-    Csv { metrics: Vec<String> },
+    /// CSV under a fixed metric-column set, and whether it ascends.
+    Csv { metrics: Vec<String>, sorted: bool },
     /// Self-describing JSON Lines.
     Jsonl,
 }
@@ -247,8 +302,9 @@ struct StreamState {
     out: BufWriter<File>,
     /// The next task index to emit; rows before it are already on disk.
     next: usize,
-    /// Completed records waiting for their predecessors.
-    parked: BTreeMap<usize, ReplicaRecord>,
+    /// The rendered rows of completed records waiting for their
+    /// predecessors.
+    parked: BTreeMap<usize, Vec<u8>>,
 }
 
 /// A sink that appends rows **as replicas finish** instead of buffering
@@ -315,6 +371,7 @@ impl StreamingSink {
             spec,
             StreamFormat::Csv {
                 metrics: metric_columns.to_vec(),
+                sorted: ascending(metric_columns),
             },
             resume,
         )
@@ -351,7 +408,7 @@ impl StreamingSink {
                 let complete = &text[..complete_len];
                 let tasks = spec.tasks();
                 let mut lines = complete.lines();
-                if let StreamFormat::Csv { metrics } = &format {
+                if let StreamFormat::Csv { metrics, .. } = &format {
                     let header = render_csv_row(&csv_header(metrics));
                     let expected = &header[..header.len() - 1]; // minus newline
                     match lines.next() {
@@ -379,24 +436,24 @@ impl StreamingSink {
                     // variant are all pure functions of the task, so a
                     // file written under any changed flag differs here
                     // even when the derived seed happens to agree
-                    let prefix = match &format {
-                        StreamFormat::Csv { .. } => {
-                            let row = render_csv_row(&base_cells(task));
-                            String::from_utf8(row)
-                                .expect("rendered cells are UTF-8")
-                                .trim_end_matches('\n')
-                                .to_string()
-                        }
-                        StreamFormat::Jsonl => jsonl_base(task),
-                    };
-                    let matches = line
-                        .strip_prefix(&prefix)
-                        .is_some_and(|rest| match &format {
-                            // metric cells follow, or none were configured
-                            StreamFormat::Csv { .. } => rest.is_empty() || rest.starts_with(','),
-                            // metrics follow, or the object closes
-                            StreamFormat::Jsonl => rest.starts_with(',') || rest.starts_with('}'),
-                        });
+                    let mut prefix = Vec::new();
+                    match &format {
+                        StreamFormat::Csv { .. } => push_csv_base(&mut prefix, task),
+                        StreamFormat::Jsonl => push_jsonl_base(&mut prefix, task),
+                    }
+                    let matches =
+                        line.as_bytes()
+                            .strip_prefix(prefix.as_slice())
+                            .is_some_and(|rest| match &format {
+                                // metric cells follow, or none were configured
+                                StreamFormat::Csv { .. } => {
+                                    rest.is_empty() || rest.starts_with(b",")
+                                }
+                                // metrics follow, or the object closes
+                                StreamFormat::Jsonl => {
+                                    rest.starts_with(b",") || rest.starts_with(b"}")
+                                }
+                            });
                     if !matches {
                         return Err(bad(format!(
                             "{}: row {} was written by a different sweep (the flags \
@@ -413,7 +470,7 @@ impl StreamingSink {
                 (out, complete_len == 0)
             }
         };
-        if let (true, StreamFormat::Csv { metrics }) = (empty, &format) {
+        if let (true, StreamFormat::Csv { metrics, .. }) = (empty, &format) {
             out.write_all(&render_csv_row(&csv_header(metrics)))?;
             out.flush()?;
         }
@@ -428,47 +485,45 @@ impl StreamingSink {
         })
     }
 
+    /// The row of `rec`, newline included.
     fn render(&self, rec: &ReplicaRecord) -> Vec<u8> {
+        let mut row = Vec::with_capacity(256);
         match &self.format {
-            StreamFormat::Jsonl => {
-                let mut s = jsonl_row(rec);
-                s.push('\n');
-                s.into_bytes()
-            }
-            StreamFormat::Csv { metrics } => render_csv_row(&csv_cells(rec, metrics)),
+            StreamFormat::Jsonl => push_jsonl_row(&mut row, rec),
+            StreamFormat::Csv { metrics, sorted } => push_csv_row(&mut row, rec, metrics, *sorted),
         }
+        row
     }
 
-    /// Offers one completed record. Rows already on disk (or already
-    /// parked) are ignored; an in-order record is written straight
-    /// through, an out-of-order one is parked; either way the longest
-    /// in-order prefix is flushed to the file.
+    /// Offers one completed record. Its row is rendered before the lock
+    /// is taken. Rows already on disk (or already parked) are ignored;
+    /// an in-order row is written straight through, an out-of-order one
+    /// is parked; either way the longest in-order prefix is flushed to
+    /// the file.
     ///
     /// # Errors
     ///
     /// Any I/O error from appending.
     pub fn append(&self, rec: &ReplicaRecord) -> io::Result<()> {
+        let row = self.render(rec);
         let mut st = self.state.lock().expect("streaming sink poisoned");
         let i = rec.task.task_index;
         if i < st.next || st.parked.contains_key(&i) {
             return Ok(());
         }
         if i != st.next {
-            st.parked.insert(i, rec.clone());
+            st.parked.insert(i, row);
             return Ok(());
         }
-        // the common in-order case writes through without cloning, then
-        // releases whatever parked records it unblocked
-        let bytes = self.render(rec);
-        st.out.write_all(&bytes)?;
+        st.out.write_all(&row)?;
         st.next += 1;
+        // release whatever parked rows this one unblocked
         loop {
             let next = st.next;
-            let Some(rec) = st.parked.remove(&next) else {
+            let Some(row) = st.parked.remove(&next) else {
                 break;
             };
-            let bytes = self.render(&rec);
-            st.out.write_all(&bytes)?;
+            st.out.write_all(&row)?;
             st.next += 1;
         }
         st.out.flush()
@@ -745,7 +800,13 @@ mod tests {
 
     #[test]
     fn json_escaping() {
+        use seg_obs::json_number;
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        for name in ["plain_name", "a\"b\\c\nd", "tab\there", "\u{1}", "é"] {
+            let mut buf = Vec::new();
+            push_json_string(&mut buf, name);
+            assert_eq!(buf, json_string(name).into_bytes(), "{name:?}");
+        }
         assert_eq!(json_number(f64::NAN), "null");
         assert_eq!(json_number(2.5), "2.5");
         assert_eq!(json_number(3.0), "3.0");

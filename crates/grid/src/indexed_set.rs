@@ -25,7 +25,7 @@ use crate::rng::Xoshiro256pp;
 /// let mut rng = Xoshiro256pp::seed_from_u64(1);
 /// assert_eq!(s.sample(&mut rng), Some(5));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexedSet {
     items: Vec<u32>,
     /// position of each index in `items`, or `u32::MAX` when absent.
@@ -39,6 +39,33 @@ impl IndexedSet {
             items: Vec::new(),
             pos: vec![u32::MAX; capacity],
         }
+    }
+
+    /// The cells `i < capacity` with `member(i)`, in ascending order:
+    /// what inserting them one by one into an empty set in that order
+    /// builds, in one pass with no branch per cell. Every cell is
+    /// written to the list, and the list's end moves past the members
+    /// only.
+    ///
+    /// ```
+    /// use seg_grid::IndexedSet;
+    /// let s = IndexedSet::from_predicate(10, |i| i % 3 == 1);
+    /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 4, 7]);
+    /// ```
+    pub fn from_predicate(capacity: usize, mut member: impl FnMut(usize) -> bool) -> Self {
+        assert!(capacity <= u32::MAX as usize, "too many cells for u32 ids");
+        let mut items = vec![0; capacity];
+        let mut pos = vec![u32::MAX; capacity];
+        let mut len = 0;
+        for (i, slot) in pos.iter_mut().enumerate() {
+            let m = member(i);
+            items[len] = i as u32;
+            // a non-member's all-ones mask leaves `u32::MAX`
+            *slot = len as u32 | u32::from(!m).wrapping_neg();
+            len += usize::from(m);
+        }
+        items.truncate(len);
+        IndexedSet { items, pos }
     }
 
     /// Number of elements currently in the set.
@@ -148,6 +175,18 @@ mod tests {
         assert!((0..5).all(|i| !s.contains(i)));
         s.insert(2);
         assert_eq!(s.sorted(), vec![2]);
+    }
+
+    #[test]
+    fn from_predicate_equals_ascending_inserts() {
+        for capacity in [0, 1, 7, 64, 100] {
+            let member = |i: usize| (i * 7 + 3) % 5 < 2;
+            let mut inserted = IndexedSet::new(capacity);
+            for i in (0..capacity).filter(|&i| member(i)) {
+                inserted.insert(i);
+            }
+            assert_eq!(IndexedSet::from_predicate(capacity, member), inserted);
+        }
     }
 
     #[test]

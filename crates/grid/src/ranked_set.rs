@@ -25,7 +25,7 @@
 /// s.remove(3);
 /// assert_eq!((s.len(), s.select(0)), (2, 64));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankedSet {
     capacity: usize,
     words: Vec<u64>,
@@ -44,6 +44,35 @@ impl RankedSet {
             words: vec![0; words],
             tree: vec![0; words + 1],
             len: 0,
+        }
+    }
+
+    /// The set whose members are the set bits of `words` (bit `i % 64`
+    /// of word `i / 64` is cell `i`), with its Fenwick tree built in
+    /// O(words): each node adds its sum into its parent once. Bits at or
+    /// past `capacity` must be clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` does not cover exactly `0..capacity`.
+    pub(crate) fn from_words(capacity: usize, words: Vec<u64>) -> Self {
+        assert_eq!(words.len(), capacity.div_ceil(64), "one word per 64 cells");
+        let mut tree = vec![0u32; words.len() + 1];
+        let mut len = 0;
+        for j in 1..tree.len() {
+            let ones = words[j - 1].count_ones();
+            len += ones as usize;
+            tree[j] += ones;
+            let parent = j + (j & j.wrapping_neg());
+            if parent < tree.len() {
+                tree[parent] += tree[j];
+            }
+        }
+        RankedSet {
+            capacity,
+            words,
+            tree,
+            len,
         }
     }
 
@@ -229,6 +258,22 @@ mod tests {
                     assert_ranks(&s, &sorted, &format!("cap {cap} round {round}"));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn word_built_sets_equal_inserted_ones() {
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        for cap in [0usize, 1, 63, 64, 65, 23 * 23, 4096 + 3] {
+            let mut inserted = RankedSet::new(cap);
+            let mut words = vec![0u64; cap.div_ceil(64)];
+            for i in 0..cap {
+                if rng.next_bool(0.3) {
+                    inserted.insert(i);
+                    words[i / 64] |= 1 << (i % 64);
+                }
+            }
+            assert_eq!(RankedSet::from_words(cap, words), inserted, "cap {cap}");
         }
     }
 

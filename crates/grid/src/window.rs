@@ -23,6 +23,13 @@ pub trait TrackedSet {
     /// An empty set over the cells `0..capacity`.
     fn empty(capacity: usize) -> Self;
 
+    /// The set of the cells `i` with `tracked(i)`, where cell `i` has
+    /// type `types[i]`, over the cells `0..types.len()`: the set that
+    /// inserting them into [`TrackedSet::empty`] in ascending order
+    /// builds, in the same sampling order, but filled in bulk with no
+    /// branch per cell. `tracked` is called once per cell, in order.
+    fn collect(types: &[AgentType], tracked: impl FnMut(usize) -> bool) -> Self;
+
     /// Whether cell `i` is in the set.
     fn contains(&self, i: usize) -> bool;
 
@@ -56,6 +63,10 @@ impl TrackedSet for IndexedSet {
         IndexedSet::new(capacity)
     }
 
+    fn collect(types: &[AgentType], tracked: impl FnMut(usize) -> bool) -> Self {
+        IndexedSet::from_predicate(types.len(), tracked)
+    }
+
     #[inline]
     fn contains(&self, i: usize) -> bool {
         IndexedSet::contains(self, i)
@@ -78,6 +89,28 @@ impl TrackedSet for IndexedSet {
 impl TrackedSet for [RankedSet; 2] {
     fn empty(capacity: usize) -> Self {
         [RankedSet::new(capacity), RankedSet::new(capacity)]
+    }
+
+    /// Both sets word by word: each cell's tracked bit goes to the word
+    /// of its type, by masks rather than a branch.
+    fn collect(types: &[AgentType], mut tracked: impl FnMut(usize) -> bool) -> Self {
+        let words = types.len().div_ceil(64);
+        let (mut minus, mut plus) = (vec![0u64; words], vec![0u64; words]);
+        for (w, chunk) in types.chunks(64).enumerate() {
+            let (mut m, mut p) = (0u64, 0u64);
+            for (b, &ty) in chunk.iter().enumerate() {
+                let bit = u64::from(tracked(w * 64 + b)) << b;
+                let is_plus = u64::from(ty == AgentType::Plus).wrapping_neg();
+                p |= bit & is_plus;
+                m |= bit & !is_plus;
+            }
+            minus[w] = m;
+            plus[w] = p;
+        }
+        [
+            RankedSet::from_words(types.len(), minus),
+            RankedSet::from_words(types.len(), plus),
+        ]
     }
 
     #[inline]

@@ -318,8 +318,16 @@ fn write_summary(o: &SweepOptions, result: &SweepResult) -> Result<(), String> {
     Ok(())
 }
 
-fn run_sweep(args: &[String]) -> Result<(), String> {
-    let (o, engine_args) = parse_sweep_args(args)?;
+/// Why a subcommand stopped: its flags were refused (a usage error,
+/// exit 2, as in the single-run mode and the harness binaries) or its
+/// run failed (exit 1).
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+fn run_sweep(args: &[String]) -> Result<(), Failure> {
+    let (o, engine_args) = parse_sweep_args(args).map_err(Failure::Usage)?;
     let spec = &o.spec;
     let observers = sweep_observers(&o);
     println!(
@@ -332,7 +340,7 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
     );
     let result = engine_args
         .run(spec, &observers)
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| Failure::Run(e.to_string()))?;
     print_point_table(spec, &result);
 
     let t = result.throughput();
@@ -352,7 +360,7 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
         );
         return Ok(()); // a per-shard summary would be partial; skip it
     }
-    write_summary(&o, &result)
+    write_summary(&o, &result).map_err(Failure::Run)
 }
 
 /// Parses the `serve` subcommand flags into a [`ServeConfig`].
@@ -463,12 +471,19 @@ fn parse_serve_args(args: &[String]) -> Result<ServeConfig, String> {
 
 /// Parses the `serve` subcommand flags and runs the service until it is
 /// drained via `POST /v1/shutdown`.
-fn run_serve(args: &[String]) -> Result<(), String> {
-    serve(parse_serve_args(args)?).map_err(|e| format!("serve: {e}"))
+fn run_serve(args: &[String]) -> Result<(), Failure> {
+    let config = parse_serve_args(args).map_err(Failure::Usage)?;
+    serve(config).map_err(|e| Failure::Run(format!("serve: {e}")))
 }
 
 /// Parses the `work` subcommand flags and joins a fleet coordinator.
-fn run_work(args: &[String]) -> Result<(), String> {
+fn run_work(args: &[String]) -> Result<(), Failure> {
+    let config = parse_work_args(args).map_err(Failure::Usage)?;
+    run_worker(&config).map_err(|e| Failure::Run(format!("work: {e}")))
+}
+
+/// Parses the `work` subcommand flags into a [`WorkerConfig`].
+fn parse_work_args(args: &[String]) -> Result<WorkerConfig, String> {
     let mut join: Option<String> = None;
     let mut config = WorkerConfig::new(String::new());
     let mut it = args.iter();
@@ -505,7 +520,7 @@ fn run_work(args: &[String]) -> Result<(), String> {
     }
     config.coordinator =
         join.ok_or_else(|| format!("work mode needs --join HOST:PORT\n{USAGE}"))?;
-    run_worker(&config).map_err(|e| format!("work: {e}"))
+    Ok(config)
 }
 
 fn main() -> ExitCode {
@@ -522,7 +537,11 @@ fn main() -> ExitCode {
         };
         return match run(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
+            Err(Failure::Usage(e)) => {
+                eprintln!("{e}");
+                ExitCode::from(2)
+            }
+            Err(Failure::Run(e)) => {
                 eprintln!("{e}");
                 ExitCode::FAILURE
             }
