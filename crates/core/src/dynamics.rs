@@ -63,7 +63,8 @@ impl<T: TrackedSet> GridDynamics<T> {
 
     /// The core over `counts`, which must count `field`'s windows: one
     /// pass over the torus classifies every agent from the class table
-    /// and fills the tracked set in bulk ([`TrackedSet::collect`]).
+    /// ([`ClassTable::classify_all`]) and the tracked set is filled in
+    /// bulk ([`TrackedSet::collect`]).
     fn from_counts(
         field: TypeField,
         counts: WindowCounts,
@@ -73,13 +74,8 @@ impl<T: TrackedSet> GridDynamics<T> {
         flips: u64,
     ) -> Self {
         let classes = class_table(&counts, n_size, classify);
-        let mut unhappy = 0;
-        let types = field.as_slice();
-        let tracked = T::collect(types, |i| {
-            let c = classes.class(types[i], counts.plus_count_index(i));
-            unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
-            c & ClassTable::TRACKED != 0
-        });
+        let (tracked, unhappy) = classes.classify_all(field.as_slice(), &counts);
+        let tracked = T::collect(field.as_slice(), &tracked);
         GridDynamics {
             classes,
             tracked,

@@ -70,7 +70,7 @@ pub fn cluster_sizes_of_type(field: &TypeField, ty: AgentType) -> Vec<usize> {
 /// two-pointer merge over overlapping runs. The seam and the last row
 /// are joined explicitly, so no index is wrapped with a division.
 ///
-/// The cut has no branch per cell: a stretch of [`CUT_CHUNK`] cells with
+/// The cut has no branch per cell: a stretch of 16 cells with
 /// no label change is passed over whole, and inside the others every
 /// cell writes a candidate run end that only a change keeps. Unions link
 /// roots by index and carry no sizes; one pass after the last union adds

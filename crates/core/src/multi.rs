@@ -74,8 +74,8 @@ impl MultiSim {
     }
 
     /// Recounts every type's plane with the box filter, then classifies
-    /// every agent in one pass that fills the flippable set in bulk, in
-    /// index order ([`IndexedSet::from_predicate`]).
+    /// every agent in one pass with no branch per cell and fills the
+    /// flippable set in bulk, in index order ([`IndexedSet::from_words`]).
     fn rebuild(&mut self) {
         let (torus, w) = (self.torus, self.horizon);
         self.counts.clear();
@@ -83,16 +83,16 @@ impl MultiSim {
             box_filter(torus, w, &self.types, |&ty| ty == t, &mut self.counts);
         }
         let mut class = vec![0; torus.len()];
+        let mut eligible = vec![0u64; torus.len().div_ceil(64)];
         let mut unhappy = 0;
-        let flippable = IndexedSet::from_predicate(torus.len(), |i| {
-            let c = self.class_of(i);
-            class[i] = c;
-            unhappy += usize::from(c & HAPPY == 0);
-            c & ELIGIBLE != 0
-        });
+        for (i, c) in class.iter_mut().enumerate() {
+            *c = self.class_of(i);
+            unhappy += usize::from(*c & HAPPY == 0);
+            eligible[i / 64] |= u64::from((*c & ELIGIBLE) >> 1) << (i % 64);
+        }
+        self.flippable = IndexedSet::from_words(torus.len(), &eligible);
         self.class = class;
         self.unhappy = unhappy;
-        self.flippable = flippable;
     }
 
     /// The class bits of cell `i`, with no data-dependent branch: happy

@@ -41,30 +41,38 @@ impl IndexedSet {
         }
     }
 
-    /// The cells `i < capacity` with `member(i)`, in ascending order:
-    /// what inserting them one by one into an empty set in that order
-    /// builds, in one pass with no branch per cell. Every cell is
-    /// written to the list, and the list's end moves past the members
-    /// only.
+    /// The set of the set bits of `words` (bit `i % 64` of word `i / 64`
+    /// is cell `i`) over `0..capacity`, in ascending order: what
+    /// inserting them one by one into an empty set in that order builds.
+    /// Only members are visited, by their set bits. Bits at or past
+    /// `capacity` must be clear.
     ///
     /// ```
     /// use seg_grid::IndexedSet;
-    /// let s = IndexedSet::from_predicate(10, |i| i % 3 == 1);
-    /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 4, 7]);
+    /// let s = IndexedSet::from_words(70, &[0b10010, 1 << 3]);
+    /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 4, 67]);
     /// ```
-    pub fn from_predicate(capacity: usize, mut member: impl FnMut(usize) -> bool) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` does not cover exactly `0..capacity`.
+    pub fn from_words(capacity: usize, words: &[u64]) -> Self {
         assert!(capacity <= u32::MAX as usize, "too many cells for u32 ids");
-        let mut items = vec![0; capacity];
+        assert_eq!(words.len(), capacity.div_ceil(64), "one word per 64 cells");
+        // room for the members alone: the universe's worth would add a
+        // large allocation per set that most sets never fill
+        let members = words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut items = Vec::with_capacity(members);
         let mut pos = vec![u32::MAX; capacity];
-        let mut len = 0;
-        for (i, slot) in pos.iter_mut().enumerate() {
-            let m = member(i);
-            items[len] = i as u32;
-            // a non-member's all-ones mask leaves `u32::MAX`
-            *slot = len as u32 | u32::from(!m).wrapping_neg();
-            len += usize::from(m);
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                pos[i] = items.len() as u32;
+                items.push(i as u32);
+                bits &= bits - 1;
+            }
         }
-        items.truncate(len);
         IndexedSet { items, pos }
     }
 
@@ -178,14 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn from_predicate_equals_ascending_inserts() {
+    fn word_built_sets_equal_ascending_inserts() {
         for capacity in [0, 1, 7, 64, 100] {
-            let member = |i: usize| (i * 7 + 3) % 5 < 2;
             let mut inserted = IndexedSet::new(capacity);
-            for i in (0..capacity).filter(|&i| member(i)) {
+            let mut words = vec![0u64; capacity.div_ceil(64)];
+            for i in (0..capacity).filter(|i| (i * 7 + 3) % 5 < 2) {
                 inserted.insert(i);
+                words[i / 64] |= 1 << (i % 64);
             }
-            assert_eq!(IndexedSet::from_predicate(capacity, member), inserted);
+            assert_eq!(IndexedSet::from_words(capacity, &words), inserted);
         }
     }
 

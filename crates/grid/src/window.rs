@@ -23,12 +23,12 @@ pub trait TrackedSet {
     /// An empty set over the cells `0..capacity`.
     fn empty(capacity: usize) -> Self;
 
-    /// The set of the cells `i` with `tracked(i)`, where cell `i` has
-    /// type `types[i]`, over the cells `0..types.len()`: the set that
-    /// inserting them into [`TrackedSet::empty`] in ascending order
-    /// builds, in the same sampling order, but filled in bulk with no
-    /// branch per cell. `tracked` is called once per cell, in order.
-    fn collect(types: &[AgentType], tracked: impl FnMut(usize) -> bool) -> Self;
+    /// The set of the cells whose bit is set in `tracked` (bit `i % 64`
+    /// of word `i / 64`, as [`ClassTable::classify_all`] packs them),
+    /// where cell `i` has type `types[i]`: the set that inserting them
+    /// into [`TrackedSet::empty`] in ascending order builds, in the same
+    /// sampling order, filled in bulk.
+    fn collect(types: &[AgentType], tracked: &[u64]) -> Self;
 
     /// Whether cell `i` is in the set.
     fn contains(&self, i: usize) -> bool;
@@ -63,8 +63,8 @@ impl TrackedSet for IndexedSet {
         IndexedSet::new(capacity)
     }
 
-    fn collect(types: &[AgentType], tracked: impl FnMut(usize) -> bool) -> Self {
-        IndexedSet::from_predicate(types.len(), tracked)
+    fn collect(types: &[AgentType], tracked: &[u64]) -> Self {
+        IndexedSet::from_words(types.len(), tracked)
     }
 
     #[inline]
@@ -91,22 +91,19 @@ impl TrackedSet for [RankedSet; 2] {
         [RankedSet::new(capacity), RankedSet::new(capacity)]
     }
 
-    /// Both sets word by word: each cell's tracked bit goes to the word
-    /// of its type, by masks rather than a branch.
-    fn collect(types: &[AgentType], mut tracked: impl FnMut(usize) -> bool) -> Self {
-        let words = types.len().div_ceil(64);
-        let (mut minus, mut plus) = (vec![0u64; words], vec![0u64; words]);
-        for (w, chunk) in types.chunks(64).enumerate() {
-            let (mut m, mut p) = (0u64, 0u64);
-            for (b, &ty) in chunk.iter().enumerate() {
-                let bit = u64::from(tracked(w * 64 + b)) << b;
-                let is_plus = u64::from(ty == AgentType::Plus).wrapping_neg();
-                p |= bit & is_plus;
-                m |= bit & !is_plus;
-            }
-            minus[w] = m;
-            plus[w] = p;
-        }
+    /// Both sets word by word: a word of tracked bits splits by a word
+    /// of the cells' types.
+    fn collect(types: &[AgentType], tracked: &[u64]) -> Self {
+        let is_plus = types.chunks(64).map(|chunk| {
+            chunk.iter().enumerate().fold(0u64, |bits, (b, &ty)| {
+                bits | u64::from(ty == AgentType::Plus) << b
+            })
+        });
+        let (minus, plus) = tracked
+            .iter()
+            .zip(is_plus)
+            .map(|(&t, p)| (t & !p, t & p))
+            .unzip();
         [
             RankedSet::from_words(types.len(), minus),
             RankedSet::from_words(types.len(), plus),
@@ -263,6 +260,36 @@ impl ClassTable {
             };
             classify(s)
         })
+    }
+
+    /// Every cell's class over `counts`, in one pass with no branch per
+    /// cell: the [`ClassTable::TRACKED`] bits packed 64 cells to a word
+    /// (bit `i % 64` of word `i / 64`), for [`TrackedSet::collect`], and
+    /// the number of cells with [`ClassTable::UNHAPPY`] set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `types` and `counts` cover different tori or `counts`
+    /// has another window size.
+    pub fn classify_all(&self, types: &[AgentType], counts: &WindowCounts) -> (Vec<u64>, usize) {
+        assert_eq!(types.len(), counts.plus.len(), "one type per counted cell");
+        assert_eq!(self.n_size, counts.neighborhood_size(), "window size");
+        let stride = self.n_size as usize + 1;
+        let mut unhappy = 0;
+        let words = types
+            .chunks(64)
+            .zip(counts.plus.chunks(64))
+            .map(|(types, plus)| {
+                let mut bits = 0u64;
+                for (b, (&ty, &pc)) in types.iter().zip(plus).enumerate() {
+                    let class = self.bits[ty as usize * stride + pc as usize];
+                    unhappy += usize::from(class >> 1);
+                    bits |= u64::from(class & Self::TRACKED) << b;
+                }
+                bits
+            })
+            .collect();
+        (words, unhappy)
     }
 
     /// The window size `N` the table was built for.
