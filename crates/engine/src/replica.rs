@@ -1,9 +1,9 @@
 //! Execution of a single replica and its result record.
 //!
-//! `run_replica` is three generic calls, and their boundaries are where
-//! per-phase timers go: *setup* (`FinalState::build`), *dynamics*
-//! (`FinalState::run`) and *record* (`FinalState::record`, then the
-//! observers). What differs between variants is stated once each here:
+//! `run_replica` is three generic calls, timed at their boundaries for
+//! the engine's phase counters: *setup* (`FinalState::build`),
+//! *dynamics* (`FinalState::run`) and *observers* (`FinalState::record`,
+//! then the observers). What differs between variants is stated once each here:
 //! construction in `build`, the run in `run`, and metric names in the
 //! constants of the `columns` table, which every metric write and the
 //! column prediction ([`crate::sink::expected_metric_columns`]) both
@@ -19,7 +19,7 @@ use seg_core::metrics::Clusters;
 use seg_core::multi::MultiSim;
 use seg_core::ring::{RingKawasaki, RingSim};
 use seg_core::variants::{KawasakiSim, UpdateRule, VariantSim};
-use seg_core::{Intolerance, ModelConfig, Simulation};
+use seg_core::{Intolerance, Simulation};
 use seg_grid::rng::Xoshiro256pp;
 use seg_grid::{Torus, TypeField};
 use std::collections::BTreeMap;
@@ -125,7 +125,8 @@ impl FinalState {
     /// Setup: the task's variant in its seeded initial state.
     fn build(task: &ReplicaTask) -> FinalState {
         let p = task.point;
-        // the seeded field, the RNG after drawing it, and the intolerance
+        // the seeded field, the RNG after drawing it, and the intolerance:
+        // what `ModelConfig::build` draws
         let seeded = || {
             let mut rng = Xoshiro256pp::seed_from_u64(task.seed);
             let field = TypeField::random(Torus::new(p.side), p.density, &mut rng);
@@ -138,12 +139,10 @@ impl FinalState {
         };
         let ring = || RingSim::random(p.side as usize, p.horizon, p.tau, p.density, task.seed);
         match p.variant {
-            Variant::Paper => FinalState::Grid(
-                ModelConfig::new(p.side, p.horizon, p.tau)
-                    .initial_density(p.density)
-                    .seed(task.seed)
-                    .build(),
-            ),
+            Variant::Paper => {
+                let (field, rng, tau) = seeded();
+                FinalState::Grid(Simulation::from_field(field, p.horizon, tau, rng))
+            }
             Variant::FlipWhenUnhappy => variant_grid(UpdateRule::FlipWhenUnhappy),
             Variant::Noise(eps) => variant_grid(UpdateRule::Noise(eps)),
             Variant::Kawasaki => {

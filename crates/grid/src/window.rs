@@ -20,14 +20,11 @@ pub fn window_fits(side: u32, horizon: u32) -> bool {
 /// ignores it. Only the flipped cell changes type, and it alone goes
 /// through [`TrackedSet::retype`].
 pub trait TrackedSet {
-    /// An empty set over the cells `0..capacity`.
-    fn empty(capacity: usize) -> Self;
-
     /// The set of the cells whose bit is set in `tracked` (bit `i % 64`
     /// of word `i / 64`, as [`ClassTable::classify_all`] packs them),
     /// where cell `i` has type `types[i]`: the set that inserting them
-    /// into [`TrackedSet::empty`] in ascending order builds, in the same
-    /// sampling order, filled in bulk.
+    /// into an empty set in ascending order builds, in the same sampling
+    /// order, filled in bulk.
     fn collect(types: &[AgentType], tracked: &[u64]) -> Self;
 
     /// Whether cell `i` is in the set.
@@ -58,11 +55,6 @@ pub trait TrackedSet {
 }
 
 impl TrackedSet for IndexedSet {
-    #[inline]
-    fn empty(capacity: usize) -> Self {
-        IndexedSet::new(capacity)
-    }
-
     fn collect(types: &[AgentType], tracked: &[u64]) -> Self {
         IndexedSet::from_words(types.len(), tracked)
     }
@@ -87,10 +79,6 @@ impl TrackedSet for IndexedSet {
 /// ascending index order, so a process can draw the `k`-th tracked cell
 /// of either type in O(log n).
 impl TrackedSet for [RankedSet; 2] {
-    fn empty(capacity: usize) -> Self {
-        [RankedSet::new(capacity), RankedSet::new(capacity)]
-    }
-
     /// Both sets word by word: a word of tracked bits splits by a word
     /// of the cells' types.
     fn collect(types: &[AgentType], tracked: &[u64]) -> Self {

@@ -125,6 +125,8 @@ proptest! {
 
 /// A tracked set as the two-pass reference below maintains it.
 trait ReferenceSet: TrackedSet + Clone {
+    /// An empty set over the cells `0..capacity`.
+    fn empty(capacity: usize) -> Self;
     /// The members in the order a sampler sees them.
     fn members(&self) -> Vec<Vec<usize>>;
     /// Cell `i` changed type from `old` to `new` and keeps its membership.
@@ -132,6 +134,10 @@ trait ReferenceSet: TrackedSet + Clone {
 }
 
 impl ReferenceSet for IndexedSet {
+    fn empty(capacity: usize) -> Self {
+        IndexedSet::new(capacity)
+    }
+
     fn members(&self) -> Vec<Vec<usize>> {
         vec![self.iter().collect()]
     }
@@ -140,6 +146,10 @@ impl ReferenceSet for IndexedSet {
 }
 
 impl ReferenceSet for [RankedSet; 2] {
+    fn empty(capacity: usize) -> Self {
+        [RankedSet::new(capacity), RankedSet::new(capacity)]
+    }
+
     fn members(&self) -> Vec<Vec<usize>> {
         self.iter()
             .map(|s| (0..s.len()).map(|k| s.select(k)).collect())
