@@ -348,11 +348,11 @@ fn read_one_response(reader: &mut BufReader<TcpStream>) -> (u16, Vec<u8>) {
 
 /// A slow fresh job for admission/lifecycle tests: enough replicas that
 /// it is reliably still running while the test pokes the server (about
-/// 70 ms on two threads at ~30k replicas/s; 200 replicas finished before
+/// 35 ms on two threads at ~30k replicas/s; 200 replicas finished before
 /// the first status poll once replicas got that fast).
 fn slow_body(seed: u64) -> String {
     format!(
-        r#"{{"side": 32, "horizon": 1, "tau": 0.42, "replicas": 2000, "seed": {seed}, "max_events": 300}}"#
+        r#"{{"side": 32, "horizon": 1, "tau": 0.42, "replicas": 1000, "seed": {seed}, "max_events": 300}}"#
     )
 }
 
@@ -774,8 +774,8 @@ fn alerts_fire_and_resolve_while_history_tiers_stay_consistent() {
     // a long job holds serve_active_jobs >= 1 well past the 200ms hold
     // (the slow_body jobs finish faster than the hold on a warm build;
     // 4000 replicas took about 0.15 s, under the hold, at ~30k
-    // replicas/s, so this runs ten times as many)
-    let long_body = r#"{"side": 32, "horizon": 1, "tau": 0.42, "replicas": 40000,
+    // replicas/s, so this runs four times as many)
+    let long_body = r#"{"side": 32, "horizon": 1, "tau": 0.42, "replicas": 16000,
         "seed": 9, "max_events": 300}"#;
     let (status, _, body) = http(addr, "POST", "/v1/sweeps", long_body);
     assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
