@@ -128,53 +128,56 @@ impl<T: Copy + Eq> Clusters<T> {
             cells.len() <= u32::MAX as usize,
             "too many cells for u32 ids"
         );
-        // room for the worst case (one run per cell) up front: growing
-        // four vectors by doubling fragments the heap
+        // every row's runs first, in one vector that grows as it must,
+        // so the other three are sized to the runs: reserving a run per
+        // cell made each scan of a large torus fault fresh pages in, as
+        // the allocator handed the unused reservation back between scans
+        // (and growing four vectors by doubling fragments the heap).
+        // `run_end` holds one past the last column of each run; a row's
+        // runs partition it, and row `y`'s are `row_runs[y]..row_runs[y + 1]`.
+        let mut run_end: Vec<u32> = Vec::with_capacity(side);
+        let mut row_runs = Vec::with_capacity(side + 1);
+        let mut cut = vec![0u32; side];
+        for row in cells.chunks_exact(side) {
+            row_runs.push(run_end.len());
+            let n = cut_runs(row, &mut cut);
+            run_end.extend_from_slice(&cut[..n]);
+        }
+        row_runs.push(run_end.len());
+        let runs_of = |y: usize| row_runs[y]..row_runs[y + 1];
         let mut c = Clusters {
             interface_length: 0,
-            labels: Vec::with_capacity(cells.len()),
-            parent: Vec::with_capacity(cells.len()),
-            size: Vec::with_capacity(cells.len()),
+            labels: Vec::with_capacity(run_end.len()),
+            parent: Vec::with_capacity(run_end.len()),
+            size: Vec::with_capacity(run_end.len()),
         };
-        // one past the last column of each run; a row's runs partition it
-        let mut run_end: Vec<u32> = Vec::with_capacity(cells.len());
-        // one row's run ends, reused from row to row
-        let mut cut = vec![0u32; side];
-        let mut first_row = 0..0;
-        let mut prev_row = 0..0;
         for (y, row) in cells.chunks_exact(side).enumerate() {
-            let first = c.labels.len();
-            let n = cut_runs(row, &mut cut);
-            let ends = &cut[..n];
+            let runs = runs_of(y);
             let mut start = 0;
-            for &end in ends {
+            for &end in &run_end[runs.clone()] {
                 c.parent.push(c.labels.len() as u32);
                 c.labels.push(row[start]);
                 c.size.push(end - start as u32);
                 start = end as usize;
             }
-            run_end.extend_from_slice(ends);
-            let runs = first..c.labels.len();
             // one interface edge per run boundary, plus the seam
             c.interface_length += runs.len() - 1 + usize::from(row[side - 1] != row[0]);
             if runs.len() > 1 && row[side - 1] == row[0] {
-                c.union(first, runs.end - 1);
+                c.union(runs.start, runs.end - 1);
             }
-            if y == 0 {
-                first_row = runs.clone();
-            } else {
-                c.join_rows(
-                    &cells[(y - 1) * side..y * side],
-                    row,
-                    prev_row,
-                    runs.clone(),
-                    &run_end,
-                );
+            if y > 0 {
+                let above = &cells[(y - 1) * side..y * side];
+                c.join_rows(above, row, runs_of(y - 1), runs, &run_end);
             }
-            prev_row = runs;
         }
         let last = &cells[(side - 1) * side..];
-        c.join_rows(last, &cells[..side], prev_row, first_row, &run_end);
+        c.join_rows(
+            last,
+            &cells[..side],
+            runs_of(side - 1),
+            runs_of(0),
+            &run_end,
+        );
         // every union is done: each run's length goes to its root once
         for k in 0..c.labels.len() {
             let root = c.find(k);
