@@ -104,7 +104,9 @@ pub struct Clusters<T> {
 }
 
 /// The cells [`Clusters::scan`] checks for a label change at once
-/// before cutting them one by one.
+/// before cutting them one by one. Passing over quiet chunks pays on
+/// large stable fields, whose rows are long runs, and costs a little
+/// where nearly every chunk holds a change (docs/PERFORMANCE.md).
 const CUT_CHUNK: usize = 16;
 
 impl Clusters<AgentType> {

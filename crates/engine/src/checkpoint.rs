@@ -32,9 +32,9 @@
 //! [`read_journal`], so a file and an upload body pass one validator.
 
 use crate::replica::ReplicaRecord;
-use crate::sink::{create_parent_dirs, push_f64, push_json_string};
+use crate::sink::{create_parent_dirs, push_f64};
 use crate::spec::{ShardIndex, SweepSpec};
-use seg_obs::parse_json_string;
+use seg_obs::{parse_json_string, write_json_string};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -404,7 +404,7 @@ fn push_record_line(buf: &mut Vec<u8>, rec: &ReplicaRecord) {
         if i > 0 {
             buf.push(b',');
         }
-        push_json_string(buf, k);
+        write_json_string(buf, k).expect("writing to a Vec cannot fail");
         buf.push(b':');
         push_f64(buf, *v);
     }

@@ -27,7 +27,7 @@ use crate::run::SweepResult;
 use crate::spec::ReplicaTask;
 use crate::spec::SweepSpec;
 use seg_analysis::csv::{write_cell, CsvWriter};
-use seg_obs::json_string;
+use seg_obs::write_json_string;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -155,18 +155,6 @@ pub(crate) fn format_f64(x: f64) -> String {
     String::from_utf8(buf).expect("a float renders as ASCII")
 }
 
-/// Appends `s` as a JSON string literal ([`json_string`]'s bytes),
-/// copied straight through when it holds nothing to escape.
-pub(crate) fn push_json_string(buf: &mut Vec<u8>, s: &str) {
-    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        buf.extend_from_slice(json_string(s).as_bytes());
-    } else {
-        buf.push(b'"');
-        buf.extend_from_slice(s.as_bytes());
-        buf.push(b'"');
-    }
-}
-
 /// The CSV header cells for the given metric columns.
 fn csv_header(metrics: &[String]) -> Vec<String> {
     BASE_COLUMNS
@@ -204,30 +192,15 @@ fn push_csv_base(buf: &mut Vec<u8>, task: &ReplicaTask) {
 
 /// Appends one CSV row of a record under a fixed metric-column set
 /// (metrics the record lacks render as empty cells), newline included.
-/// With `sorted` columns the cells come from one walk of the sorted
-/// metric map alongside them; otherwise each column is looked up.
-fn push_csv_row(buf: &mut Vec<u8>, rec: &ReplicaRecord, metrics: &[String], sorted: bool) {
+fn push_csv_row(buf: &mut Vec<u8>, rec: &ReplicaRecord, metrics: &[String]) {
     push_csv_base(buf, &rec.task);
-    let mut have = rec.metrics.iter().peekable();
     for m in metrics {
         buf.push(b',');
-        let value = if sorted {
-            while have.next_if(|(k, _)| *k < m).is_some() {}
-            have.next_if(|(k, _)| *k == m).map(|(_, v)| *v)
-        } else {
-            rec.metric(m)
-        };
-        if let Some(v) = value {
+        if let Some(v) = rec.metric(m) {
             push_f64(buf, v);
         }
     }
     buf.push(b'\n');
-}
-
-/// Whether `columns` ascend strictly, as a sorted union of metric names
-/// does.
-fn ascending(columns: &[String]) -> bool {
-    columns.windows(2).all(|w| w[0] < w[1])
 }
 
 /// Appends the parameter prefix of a JSONL row — everything before the
@@ -244,7 +217,7 @@ fn push_jsonl_base(buf: &mut Vec<u8>, task: &ReplicaTask) {
     buf.extend_from_slice(b",\"density\":");
     push_f64(buf, p.density);
     buf.extend_from_slice(b",\"variant\":");
-    push_json_string(buf, &p.variant.label());
+    write_json_string(buf, &p.variant.label()).expect("writing to a Vec cannot fail");
 }
 
 /// Appends one JSONL object for a record, newline included. Metric
@@ -253,7 +226,7 @@ fn push_jsonl_row(buf: &mut Vec<u8>, rec: &ReplicaRecord) {
     push_jsonl_base(buf, &rec.task);
     for (k, v) in &rec.metrics {
         buf.push(b',');
-        push_json_string(buf, k);
+        write_json_string(buf, k).expect("writing to a Vec cannot fail");
         buf.push(b':');
         if v.is_finite() {
             push_f64(buf, *v);
@@ -272,7 +245,7 @@ fn write_records_csv(path: &Path, result: &SweepResult) -> io::Result<()> {
     let mut row = Vec::new();
     for rec in result.records() {
         row.clear();
-        push_csv_row(&mut row, rec, &metrics, true);
+        push_csv_row(&mut row, rec, &metrics);
         out.write_all(&row)?;
     }
     out.flush()
@@ -292,8 +265,8 @@ fn write_records_jsonl(path: &Path, result: &SweepResult) -> io::Result<()> {
 
 /// Which row format a [`StreamingSink`] emits.
 enum StreamFormat {
-    /// CSV under a fixed metric-column set, and whether it ascends.
-    Csv { metrics: Vec<String>, sorted: bool },
+    /// CSV under a fixed metric-column set.
+    Csv { metrics: Vec<String> },
     /// Self-describing JSON Lines.
     Jsonl,
 }
@@ -371,7 +344,6 @@ impl StreamingSink {
             spec,
             StreamFormat::Csv {
                 metrics: metric_columns.to_vec(),
-                sorted: ascending(metric_columns),
             },
             resume,
         )
@@ -408,7 +380,7 @@ impl StreamingSink {
                 let complete = &text[..complete_len];
                 let tasks = spec.tasks();
                 let mut lines = complete.lines();
-                if let StreamFormat::Csv { metrics, .. } = &format {
+                if let StreamFormat::Csv { metrics } = &format {
                     let header = render_csv_row(&csv_header(metrics));
                     let expected = &header[..header.len() - 1]; // minus newline
                     match lines.next() {
@@ -470,7 +442,7 @@ impl StreamingSink {
                 (out, complete_len == 0)
             }
         };
-        if let (true, StreamFormat::Csv { metrics, .. }) = (empty, &format) {
+        if let (true, StreamFormat::Csv { metrics }) = (empty, &format) {
             out.write_all(&render_csv_row(&csv_header(metrics)))?;
             out.flush()?;
         }
@@ -490,7 +462,7 @@ impl StreamingSink {
         let mut row = Vec::with_capacity(256);
         match &self.format {
             StreamFormat::Jsonl => push_jsonl_row(&mut row, rec),
-            StreamFormat::Csv { metrics, sorted } => push_csv_row(&mut row, rec, metrics, *sorted),
+            StreamFormat::Csv { metrics } => push_csv_row(&mut row, rec, metrics),
         }
         row
     }
@@ -800,13 +772,8 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        use seg_obs::json_number;
+        use seg_obs::{json_number, json_string};
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        for name in ["plain_name", "a\"b\\c\nd", "tab\there", "\u{1}", "é"] {
-            let mut buf = Vec::new();
-            push_json_string(&mut buf, name);
-            assert_eq!(buf, json_string(name).into_bytes(), "{name:?}");
-        }
         assert_eq!(json_number(f64::NAN), "null");
         assert_eq!(json_number(2.5), "2.5");
         assert_eq!(json_number(3.0), "3.0");

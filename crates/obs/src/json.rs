@@ -1,6 +1,7 @@
 //! The workspace's one JSON reader and its string and number writers.
 //!
-//! [`json_string`] and [`json_number`] encode every hand-written
+//! [`json_string`] (or [`write_json_string`] into a writer) and
+//! [`json_number`] encode every hand-written
 //! JSON/JSONL document in the workspace: the tracer, history and alerts
 //! here, the engine's row sinks and journals, and the serve API.
 //! [`Json::parse`] reads them back: request bodies, fleet claims,
@@ -24,6 +25,7 @@
 //! with [`parse_json_string`], the parser's own string decoder.
 
 use std::fmt;
+use std::io;
 
 /// How deep nested arrays/objects may go before the parser refuses.
 pub(crate) const MAX_DEPTH: usize = 64;
@@ -362,21 +364,44 @@ pub fn parse_json_string(text: &str) -> Result<(String, &str), String> {
 
 /// Quotes and escapes `s` as a JSON string literal.
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    let mut out = Vec::with_capacity(s.len() + 2);
+    write_json_string(&mut out, s).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("escaping keeps UTF-8")
+}
+
+/// Writes `s` to `out` as a JSON string literal, [`json_string`]'s
+/// bytes: `"` and `\` are backslash-escaped, control characters below
+/// 0x20 take their short or `\u00XX` form, and every other run of
+/// bytes is copied through whole.
+///
+/// # Errors
+///
+/// Any error from `out`.
+pub fn write_json_string<W: io::Write + ?Sized>(out: &mut W, s: &str) -> io::Result<()> {
+    let bytes = s.as_bytes();
+    out.write_all(b"\"")?;
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            b if b < 0x20 => {
+                out.write_all(&bytes[start..i])?;
+                write!(out, "\\u{b:04x}")?;
+                start = i + 1;
+                continue;
+            }
+            _ => continue,
+        };
+        out.write_all(&bytes[start..i])?;
+        out.write_all(escape)?;
+        start = i + 1;
     }
-    out.push('"');
-    out
+    out.write_all(&bytes[start..])?;
+    out.write_all(b"\"")
 }
 
 /// Formats a float as a JSON number: the shortest round-trip decimal,
@@ -428,6 +453,44 @@ mod tests {
         let rendered = Json::Str("x\"\n\u{1}".into()).to_string();
         assert_eq!(rendered, r#""x\"\n\u0001""#);
         assert_eq!(Json::parse(&rendered).unwrap().as_str(), Some("x\"\n\u{1}"));
+    }
+
+    #[test]
+    fn string_writer_escapes_quote_backslash_and_controls_only() {
+        // the escaping rule, char by char: quote and backslash take a
+        // backslash, \n \r \t their short form, other controls \u00XX,
+        // everything else (multi-byte UTF-8 included) passes through
+        let reference = |s: &str| {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        let every_ascii: String = (0u8..0x80).map(char::from).collect();
+        for s in [
+            "",
+            "plain_name",
+            "noise(0.01)",
+            "a\"b\\c\nd",
+            "é\u{1}😀\u{1f}",
+            &every_ascii,
+        ] {
+            let mut buf = Vec::new();
+            write_json_string(&mut buf, s).unwrap();
+            assert_eq!(String::from_utf8(buf).unwrap(), reference(s), "{s:?}");
+            assert_eq!(json_string(s), reference(s), "{s:?}");
+            assert_eq!(Json::parse(&json_string(s)).unwrap().as_str(), Some(s));
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ mod trace;
 
 pub use alerts::{AlertEngine, Rule};
 pub use history::{history, History};
-pub use json::{json_number, json_string, parse_json_string, Json};
+pub use json::{json_number, json_string, parse_json_string, write_json_string, Json};
 pub use metrics::{
     metrics, register_process_metrics, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
 };

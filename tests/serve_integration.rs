@@ -346,15 +346,13 @@ fn read_one_response(reader: &mut BufReader<TcpStream>) -> (u16, Vec<u8>) {
     (response.status, response.body)
 }
 
-/// A slow fresh job for admission/lifecycle tests: enough replicas that
-/// it is reliably still running while the test pokes the server (about
-/// 35 ms on two threads at ~30k replicas/s; 200 replicas finished before
-/// the first status poll once replicas got that fast).
-fn slow_body(seed: u64) -> String {
-    format!(
-        r#"{{"side": 32, "horizon": 1, "tau": 0.42, "replicas": 1000, "seed": {seed}, "max_events": 300}}"#
-    )
-}
+/// `segsim serve` flags that hold every job in flight for two seconds
+/// before it runs: a fleet coordinator that no worker joins waits out
+/// its fleet timeout with the job "running", then runs the job locally
+/// (the same bytes as a plain server). Tests that must observe a job in
+/// flight use these, so what they see does not depend on how fast
+/// replicas run.
+const HOLD_JOBS: [&str; 3] = ["--fleet", "--fleet-timeout", "2"];
 
 #[test]
 fn healthz_reports_draining_once_shutdown_begins() {
@@ -415,11 +413,15 @@ fn admission_enforces_quotas_keys_and_queue_backpressure() {
         &dir.join("data"),
         1,
         &[
-            "--api-keys",
-            &keys.display().to_string(),
-            "--max-queue",
-            "1",
-        ],
+            &[
+                "--api-keys",
+                &keys.display().to_string(),
+                "--max-queue",
+                "1",
+            ][..],
+            &HOLD_JOBS,
+        ]
+        .concat(),
     );
     let addr = &server.addr;
 
@@ -429,19 +431,19 @@ fn admission_enforces_quotas_keys_and_queue_backpressure() {
         "POST",
         "/v1/sweeps",
         &[("x-api-key", "nope")],
-        &slow_body(1),
+        &job_body(1),
     );
     assert_eq!(status, 401, "{}", String::from_utf8_lossy(&body));
 
     // the anonymous tier holds 1 in-flight job: the first is admitted,
     // a second fresh spec bounces with 429 + Retry-After
-    let (status, _, body) = http(addr, "POST", "/v1/sweeps", &slow_body(1));
+    let (status, _, body) = http(addr, "POST", "/v1/sweeps", &job_body(1));
     assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
     // once the single worker holds it the queue is empty again, so the
     // quota gate, not --max-queue, is what refuses the next spec
     let id = json_str_field(&body, "id").expect("job id");
     poll_until_state(addr, &id, "running", Duration::from_secs(30));
-    let (status, head, body) = http(addr, "POST", "/v1/sweeps", &slow_body(2));
+    let (status, head, body) = http(addr, "POST", "/v1/sweeps", &job_body(2));
     assert_eq!(status, 429, "{}", String::from_utf8_lossy(&body));
     assert!(
         head.to_ascii_lowercase().contains("retry-after:"),
@@ -454,7 +456,7 @@ fn admission_enforces_quotas_keys_and_queue_backpressure() {
     );
 
     // joining the job already in flight is not a fresh admission
-    let (status, _, _) = http(addr, "POST", "/v1/sweeps", &slow_body(1));
+    let (status, _, _) = http(addr, "POST", "/v1/sweeps", &job_body(1));
     assert!(
         status == 200 || status == 202,
         "in-flight join was rejected with {status}"
@@ -467,7 +469,7 @@ fn admission_enforces_quotas_keys_and_queue_backpressure() {
         "POST",
         "/v1/sweeps",
         &[("x-api-key", "alpha")],
-        &slow_body(3),
+        &job_body(3),
     );
     assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
     let (status, head, body) = http_with(
@@ -475,7 +477,7 @@ fn admission_enforces_quotas_keys_and_queue_backpressure() {
         "POST",
         "/v1/sweeps",
         &[("x-api-key", "alpha")],
-        &slow_body(4),
+        &job_body(4),
     );
     assert_eq!(status, 429, "{}", String::from_utf8_lossy(&body));
     assert!(
@@ -505,7 +507,12 @@ fn a_concurrent_burst_past_the_queue_is_shed_with_retry_after() {
     // threads: every submit is admitted (202) or shed (429 +
     // Retry-After), never anything else, and at least one is shed
     let dir = tmp_dir("overload");
-    let server = ServerProc::start_with("overload", &dir.join("data"), 1, &["--max-queue", "4"]);
+    let server = ServerProc::start_with(
+        "overload",
+        &dir.join("data"),
+        1,
+        &[&["--max-queue", "4"][..], &HOLD_JOBS].concat(),
+    );
     let addr = &server.addr;
     let (burst, threads) = (16u64, 8u64);
     let shed: usize = std::thread::scope(|scope| {
@@ -515,7 +522,7 @@ fn a_concurrent_burst_past_the_queue_is_shed_with_retry_after() {
                     let mut shed = 0;
                     for seed in (t..burst).step_by(threads as usize) {
                         let (status, head, body) =
-                            http(addr, "POST", "/v1/sweeps", &slow_body(9000 + seed));
+                            http(addr, "POST", "/v1/sweeps", &job_body(9000 + seed));
                         match status {
                             202 => {}
                             429 => {
@@ -550,7 +557,7 @@ fn delete_removes_finished_jobs_but_refuses_running_ones() {
     run_sweep(&small_sweep_flags(&reference));
     let reference = fs::read(&reference).unwrap();
 
-    let server = ServerProc::start("delete", &dir.join("data"), 2);
+    let server = ServerProc::start_with("delete", &dir.join("data"), 2, &HOLD_JOBS);
     let addr = &server.addr;
 
     let (status, _, body) = http(addr, "POST", "/v1/sweeps", SMALL_BODY);
@@ -559,7 +566,7 @@ fn delete_removes_finished_jobs_but_refuses_running_ones() {
     poll_until_state(addr, &id, "done", Duration::from_secs(60));
 
     // a running job cannot be deleted out from under its worker
-    let (status, _, body) = http(addr, "POST", "/v1/sweeps", &slow_body(5));
+    let (status, _, body) = http(addr, "POST", "/v1/sweeps", &job_body(5));
     assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
     let running = json_str_field(&body, "id").expect("job id");
     let (status, _, body) = http(addr, "DELETE", &format!("/v1/jobs/{running}"), "");
@@ -662,7 +669,7 @@ fn data_max_bytes_evicts_oldest_done_jobs_and_keeps_the_bound() {
     assert_eq!(rows, first_rows, "recomputed rows differ after eviction");
 }
 
-/// A small distinct-by-seed job for the eviction test.
+/// A small distinct-by-seed job.
 fn job_body(seed: u64) -> String {
     format!(
         r#"{{"side": 24, "horizon": 1, "tau": 0.4, "replicas": 2, "seed": {seed}, "max_events": 150}}"#
@@ -757,13 +764,17 @@ fn alerts_fire_and_resolve_while_history_tiers_stay_consistent() {
         &dir.join("data"),
         2,
         &[
-            "--history-scrape-ms",
-            "50",
-            "--alerts",
-            &rules.display().to_string(),
-            "--metrics-history-out",
-            &history_out.display().to_string(),
-        ],
+            &[
+                "--history-scrape-ms",
+                "50",
+                "--alerts",
+                &rules.display().to_string(),
+                "--metrics-history-out",
+                &history_out.display().to_string(),
+            ][..],
+            &HOLD_JOBS,
+        ]
+        .concat(),
     );
     let addr = &server.addr;
 
@@ -771,19 +782,15 @@ fn alerts_fire_and_resolve_while_history_tiers_stay_consistent() {
     let text = poll_alert_state(addr, "inactive", Duration::from_secs(10));
     assert!(text.contains("serve_active_jobs"), "rule missing: {text}");
 
-    // a long job holds serve_active_jobs >= 1 well past the 200ms hold
-    // (the slow_body jobs finish faster than the hold on a warm build;
-    // 4000 replicas took about 0.15 s, under the hold, at ~30k
-    // replicas/s, so this runs four times as many)
-    let long_body = r#"{"side": 32, "horizon": 1, "tau": 0.42, "replicas": 16000,
-        "seed": 9, "max_events": 300}"#;
-    let (status, _, body) = http(addr, "POST", "/v1/sweeps", long_body);
+    // a held job keeps serve_active_jobs >= 1 for two seconds, well
+    // past the rule's 200ms hold
+    let (status, _, body) = http(addr, "POST", "/v1/sweeps", &job_body(9));
     assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
     let id = json_str_field(&body, "id").expect("job id");
     poll_alert_state(addr, "firing", Duration::from_secs(30));
 
     // the job drains, the gauge falls back to zero, the alert resolves
-    poll_until_state(addr, &id, "done", Duration::from_secs(120));
+    poll_until_state(addr, &id, "done", Duration::from_secs(60));
     poll_alert_state(addr, "inactive", Duration::from_secs(30));
 
     // both transitions are counted in the exposition
