@@ -1,7 +1,6 @@
 //! A minimal CSV writer for experiment outputs.
 
 use std::io::{self, Write};
-use std::path::Path;
 
 /// Writes rows of stringly-typed cells as RFC-4180-style CSV (quoting
 /// cells that contain commas, quotes or newlines).
@@ -68,20 +67,6 @@ pub fn write_cell(out: &mut impl Write, c: &str) -> io::Result<()> {
     }
 }
 
-/// Writes a whole table of rows to a file in one call.
-///
-/// # Errors
-///
-/// Any I/O error from creating or writing the file.
-pub fn write_csv_file<S: AsRef<str>>(path: &Path, rows: &[Vec<S>]) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    let mut w = CsvWriter::new(io::BufWriter::new(f));
-    for row in rows {
-        w.write_row(row)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,16 +104,5 @@ mod tests {
     fn empty_row_writes_newline() {
         let rows: Vec<Vec<&str>> = vec![vec![]];
         assert_eq!(render(&rows), "\n");
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("seg_analysis_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        write_csv_file(&path, &[vec!["h1", "h2"], vec!["1", "2"]]).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "h1,h2\n1,2\n");
-        std::fs::remove_file(&path).ok();
     }
 }

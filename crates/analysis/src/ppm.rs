@@ -87,10 +87,11 @@ impl Image {
     ///
     /// # Errors
     ///
-    /// Any I/O error from creating or writing the file.
+    /// Any I/O error from creating, writing or flushing the file.
     pub fn save_ppm(&self, path: &Path) -> io::Result<()> {
-        let f = std::fs::File::create(path)?;
-        self.write_ppm(io::BufWriter::new(f))
+        let mut out = io::BufWriter::new(std::fs::File::create(path)?);
+        self.write_ppm(&mut out)?;
+        out.flush()
     }
 }
 
@@ -149,6 +150,15 @@ mod tests {
         let header = b"P6\n5 7\n255\n";
         assert_eq!(&buf[..header.len()], header);
         assert_eq!(buf.len(), header.len() + 5 * 7 * 3);
+    }
+
+    /// A frame smaller than the write buffer still reports a failed
+    /// write: the buffer is flushed, not dropped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_ppm_reports_a_full_device() {
+        let img = Image::new(16, 16, Rgb(0, 0, 0));
+        assert!(img.save_ppm(Path::new("/dev/full")).is_err());
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //!   (good/bad blocks, enclosing rings);
 //! - [`race`] — Lemma 10's firewall-formation race, measured;
 //! - [`metrics`] — unhappy counts, interface length, same-type clusters;
-//! - [`trace`] — time-series sampling of a running simulation;
 //! - [`variants`] — flip-when-unhappy, ε-noise, and 2-D Kawasaki swap
 //!   baselines;
 //! - [`interval`] — the §V two-sided comfort variant;
@@ -61,7 +60,6 @@ pub mod radical;
 pub mod regions;
 pub mod ring;
 pub mod sim;
-pub mod trace;
 pub mod variants;
 
 pub use config::ModelConfig;

@@ -1,16 +1,7 @@
-//! `segsim` — command-line driver for the segregation model.
-//!
-//! Single run (the default mode):
-//!
-//! ```text
-//! segsim --side 300 --horizon 4 --tau 0.45 [--density 0.5] [--seed 1]
-//!        [--max-flips N] [--frames DIR] [--trace FILE.csv] [--samples K]
-//! ```
-//!
-//! Runs the paper's process to stability, printing before/after
-//! statistics; optionally writes Figure 1-style PPM frames and a CSV
-//! trace of the evolution, and samples the monochromatic-region
-//! distribution at the end.
+//! `segsim` — the command-line interface to the segregation model. It has
+//! three modes, `sweep`, `serve` and `work`, and every replica it runs
+//! goes through [`seg_engine`]; a command line that names no mode is a
+//! usage error.
 //!
 //! Parameter sweep (the [`seg_engine`] mode):
 //!
@@ -24,6 +15,9 @@
 //! worker pool with per-replica deterministic seeding, prints per-point
 //! summaries and throughput, and optionally writes per-replica rows
 //! (`--out`, CSV or `.jsonl`) and per-point aggregates (`--summary`).
+//! One run of the process is a one-replica sweep: `--replicas 1`
+//! prints its final statistics (`--max-events 0` the initial state's)
+//! and `--snapshots DIR` writes its Figure 1 frame.
 //!
 //! With `--shard I/M --checkpoint FILE`, one invocation is worker `I`
 //! of an `M`-process sweep, journaling its share next to `FILE`; after
@@ -59,113 +53,16 @@
 //! `docs/FLEET.md`.
 
 use self_organized_segregation::prelude::*;
-use self_organized_segregation::seg_analysis::csv::write_csv_file;
-use self_organized_segregation::seg_analysis::ppm::figure1_frame;
 use self_organized_segregation::seg_analysis::series::Table;
-use self_organized_segregation::seg_core::regions::region_size_distribution;
-use self_organized_segregation::seg_core::trace::trace_run;
 use self_organized_segregation::seg_engine::{
     write_summary_csv, EngineArgs, SweepResult, ENGINE_USAGE,
 };
-use self_organized_segregation::seg_grid::window_fits;
 use self_organized_segregation::seg_serve::{run_worker, WorkerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-/// Parsed command-line options.
-#[derive(Clone, Debug, PartialEq)]
-struct Options {
-    side: u32,
-    horizon: u32,
-    tau: f64,
-    density: f64,
-    seed: u64,
-    max_flips: u64,
-    frames: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    samples: u32,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            side: 300,
-            horizon: 4,
-            tau: 0.45,
-            density: 0.5,
-            seed: 0,
-            max_flips: u64::MAX,
-            frames: None,
-            trace: None,
-            samples: 100,
-        }
-    }
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--side" => {
-                o.side = value("--side")?
-                    .parse()
-                    .map_err(|e| format!("--side: {e}"))?
-            }
-            "--horizon" => {
-                o.horizon = value("--horizon")?
-                    .parse()
-                    .map_err(|e| format!("--horizon: {e}"))?
-            }
-            "--tau" => o.tau = value("--tau")?.parse().map_err(|e| format!("--tau: {e}"))?,
-            "--density" => {
-                o.density = value("--density")?
-                    .parse()
-                    .map_err(|e| format!("--density: {e}"))?
-            }
-            "--seed" => {
-                o.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--max-flips" => {
-                o.max_flips = value("--max-flips")?
-                    .parse()
-                    .map_err(|e| format!("--max-flips: {e}"))?
-            }
-            "--frames" => o.frames = Some(PathBuf::from(value("--frames")?)),
-            "--trace" => o.trace = Some(PathBuf::from(value("--trace")?)),
-            "--samples" => {
-                o.samples = value("--samples")?
-                    .parse()
-                    .map_err(|e| format!("--samples: {e}"))?
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if !other.starts_with('-') => {
-                return Err(format!("unknown mode {other}\n{USAGE}"))
-            }
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-    }
-    if !(0.0..=1.0).contains(&o.tau) {
-        return Err("--tau must lie in [0, 1]".into());
-    }
-    if !(0.0..=1.0).contains(&o.density) {
-        return Err("--density must lie in [0, 1]".into());
-    }
-    if !window_fits(o.side, o.horizon) {
-        return Err("--horizon too large for --side (need 2w+1 ≤ n)".into());
-    }
-    Ok(o)
-}
-
-const USAGE: &str = "usage: segsim --side N --horizon W --tau T \
-[--density P] [--seed S] [--max-flips N] [--frames DIR] [--trace FILE.csv] [--samples K]\n\
-       segsim sweep --side N,.. --horizon W,.. --tau T,.. [--density P,..] \
+const USAGE: &str = "usage: segsim sweep --side N,.. --horizon W,.. --tau T,.. [--density P,..] \
 [--variant V,..] [--max-events N] [--snapshots DIR] [--summary FILE.csv] <engine flags>\n\
        segsim serve [--addr HOST:PORT] [--workers N] [--threads T] [--data DIR] \
 [--conn-threads C] [--max-body BYTES] [--trace-out FILE.jsonl] \
@@ -181,7 +78,11 @@ ring-kawasaki | two-sided:TAU_HI | multi:K\n\
 `sweep` accepts the engine flags every harness binary shares; `--shard I/M` \
 turns one invocation into worker I of an M-process sweep (journals merged by \
 rerunning without --shard). An illegal sweep (2W+1 > N, T, P or EPS outside [0, 1], \
-T > TAU_HI, K < 2) is refused before any replica runs.\n\
+T > TAU_HI, K < 2) is refused before any replica runs. One run is a one-replica \
+sweep: `segsim sweep ... --replicas 1` prints its final statistics (add \
+--max-events 0 for the initial state) and --snapshots DIR writes its frame; \
+`fig1_snapshots` draws Figure 1's frames, `exp_coarsening` the evolution over \
+time and `exp_region_distribution` the monochromatic-region samples.\n\
 `serve` runs the sweep engine as an HTTP service (default 127.0.0.1:8080): \
 POST /v1/sweeps submits the JSON equivalent of `sweep` flags (the same \
 sweeps are legal, capped at side 4096 and 1M tasks), jobs are \
@@ -318,9 +219,8 @@ fn write_summary(o: &SweepOptions, result: &SweepResult) -> Result<(), String> {
     Ok(())
 }
 
-/// Why a subcommand stopped: its flags were refused (a usage error,
-/// exit 2, as in the single-run mode and the harness binaries) or its
-/// run failed (exit 1).
+/// Why a mode stopped: its flags were refused (a usage error, exit 2,
+/// as in the harness binaries) or its run failed (exit 1).
 enum Failure {
     Usage(String),
     Run(String),
@@ -523,133 +423,43 @@ fn parse_work_args(args: &[String]) -> Result<WorkerConfig, String> {
     Ok(config)
 }
 
+/// A mode's entry point, given the arguments after the mode word.
+type Mode = fn(&[String]) -> Result<(), Failure>;
+
+/// The mode the first argument names. Any other first argument, or
+/// none, is refused with the usage, which says how `segsim sweep` runs
+/// one replica and which harness binaries draw its frames, its
+/// evolution and its region samples.
+fn select_mode(args: &[String]) -> Result<Mode, String> {
+    match args.first().map(String::as_str) {
+        Some("sweep") => Ok(run_sweep),
+        Some("serve") => Ok(run_serve),
+        Some("work") => Ok(run_work),
+        Some(word) if !word.starts_with('-') => Err(format!("unknown mode {word}\n{USAGE}")),
+        _ => Err(format!(
+            "segsim needs a mode: sweep, serve or work\n{USAGE}"
+        )),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(mode @ ("sweep" | "serve" | "work")) = args.first().map(String::as_str) {
-        if args[1..].iter().any(|a| a == "--help" || a == "-h") {
-            println!("{USAGE}\nengine flags: {ENGINE_USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        let run = match mode {
-            "sweep" => run_sweep,
-            "work" => run_work,
-            _ => run_serve,
-        };
-        return match run(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(Failure::Usage(e)) => {
-                eprintln!("{e}");
-                ExitCode::from(2)
-            }
-            Err(Failure::Run(e)) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}\nengine flags: {ENGINE_USAGE}");
+        return ExitCode::SUCCESS;
     }
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
+    let run = select_mode(&args).map_err(Failure::Usage);
+    match run.and_then(|run| run(&args[1..])) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Usage(e)) => {
             eprintln!("{e}");
-            return ExitCode::from(2); // a usage error, like the harness binaries'
+            ExitCode::from(2)
         }
-    };
-    println!(
-        "segsim: {0}×{0} torus, w = {1} (N = {2}), τ̃ = {3}, p = {4}, seed = {5}",
-        opts.side,
-        opts.horizon,
-        (2 * u64::from(opts.horizon) + 1).pow(2),
-        opts.tau,
-        opts.density,
-        opts.seed
-    );
-    println!(
-        "regime: {:?}  (τ2 = {:.4}, τ1 = {:.4})",
-        classify(opts.tau),
-        tau2(),
-        tau1()
-    );
-
-    let mut sim = ModelConfig::new(opts.side, opts.horizon, opts.tau)
-        .initial_density(opts.density)
-        .seed(opts.seed)
-        .build();
-
-    if let Some(dir) = &opts.frames {
-        std::fs::create_dir_all(dir).expect("create frame dir");
-        figure1_frame(&sim)
-            .save_ppm(&dir.join("initial.ppm"))
-            .expect("write initial frame");
-    }
-
-    let before = config_stats(&sim);
-    println!(
-        "initial: unhappy {} ({:.2}%), interface {}, largest cluster {}",
-        before.unhappy,
-        100.0 * (1.0 - before.happy_fraction),
-        before.interface_length,
-        before.largest_cluster
-    );
-
-    let trace = trace_run(&mut sim, (opts.side as u64).pow(2) / 20 + 1, opts.max_flips);
-    let after = config_stats(&sim);
-    println!(
-        "final:   unhappy {} ({:.2}%), interface {}, largest cluster {}",
-        after.unhappy,
-        100.0 * (1.0 - after.happy_fraction),
-        after.interface_length,
-        after.largest_cluster
-    );
-    println!(
-        "dynamics: {} flips, continuous time {:.2}, stable = {}",
-        sim.flips(),
-        sim.time(),
-        sim.is_stable()
-    );
-
-    if let Some(path) = &opts.trace {
-        let mut rows: Vec<Vec<String>> = vec![vec![
-            "flips".into(),
-            "time".into(),
-            "unhappy".into(),
-            "interface".into(),
-            "largest_cluster".into(),
-        ]];
-        for p in &trace {
-            rows.push(vec![
-                p.flips.to_string(),
-                format!("{:.4}", p.time),
-                p.stats.unhappy.to_string(),
-                p.stats.interface_length.to_string(),
-                p.stats.largest_cluster.to_string(),
-            ]);
+        Err(Failure::Run(e)) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
-        write_csv_file(path, &rows).expect("write trace CSV");
-        println!("trace written to {}", path.display());
     }
-
-    if let Some(dir) = &opts.frames {
-        figure1_frame(&sim)
-            .save_ppm(&dir.join("final.ppm"))
-            .expect("write final frame");
-        println!("frames written to {}", dir.display());
-    }
-
-    if opts.samples > 0 {
-        let ps = PrefixSums::new(sim.field());
-        let mut rng = Xoshiro256pp::seed_from_u64(opts.seed ^ 0xD15C);
-        let sizes = region_size_distribution(sim.field(), &ps, opts.samples, &mut rng);
-        let mean = sizes.iter().sum::<u64>() as f64 / sizes.len() as f64;
-        let median = sizes[sizes.len() / 2];
-        println!(
-            "monochromatic regions over {} sampled agents: mean {:.1}, median {}, max {}",
-            opts.samples,
-            mean,
-            median,
-            sizes.last().unwrap()
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -660,44 +470,65 @@ mod tests {
         s.split_whitespace().map(|x| x.to_string()).collect()
     }
 
+    /// With no flags there is no default run: the refusal names the
+    /// engine-backed commands for one replica, its frames, its evolution
+    /// and its region samples.
     #[test]
     fn defaults_when_no_flags() {
-        assert_eq!(parse_args(&[]).unwrap(), Options::default());
+        let err = select_mode(&[]).expect_err("no mode is refused");
+        for home in [
+            "segsim sweep",
+            "--replicas 1",
+            "--max-events 0",
+            "--snapshots DIR",
+            "fig1_snapshots",
+            "exp_coarsening",
+            "exp_region_distribution",
+        ] {
+            assert!(err.contains(home), "{home} missing from:\n{err}");
+        }
     }
 
-    #[test]
-    fn parses_all_flags() {
-        let o = parse_args(&args(
-            "--side 100 --horizon 2 --tau 0.4 --density 0.6 --seed 9 --max-flips 1000 --samples 5",
-        ))
-        .unwrap();
-        assert_eq!(o.side, 100);
-        assert_eq!(o.horizon, 2);
-        assert!((o.tau - 0.4).abs() < 1e-15);
-        assert!((o.density - 0.6).abs() < 1e-15);
-        assert_eq!(o.seed, 9);
-        assert_eq!(o.max_flips, 1000);
-        assert_eq!(o.samples, 5);
-    }
-
+    /// A flag where the mode word belongs is refused, whether or not a
+    /// mode accepts it.
     #[test]
     fn rejects_unknown_flag() {
-        assert!(parse_args(&args("--bogus 1")).is_err());
+        for line in [
+            "--bogus 1",
+            "--side 16 --horizon 1 --tau 0.45",
+            "--trace t.csv",
+        ] {
+            let err = select_mode(&args(line)).expect_err(line);
+            assert!(
+                err.starts_with("segsim needs a mode: sweep, serve or work\nusage: segsim sweep"),
+                "{line}: {err}"
+            );
+        }
     }
 
     #[test]
     fn rejects_missing_value() {
-        assert!(parse_args(&args("--side")).is_err());
+        for line in ["--side", "--side 16 --horizon 1 --tau 0.45 --max-events"] {
+            let err = parse_sweep_args(&args(line)).unwrap_err();
+            assert!(err.contains("needs a value"), "{line}: {err}");
+        }
     }
 
     #[test]
     fn rejects_oversized_horizon() {
-        assert!(parse_args(&args("--side 9 --horizon 5")).is_err());
+        let err = parse_sweep_args(&args("--side 9 --horizon 5 --tau 0.4")).unwrap_err();
+        assert!(err.contains("window diameter"), "{err}");
     }
 
     #[test]
     fn rejects_bad_tau() {
-        assert!(parse_args(&args("--tau 1.5")).is_err());
+        for line in [
+            "--side 32 --horizon 1 --tau 1.5",
+            "--side 32 --horizon 1 --tau NaN",
+        ] {
+            let err = parse_sweep_args(&args(line)).unwrap_err();
+            assert!(err.contains("tau"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -722,14 +553,6 @@ mod tests {
     #[test]
     fn sweep_requires_the_three_axes() {
         assert!(parse_sweep_args(&args("--side 64 --horizon 2")).is_err());
-    }
-
-    #[test]
-    fn rejects_wrapping_horizon() {
-        // 2 · 2³¹ wraps to 0 in u32
-        assert!(parse_args(&args("--side 16 --horizon 2147483648 --tau 0.45")).is_err());
-        assert!(parse_args(&args("--tau NaN")).is_err());
-        assert!(parse_args(&args("--density 1.5")).is_err());
     }
 
     /// Illegal sweeps are refused by the parse, before any replica runs,
@@ -852,7 +675,7 @@ mod tests {
             "shard --workers 2 --side 32 --horizon 1 --tau 0.4",
             "shard --workers 2 --side 32 --horizon 1 --tau 0.4 --shard 0/2 --checkpoint c.jsonl",
         ] {
-            let err = parse_args(&args(line)).unwrap_err();
+            let err = select_mode(&args(line)).expect_err(line);
             assert!(
                 err.starts_with("unknown mode shard\nusage:"),
                 "{line}: {err}"

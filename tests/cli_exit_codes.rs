@@ -1,6 +1,7 @@
 //! `segsim`'s exit codes, from real processes: a refused flag is a usage
-//! error (exit 2) in every mode, as in the harness binaries, and a run
-//! that fails after its flags were accepted exits 1.
+//! error (exit 2) in every mode, as in the harness binaries, as is a
+//! command line that names no mode; a run that fails after its flags were
+//! accepted exits 1, and `--help` exits 0.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -47,7 +48,55 @@ fn refused_flags_exit_2_in_every_mode() {
         2,
         "work without --join",
     );
-    assert_exit(&segsim(&["--bogus"]), 2, "single run --bogus");
+    // there is no mode-less run: each of these names `segsim sweep`
+    for line in [
+        &[][..],
+        &["--side", "16", "--horizon", "1", "--tau", "0.45"],
+        &["--trace", "/dev/full"],
+    ] {
+        let out = segsim(line);
+        assert_exit(&out, 2, &format!("segsim {line:?}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("segsim sweep"), "{line:?}: {stderr}");
+    }
+}
+
+#[test]
+fn help_prints_the_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = segsim(&[flag]);
+        assert_exit(&out, 0, flag);
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: segsim sweep"));
+    }
+}
+
+/// One run's frame comes from a one-replica sweep: with no events it
+/// writes the initial state's frame.
+#[test]
+fn a_one_replica_sweep_writes_one_frame() {
+    let dir: PathBuf = std::env::temp_dir().join("segsim_cli_one_frame");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = segsim(&[
+        "sweep",
+        "--side",
+        "16",
+        "--horizon",
+        "1",
+        "--tau",
+        "0.45",
+        "--replicas",
+        "1",
+        "--max-events",
+        "0",
+        "--snapshots",
+        &dir.display().to_string(),
+    ]);
+    assert_exit(&out, 0, "one-replica sweep with --snapshots");
+    let frames = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension() == Some("ppm".as_ref()))
+        .count();
+    assert_eq!(frames, 1);
 }
 
 #[test]
