@@ -23,6 +23,7 @@
 //! See `docs/PERFORMANCE.md` for how the baseline is tracked across PRs.
 
 use seg_bench::kernel::{self, Spread};
+use seg_obs::Json;
 use std::time::Duration;
 
 const USAGE: &str = "usage: bench_kernel [--quick] [--out PATH] [--check BASELINE] [--tolerance F]";
@@ -167,6 +168,8 @@ fn main() {
     }
     std::fs::write(&args.out, &json).expect("write bench JSON");
     println!("wrote {}", args.out);
+    // the same document on one line, for `pairs` to read off stdout
+    println!("{}", Json::parse(&json).expect("bench JSON parses"));
 
     if let Some(baseline_path) = args.check {
         let baseline = std::fs::read_to_string(&baseline_path)

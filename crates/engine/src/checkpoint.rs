@@ -45,7 +45,8 @@ use std::sync::Mutex;
 /// Why a checkpoint could not be used.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Reading or writing the journal failed.
+    /// Reading or writing the journal failed, or an observer's output
+    /// did mid-sweep.
     Io(io::Error),
     /// A complete line of the journal does not parse.
     Corrupt {

@@ -23,6 +23,7 @@ use seg_core::{Intolerance, Simulation};
 use seg_grid::rng::Xoshiro256pp;
 use seg_grid::{Torus, TypeField};
 use std::collections::BTreeMap;
+use std::io;
 use std::time::Instant;
 
 /// The column every replica records: its effective events.
@@ -300,14 +301,15 @@ pub(crate) struct PhaseTimes {
 /// Runs one replica through setup, dynamics and record, and returns
 /// its record and the time each phase took.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if an observer's file output fails — the sweep is an
-/// experiment run, and a missing output is a failed experiment.
+/// The first observer whose output fails (a frame that cannot be
+/// written, an undeclared custom metric): the sweep is an experiment
+/// run, and a missing output is a failed experiment.
 pub(crate) fn run_replica(
     task: &ReplicaTask,
     observers: &[Observer],
-) -> (ReplicaRecord, PhaseTimes) {
+) -> io::Result<(ReplicaRecord, PhaseTimes)> {
     let t0 = Instant::now();
     let mut state = FinalState::build(task);
     let t1 = Instant::now();
@@ -317,7 +319,7 @@ pub(crate) fn run_replica(
     state.record(&mut metrics);
     for o in observers {
         o.apply(task, &state, &mut metrics)
-            .unwrap_or_else(|e| panic!("observer output failed: {e}"));
+            .map_err(|e| io::Error::new(e.kind(), format!("observer output failed: {e}")))?;
     }
     let t3 = Instant::now();
     let nanos = |from: Instant, to: Instant| (to - from).as_nanos() as u64;
@@ -332,7 +334,7 @@ pub(crate) fn run_replica(
         dynamics: nanos(t1, t2),
         observers: nanos(t2, t3),
     };
-    (record, times)
+    Ok((record, times))
 }
 
 #[cfg(test)]
@@ -354,7 +356,7 @@ mod tests {
 
     #[test]
     fn paper_replica_terminates_and_reports() {
-        let (rec, _) = run_replica(&task_for(Variant::Paper, u64::MAX), &[]);
+        let (rec, _) = run_replica(&task_for(Variant::Paper, u64::MAX), &[]).unwrap();
         assert_eq!(rec.metric("terminated"), Some(1.0));
         assert_eq!(rec.metric("events"), Some(rec.events as f64));
         assert!(rec.metric("sim_time").unwrap() > 0.0);
@@ -363,8 +365,8 @@ mod tests {
     #[test]
     fn replica_is_a_pure_function_of_its_task() {
         let t = task_for(Variant::Paper, 500);
-        let (a, _) = run_replica(&t, &[]);
-        let (b, _) = run_replica(&t, &[]);
+        let (a, _) = run_replica(&t, &[]).unwrap();
+        let (b, _) = run_replica(&t, &[]).unwrap();
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.events, b.events);
     }
@@ -382,7 +384,7 @@ mod tests {
             Variant::MultiType { k: 3 },
             Variant::Probe,
         ] {
-            let (rec, _) = run_replica(&task_for(v, 2_000), &[]);
+            let (rec, _) = run_replica(&task_for(v, 2_000), &[]).unwrap();
             assert!(rec.metrics.contains_key("events"), "{v}: missing events");
         }
     }

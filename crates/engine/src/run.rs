@@ -307,9 +307,14 @@ impl Engine {
     }
 
     /// Runs every replica of the sweep, applying `observers` to each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an observer's output fails ([`Engine::run_full`]
+    /// returns that failure instead).
     pub fn run(&self, spec: &SweepSpec, observers: &[Observer]) -> SweepResult {
         self.run_inner(spec, observers, Vec::new(), None, None)
-            .expect("a run without a journal or a sink writes nothing that can fail")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`Engine::run`], journaling every completed replica to the
@@ -329,12 +334,10 @@ impl Engine {
     ///
     /// [`CheckpointError`] when a journal is corrupt, belongs to a
     /// different spec, or cannot be read — the run does not start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if *appending* to the journal fails mid-sweep (like
-    /// observer artifact output, a sweep that cannot persist its results
-    /// is a failed experiment).
+    /// [`CheckpointError::Io`] when appending to the journal or an
+    /// observer's output fails mid-sweep: a sweep that cannot persist
+    /// its results is a failed experiment, and no further replica
+    /// starts.
     pub fn run_with_checkpoint(
         &self,
         spec: &SweepSpec,
@@ -360,11 +363,9 @@ impl Engine {
     /// [`CheckpointError`] when a journal cannot be used (see
     /// [`Engine::run_with_checkpoint`]), or [`CheckpointError::Sink`]
     /// for the partial run + stream combination and when appending to
-    /// the streaming sink fails (no further replicas start then).
-    ///
-    /// # Panics
-    ///
-    /// Panics if appending to the journal fails mid-sweep.
+    /// the streaming sink fails, [`CheckpointError::Io`] when appending
+    /// to the journal or an observer's output fails. A failure mid-sweep
+    /// starts no further replica, and the first one is returned.
     pub fn run_full(
         &self,
         spec: &SweepSpec,
@@ -455,13 +456,23 @@ impl Engine {
         let fresh = parallel_map_halting(
             pending.len(),
             self.threads,
-            |i| run_replica(&tasks[pending[i]], observers),
-            |_, (rec, times): &(ReplicaRecord, PhaseTimes)| {
+            |i| match run_replica(&tasks[pending[i]], observers) {
+                Ok(done) => Some(done),
+                Err(e) => {
+                    let _ = failed.set(CheckpointError::Io(e));
+                    None
+                }
+            },
+            |_, ran: &Option<(ReplicaRecord, PhaseTimes)>| {
+                let Some((rec, times)) = ran else {
+                    return;
+                };
                 let persist = Instant::now();
                 if let Some(journal) = journal {
-                    journal
-                        .append(rec)
-                        .unwrap_or_else(|e| panic!("checkpoint append failed: {e}"));
+                    if let Err(e) = journal.append(rec) {
+                        let _ = failed.set(CheckpointError::Io(e));
+                        return;
+                    }
                     obs.checkpoint_writes.inc();
                 }
                 if let Some(stream) = stream {
@@ -504,8 +515,8 @@ impl Engine {
         if let Some(e) = failed.into_inner() {
             return Err(e);
         }
-        for (slot, done) in pending.into_iter().zip(fresh) {
-            slots[slot] = done.map(|(rec, _)| rec);
+        for (slot, ran) in pending.into_iter().zip(fresh) {
+            slots[slot] = ran.flatten().map(|(rec, _)| rec);
         }
         Ok(SweepResult {
             spec: spec.clone(),
@@ -728,6 +739,28 @@ mod tests {
             .run_full(&spec, &[], None, Some(&sink))
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Sink { .. }), "got: {err}");
+    }
+
+    #[test]
+    fn a_failing_observer_is_an_error_and_starts_no_further_replica() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = calls.clone();
+        // an undeclared metric is an observer output failure
+        let rogue = Observer::custom_named(["alpha"], move |_, _, _| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            vec![("rogue".into(), 1.0)]
+        });
+        let err = Engine::new()
+            .threads(1)
+            .run_full(&small_spec(), &[rogue], None, None)
+            .unwrap_err();
+        assert!(matches!(err, CheckpointError::Io(_)), "got: {err}");
+        assert!(err.to_string().contains("observer output failed"), "{err}");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "replicas ran past the failure"
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::http::{write_json, write_response, write_response_with, ChunkedBody, 
 use crate::jobs::{Job, JobManager, JobState, SubmitOutcome, SweepRequest};
 use crate::lifecycle::DeleteOutcome;
 use seg_engine::{read_journal, Journal};
-use seg_obs::{json_string, Json};
+use seg_obs::{json_string, Counter, Json};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -57,6 +57,11 @@ use std::time::{Duration, Instant};
 /// re-reading the sink file anyway. A backstop, not the cadence: the job
 /// wakes its streams whenever a row lands or its state changes.
 const ROWS_WAIT_MAX: Duration = Duration::from_secs(2);
+
+/// The most row bytes one chunk of a row stream carries (unless a
+/// single row is longer), so a client that buffers a chunk at a time
+/// holds a bounded amount however far behind the job it starts.
+const ROWS_CHUNK_MAX: usize = 64 * 1024;
 
 /// Shared state every connection handler routes against.
 pub(crate) struct ApiContext {
@@ -395,7 +400,12 @@ fn route<W: Write>(
                 }
             };
             status.set(200);
-            stream_rows(&job, from, out, keep, &ctx.shutdown)?;
+            let rows_streamed = seg_obs::metrics().counter(
+                "serve_rows_streamed_total",
+                "result rows sent to row-stream clients",
+                &[],
+            );
+            stream_rows(&job, from, out, keep, &ctx.shutdown, &rows_streamed)?;
             Ok(keep)
         }
         ("POST", ["v1", "workers", "register"]) => match &ctx.fleet {
@@ -590,6 +600,22 @@ fn open_rows(path: &std::path::Path) -> io::Result<Option<File>> {
     }
 }
 
+/// The length of the longest prefix of whole `rows` (each ending in a
+/// newline) that fits in `cap` bytes; the first row alone when it is
+/// longer than `cap`.
+fn row_run(rows: &[u8], cap: usize) -> usize {
+    match rows[..cap.min(rows.len())]
+        .iter()
+        .rposition(|&b| b == b'\n')
+    {
+        Some(i) => i + 1,
+        None => rows
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rows.len(), |i| i + 1),
+    }
+}
+
 /// Streams the job's NDJSON rows as a chunked body, following the file
 /// while the job is live. Rows are released whole-line (a torn tail
 /// mid-append is held back until its newline lands), in task order,
@@ -597,22 +623,19 @@ fn open_rows(path: &std::path::Path) -> io::Result<Option<File>> {
 /// client resumable: count the rows you got, reconnect with `?from=K`.
 ///
 /// Between reads the stream sleeps on the job's row generation, which
-/// moves when a row lands, when the state changes, and on drain.
+/// moves when a row lands, when the state changes, and on drain. Each
+/// row sent adds one to `rows_streamed`.
 fn stream_rows<W: Write>(
     job: &Arc<Job>,
     from: usize,
     out: &mut W,
     keep_alive: bool,
     shutdown: &AtomicBool,
+    rows_streamed: &Counter,
 ) -> io::Result<()> {
     let total = job.spec.task_count();
     job.touch(); // streaming counts as use for LRU eviction
     let path = job.rows_path();
-    let rows_streamed = seg_obs::metrics().counter(
-        "serve_rows_streamed_total",
-        "result rows sent to row-stream clients",
-        &[],
-    );
     let mut body = ChunkedBody::start(out, 200, "application/x-ndjson", keep_alive)?;
     let mut file = None;
     let mut bytes = Vec::new();
@@ -635,20 +658,25 @@ fn stream_rows<W: Write>(
             f.read_to_end(&mut bytes)?;
         }
         let complete_len = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        let mut cursor = 0usize;
-        while cursor < complete_len {
-            let end = bytes[cursor..complete_len]
+        let mut rest = &bytes[..complete_len];
+        while seen < from && !rest.is_empty() {
+            let end = rest
                 .iter()
                 .position(|&b| b == b'\n')
-                .expect("complete region ends in newline")
-                + cursor
+                .expect("rows end in newlines")
                 + 1;
-            if seen >= from {
-                body.chunk(&bytes[cursor..end])?;
-                rows_streamed.inc();
-            }
+            rest = &rest[end..];
             seen += 1;
-            cursor = end;
+        }
+        // the complete rows of one read go out as one chunk, or as a few
+        // when they pass the cap, cut only between rows
+        while !rest.is_empty() {
+            let run = row_run(rest, ROWS_CHUNK_MAX);
+            let rows = rest[..run].iter().filter(|&&b| b == b'\n').count();
+            body.chunk(&rest[..run])?;
+            rows_streamed.add(rows as u64);
+            seen += rows;
+            rest = &rest[run..];
         }
         offset += complete_len as u64;
         if seen >= total {
@@ -729,7 +757,9 @@ mod tests {
     fn follow(job: &Arc<Job>, stop: Arc<AtomicBool>) -> (Shared, JoinHandle<io::Result<()>>) {
         let out = Shared::default();
         let (job, mut writer) = (job.clone(), out.clone());
-        let stream = std::thread::spawn(move || stream_rows(&job, 0, &mut writer, false, &stop));
+        let stream = std::thread::spawn(move || {
+            stream_rows(&job, 0, &mut writer, false, &stop, &Counter::default())
+        });
         while out.len() == 0 {
             std::thread::yield_now();
         }
@@ -807,6 +837,61 @@ mod tests {
         mgr.drain();
         ended(stream, ROWS_WAIT_MAX / 2, "drain").unwrap();
         assert!(dechunk(&out.bytes()).is_empty());
+    }
+
+    #[test]
+    fn a_finished_job_resumes_from_k_in_chunks_of_whole_rows() {
+        let mgr = JobManager::new(tmp("from"), 1).unwrap();
+        let (job, _) = mgr
+            .submit_as(request(44, 300), None, None)
+            .unwrap()
+            .unwrap();
+        mgr.run_job_for_test(&job);
+        assert_eq!(job.state(), JobState::Done);
+        let rows = std::fs::read(job.rows_path()).unwrap();
+        let from = 7;
+        let skipped: usize = rows
+            .split_inclusive(|&b| b == b'\n')
+            .take(from)
+            .map(<[u8]>::len)
+            .sum();
+        let (mut out, counter) = (Vec::new(), Counter::default());
+        stream_rows(
+            &job,
+            from,
+            &mut out,
+            false,
+            &AtomicBool::new(false),
+            &counter,
+        )
+        .unwrap();
+        assert_eq!(dechunk(&out), rows[skipped..]);
+        assert_eq!(counter.get(), 600 - from as u64);
+        // walk the framing: every chunk holds whole rows within the cap,
+        // and only the cap splits the one read of a finished job
+        let head_end = out.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        let mut rest = &out[head_end..];
+        let mut chunks: Vec<&[u8]> = Vec::new();
+        loop {
+            let line = rest.windows(2).position(|w| w == b"\r\n").unwrap();
+            let size = std::str::from_utf8(&rest[..line]).unwrap();
+            let size = usize::from_str_radix(size, 16).unwrap();
+            let data = &rest[line + 2..line + 2 + size];
+            rest = &rest[line + 4 + size..];
+            if size == 0 {
+                break;
+            }
+            assert!(data.ends_with(b"\n") && size <= ROWS_CHUNK_MAX);
+            chunks.push(data);
+        }
+        assert!(chunks.len() > 1, "the rows never reached the chunk cap");
+        for pair in chunks.windows(2) {
+            let next_row = pair[1].iter().position(|&b| b == b'\n').unwrap() + 1;
+            assert!(
+                pair[0].len() + next_row > ROWS_CHUNK_MAX,
+                "a chunk cut early"
+            );
+        }
     }
 
     #[test]

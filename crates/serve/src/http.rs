@@ -13,7 +13,8 @@
 //! Everything here is transport; routing and semantics live in the
 //! crate's `api` module.
 
-use std::io::{self, BufRead, Read, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -405,7 +406,9 @@ pub(crate) fn write_response<W: Write>(
 }
 
 /// Writes a fixed-length response with extra headers (name must already
-/// be lower-case; used for `retry-after` on 429/503 rejections).
+/// be lower-case; used for `retry-after` on 429/503 rejections). The
+/// head is rendered into one buffer and goes out with the body in a
+/// single vectored write.
 ///
 /// # Errors
 ///
@@ -418,19 +421,41 @@ pub(crate) fn write_response_with<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
-    write!(
-        w,
+    let mut head = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    )?;
+    );
     for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+        let _ = write!(head, "{name}: {value}\r\n"); // a String takes every write
     }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
+    head.push_str("\r\n");
+    write_all_vectored(w, &mut [IoSlice::new(head.as_bytes()), IoSlice::new(body)])?;
     w.flush()
+}
+
+/// Writes all of `bufs` as one message: a socket takes a message of
+/// this service's sizes in one `writev`, and the loop only resumes
+/// after a short write. (`Write::write_all_vectored` is not stable.)
+///
+/// # Errors
+///
+/// Any I/O error from the writer; `WriteZero` if it stops taking bytes.
+pub(crate) fn write_all_vectored<W: Write>(
+    w: &mut W,
+    mut bufs: &mut [IoSlice<'_>],
+) -> io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0); // skip leading empty slices
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Writes a JSON response (the service's default shape).
@@ -513,18 +538,19 @@ impl<'w, W: Write> ChunkedBody<'w, W> {
         content_type: &str,
         keep_alive: bool,
     ) -> io::Result<Self> {
-        write!(
-            w,
+        let head = format!(
             "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ntransfer-encoding: chunked\r\nconnection: {}\r\n\r\n",
             reason(status),
             if keep_alive { "keep-alive" } else { "close" },
-        )?;
+        );
+        w.write_all(head.as_bytes())?;
         Ok(ChunkedBody { w, finished: false })
     }
 
     /// Sends one chunk (empty input sends nothing — an empty chunk would
     /// terminate the stream) and flushes, so consumers tailing a live
-    /// job see rows as they land.
+    /// job see rows as they land. The size line, the data and the CRLF
+    /// go out in one vectored write, without copying the data.
     ///
     /// # Errors
     ///
@@ -533,9 +559,18 @@ impl<'w, W: Write> ChunkedBody<'w, W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        let mut size_line = [0u8; 18]; // 16 hex digits and CRLF
+        let mut cursor = io::Cursor::new(&mut size_line[..]);
+        write!(cursor, "{:x}\r\n", data.len())?;
+        let size_len = cursor.position() as usize;
+        write_all_vectored(
+            self.w,
+            &mut [
+                IoSlice::new(&size_line[..size_len]),
+                IoSlice::new(data),
+                IoSlice::new(b"\r\n"),
+            ],
+        )?;
         self.w.flush()
     }
 
@@ -645,6 +680,76 @@ mod tests {
         assert!(text.contains("\r\nretry-after: 3\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
         assert_eq!(reason(401), "Unauthorized");
+    }
+
+    /// A socket stand-in that counts write calls and, like `writev` on
+    /// a socket with room, takes every slice of a vectored write.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.write_vectored(bufs)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_is_one_write_call() {
+        let mut w = CountingWriter::default();
+        let retry = [("retry-after", "3".to_string())];
+        write_response_with(&mut w, 429, "application/json", &retry, b"{}", true).unwrap();
+        assert_eq!(w.writes, 1, "response");
+        write_json(&mut w, 200, "", false).unwrap();
+        assert_eq!(w.writes, 2, "response with an empty body");
+
+        let mut w = CountingWriter::default();
+        {
+            let mut c = ChunkedBody::start(&mut w, 200, "application/x-ndjson", true).unwrap();
+            let big = vec![b'x'; 100_000];
+            for (i, data) in [&b"{\"a\":1}\n"[..], &big, b""].into_iter().enumerate() {
+                c.chunk(data).unwrap();
+                assert_eq!(c.w.writes, 2 + i.min(1), "chunk {i}");
+            }
+            c.finish().unwrap();
+        }
+        assert_eq!(w.writes, 4, "head, two chunks and the last chunk");
+        let body = read_response(&mut &w.bytes[..], MAX_RESPONSE_BODY)
+            .unwrap()
+            .body;
+        assert_eq!(body.len(), 8 + 100_000);
+    }
+
+    #[test]
+    fn a_short_vectored_write_resumes_where_it_stopped() {
+        // takes at most three bytes of one slice per call (the default
+        // `write_vectored`), so every slice boundary is a short write
+        struct OneSlice(Vec<u8>);
+        impl Write for OneSlice {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = OneSlice(Vec::new());
+        write_response(&mut w, 200, "text/plain", b"hello", false).unwrap();
+        let text = String::from_utf8(w.0).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n") && text.ends_with("\r\n\r\nhello"));
     }
 
     #[test]

@@ -1066,8 +1066,13 @@ impl JobManager {
                 self.admission.release(&client);
             }
             // completions are when the data dir grows: a good moment to
-            // apply the TTL/byte bounds without waiting for the sweeper
-            self.enforce_lifecycle();
+            // apply the TTL/byte bounds without waiting for the sweeper.
+            // Unbounded, the pass would only refresh `serve_data_bytes`,
+            // at a cost that grows with the jobs held, under the job
+            // table's lock that submits need; the sweeper does that.
+            if self.job_ttl.is_some() || self.data_max_bytes.is_some() {
+                self.enforce_lifecycle();
+            }
         }
     }
 

@@ -14,9 +14,10 @@
 //! removed** — eviction only touches `done`/`failed` jobs, whose
 //! artifacts are reproducible by construction (a resubmit of the same
 //! spec recomputes byte-identical rows, it is simply a cache miss
-//! instead of a hit). [`JobManager::enforce_lifecycle`] runs after
-//! every job completion and from the server's background sweeper, and
-//! keeps `serve_data_bytes` / `serve_jobs_evicted_total` current.
+//! instead of a hit). [`JobManager::enforce_lifecycle`] runs from the
+//! server's background sweeper every 500 ms and, when a TTL or a byte
+//! bound is set, after every job completion; it keeps
+//! `serve_data_bytes` / `serve_jobs_evicted_total` current.
 //!
 //! Sizing is per finished job: a done or failed job's directory never
 //! changes, so it is walked once, the first time the job is seen
@@ -104,8 +105,9 @@ impl JobManager {
 
     /// Applies the TTL sweep and the byte bound, refreshes the
     /// `serve_data_bytes` gauge, and returns the value it published.
-    /// Called after every job completion and periodically from the
-    /// server's sweeper thread; walks only the live jobs' directories.
+    /// Called periodically from the server's sweeper thread, and after
+    /// every job completion when a bound is set; walks only the live
+    /// jobs' directories.
     pub(crate) fn enforce_lifecycle(&self) -> u64 {
         let mut jobs = self.jobs.lock().expect("jobs poisoned");
         let mut sized: Vec<(Arc<Job>, u64)> =

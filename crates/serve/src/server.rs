@@ -394,6 +394,9 @@ fn handle_connection(
     // live jobs and may run for minutes); reads get a whole-request
     // deadline below so a slow-loris client cannot pin this handler
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
+    // every response and row chunk is one write: send it at once rather
+    // than let Nagle hold it for the ACK of the previous one
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(DeadlineStream::new(stream.try_clone()?));
     let mut writer = stream;
     loop {

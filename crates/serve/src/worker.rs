@@ -40,15 +40,15 @@
 //! request deadline, and `--trace-out` exports its trace ring as JSONL.
 
 use crate::http::{
-    read_response, write_json as http_write_json, write_response, DeadlineStream, Request,
-    Response, MAX_RESPONSE_BODY,
+    read_response, write_all_vectored, write_json as http_write_json, write_response,
+    DeadlineStream, Request, Response, MAX_RESPONSE_BODY,
 };
 use crate::jobs::SweepRequest;
 use crate::server::{serve_connections, ServeConfig};
 use seg_engine::{header_line, record_line, spec_fingerprint, Engine, Observer};
 use seg_obs::{json_number, json_string, Json, TraceContext};
 use std::cell::Cell;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,8 +119,9 @@ impl WorkerConfig {
     }
 }
 
-/// One blocking HTTP exchange: connect, send, read the full response
-/// through [`read_response`] under the [`MAX_RESPONSE_BODY`] cap.
+/// One blocking HTTP exchange: connect, send the request in one write
+/// with Nagle off, read the full response through [`read_response`]
+/// under the [`MAX_RESPONSE_BODY`] cap.
 /// `extra_headers` are appended to the request head verbatim — the
 /// fleet uses this to carry `x-seg-trace` on every in-trace request.
 /// The connect deadline, a per-write deadline and one [`IO_TIMEOUT`]
@@ -141,6 +142,7 @@ fn call(
         .ok_or_else(|| io::Error::other(format!("{addr} resolved to no address")))?;
     let stream = TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT)?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = DeadlineStream::new(stream);
     reader.arm(IO_TIMEOUT);
@@ -148,13 +150,14 @@ fn call(
         .iter()
         .map(|(k, v)| format!("{k}: {v}\r\n"))
         .collect();
-    write!(
-        writer,
+    let head = format!(
         "{method} {path} HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n{extra}content-length: {}\r\n\r\n",
         body.len()
+    );
+    write_all_vectored(
+        &mut writer,
+        &mut [IoSlice::new(head.as_bytes()), IoSlice::new(body)],
     )?;
-    writer.write_all(body)?;
-    writer.flush()?;
     read_response(&mut BufReader::new(reader), MAX_RESPONSE_BODY).map_err(io::Error::other)
 }
 

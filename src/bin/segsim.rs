@@ -62,13 +62,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
+// The mode lines end in a literal newline rather than `\n\`: a `\`
+// continuation would also strip the next line's indentation.
 const USAGE: &str = "usage: segsim sweep --side N,.. --horizon W,.. --tau T,.. [--density P,..] \
-[--variant V,..] [--max-events N] [--snapshots DIR] [--summary FILE.csv] <engine flags>\n\
+[--variant V,..] [--max-events N] [--snapshots DIR] [--summary FILE.csv] <engine flags>
        segsim serve [--addr HOST:PORT] [--workers N] [--threads T] [--data DIR] \
 [--conn-threads C] [--max-body BYTES] [--trace-out FILE.jsonl] \
 [--metrics-history-out FILE.jsonl] [--alerts FILE] [--history-scrape-ms MS] \
 [--api-keys FILE] [--max-queue N] [--job-ttl SECS] [--data-max-bytes BYTES] \
-[--request-timeout SECS] [--fleet] [--fleet-timeout SECS]\n\
+[--request-timeout SECS] [--fleet] [--fleet-timeout SECS]
        segsim work --join HOST:PORT [--threads N] [--poll-ms MS] \
 [--metrics-addr HOST:PORT] [--trace-out FILE.jsonl]\n\
 \n\

@@ -70,6 +70,23 @@ fn help_prints_the_usage_and_exits_0() {
     }
 }
 
+#[test]
+fn the_usage_aligns_every_mode_under_the_first() {
+    let out = segsim(&["--help"]);
+    let usage = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = usage.lines().take(3).collect();
+    let indent = " ".repeat("usage: ".len());
+    assert!(lines[0].starts_with("usage: segsim sweep "), "{usage}");
+    assert!(
+        lines[1].starts_with(&format!("{indent}segsim serve ")),
+        "{usage}"
+    );
+    assert!(
+        lines[2].starts_with(&format!("{indent}segsim work ")),
+        "{usage}"
+    );
+}
+
 /// One run's frame comes from a one-replica sweep: with no events it
 /// writes the initial state's frame.
 #[test]
@@ -116,4 +133,25 @@ fn a_run_whose_sink_fails_exits_1() {
         &dir.display().to_string(),
     ]);
     assert_exit(&out, 1, "sweep with an unopenable --out");
+}
+
+#[test]
+fn a_run_whose_frames_cannot_be_written_exits_1() {
+    // `/dev/full` is a file, so no frame directory can be made under it
+    let out = segsim(&[
+        "sweep",
+        "--side",
+        "16",
+        "--horizon",
+        "1",
+        "--tau",
+        "0.45",
+        "--replicas",
+        "1",
+        "--snapshots",
+        "/dev/full/x",
+    ]);
+    assert_exit(&out, 1, "sweep with an unwritable --snapshots");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("observer output failed"), "{stderr}");
 }

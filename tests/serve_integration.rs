@@ -669,6 +669,45 @@ fn data_max_bytes_evicts_oldest_done_jobs_and_keeps_the_bound() {
     assert_eq!(rows, first_rows, "recomputed rows differ after eviction");
 }
 
+#[test]
+fn an_unbounded_server_keeps_its_data_bytes_gauge_current() {
+    let dir = tmp_dir("data-bytes");
+    let data = dir.join("data");
+    let server = ServerProc::start("data-bytes", &data, 1);
+    let addr = &server.addr;
+    for seed in 301..=303 {
+        let (status, _, body) = http(addr, "POST", "/v1/sweeps", &job_body(seed));
+        assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+        let id = json_str_field(&body, "id").expect("job id");
+        poll_until_state(addr, &id, "done", Duration::from_secs(60));
+    }
+    let walked: u64 = fs::read_dir(data.join("jobs"))
+        .unwrap()
+        .flat_map(|job| fs::read_dir(job.unwrap().path()).unwrap())
+        .filter_map(|e| e.ok()?.metadata().ok())
+        .filter(|m| m.is_file())
+        .map(|m| m.len())
+        .sum();
+    assert!(walked > 0, "finished jobs left no bytes");
+    // with no --job-ttl or --data-max-bytes, completions skip the
+    // lifecycle pass and the 500 ms sweeper publishes the total
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (_, _, body) = http(addr, "GET", "/metrics", "");
+        let samples = validate_exposition(&String::from_utf8(body).expect("utf-8 exposition"));
+        let (_, _, published) =
+            sample_value(&samples, "serve_data_bytes", &[]).expect("data-bytes gauge");
+        if *published == walked as f64 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "serve_data_bytes reads {published}, the data dir holds {walked}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
 /// A small distinct-by-seed job.
 fn job_body(seed: u64) -> String {
     format!(
